@@ -32,8 +32,11 @@ void RunVflRow(size_t rows, size_t features_b, federated::VflPrivacy privacy,
   rel::SiloPair pair = rel::GenerateSiloPair(spec);
   auto metadata = factorized::DerivePairMetadata(pair);
   AMALUR_CHECK(metadata.ok()) << metadata.status();
-  auto alignment = federated::AlignForVfl(*metadata, 0);
+  auto alignment = federated::AlignForVflNary(*metadata, 0);
   AMALUR_CHECK(alignment.ok()) << alignment.status();
+  std::vector<federated::VflParty>& parties = alignment->parties;
+  parties[0].name = "A";
+  parties[1].name = "B";
 
   federated::VflOptions options;
   options.iterations = iterations;
@@ -41,14 +44,14 @@ void RunVflRow(size_t rows, size_t features_b, federated::VflPrivacy privacy,
   options.privacy = privacy;
   federated::MessageBus bus;
   Stopwatch watch;
-  auto result = federated::TrainVerticalFlr(
-      alignment->xa, alignment->labels, alignment->xb, options, &bus);
+  auto result = federated::TrainVerticalFlrNary(parties, alignment->labels,
+                                                options, &bus);
   const double seconds = watch.ElapsedSeconds();
   AMALUR_CHECK(result.ok()) << result.status();
 
   // Centralized reference for loss parity.
   ml::MaterializedMatrix central_features(
-      alignment->xa.ConcatColumns(alignment->xb));
+      parties[0].x.ConcatColumns(parties[1].x));
   ml::GradientDescentOptions gd;
   gd.iterations = iterations;
   gd.learning_rate = 0.1;

@@ -58,22 +58,24 @@ int main() {
 
   // --- The same protocol with Paillier-encrypted residual/gradient
   // exchange: identical learning curve shape, heavier wires.
-  auto alignment = federated::AlignForVfl(integration->metadata, 0);
+  auto alignment = federated::AlignForVflNary(integration->metadata, 0);
   AMALUR_CHECK(alignment.ok()) << alignment.status();
+  alignment->parties[0].name = "A";
+  alignment->parties[1].name = "B";
   federated::VflOptions secure;
   secure.iterations = 20;  // homomorphic ops are costly; fewer steps suffice
   secure.learning_rate = 0.1;
   secure.privacy = federated::VflPrivacy::kPaillier;
   federated::MessageBus secure_bus;
-  auto encrypted = federated::TrainVerticalFlr(
-      alignment->xa, alignment->labels, alignment->xb, secure, &secure_bus);
+  auto encrypted = federated::TrainVerticalFlrNary(
+      alignment->parties, alignment->labels, secure, &secure_bus);
   AMALUR_CHECK(encrypted.ok()) << encrypted.status();
 
   federated::VflOptions clear = secure;
   clear.privacy = federated::VflPrivacy::kPlaintext;
   federated::MessageBus clear_bus;
-  auto plaintext = federated::TrainVerticalFlr(
-      alignment->xa, alignment->labels, alignment->xb, clear, &clear_bus);
+  auto plaintext = federated::TrainVerticalFlrNary(
+      alignment->parties, alignment->labels, clear, &clear_bus);
   AMALUR_CHECK(plaintext.ok()) << plaintext.status();
 
   std::printf("\n=== Encryption overhead (%zu iterations) ===\n",

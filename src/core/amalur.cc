@@ -6,6 +6,7 @@
 
 #include "common/status.h"
 #include "common/string_util.h"
+#include "core/integration_graph.h"
 #include "factorized/factorized_table.h"
 #include "ml/linear_models.h"
 #include "ml/metrics.h"
@@ -60,13 +61,6 @@ class NameClaimer {
   std::set<std::string> used_;
 };
 
-/// A spec reduced to canonical form plus its validated graph plan.
-struct NormalizedSpec {
-  /// Sources in topological order, edges filled, relationships per edge.
-  IntegrationSpec spec;
-  IntegrationGraphPlan plan;
-};
-
 /// Normalizes a spec into its edge-list form and plans the graph. The flat
 /// `sources`/`relationships` form is validated as before (star base rotated
 /// to position 0, a single relationship broadcast over all edges, stars
@@ -74,16 +68,14 @@ struct NormalizedSpec {
 /// explicit edge list goes straight to the graph planner, which enforces
 /// connectivity, acyclicity and the one-fact-root/union placement rules
 /// with precise error messages.
-Result<NormalizedSpec> NormalizeSpec(const IntegrationSpec& spec) {
-  NormalizedSpec out;
+Result<IntegrationGraphPlan> NormalizeSpec(const IntegrationSpec& spec) {
   if (!spec.edges.empty()) {
     if (!spec.star_base.empty()) {
       return Status::InvalidArgument(
           "star_base applies to the flat sources/relationships form only; "
           "an edge list already fixes the fact root");
     }
-    AMALUR_ASSIGN_OR_RETURN(out.plan,
-                            PlanIntegrationGraph(spec.edges, spec.sources));
+    return PlanIntegrationGraph(spec.edges, spec.sources);
   } else {
     IntegrationSpec flat = spec;
     if (flat.sources.size() < 2) {
@@ -127,18 +119,8 @@ Result<NormalizedSpec> NormalizeSpec(const IntegrationSpec& spec) {
       lowered.push_back(
           {flat.sources[0], flat.sources[e + 1], flat.relationships[e]});
     }
-    AMALUR_ASSIGN_OR_RETURN(out.plan,
-                            PlanIntegrationGraph(lowered, flat.sources));
+    return PlanIntegrationGraph(lowered, flat.sources);
   }
-  out.spec = spec;
-  out.spec.star_base.clear();
-  out.spec.sources = out.plan.sources;
-  out.spec.edges = out.plan.edges;
-  out.spec.relationships.clear();
-  for (const IntegrationEdge& edge : out.plan.edges) {
-    out.spec.relationships.push_back(edge.kind);
-  }
-  return out;
 }
 
 }  // namespace
@@ -153,327 +135,7 @@ Result<IntegrationHandle> Amalur::Integrate(const std::string& base_name,
 }
 
 Result<IntegrationHandle> Amalur::Integrate(const IntegrationSpec& spec) {
-  AMALUR_ASSIGN_OR_RETURN(NormalizedSpec normalized, NormalizeSpec(spec));
-  Result<IntegrationHandle> handle = [&]() -> Result<IntegrationHandle> {
-    switch (normalized.plan.shape) {
-      case metadata::IntegrationShape::kPairwise:
-        return IntegratePair(normalized.spec);
-      case metadata::IntegrationShape::kStar:
-        // The unchanged fast path: depth-1 left joins off one base. An
-        // inner edge keeps the star *shape* but needs the graph derivation
-        // — the star path never reads edge kinds and would silently drop
-        // the inner join's row restriction.
-        for (const IntegrationEdge& edge : normalized.plan.edges) {
-          if (edge.kind == rel::JoinKind::kInnerJoin) {
-            return IntegrateGraph(normalized.spec, normalized.plan);
-          }
-        }
-        return IntegrateStar(normalized.spec);
-      case metadata::IntegrationShape::kSnowflake:
-      case metadata::IntegrationShape::kConformedSnowflake:
-      case metadata::IntegrationShape::kUnionOfStars:
-        return IntegrateGraph(normalized.spec, normalized.plan);
-    }
-    return Status::Internal("unreachable integration shape");
-  }();
-  if (handle.ok()) {
-    handle->edges = normalized.plan.edges;
-    handle->shape = normalized.plan.shape;
-    if (!normalized.spec.name.empty()) {
-      AMALUR_RETURN_NOT_OK(catalog_.RegisterIntegration(*handle));
-    }
-  }
-  return handle;
-}
-
-Result<IntegrationHandle> Amalur::IntegratePair(const IntegrationSpec& spec) {
-  const std::string& base_name = spec.sources[0];
-  const std::string& other_name = spec.sources[1];
-  const rel::JoinKind kind = spec.relationships[0];
-  AMALUR_ASSIGN_OR_RETURN(const SourceEntry* base_entry,
-                          catalog_.GetSource(base_name));
-  AMALUR_ASSIGN_OR_RETURN(const SourceEntry* other_entry,
-                          catalog_.GetSource(other_name));
-  const rel::Table& base = base_entry->table;
-  const rel::Table& other = other_entry->table;
-
-  IntegrationHandle handle;
-  handle.name = spec.name;
-  handle.source_names = {base_name, other_name};
-  handle.privacy_constrained =
-      base_entry->privacy_sensitive || other_entry->privacy_sensitive;
-
-  // ---- 1. Schema matching (cached in the catalog).
-  std::vector<integration::ColumnMatch> column_matches =
-      integration::MatchSchemas(base, other, options_.matcher);
-  catalog_.StoreColumnMatches(base_name, other_name, column_matches);
-  if (kind != rel::JoinKind::kUnion && column_matches.empty()) {
-    return Status::FailedPrecondition(
-        "no column matches between '", base_name, "' and '", other_name,
-        "'; a join scenario needs shared columns");
-  }
-
-  // ---- 2. Target-schema synthesis. Matched numeric columns merge into one
-  // target column named after the base column; private numeric columns carry
-  // over; string columns act as join evidence only (the running example's
-  // `n`). Name collisions between private columns get a suffix.
-  std::vector<int64_t> base_match_of(base.NumColumns(), -1);
-  std::vector<int64_t> other_match_of(other.NumColumns(), -1);
-  for (size_t i = 0; i < column_matches.size(); ++i) {
-    base_match_of[column_matches[i].left_column] = static_cast<int64_t>(i);
-    other_match_of[column_matches[i].right_column] = static_cast<int64_t>(i);
-  }
-
-  std::vector<rel::Field> target_fields;
-  NameClaimer names;
-  std::vector<integration::ColumnCorrespondence> base_corr;
-  std::vector<integration::ColumnCorrespondence> other_corr;
-
-  std::vector<uint8_t> join_only_match(column_matches.size(), 0);
-  for (size_t j = 0; j < base.NumColumns(); ++j) {
-    const rel::Column& column = base.column(j);
-    if (!IsNumeric(column)) continue;
-    if (base_match_of[j] >= 0) {
-      const auto& match =
-          column_matches[static_cast<size_t>(base_match_of[j])];
-      if (IsIdLikePair(column, other.column(match.right_column))) {
-        // Surrogate key: join evidence only.
-        join_only_match[static_cast<size_t>(base_match_of[j])] = 1;
-        continue;
-      }
-    }
-    const std::string target_name = names.Claim(column.name());
-    target_fields.push_back({target_name, column.type(), true});
-    base_corr.push_back({column.name(), target_name});
-    if (base_match_of[j] >= 0) {
-      const auto& match =
-          column_matches[static_cast<size_t>(base_match_of[j])];
-      other_corr.push_back({other.column(match.right_column).name(),
-                            target_name});
-    }
-  }
-  for (size_t j = 0; j < other.NumColumns(); ++j) {
-    const rel::Column& column = other.column(j);
-    if (!IsNumeric(column) || other_match_of[j] >= 0) continue;
-    const std::string target_name = names.Claim(column.name());
-    target_fields.push_back({target_name, column.type(), true});
-    other_corr.push_back({column.name(), target_name});
-  }
-  if (target_fields.empty()) {
-    return Status::FailedPrecondition("no numeric columns to integrate");
-  }
-
-  // Matched string columns and surrogate keys become explicit source
-  // matches (join variables outside the target schema).
-  std::vector<integration::SourceColumnMatch> source_matches;
-  for (size_t i = 0; i < column_matches.size(); ++i) {
-    const integration::ColumnMatch& match = column_matches[i];
-    if (!IsNumeric(base.column(match.left_column)) || join_only_match[i]) {
-      source_matches.push_back({0, base.column(match.left_column).name(), 1,
-                                other.column(match.right_column).name()});
-    }
-  }
-
-  AMALUR_ASSIGN_OR_RETURN(
-      handle.mapping,
-      integration::SchemaMapping::Create(
-          kind,
-          {integration::SchemaMapping::SourceSpec{base_name, base.schema(),
-                                                  std::move(base_corr)},
-           integration::SchemaMapping::SourceSpec{other_name, other.schema(),
-                                                  std::move(other_corr)}},
-          rel::Schema(std::move(target_fields)), std::move(source_matches)));
-
-  // ---- 3. Row matching. When the match set contains a surrogate key,
-  // exact key matching applies (and naturally expresses join fan-out, which
-  // 1:1 entity resolution cannot); otherwise fall back to fuzzy entity
-  // resolution over the matched columns.
-  rel::RowMatching matching;
-  if (kind != rel::JoinKind::kUnion) {
-    std::vector<std::string> base_keys;
-    std::vector<std::string> other_keys;
-    for (size_t i = 0; i < column_matches.size(); ++i) {
-      const integration::ColumnMatch& match = column_matches[i];
-      if (join_only_match[i] && IsNumeric(base.column(match.left_column))) {
-        base_keys.push_back(base.column(match.left_column).name());
-        other_keys.push_back(other.column(match.right_column).name());
-      }
-    }
-    if (!base_keys.empty()) {
-      AMALUR_ASSIGN_OR_RETURN(
-          matching, rel::MatchRowsOnKeys(base, other, base_keys, other_keys));
-    } else {
-      AMALUR_ASSIGN_OR_RETURN(
-          matching, integration::ResolveEntities(base, other, column_matches,
-                                                 options_.resolver));
-    }
-    catalog_.StoreRowMatching(base_name, other_name, matching);
-  }
-  handle.edge_matches.push_back(std::move(column_matches));
-  handle.matchings.push_back(std::move(matching));
-
-  // ---- 4. The three metadata matrices.
-  AMALUR_ASSIGN_OR_RETURN(
-      handle.metadata,
-      metadata::DiMetadata::Derive(handle.mapping, {&base, &other},
-                                   handle.matchings[0]));
-  return handle;
-}
-
-Result<IntegrationHandle> Amalur::IntegrateStar(const IntegrationSpec& spec) {
-  const size_t n_sources = spec.sources.size();
-  std::vector<const SourceEntry*> entries(n_sources);
-  for (size_t k = 0; k < n_sources; ++k) {
-    AMALUR_ASSIGN_OR_RETURN(entries[k], catalog_.GetSource(spec.sources[k]));
-  }
-  const rel::Table& base = entries[0]->table;
-
-  IntegrationHandle handle;
-  handle.name = spec.name;
-  handle.source_names = spec.sources;
-  for (const SourceEntry* entry : entries) {
-    handle.privacy_constrained |= entry->privacy_sensitive;
-  }
-
-  // ---- 1. Per-edge schema matching and join-key discovery. An edge's
-  // matches split into surrogate keys / string join evidence (row-matching
-  // material) and merged feature columns.
-  struct EdgePlan {
-    std::vector<std::string> base_keys;   // numeric surrogate keys
-    std::vector<std::string> dim_keys;
-    /// dim column index -> matched base column index (merged features).
-    std::map<size_t, size_t> merged;
-    std::vector<integration::SourceColumnMatch> source_matches;
-  };
-  std::vector<EdgePlan> edges(n_sources - 1);
-  std::set<size_t> base_key_columns;  // excluded from the target schema
-  for (size_t e = 0; e + 1 < n_sources; ++e) {
-    const rel::Table& dim = entries[e + 1]->table;
-    std::vector<integration::ColumnMatch> matches =
-        integration::MatchSchemas(base, dim, options_.matcher);
-    catalog_.StoreColumnMatches(spec.sources[0], spec.sources[e + 1], matches);
-    if (matches.empty()) {
-      return Status::FailedPrecondition(
-          "no column matches between base '", spec.sources[0],
-          "' and dimension '", spec.sources[e + 1],
-          "'; a star edge needs a shared key column");
-    }
-    for (const integration::ColumnMatch& match : matches) {
-      const rel::Column& left = base.column(match.left_column);
-      const rel::Column& right = dim.column(match.right_column);
-      if (!IsNumeric(left)) {
-        edges[e].source_matches.push_back(
-            {0, left.name(), e + 1, right.name()});
-      } else if (IsIdLikePair(left, right)) {
-        edges[e].base_keys.push_back(left.name());
-        edges[e].dim_keys.push_back(right.name());
-        base_key_columns.insert(match.left_column);
-        edges[e].source_matches.push_back(
-            {0, left.name(), e + 1, right.name()});
-      } else {
-        edges[e].merged[match.right_column] = match.left_column;
-      }
-    }
-    handle.edge_matches.push_back(std::move(matches));
-  }
-
-  // ---- 2. Target-schema synthesis: the base's non-key numeric columns
-  // first, then each dimension's unmatched numeric features in source order.
-  // Dimension columns matched to a base feature merge into its target
-  // column; keys of ANY edge never become features.
-  NameClaimer names;
-  std::vector<rel::Field> target_fields;
-  std::vector<std::vector<integration::ColumnCorrespondence>> corr(n_sources);
-  std::vector<std::string> base_target_names(base.NumColumns());
-  for (size_t j = 0; j < base.NumColumns(); ++j) {
-    const rel::Column& column = base.column(j);
-    if (!IsNumeric(column) || base_key_columns.count(j) > 0) continue;
-    const std::string target_name = names.Claim(column.name());
-    target_fields.push_back({target_name, column.type(), true});
-    corr[0].push_back({column.name(), target_name});
-    base_target_names[j] = target_name;
-  }
-  for (size_t e = 0; e + 1 < n_sources; ++e) {
-    const rel::Table& dim = entries[e + 1]->table;
-    std::set<std::string> edge_dim_keys(edges[e].dim_keys.begin(),
-                                        edges[e].dim_keys.end());
-    for (size_t j = 0; j < dim.NumColumns(); ++j) {
-      const rel::Column& column = dim.column(j);
-      if (!IsNumeric(column) || edge_dim_keys.count(column.name()) > 0) {
-        continue;
-      }
-      auto merged = edges[e].merged.find(j);
-      if (merged != edges[e].merged.end()) {
-        // Overlapping feature: reuse the base column's target name. When the
-        // matched base column is another edge's join key (no target name),
-        // fall through and keep the dimension column as a feature of its
-        // own rather than silently dropping it.
-        const std::string& merged_target = base_target_names[merged->second];
-        if (!merged_target.empty()) {
-          corr[e + 1].push_back({column.name(), merged_target});
-          continue;
-        }
-      }
-      const std::string target_name = names.Claim(column.name());
-      target_fields.push_back({target_name, column.type(), true});
-      corr[e + 1].push_back({column.name(), target_name});
-    }
-  }
-  if (target_fields.empty()) {
-    return Status::FailedPrecondition("no numeric columns to integrate");
-  }
-
-  std::vector<integration::SchemaMapping::SourceSpec> source_specs;
-  std::vector<integration::SourceColumnMatch> source_matches;
-  for (size_t k = 0; k < n_sources; ++k) {
-    source_specs.push_back({spec.sources[k], entries[k]->table.schema(),
-                            std::move(corr[k])});
-    if (k > 0) {
-      source_matches.insert(source_matches.end(),
-                            edges[k - 1].source_matches.begin(),
-                            edges[k - 1].source_matches.end());
-    }
-  }
-  AMALUR_ASSIGN_OR_RETURN(
-      handle.mapping,
-      integration::SchemaMapping::Create(
-          rel::JoinKind::kLeftJoin, std::move(source_specs),
-          rel::Schema(std::move(target_fields)), std::move(source_matches)));
-
-  // ---- 3. Row matching per edge: exact keys when a surrogate key was
-  // discovered, fuzzy entity resolution otherwise. Star derivation requires
-  // each matching to be functional (one dimension row per base row); a
-  // duplicate-keyed dimension surfaces as kFailedPrecondition below.
-  for (size_t e = 0; e + 1 < n_sources; ++e) {
-    const rel::Table& dim = entries[e + 1]->table;
-    rel::RowMatching matching;
-    if (!edges[e].base_keys.empty()) {
-      AMALUR_ASSIGN_OR_RETURN(
-          matching, rel::MatchRowsOnKeys(base, dim, edges[e].base_keys,
-                                         edges[e].dim_keys));
-    } else {
-      AMALUR_ASSIGN_OR_RETURN(
-          matching,
-          integration::ResolveEntities(base, dim, handle.edge_matches[e],
-                                       options_.resolver));
-    }
-    catalog_.StoreRowMatching(spec.sources[0], spec.sources[e + 1], matching);
-    handle.matchings.push_back(std::move(matching));
-  }
-
-  // ---- 4. One indicator/mapping/redundancy triple per silo.
-  std::vector<const rel::Table*> tables;
-  tables.reserve(n_sources);
-  for (const SourceEntry* entry : entries) tables.push_back(&entry->table);
-  AMALUR_ASSIGN_OR_RETURN(
-      handle.metadata,
-      metadata::DiMetadata::DeriveStar(handle.mapping, tables,
-                                       handle.matchings));
-  return handle;
-}
-
-Result<IntegrationHandle> Amalur::IntegrateGraph(
-    const IntegrationSpec& spec, const IntegrationGraphPlan& plan) {
+  AMALUR_ASSIGN_OR_RETURN(const IntegrationGraphPlan plan, NormalizeSpec(spec));
   const size_t n_sources = plan.sources.size();
   std::vector<const SourceEntry*> entries(n_sources);
   for (size_t k = 0; k < n_sources; ++k) {
@@ -484,7 +146,6 @@ Result<IntegrationHandle> Amalur::IntegrateGraph(
   handle.name = spec.name;
   handle.source_names = plan.sources;
   handle.edges = plan.edges;
-  handle.shape = plan.shape;
   for (const SourceEntry* entry : entries) {
     handle.privacy_constrained |= entry->privacy_sensitive;
   }
@@ -611,10 +272,13 @@ Result<IntegrationHandle> Amalur::IntegrateGraph(
     source_matches.insert(source_matches.end(), eplan.source_matches.begin(),
                           eplan.source_matches.end());
   }
-  const rel::JoinKind mapping_kind =
-      plan.shape == metadata::IntegrationShape::kUnionOfStars
-          ? rel::JoinKind::kUnion
-          : rel::JoinKind::kLeftJoin;
+  // A single edge keeps its own relationship (Table I); a larger graph
+  // maps as one left join, or as a union when it stacks fact shards.
+  rel::JoinKind mapping_kind =
+      n_edges == 1 ? plan.edges[0].kind : rel::JoinKind::kLeftJoin;
+  for (const IntegrationEdge& edge : plan.edges) {
+    if (edge.kind == rel::JoinKind::kUnion) mapping_kind = edge.kind;
+  }
   AMALUR_ASSIGN_OR_RETURN(
       handle.mapping,
       integration::SchemaMapping::Create(
@@ -647,16 +311,28 @@ Result<IntegrationHandle> Amalur::IntegrateGraph(
     handle.matchings.push_back(std::move(matching));
   }
 
-  // ---- 4. Metadata for the whole graph: composed fan-out indicators along
-  // snowflake chains, stacked shard blocks for union-of-stars.
+  // ---- 4. The three metadata matrices. A single edge derives with
+  // `Derive`, the only derivation that takes full-outer edges and 1:N
+  // matchings and keeps Figure 4's matched-first row order.
   std::vector<const rel::Table*> tables;
   tables.reserve(n_sources);
   for (const SourceEntry* entry : entries) tables.push_back(&entry->table);
-  AMALUR_ASSIGN_OR_RETURN(
-      handle.metadata,
-      metadata::DiMetadata::DeriveGraph(handle.mapping, tables,
-                                        plan.metadata_edges,
-                                        handle.matchings));
+  if (n_edges == 1) {
+    AMALUR_ASSIGN_OR_RETURN(
+        handle.metadata,
+        metadata::DiMetadata::Derive(handle.mapping, tables,
+                                     handle.matchings[0]));
+  } else {
+    AMALUR_ASSIGN_OR_RETURN(
+        handle.metadata,
+        metadata::DiMetadata::DeriveGraph(handle.mapping, tables,
+                                          plan.metadata_edges,
+                                          handle.matchings));
+  }
+  handle.shape = handle.metadata.shape();
+  if (!handle.name.empty()) {
+    AMALUR_RETURN_NOT_OK(catalog_.RegisterIntegration(handle));
+  }
   return handle;
 }
 

@@ -7,7 +7,6 @@
 #include "common/status.h"
 #include "core/catalog.h"
 #include "core/executor.h"
-#include "core/integration_graph.h"
 #include "core/optimizer.h"
 #include "cost/amalur_cost_model.h"
 #include "cost/calibrator.h"
@@ -97,20 +96,20 @@ struct IntegrationSpec {
   /// child has no match) and `kUnion` edges (sibling fact shards —
   /// union-of-stars). A dimension referenced by several join edges is a
   /// *conformed dimension*: its columns appear once in the target and its
-  /// silo is integrated once. A single edge of any relationship runs the
-  /// pairwise pipeline. The graph must be connected and acyclic with one
-  /// fact root and at most one parent per fact shard; violations return
-  /// precise `kInvalidArgument` messages. When `edges` is set,
-  /// `relationships` is ignored, `star_base` must be empty (the edge list
-  /// already fixes the root), and `sources` (if non-empty) merely declares
-  /// the expected participant set.
+  /// silo is integrated once. A single edge may also be `kFullOuterJoin`;
+  /// it keeps its own relationship in the derived metadata. The graph must
+  /// be connected and acyclic with one fact root and at most one parent per
+  /// fact shard; violations return precise `kInvalidArgument` messages.
+  /// When `edges` is set, `relationships` is ignored, `star_base` must be
+  /// empty (the edge list already fixes the root), and `sources` (if
+  /// non-empty) merely declares the expected participant set.
   std::vector<IntegrationEdge> edges;
 
   /// **Flat form** (used when `edges` is empty). Ordered names of >= 2
   /// registered sources. The first entry is the base table (the running
   /// example's S1; the fact table of a star) unless `star_base` overrides
-  /// it. Two sources run the pairwise pipeline; three or more lower into a
-  /// star (base left-joined to each dimension).
+  /// it. Two sources lower into one edge; three or more into a star (base
+  /// left-joined to each dimension).
   std::vector<std::string> sources;
 
   /// Flat form only: dataset relationship per edge (base, sources[i+1]) —
@@ -264,33 +263,24 @@ class Amalur {
 
   /// Runs the automatic integration pipeline over the spec's graph. The
   /// spec's edge set (explicit, or lowered from the flat form) is validated
-  /// (connected, acyclic, one fact root), topologically ordered and
-  /// dispatched by shape:
+  /// (connected, acyclic, one fact root) and topologically ordered; then one
+  /// pipeline runs per edge, whatever the graph's shape: schema matching
+  /// against the parent, key discovery (matched string columns and
+  /// surrogate keys serve as join evidence only, never as features),
+  /// target-schema synthesis (matched numeric columns merge into one target
+  /// column; a conformed dimension's columns land once; shard columns
+  /// matched across a union edge merge) and row matching (exact-key when a
+  /// surrogate key was discovered, fuzzy entity resolution otherwise).
   ///
-  ///  * **Pairwise** (one edge, any relationship): schema matching,
-  ///    target-schema synthesis (matched numeric columns merge into one
-  ///    target column; source-private numeric columns carry over; string
-  ///    columns and surrogate keys serve as join evidence only), tgd
-  ///    generation, row matching (exact-key when a surrogate key was
-  ///    discovered, fuzzy entity resolution otherwise), two-source
-  ///    metadata derivation.
-  ///  * **Star** (depth-1 left joins): per-dimension schema matching
-  ///    against the base discovers the join keys and
-  ///    `DiMetadata::DeriveStar` produces one indicator/mapping/redundancy
-  ///    triple per silo — the unchanged fast path.
-  ///  * **Snowflake** (chained left/inner joins): per-edge matching walks
-  ///    the dimension chains and `DiMetadata::DeriveGraph` composes the
-  ///    matchings so the factorized runtime sees one fan-out per silo;
-  ///    inner edges restrict the target row set through the composed
-  ///    indicator.
-  ///  * **Conformed snowflake** (a dimension with several join parents):
-  ///    the shared dimension is matched against every parent, appears once
-  ///    in the target schema, and merges its parent chains into one
-  ///    indicator.
-  ///  * **Union-of-stars** (`kUnion` edges between fact shards): shard
-  ///    columns matched across union edges merge into shared target
-  ///    columns, and the shards' row blocks stack into one target (a
-  ///    dimension may be shared between shards).
+  /// Only the last two steps look at the edge count. A one-edge spec maps
+  /// with that edge's relationship and derives with `DiMetadata::Derive`:
+  /// it alone accepts full-outer edges and 1:N matchings and lays rows out
+  /// in Figure 4's matched-first order. Every larger graph maps as a left
+  /// join (a union when it stacks fact shards) and derives with
+  /// `DiMetadata::DeriveGraph`, which composes matchings along dimension
+  /// chains into one indicator per silo, restricts rows through inner
+  /// edges and stacks union shards. The handle's `shape` is the derived
+  /// metadata's.
   ///
   /// Edge artifacts (column matches, row matchings) are cached in the
   /// catalog per source pair; when `spec.name` is non-empty the whole
@@ -320,11 +310,6 @@ class Amalur {
   const Plan& Explain(const ModelHandle& model) const { return model.plan(); }
 
  private:
-  Result<IntegrationHandle> IntegratePair(const IntegrationSpec& spec);
-  Result<IntegrationHandle> IntegrateStar(const IntegrationSpec& spec);
-  Result<IntegrationHandle> IntegrateGraph(const IntegrationSpec& spec,
-                                           const IntegrationGraphPlan& plan);
-
   AmalurOptions options_;
   Catalog catalog_;
 };

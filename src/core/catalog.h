@@ -88,7 +88,8 @@ struct IntegrationHandle {
   /// children). Pairwise scenarios have one edge; specs given in the legacy
   /// `sources`/`relationships` form are lowered into edges here.
   std::vector<IntegrationEdge> edges;
-  /// Structural shape of the graph (also reported by `Amalur::Explain`).
+  /// Structural shape of the graph: a copy of `metadata.shape()` (also
+  /// reported by `Amalur::Explain`).
   metadata::IntegrationShape shape = metadata::IntegrationShape::kPairwise;
   /// Schema-matching output per edge: `edge_matches[i]` relates
   /// `edges[i].left` to `edges[i].right`.

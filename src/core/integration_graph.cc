@@ -123,16 +123,12 @@ Result<IntegrationGraphPlan> PlanIntegrationGraph(
 
   IntegrationGraphPlan plan;
   std::map<std::string, size_t> index_of;
-  std::map<std::string, size_t> depth;
   std::map<std::string, size_t> remaining_parents;
   std::map<std::string, std::vector<size_t>> pending_edges;
   for (const auto& [name, degree] : in_degree) {
     remaining_parents[name] = degree;
   }
   std::set<std::string> facts{roots[0]};
-  size_t max_depth = 0;
-  bool any_union = false;
-  size_t shared_dimensions = 0;
 
   // Iterative DFS; the explicit stack holds edge indices to expand.
   const auto visit_node = [&](const std::string& name) {
@@ -165,20 +161,13 @@ Result<IntegrationGraphPlan> PlanIntegrationGraph(
             "union edge '", edge.left, "' -> '", edge.right, "': '",
             edge.left, "' is a dimension; union edges stack fact shards only");
       }
-      any_union = true;
       facts.insert(edge.right);
-      depth[edge.right] = 0;
-    } else {
-      depth[edge.right] =
-          std::max(depth[edge.right], depth[edge.left] + 1);
-      max_depth = std::max(max_depth, depth[edge.right]);
     }
     pending_edges[edge.right].push_back(e);
     if (--remaining_parents[edge.right] > 0) continue;  // conformed: defer
     visit_node(edge.right);
     std::vector<size_t>& arrived = pending_edges[edge.right];
     std::sort(arrived.begin(), arrived.end());  // declaration order
-    if (arrived.size() > 1) ++shared_dimensions;
     for (size_t pe : arrived) {
       plan.edges.push_back(edges[pe]);
       plan.metadata_edges.push_back(
@@ -195,20 +184,6 @@ Result<IntegrationGraphPlan> PlanIntegrationGraph(
       }
     }
   }
-
-  // The conformed-dimension *count* is not recorded on the plan: the single
-  // source of truth is DiMetadata::num_shared_dimensions(), which
-  // DeriveGraph derives from the same edge set. The shape IS re-derived
-  // here because the planner must dispatch before any metadata exists; the
-  // two classifications agree on every multi-edge graph by construction
-  // (DeriveGraph never sees single-edge specs — those route to the
-  // pairwise pipeline).
-  plan.shape = edges.size() == 1 ? metadata::IntegrationShape::kPairwise
-               : any_union       ? metadata::IntegrationShape::kUnionOfStars
-               : shared_dimensions > 0
-                   ? metadata::IntegrationShape::kConformedSnowflake
-               : max_depth > 1 ? metadata::IntegrationShape::kSnowflake
-                               : metadata::IntegrationShape::kStar;
   return plan;
 }
 

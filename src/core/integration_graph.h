@@ -8,17 +8,18 @@
 #include "metadata/di_metadata.h"
 
 /// \file integration_graph.h
-/// The graph planner behind the edge-list `IntegrationSpec`: validates an
-/// edge set (connected, acyclic, one fact root, unions only between fact
-/// shards, at most one parent per *fact*), classifies its shape (pairwise /
-/// star / snowflake / conformed-snowflake / union-of-stars) and emits a
-/// topological plan — sources ordered root first, shard-major, with every
-/// edge's parent preceding its child — the exact layout
-/// `DiMetadata::DeriveGraph` requires. Graphs are DAGs, not trees: a
-/// dimension referenced by several join edges (a warehouse *conformed
-/// dimension* — one `date` or `customer` table serving two parents) is
-/// visited once, after its last parent, and its parent edges are emitted
-/// together.
+/// The graph planner behind every `IntegrationSpec`: validates an edge set
+/// (connected, acyclic, one fact root, unions only between fact shards, at
+/// most one parent per *fact*, full-outer edges only on one-edge specs) and
+/// emits a topological plan — sources ordered root first, shard-major,
+/// with every edge's parent preceding its child — the exact layout
+/// `DiMetadata::DeriveGraph` requires. The plan does not classify the
+/// graph's shape: `Amalur::Integrate` runs one per-edge pipeline over any
+/// plan, and the derived metadata reports the shape. Graphs are DAGs, not
+/// trees: a dimension referenced by several join edges (a warehouse
+/// *conformed dimension* — one `date` or `customer` table serving two
+/// parents) is visited once, after its last parent, and its parent edges
+/// are emitted together.
 
 namespace amalur {
 namespace core {
@@ -33,7 +34,6 @@ struct IntegrationGraphPlan {
   std::vector<IntegrationEdge> edges;
   /// The same edges with endpoints resolved to indices into `sources`.
   std::vector<metadata::MetadataEdge> metadata_edges;
-  metadata::IntegrationShape shape = metadata::IntegrationShape::kPairwise;
 
   /// The fact root's name (== sources[0]).
   const std::string& root() const { return sources.front(); }

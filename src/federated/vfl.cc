@@ -281,26 +281,6 @@ Result<NaryVflResult> TrainVerticalFlrNary(const std::vector<VflParty>& parties,
   return result;
 }
 
-Result<VflResult> TrainVerticalFlr(const la::DenseMatrix& xa,
-                                   const la::DenseMatrix& labels,
-                                   const la::DenseMatrix& xb,
-                                   const VflOptions& options, MessageBus* bus) {
-  std::vector<VflParty> parties(2);
-  parties[0].name = "A";
-  parties[0].x = xa;
-  parties[1].name = "B";
-  parties[1].x = xb;
-  AMALUR_ASSIGN_OR_RETURN(NaryVflResult nary,
-                          TrainVerticalFlrNary(parties, labels, options, bus));
-  VflResult result;
-  result.theta_a = std::move(nary.thetas[0]);
-  result.theta_b = std::move(nary.thetas[1]);
-  result.loss_history = std::move(nary.loss_history);
-  result.bytes_transferred = nary.bytes_transferred;
-  result.messages = nary.messages;
-  return result;
-}
-
 Result<NaryVflAlignment> AlignForVflNary(const metadata::DiMetadata& metadata,
                                          size_t label_column) {
   const size_t n_sources = metadata.num_sources();
@@ -370,22 +350,6 @@ Result<NaryVflAlignment> AlignForVflNary(const metadata::DiMetadata& metadata,
     }
     party.x = t_k.SelectColumns(party.columns);
   }
-  return alignment;
-}
-
-Result<VflAlignment> AlignForVfl(const metadata::DiMetadata& metadata,
-                                 size_t label_column) {
-  if (metadata.num_sources() != 2) {
-    return Status::Unimplemented("VFL alignment handles two parties");
-  }
-  AMALUR_ASSIGN_OR_RETURN(NaryVflAlignment nary,
-                          AlignForVflNary(metadata, label_column));
-  VflAlignment alignment;
-  alignment.xa = std::move(nary.parties[0].x);
-  alignment.xb = std::move(nary.parties[1].x);
-  alignment.labels = std::move(nary.labels);
-  alignment.a_columns = std::move(nary.parties[0].columns);
-  alignment.b_columns = std::move(nary.parties[1].columns);
   return alignment;
 }
 

@@ -24,10 +24,9 @@
 /// computed homomorphically by the data parties and decrypted by a
 /// coordinator that only ever sees masked gradients). All traffic flows
 /// through the `MessageBus`, so the encryption blow-up of §V.B is directly
-/// measurable. At N = 2 both wire modes reproduce the historical pairwise
-/// protocol bit for bit (messages, RNG schedule and arithmetic order are
-/// unchanged); `TrainVerticalFlr` keeps the two-party signature as a thin
-/// wrapper.
+/// measurable. `TrainVerticalFlrNary` is the one entry point for any N >= 2;
+/// at N = 2 both wire modes reproduce the historical pairwise protocol bit
+/// for bit (messages, RNG schedule and arithmetic order are unchanged).
 
 namespace amalur {
 namespace federated {
@@ -61,8 +60,7 @@ struct VflOptions {
 /// One silo of the n-ary vertical protocol: its aligned local feature block
 /// plus bookkeeping for reassembling the global model.
 struct VflParty {
-  /// Wire name on the bus (defaults to "P<k>" when empty; the two-party
-  /// wrapper uses the historical "A"/"B").
+  /// Wire name on the bus (defaults to "P<k>" when empty).
   std::string name;
   /// n × p_k local feature block (rows aligned across all parties).
   la::DenseMatrix x;
@@ -102,23 +100,6 @@ Result<NaryVflResult> TrainVerticalFlrNary(const std::vector<VflParty>& parties,
                                            const VflOptions& options,
                                            MessageBus* bus);
 
-/// A trained two-party federated model plus communication accounting
-/// (legacy shape of `NaryVflResult`).
-struct VflResult {
-  la::DenseMatrix theta_a;  // pA × 1 (party A's local weights)
-  la::DenseMatrix theta_b;  // pB × 1 (party B's local weights)
-  std::vector<double> loss_history;
-  size_t bytes_transferred = 0;
-  size_t messages = 0;
-};
-
-/// Two-party convenience wrapper over `TrainVerticalFlrNary` (parties "A"
-/// and "B"); bitwise-identical to the historical pairwise trainer.
-Result<VflResult> TrainVerticalFlr(const la::DenseMatrix& xa,
-                                   const la::DenseMatrix& labels,
-                                   const la::DenseMatrix& xb,
-                                   const VflOptions& options, MessageBus* bus);
-
 /// Row-aligned n-ary VFL inputs derived from DI metadata (§V.A: silo k's
 /// block is I_k D_k M_kᵀ restricted to its feature columns — for snowflake
 /// silos I_k is the *composed* indicator `DeriveGraph` assigned along the
@@ -137,21 +118,6 @@ struct NaryVflAlignment {
 /// generalized: fully-covering stars and snowflakes qualify).
 Result<NaryVflAlignment> AlignForVflNary(const metadata::DiMetadata& metadata,
                                          size_t label_column);
-
-/// Legacy two-party alignment (pairwise scenarios only).
-struct VflAlignment {
-  la::DenseMatrix xa;
-  la::DenseMatrix xb;
-  la::DenseMatrix labels;
-  /// Target column indices each party's local weights correspond to.
-  std::vector<size_t> a_columns;
-  std::vector<size_t> b_columns;
-};
-
-/// Two-party wrapper over `AlignForVflNary`; rejects scenarios with more
-/// than two sources.
-Result<VflAlignment> AlignForVfl(const metadata::DiMetadata& metadata,
-                                 size_t label_column);
 
 }  // namespace federated
 }  // namespace amalur

@@ -186,57 +186,11 @@ Result<DiMetadata> DiMetadata::DeriveStar(
     const integration::SchemaMapping& mapping,
     const std::vector<const rel::Table*>& tables,
     const std::vector<rel::RowMatching>& matchings) {
-  if (tables.size() != mapping.num_sources()) {
-    return Status::InvalidArgument("expected ", mapping.num_sources(),
-                                   " tables, got ", tables.size());
+  std::vector<MetadataEdge> edges;
+  for (size_t k = 1; k < tables.size(); ++k) {
+    edges.push_back({0, k, rel::JoinKind::kLeftJoin});
   }
-  if (tables.size() < 2) {
-    return Status::InvalidArgument("a star scenario needs >= 2 sources");
-  }
-  if (matchings.size() != tables.size() - 1) {
-    return Status::InvalidArgument("expected ", tables.size() - 1,
-                                   " matchings, got ", matchings.size());
-  }
-  if (mapping.kind() != rel::JoinKind::kLeftJoin) {
-    return Status::InvalidArgument(
-        "star derivation is the left-join relationship (base retained)");
-  }
-  const size_t n_sources = tables.size();
-  const size_t base_rows = tables[0]->NumRows();
-
-  DiMetadata metadata;
-  metadata.kind_ = mapping.kind();
-  metadata.target_schema_ = mapping.target_schema();
-  metadata.target_cols_ = metadata.target_schema_.num_fields();
-  metadata.target_rows_ = base_rows;
-  metadata.shape_ = IntegrationShape::kStar;
-  metadata.num_shards_ = 1;
-  metadata.join_depth_ = 1;
-  metadata.source_shard_.assign(n_sources, 0);
-  metadata.source_shards_.assign(n_sources, {0});
-  metadata.shard_offsets_ = {0, base_rows};
-
-  // CI vectors: base = identity; dimension k from its matching (functional).
-  std::vector<std::vector<int64_t>> ci(n_sources);
-  ci[0].resize(base_rows);
-  for (size_t i = 0; i < base_rows; ++i) ci[0][i] = static_cast<int64_t>(i);
-  for (size_t k = 1; k < n_sources; ++k) {
-    ci[k].assign(base_rows, -1);
-    for (const auto& [base_row, dim_row] : matchings[k - 1].matched) {
-      if (base_row >= base_rows || dim_row >= tables[k]->NumRows()) {
-        return Status::OutOfRange("row match out of range for source ", k);
-      }
-      if (ci[k][base_row] != -1) {
-        return Status::FailedPrecondition(
-            "base row ", base_row, " matches several rows of source ", k,
-            "; star derivation requires a functional matching");
-      }
-      ci[k][base_row] = static_cast<int64_t>(dim_row);
-    }
-  }
-
-  AMALUR_RETURN_NOT_OK(FillSources(mapping, tables, ci, &metadata.sources_));
-  return metadata;
+  return DeriveGraph(mapping, tables, edges, matchings);
 }
 
 Result<DiMetadata> DiMetadata::DeriveGraph(

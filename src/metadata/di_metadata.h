@@ -85,6 +85,10 @@ class DiMetadata {
   /// Derives metadata for a two-source scenario. `matching` is the row
   /// matching between `tables[0]` (base) and `tables[1]` — from entity
   /// resolution or key equality. For `kUnion` the matching is ignored.
+  /// `Amalur::Integrate` derives every one-edge spec here rather than with
+  /// `DeriveGraph`: only this derivation accepts the full-outer
+  /// relationship and 1:N matchings, and only it lays rows out in Figure
+  /// 4's order (matched rows first, as `rel::HashJoin` emits them).
   static Result<DiMetadata> Derive(const integration::SchemaMapping& mapping,
                                    const std::vector<const rel::Table*>& tables,
                                    const rel::RowMatching& matching);
@@ -92,10 +96,11 @@ class DiMetadata {
   /// Derives metadata for an n-source *star* scenario (left joins from one
   /// base/fact table to n−1 dimension tables — the generalization of
   /// Table I's definitions the factorized-learning literature targets).
-  /// `tables[0]` is the base; `matchings[k-1]` relates base rows to
-  /// `tables[k]` rows and must be functional (each base row matches at most
-  /// one row per dimension; dimension rows may serve many base rows).
-  /// Target rows are the base rows in order.
+  /// A lowering onto `DeriveGraph`: `tables[0]` is the base and edge k−1
+  /// left-joins it to `tables[k]` through `matchings[k-1]`, which must be
+  /// functional (each base row matches at most one row per dimension;
+  /// dimension rows may serve many base rows). Target rows are the base
+  /// rows in order.
   static Result<DiMetadata> DeriveStar(
       const integration::SchemaMapping& mapping,
       const std::vector<const rel::Table*>& tables,
@@ -104,9 +109,10 @@ class DiMetadata {
   /// Derives metadata for a general integration *graph*: a DAG of sources
   /// rooted at `tables[0]` whose edges are joins (parent retained, child
   /// dimension; `kLeftJoin` keeps unmatched parent rows, `kInnerJoin` drops
-  /// them) or unions (sibling fact shards). Generalizes `DeriveStar` — a
-  /// pure depth-1 left-join tree produces bitwise-identical metadata — with
-  /// these derivations:
+  /// them) or unions (sibling fact shards). `Amalur::Integrate` derives
+  /// every spec of two or more edges here, whatever its shape; a pure
+  /// depth-1 left-join tree is a star (`DeriveStar` is this call on such
+  /// edges). The derivations:
   ///
   ///  * **Snowflake** (dimension-of-dimension chains): a sub-dimension's
   ///    indicator is the *composition* of the matchings along its chain —

@@ -97,8 +97,14 @@ TEST(SharedMutexTest, WriterExcludesReaders) {
   } shared;
 
   constexpr int kRounds = 5000;
+  std::atomic<bool> read_once{false};
   std::atomic<bool> stop{false};
   std::thread writer([&] {
+    // Handshake: on a busy machine the writer could otherwise finish every
+    // round before the reader's first read.
+    while (!read_once.load(std::memory_order_acquire)) {
+      std::this_thread::yield();
+    }
     for (int i = 1; i <= kRounds; ++i) {
       MutexLock lock(shared.mu);  // exclusive mode on the SharedMutex
       shared.a = i;
@@ -112,6 +118,7 @@ TEST(SharedMutexTest, WriterExcludesReaders) {
     SharedLock lock(shared.mu);
     EXPECT_EQ(shared.a, shared.b);
     ++reads;
+    read_once.store(true, std::memory_order_release);
   }
   writer.join();
   EXPECT_GT(reads, 0u);

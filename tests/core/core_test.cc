@@ -707,6 +707,33 @@ TEST(AmalurTest, IntegrateValidation) {
   EXPECT_TRUE(amalur.Integrate("L", "R", rel::JoinKind::kInnerJoin)
                   .status()
                   .IsFailedPrecondition());
+  // Nor can two numeric silos without a shared column form a union: they
+  // would stack into a target whose label is 0 on every row of the second.
+  const auto numeric = [](const std::string& name, size_t rows,
+                          const std::vector<std::string>& columns,
+                          double offset) {
+    rel::Table table(name);
+    for (size_t c = 0; c < columns.size(); ++c) {
+      std::vector<double> values(rows);
+      for (size_t i = 0; i < rows; ++i) {
+        values[i] = offset + 100.0 * static_cast<double>(c) + 0.5 * i;
+      }
+      AMALUR_CHECK_OK(
+          table.AddColumn(rel::Column::FromDoubles(columns[c], values)));
+    }
+    return table;
+  };
+  ASSERT_TRUE(amalur.catalog()
+                  ->RegisterSource(
+                      {"A", numeric("A", 50, {"y", "x0"}, 0.0), "", false})
+                  .ok());
+  ASSERT_TRUE(amalur.catalog()
+                  ->RegisterSource(
+                      {"B", numeric("B", 40, {"z0", "z1"}, 5000.0), "", false})
+                  .ok());
+  EXPECT_TRUE(amalur.Integrate("A", "B", rel::JoinKind::kUnion)
+                  .status()
+                  .IsFailedPrecondition());
 }
 
 TEST(ExecutorTest, UnknownLabelColumnRejected) {

@@ -48,6 +48,17 @@ VflFixture MakeVflFixture(size_t rows, size_t pa, size_t pb, uint64_t seed) {
   return f;
 }
 
+/// Two-party vertical FLR: party "A" holds `xa` and the labels, party "B"
+/// holds `xb`.
+Result<NaryVflResult> TrainTwoParty(const la::DenseMatrix& xa,
+                                    const la::DenseMatrix& labels,
+                                    const la::DenseMatrix& xb,
+                                    const VflOptions& options,
+                                    MessageBus* bus) {
+  return TrainVerticalFlrNary({{"A", xa, {}}, {"B", xb, {}}}, labels, options,
+                              bus);
+}
+
 TEST(VflTest, PlaintextMatchesCentralizedExactly) {
   VflFixture f = MakeVflFixture(80, 3, 2, 1);
   MessageBus bus;
@@ -55,13 +66,13 @@ TEST(VflTest, PlaintextMatchesCentralizedExactly) {
   options.iterations = 60;
   options.learning_rate = 0.1;
   options.privacy = VflPrivacy::kPlaintext;
-  auto result = TrainVerticalFlr(f.xa, f.labels, f.xb, options, &bus);
+  auto result = TrainTwoParty(f.xa, f.labels, f.xb, options, &bus);
   ASSERT_TRUE(result.ok()) << result.status();
   la::DenseMatrix central =
       CentralizedWeights(f.xa, f.labels, f.xb, 60, 0.1);
   // Federated [θA; θB] equals the centralized weight vector: the protocol
   // computes the same gradients, just split by party.
-  la::DenseMatrix combined = result->theta_a.ConcatRows(result->theta_b);
+  la::DenseMatrix combined = result->thetas[0].ConcatRows(result->thetas[1]);
   EXPECT_LT(combined.MaxAbsDiff(central), 1e-10);
   EXPECT_GT(result->bytes_transferred, 0u);
 }
@@ -73,10 +84,10 @@ TEST(VflTest, PaillierMatchesCentralizedWithinFixedPoint) {
   options.iterations = 15;
   options.learning_rate = 0.1;
   options.privacy = VflPrivacy::kPaillier;
-  auto result = TrainVerticalFlr(f.xa, f.labels, f.xb, options, &bus);
+  auto result = TrainTwoParty(f.xa, f.labels, f.xb, options, &bus);
   ASSERT_TRUE(result.ok()) << result.status();
   la::DenseMatrix central = CentralizedWeights(f.xa, f.labels, f.xb, 15, 0.1);
-  la::DenseMatrix combined = result->theta_a.ConcatRows(result->theta_b);
+  la::DenseMatrix combined = result->thetas[0].ConcatRows(result->thetas[1]);
   EXPECT_LT(combined.MaxAbsDiff(central), 1e-2);  // fixed-point tolerance
   // Loss decreases under encryption too.
   EXPECT_LT(result->loss_history.back(), result->loss_history.front());
@@ -90,11 +101,11 @@ TEST(VflTest, EncryptionInflatesTraffic) {
   options.iterations = 5;
   MessageBus plain_bus;
   options.privacy = VflPrivacy::kPlaintext;
-  auto plain = TrainVerticalFlr(f.xa, f.labels, f.xb, options, &plain_bus);
+  auto plain = TrainTwoParty(f.xa, f.labels, f.xb, options, &plain_bus);
   ASSERT_TRUE(plain.ok());
   MessageBus secure_bus;
   options.privacy = VflPrivacy::kPaillier;
-  auto secure = TrainVerticalFlr(f.xa, f.labels, f.xb, options, &secure_bus);
+  auto secure = TrainTwoParty(f.xa, f.labels, f.xb, options, &secure_bus);
   ASSERT_TRUE(secure.ok());
   EXPECT_GT(secure->bytes_transferred, plain->bytes_transferred);
 }
@@ -102,13 +113,12 @@ TEST(VflTest, EncryptionInflatesTraffic) {
 TEST(VflTest, InputValidation) {
   la::DenseMatrix a(4, 2), y(4, 1), b(5, 2);
   MessageBus bus;
-  EXPECT_TRUE(TrainVerticalFlr(a, y, b, {}, &bus).status().IsInvalidArgument());
-  EXPECT_TRUE(TrainVerticalFlr(a, y, a, {}, nullptr)
-                  .status()
-                  .IsInvalidArgument());
+  EXPECT_TRUE(TrainTwoParty(a, y, b, {}, &bus).status().IsInvalidArgument());
+  EXPECT_TRUE(
+      TrainTwoParty(a, y, a, {}, nullptr).status().IsInvalidArgument());
   la::DenseMatrix bad_y(4, 2);
   EXPECT_TRUE(
-      TrainVerticalFlr(a, bad_y, a, {}, &bus).status().IsInvalidArgument());
+      TrainTwoParty(a, bad_y, a, {}, &bus).status().IsInvalidArgument());
 }
 
 TEST(VflAlignmentTest, InnerJoinScenarioProducesDisjointFeatureBlocks) {
@@ -123,16 +133,19 @@ TEST(VflAlignmentTest, InnerJoinScenarioProducesDisjointFeatureBlocks) {
   rel::SiloPair pair = rel::GenerateSiloPair(spec);
   auto metadata = factorized::DerivePairMetadata(pair);
   ASSERT_TRUE(metadata.ok());
-  auto alignment = AlignForVfl(*metadata, 0);
+  auto alignment = AlignForVflNary(*metadata, 0);
   ASSERT_TRUE(alignment.ok()) << alignment.status();
+  ASSERT_EQ(alignment->parties.size(), 2u);
+  const VflParty& a = alignment->parties[0];
+  const VflParty& b = alignment->parties[1];
   // A holds s0, x0, x1; B holds z0..z2 (s0 masked away as redundant).
-  EXPECT_EQ(alignment->a_columns.size(), 3u);
-  EXPECT_EQ(alignment->b_columns.size(), 3u);
-  for (size_t c : alignment->a_columns) {
-    for (size_t cb : alignment->b_columns) EXPECT_NE(c, cb);
+  EXPECT_EQ(a.columns.size(), 3u);
+  EXPECT_EQ(b.columns.size(), 3u);
+  for (size_t c : a.columns) {
+    for (size_t cb : b.columns) EXPECT_NE(c, cb);
   }
-  EXPECT_EQ(alignment->xa.rows(), 60u);
-  EXPECT_EQ(alignment->xb.rows(), 60u);
+  EXPECT_EQ(a.x.rows(), 60u);
+  EXPECT_EQ(b.x.rows(), 60u);
 
   // Training on the aligned blocks equals centralized training on the
   // materialized feature matrix.
@@ -140,12 +153,12 @@ TEST(VflAlignmentTest, InnerJoinScenarioProducesDisjointFeatureBlocks) {
   VflOptions options;
   options.iterations = 40;
   options.learning_rate = 0.05;
-  auto fed = TrainVerticalFlr(alignment->xa, alignment->labels, alignment->xb,
-                              options, &bus);
+  auto fed = TrainTwoParty(a.x, alignment->labels, b.x, options, &bus);
   ASSERT_TRUE(fed.ok());
-  la::DenseMatrix central = CentralizedWeights(alignment->xa, alignment->labels,
-                                               alignment->xb, 40, 0.05);
-  EXPECT_LT(fed->theta_a.ConcatRows(fed->theta_b).MaxAbsDiff(central), 1e-10);
+  la::DenseMatrix central =
+      CentralizedWeights(a.x, alignment->labels, b.x, 40, 0.05);
+  EXPECT_LT(fed->thetas[0].ConcatRows(fed->thetas[1]).MaxAbsDiff(central),
+            1e-10);
 }
 
 TEST(VflAlignmentTest, RejectsPartialSampleSpace) {
@@ -158,7 +171,7 @@ TEST(VflAlignmentTest, RejectsPartialSampleSpace) {
   rel::SiloPair pair = rel::GenerateSiloPair(spec);
   auto metadata = factorized::DerivePairMetadata(pair);
   ASSERT_TRUE(metadata.ok());
-  EXPECT_TRUE(AlignForVfl(*metadata, 0).status().IsFailedPrecondition());
+  EXPECT_TRUE(AlignForVflNary(*metadata, 0).status().IsFailedPrecondition());
 }
 
 std::vector<HflPartition> MakeHflParties(size_t parties, size_t rows_each,

@@ -124,17 +124,6 @@ TEST(NaryVflTest, TwoSilosBitwiseIdenticalToLegacyPairwiseProtocol) {
   ASSERT_TRUE(nary.ok()) << nary.status();
   EXPECT_TRUE(nary->thetas[0] == theta_a);
   EXPECT_TRUE(nary->thetas[1] == theta_b);
-
-  // The two-party wrapper (the legacy entry point) is the same run.
-  MessageBus legacy_bus;
-  auto legacy = TrainVerticalFlr(f.parties[0].x, f.labels, f.parties[1].x,
-                                 options, &legacy_bus);
-  ASSERT_TRUE(legacy.ok()) << legacy.status();
-  EXPECT_TRUE(legacy->theta_a == nary->thetas[0]);
-  EXPECT_TRUE(legacy->theta_b == nary->thetas[1]);
-  EXPECT_EQ(legacy->bytes_transferred, nary->bytes_transferred);
-  EXPECT_EQ(legacy->messages, nary->messages);
-  EXPECT_EQ(legacy->loss_history, nary->loss_history);
 }
 
 TEST(NaryVflTest, PaillierThreeSilosTracksCentralizedWithinFixedPoint) {

@@ -1,6 +1,6 @@
 // DiMetadata::DeriveGraph: the general tree derivation behind snowflake and
-// union-of-stars scenarios. Star graphs must be bitwise-identical to the
-// dedicated DeriveStar path; snowflakes must compose matchings along the
+// union-of-stars scenarios. Star graphs must be bitwise-identical to
+// DeriveStar's depth-1 lowering; snowflakes must compose matchings along the
 // dimension chain; union-of-stars must stack shard blocks with no
 // cross-shard redundancy — and everything must agree with first-principles
 // relational references and the factorized rewrites.

@@ -646,9 +646,8 @@ TEST(SystemTest, InnerJoinEdgeEndToEnd) {
   ASSERT_TRUE(mat.ok()) << mat.status();
   EXPECT_LT(fact->weights().MaxAbsDiff(mat->weights()), 1e-8);
 
-  // Regression: a DEPTH-1 graph with an inner edge keeps the star shape
-  // but must not take the left-join-only star fast path — the inner
-  // restriction applies there too.
+  // Regression: a DEPTH-1 graph with an inner edge keeps the star shape,
+  // and the inner restriction applies there too.
   core::IntegrationSpec star_spec;
   star_spec.edges = {{"fact", "branch0", rel::JoinKind::kInnerJoin},
                      {"fact", "branch1", rel::JoinKind::kLeftJoin}};
