@@ -33,16 +33,19 @@ bool AllValuesDistinct(const rel::Column& column) {
 /// Identifier detection: a matched numeric pair is a surrogate key (join
 /// evidence, not a feature) when its name looks like an id and its values
 /// are unique in at least one source (the primary-key side; the foreign-key
-/// side repeats under join fan-out). Keys as features poison downstream
-/// models; this is standard feature-selection hygiene in DI-for-ML
-/// pipelines.
+/// side repeats under join fan-out). A name ending in "id" counts only when
+/// both columns are int64, so measurements such as `lipid` or `humid` stay
+/// features. Keys as features poison downstream models; this is standard
+/// feature-selection hygiene in DI-for-ML pipelines.
 bool IsIdLikePair(const rel::Column& left, const rel::Column& right) {
   static const std::set<std::string> kIdNames{"id",  "key", "k",    "pk",
                                               "uid", "nr",  "rowid"};
   const std::string name = CanonicalizeIdentifier(left.name());
+  const bool int64_pair = left.type() == rel::DataType::kInt64 &&
+                          right.type() == rel::DataType::kInt64;
   const bool id_name =
       kIdNames.count(name) > 0 ||
-      (name.size() > 2 && name.substr(name.size() - 2) == "id");
+      (int64_pair && name.size() > 2 && name.substr(name.size() - 2) == "id");
   return id_name && (AllValuesDistinct(left) || AllValuesDistinct(right));
 }
 
@@ -172,8 +175,6 @@ Result<IntegrationHandle> Amalur::Integrate(const IntegrationSpec& spec) {
     const rel::Table& child = entries[edge.child]->table;
     std::vector<integration::ColumnMatch> matches =
         integration::MatchSchemas(parent, child, options_.matcher);
-    catalog_.StoreColumnMatches(plan.sources[edge.parent],
-                                plan.sources[edge.child], matches);
     if (matches.empty()) {
       if (edge.kind == rel::JoinKind::kUnion) {
         return Status::FailedPrecondition(
@@ -272,17 +273,11 @@ Result<IntegrationHandle> Amalur::Integrate(const IntegrationSpec& spec) {
     source_matches.insert(source_matches.end(), eplan.source_matches.begin(),
                           eplan.source_matches.end());
   }
-  // A single edge keeps its own relationship (Table I); a larger graph
-  // maps as one left join, or as a union when it stacks fact shards.
-  rel::JoinKind mapping_kind =
-      n_edges == 1 ? plan.edges[0].kind : rel::JoinKind::kLeftJoin;
-  for (const IntegrationEdge& edge : plan.edges) {
-    if (edge.kind == rel::JoinKind::kUnion) mapping_kind = edge.kind;
-  }
   AMALUR_ASSIGN_OR_RETURN(
       handle.mapping,
       integration::SchemaMapping::Create(
-          mapping_kind, std::move(source_specs),
+          metadata::GraphMappingKind(plan.metadata_edges),
+          std::move(source_specs),
           rel::Schema(std::move(target_fields)), std::move(source_matches)));
 
   // ---- 3. Row matching per join edge (exact keys when a surrogate key was
@@ -305,30 +300,18 @@ Result<IntegrationHandle> Amalur::Integrate(const IntegrationSpec& spec) {
             integration::ResolveEntities(parent, child, handle.edge_matches[e],
                                          options_.resolver));
       }
-      catalog_.StoreRowMatching(plan.sources[edge.parent],
-                                plan.sources[edge.child], matching);
     }
     handle.matchings.push_back(std::move(matching));
   }
 
-  // ---- 4. The three metadata matrices. A single edge derives with
-  // `Derive`, the only derivation that takes full-outer edges and 1:N
-  // matchings and keeps Figure 4's matched-first row order.
+  // ---- 4. The three metadata matrices, one derivation for every spec.
   std::vector<const rel::Table*> tables;
   tables.reserve(n_sources);
   for (const SourceEntry* entry : entries) tables.push_back(&entry->table);
-  if (n_edges == 1) {
-    AMALUR_ASSIGN_OR_RETURN(
-        handle.metadata,
-        metadata::DiMetadata::Derive(handle.mapping, tables,
-                                     handle.matchings[0]));
-  } else {
-    AMALUR_ASSIGN_OR_RETURN(
-        handle.metadata,
-        metadata::DiMetadata::DeriveGraph(handle.mapping, tables,
-                                          plan.metadata_edges,
-                                          handle.matchings));
-  }
+  AMALUR_ASSIGN_OR_RETURN(
+      handle.metadata,
+      metadata::DiMetadata::DeriveGraph(handle.mapping, tables,
+                                        plan.metadata_edges, handle.matchings));
   handle.shape = handle.metadata.shape();
   if (!handle.name.empty()) {
     AMALUR_RETURN_NOT_OK(catalog_.RegisterIntegration(handle));

@@ -272,19 +272,17 @@ class Amalur {
   /// matched across a union edge merge) and row matching (exact-key when a
   /// surrogate key was discovered, fuzzy entity resolution otherwise).
   ///
-  /// Only the last two steps look at the edge count. A one-edge spec maps
-  /// with that edge's relationship and derives with `DiMetadata::Derive`:
-  /// it alone accepts full-outer edges and 1:N matchings and lays rows out
-  /// in Figure 4's matched-first order. Every larger graph maps as a left
-  /// join (a union when it stacks fact shards) and derives with
-  /// `DiMetadata::DeriveGraph`, which composes matchings along dimension
-  /// chains into one indicator per silo, restricts rows through inner
-  /// edges and stacks union shards. The handle's `shape` is the derived
-  /// metadata's.
+  /// The schema mapping takes `metadata::GraphMappingKind`'s relationship
+  /// (a one-edge spec keeps its edge's; a larger graph maps as a left join,
+  /// or a union when it stacks fact shards), and `DiMetadata::DeriveGraph`
+  /// derives every spec: fact rows in order, fanned out by 1:N edges,
+  /// restricted by inner edges, extended by a full outer edge, composed
+  /// along dimension chains into one indicator per silo, and stacked per
+  /// union shard. The handle's `shape` is the derived metadata's.
   ///
-  /// Edge artifacts (column matches, row matchings) are cached in the
-  /// catalog per source pair; when `spec.name` is non-empty the whole
-  /// handle is registered as a first-class catalog object.
+  /// The handle carries every edge artifact (column matches, row
+  /// matchings); when `spec.name` is non-empty the whole handle is
+  /// registered as a first-class catalog object.
   Result<IntegrationHandle> Integrate(const IntegrationSpec& spec);
 
   /// Two-source convenience overload; delegates to the spec form.

@@ -8,7 +8,7 @@ namespace core {
 
 // Locking idiom: shared_lock for lookups, unique_lock for mutation. See the
 // header for why dereferencing a returned pointer after the lock is
-// released is safe (node-stable maps, no overwrites except the pair caches).
+// released is safe (node-stable maps, no overwrites, no erasure).
 
 Status Catalog::RegisterSource(SourceEntry entry) {
   if (entry.name.empty()) return Status::InvalidArgument("empty source name");
@@ -69,39 +69,6 @@ std::vector<std::string> Catalog::IntegrationNames() const {
   names.reserve(integrations_.size());
   for (const auto& [name, entry] : integrations_) names.push_back(name);
   return names;
-}
-
-void Catalog::StoreColumnMatches(const std::string& left,
-                                 const std::string& right,
-                                 std::vector<integration::ColumnMatch> matches) {
-  common::MutexLock lock(mu_);
-  column_matches_[{left, right}] = std::move(matches);
-}
-
-Result<const std::vector<integration::ColumnMatch>*> Catalog::GetColumnMatches(
-    const std::string& left, const std::string& right) const {
-  common::SharedLock lock(mu_);
-  auto it = column_matches_.find({left, right});
-  if (it == column_matches_.end()) {
-    return Status::NotFound("column matches for (", left, ", ", right, ")");
-  }
-  return &it->second;
-}
-
-void Catalog::StoreRowMatching(const std::string& left, const std::string& right,
-                               rel::RowMatching matching) {
-  common::MutexLock lock(mu_);
-  row_matchings_[{left, right}] = std::move(matching);
-}
-
-Result<const rel::RowMatching*> Catalog::GetRowMatching(
-    const std::string& left, const std::string& right) const {
-  common::SharedLock lock(mu_);
-  auto it = row_matchings_.find({left, right});
-  if (it == row_matchings_.end()) {
-    return Status::NotFound("row matching for (", left, ", ", right, ")");
-  }
-  return &it->second;
 }
 
 Status Catalog::RegisterModel(ModelEntry entry) {

@@ -14,8 +14,9 @@
 
 /// \file catalog.h
 /// The hybrid metadata catalog of Figure 3: basic metadata of each source
-/// (schema, provenance, privacy constraints), DI metadata produced by
-/// matching/resolution/integration runs, and model metadata of trained
+/// (schema, provenance, privacy constraints), the DI metadata of named
+/// integration runs (each `IntegrationHandle` carries its column matches,
+/// row matchings and derived matrices), and model metadata of trained
 /// models. In this in-process reproduction the catalog also holds the data
 /// handles; in a deployed system those would be silo connections.
 ///
@@ -28,23 +29,20 @@
 /// `GetModel` return pointers into the catalog's own storage (node-stable
 /// maps). A returned pointer stays valid until the catalog is destroyed —
 /// registering further entries does not move existing ones, and the catalog
-/// never erases — but callers that need a value to outlive the catalog must
-/// copy it. `IntegrationHandle` is designed for exactly that: it is
-/// self-contained (it owns the derived metadata), so a copied handle
-/// survives any catalog mutation.
+/// never overwrites or erases — but callers that need a value to outlive
+/// the catalog must copy it. `IntegrationHandle` is designed for exactly
+/// that: it is self-contained (it owns the derived metadata), so a copied
+/// handle survives any catalog mutation.
 ///
 /// Thread safety: every method takes the catalog's reader/writer lock
 /// (shared for lookups, exclusive for mutation), so concurrent lookups —
 /// e.g. serving-tier deploys resolving models while an orchestrator
 /// registers new sources — are safe. The lock covers the *map structure*;
-/// a returned pointer is lock-free to read because registered entries
-/// (sources, integrations, models) are immutable once inserted — the
-/// `kAlreadyExists` semantics forbid overwrites and nothing erases. The one
-/// exception: the per-pair caches behind `StoreColumnMatches` /
-/// `StoreRowMatching` MAY be overwritten by re-integrating the same source
-/// pair, so pointers from their getters are only stable while no
-/// integration over that pair runs. Serving never relies on any of this —
-/// a `serving::DeployedModel` copies everything it needs at deploy time.
+/// a returned pointer is lock-free to read because every registered entry
+/// (source, integration, model) is immutable once inserted — the
+/// `kAlreadyExists` semantics forbid overwrites and nothing erases. Serving
+/// never relies on any of this — a `serving::DeployedModel` copies
+/// everything it needs at deploy time.
 
 namespace amalur {
 namespace core {
@@ -134,18 +132,6 @@ class Catalog {
   bool HasIntegration(const std::string& name) const;
   std::vector<std::string> IntegrationNames() const;
 
-  /// Stores the schema-matching output for a source pair (order-sensitive).
-  void StoreColumnMatches(const std::string& left, const std::string& right,
-                          std::vector<integration::ColumnMatch> matches);
-  Result<const std::vector<integration::ColumnMatch>*> GetColumnMatches(
-      const std::string& left, const std::string& right) const;
-
-  /// Stores the entity-resolution output for a source pair.
-  void StoreRowMatching(const std::string& left, const std::string& right,
-                        rel::RowMatching matching);
-  Result<const rel::RowMatching*> GetRowMatching(const std::string& left,
-                                                 const std::string& right) const;
-
   /// Registers a trained model; the name must be unique (`kAlreadyExists`
   /// otherwise).
   Status RegisterModel(ModelEntry entry);
@@ -153,15 +139,10 @@ class Catalog {
   std::vector<std::string> ModelNames() const;
 
  private:
-  using PairKey = std::pair<std::string, std::string>;
-
   /// Guards the maps below (shared: lookups; exclusive: registration).
   mutable common::SharedMutex mu_;
   std::map<std::string, SourceEntry> sources_ GUARDED_BY(mu_);
   std::map<std::string, IntegrationHandle> integrations_ GUARDED_BY(mu_);
-  std::map<PairKey, std::vector<integration::ColumnMatch>> column_matches_
-      GUARDED_BY(mu_);
-  std::map<PairKey, rel::RowMatching> row_matchings_ GUARDED_BY(mu_);
   std::map<std::string, ModelEntry> models_ GUARDED_BY(mu_);
 };
 

@@ -74,8 +74,9 @@ Result<metadata::DiMetadata> DerivePairMetadata(const rel::SiloPair& pair) {
     AMALUR_ASSIGN_OR_RETURN(
         matching, rel::MatchRowsOnKeys(pair.base, pair.other, {"k"}, {"k"}));
   }
-  return metadata::DiMetadata::Derive(mapping, {&pair.base, &pair.other},
-                                      matching);
+  return metadata::DiMetadata::DeriveGraph(
+      mapping, {&pair.base, &pair.other}, {{0, 1, pair.spec.kind}},
+      {matching});
 }
 
 Result<metadata::DiMetadata> DeriveSnowflakeMetadata(

@@ -47,12 +47,12 @@ RunningExample MakeRunningExample() {
 }
 
 la::DenseMatrix RunningExampleTargetMatrix() {
-  // Matched rows first, then S1-only, then S2-only (Figure 4c ordering);
-  // absent cells are 0 in matrix form.
-  return la::DenseMatrix({{1, 37, 70, 92},    // Jane
-                          {0, 20, 60, 0},     // Jack
+  // S1's rows in order, then the S2-only rows; absent cells are 0 in
+  // matrix form.
+  return la::DenseMatrix({{0, 20, 60, 0},     // Jack
                           {0, 35, 58, 0},     // Sam
                           {0, 22, 65, 0},     // Ruby
+                          {1, 37, 70, 92},    // Jane
                           {1, 45, 0, 95},     // Rose
                           {0, 20, 0, 97}});   // Castiel
 }

@@ -26,9 +26,10 @@ struct RunningExample {
 /// Builds the fixture. Data matches the paper figures exactly.
 RunningExample MakeRunningExample();
 
-/// The expected materialized target table of Figure 4c's `T`:
-/// rows [Jane, Jack, Sam, Ruby, Rose, Castiel] over columns (m, a, hr, o),
-/// with absent cells rendered as 0 — the paper's matrix form.
+/// The expected materialized target table `T` of Figure 4c over columns
+/// (m, a, hr, o), with absent cells rendered as 0 — the paper's matrix
+/// form. Rows are S1's rows in order, then the S2-only rows: [Jack, Sam,
+/// Ruby, Jane, Rose, Castiel] (the figure prints Jane first).
 la::DenseMatrix RunningExampleTargetMatrix();
 
 }  // namespace integration

@@ -1,7 +1,6 @@
 #include "metadata/di_metadata.h"
 
 #include <algorithm>
-#include <map>
 #include <set>
 #include <sstream>
 #include <utility>
@@ -81,6 +80,17 @@ Status FillSources(const integration::SchemaMapping& mapping,
   return Status::OK();
 }
 
+/// out[i] = column[from[i]]; -1 where `from[i]` lies past the column (a
+/// row a full outer edge appended, which only the edge's child covers).
+std::vector<int64_t> Gather(const std::vector<int64_t>& column,
+                            const std::vector<size_t>& from) {
+  std::vector<int64_t> out(from.size(), -1);
+  for (size_t i = 0; i < from.size(); ++i) {
+    if (from[i] < column.size()) out[i] = column[from[i]];
+  }
+  return out;
+}
+
 }  // namespace
 
 const char* IntegrationShapeToString(IntegrationShape shape) {
@@ -99,87 +109,21 @@ const char* IntegrationShapeToString(IntegrationShape shape) {
   return "?";
 }
 
+rel::JoinKind GraphMappingKind(const std::vector<MetadataEdge>& edges) {
+  rel::JoinKind kind =
+      edges.size() == 1 ? edges[0].kind : rel::JoinKind::kLeftJoin;
+  for (const MetadataEdge& edge : edges) {
+    if (edge.kind == rel::JoinKind::kUnion) kind = edge.kind;
+  }
+  return kind;
+}
+
 Result<DiMetadata> DiMetadata::Derive(const integration::SchemaMapping& mapping,
                                       const std::vector<const rel::Table*>& tables,
                                       const rel::RowMatching& matching) {
-  if (tables.size() != mapping.num_sources()) {
-    return Status::InvalidArgument("expected ", mapping.num_sources(),
-                                   " tables, got ", tables.size());
-  }
-  if (tables.size() != 2) {
-    return Status::Unimplemented(
-        "metadata derivation currently handles two-source scenarios");
-  }
-  const rel::Table& base = *tables[0];
-  const rel::Table& other = *tables[1];
-  for (const auto& [l, r] : matching.matched) {
-    if (l >= base.NumRows() || r >= other.NumRows()) {
-      return Status::OutOfRange("row match (", l, ",", r, ") out of range");
-    }
-  }
-
-  DiMetadata metadata;
-  metadata.kind_ = mapping.kind();
-  metadata.target_schema_ = mapping.target_schema();
-  metadata.target_cols_ = metadata.target_schema_.num_fields();
-
-  // ---- Target row layout (Figure 4 convention).
-  std::vector<int64_t> ci_base;
-  std::vector<int64_t> ci_other;
-  const auto push = [&](int64_t b, int64_t o) {
-    ci_base.push_back(b);
-    ci_other.push_back(o);
-  };
-  switch (mapping.kind()) {
-    case rel::JoinKind::kInnerJoin:
-      for (const auto& [l, r] : matching.matched) {
-        push(static_cast<int64_t>(l), static_cast<int64_t>(r));
-      }
-      break;
-    case rel::JoinKind::kLeftJoin:
-      for (const auto& [l, r] : matching.matched) {
-        push(static_cast<int64_t>(l), static_cast<int64_t>(r));
-      }
-      for (size_t l : matching.left_only) push(static_cast<int64_t>(l), -1);
-      break;
-    case rel::JoinKind::kFullOuterJoin:
-      for (const auto& [l, r] : matching.matched) {
-        push(static_cast<int64_t>(l), static_cast<int64_t>(r));
-      }
-      for (size_t l : matching.left_only) push(static_cast<int64_t>(l), -1);
-      for (size_t r : matching.right_only) push(-1, static_cast<int64_t>(r));
-      break;
-    case rel::JoinKind::kUnion:
-      for (size_t l = 0; l < base.NumRows(); ++l) {
-        push(static_cast<int64_t>(l), -1);
-      }
-      for (size_t r = 0; r < other.NumRows(); ++r) {
-        push(-1, static_cast<int64_t>(r));
-      }
-      break;
-  }
-  metadata.target_rows_ = ci_base.size();
-  metadata.shape_ = IntegrationShape::kPairwise;
-  if (mapping.kind() == rel::JoinKind::kUnion) {
-    // A pairwise union is the 2-shard degenerate case: each source is its
-    // own fact shard, blocks stacked base-first.
-    metadata.num_shards_ = 2;
-    metadata.join_depth_ = 0;
-    metadata.source_shard_ = {0, 1};
-    metadata.source_shards_ = {{0}, {1}};
-    metadata.shard_offsets_ = {0, base.NumRows(), metadata.target_rows_};
-  } else {
-    metadata.num_shards_ = 1;
-    metadata.join_depth_ = 1;
-    metadata.source_shard_ = {0, 0};
-    metadata.source_shards_ = {{0}, {0}};
-    metadata.shard_offsets_ = {0, metadata.target_rows_};
-  }
-
-  // ---- Per-source metadata.
-  AMALUR_RETURN_NOT_OK(
-      FillSources(mapping, tables, {ci_base, ci_other}, &metadata.sources_));
-  return metadata;
+  const bool is_union = mapping.kind() == rel::JoinKind::kUnion;
+  return DeriveGraph(mapping, tables, {{0, 1, mapping.kind()}},
+                     {is_union ? rel::RowMatching{} : matching});
 }
 
 Result<DiMetadata> DiMetadata::DeriveStar(
@@ -225,10 +169,10 @@ Result<DiMetadata> DiMetadata::DeriveGraph(
           "graph edge ", e, " must satisfy parent < child < ", n_sources,
           " (sources in topological order, root first)");
     }
-    if (edge.kind == rel::JoinKind::kFullOuterJoin) {
+    if (edge.kind == rel::JoinKind::kFullOuterJoin && edges.size() > 1) {
       return Status::InvalidArgument(
-          "graph edges are left/inner joins or unions, got ",
-          rel::JoinKindToString(edge.kind), " on edge ", e);
+          "a full outer join is only valid as a graph's only edge, got one "
+          "on edge ", e, " of ", edges.size());
     }
     if (!seen_pairs.insert({edge.parent, edge.child}).second) {
       return Status::InvalidArgument("duplicate graph edge ", edge.parent,
@@ -244,41 +188,34 @@ Result<DiMetadata> DiMetadata::DeriveGraph(
     }
   }
 
-  // ---- Fact/shard assignment in edge order (identical to the historical
-  // tree derivation). Facts are the root and every node reached through
-  // union edges; a shard is one fact plus its dimension subgraph, stacked
-  // into the target in ascending fact order.
+  // ---- Fact/shard assignment in edge order. Facts are the root and every
+  // node reached through union edges; a shard is one fact plus its
+  // dimension subgraph, stacked into the target in ascending fact order.
   std::vector<uint8_t> is_fact(n_sources, 0);
   std::vector<size_t> shard_of(n_sources, 0);
   is_fact[0] = 1;
   std::vector<size_t> fact_of_shard{0};
-  bool any_union = false;
-  bool any_inner = false;
   for (size_t e = 0; e < edges.size(); ++e) {
     const MetadataEdge& edge = edges[e];
-    if (edge.kind == rel::JoinKind::kUnion) {
-      if (parent_edges_of[edge.child].size() > 1) {
-        return Status::InvalidArgument(
-            "source ", edge.child,
-            " is a fact shard (a union-edge child) with several parent "
-            "edges; only dimensions may be conformed");
-      }
-      if (!is_fact[edge.parent]) {
-        return Status::InvalidArgument(
-            "union edge ", e, " hangs off dimension source ", edge.parent,
-            "; union edges stack fact shards only");
-      }
-      if (!matchings[e].matched.empty()) {
-        return Status::InvalidArgument(
-            "union edge ", e, " carries a row matching; unions match no rows");
-      }
-      any_union = true;
-      is_fact[edge.child] = 1;
-      shard_of[edge.child] = fact_of_shard.size();
-      fact_of_shard.push_back(edge.child);
-    } else if (edge.kind == rel::JoinKind::kInnerJoin) {
-      any_inner = true;
+    if (edge.kind != rel::JoinKind::kUnion) continue;
+    if (parent_edges_of[edge.child].size() > 1) {
+      return Status::InvalidArgument(
+          "source ", edge.child,
+          " is a fact shard (a union-edge child) with several parent "
+          "edges; only dimensions may be conformed");
     }
+    if (!is_fact[edge.parent]) {
+      return Status::InvalidArgument(
+          "union edge ", e, " hangs off dimension source ", edge.parent,
+          "; union edges stack fact shards only");
+    }
+    if (!matchings[e].matched.empty()) {
+      return Status::InvalidArgument(
+          "union edge ", e, " carries a row matching; unions match no rows");
+    }
+    is_fact[edge.child] = 1;
+    shard_of[edge.child] = fact_of_shard.size();
+    fact_of_shard.push_back(edge.child);
   }
 
   // ---- Depth, reachable-shard sets and the conformed-dimension count, in
@@ -309,7 +246,9 @@ Result<DiMetadata> DiMetadata::DeriveGraph(
   metadata.kind_ = mapping.kind();
   metadata.target_schema_ = mapping.target_schema();
   metadata.target_cols_ = metadata.target_schema_.num_fields();
-  metadata.shape_ = any_union            ? IntegrationShape::kUnionOfStars
+  metadata.shape_ = edges.size() == 1 ? IntegrationShape::kPairwise
+                    : fact_of_shard.size() > 1
+                        ? IntegrationShape::kUnionOfStars
                     : shared_dimensions > 0
                         ? IntegrationShape::kConformedSnowflake
                     : max_depth > 1 ? IntegrationShape::kSnowflake
@@ -317,8 +256,7 @@ Result<DiMetadata> DiMetadata::DeriveGraph(
   metadata.num_shards_ = fact_of_shard.size();
   metadata.join_depth_ = max_depth;
   metadata.num_shared_dimensions_ = shared_dimensions;
-  const rel::JoinKind expected_kind =
-      any_union ? rel::JoinKind::kUnion : rel::JoinKind::kLeftJoin;
+  const rel::JoinKind expected_kind = GraphMappingKind(edges);
   if (mapping.kind() != expected_kind) {
     return Status::InvalidArgument(
         "graph derivation expects a ", rel::JoinKindToString(expected_kind),
@@ -326,138 +264,165 @@ Result<DiMetadata> DiMetadata::DeriveGraph(
         rel::JoinKindToString(mapping.kind()));
   }
 
-  // ---- Shard blocks: target rows are the fact shards stacked in order
-  // (inner-join edges may drop rows below).
-  std::vector<size_t> shard_offset(fact_of_shard.size() + 1, 0);
+  // ---- Target rows start as the fact shards' rows, stacked in shard order;
+  // each fact's CI is the identity inside its block.
+  std::vector<size_t> offsets(fact_of_shard.size() + 1, 0);
   for (size_t s = 0; s < fact_of_shard.size(); ++s) {
-    shard_offset[s + 1] = shard_offset[s] + tables[fact_of_shard[s]]->NumRows();
+    offsets[s + 1] = offsets[s] + tables[fact_of_shard[s]]->NumRows();
   }
-  const size_t full_rows = shard_offset.back();
-
-  // ---- Global CI per node. Facts are identities inside their block; a
-  // join child *composes* each parent's CI with the edge's functional
-  // matching, so a chained dimension still resolves in one indirection —
-  // the snowflake derivation. A conformed dimension merges the
-  // compositions of all its parent chains into ONE indicator: chains that
-  // resolve the same target row to different dimension rows contradict the
-  // conformed contract and fail.
-  std::vector<std::vector<int64_t>> ci(n_sources);
-  for (size_t k = 0; k < n_sources; ++k) ci[k].assign(full_rows, -1);
-  for (size_t k = 0; k < n_sources; ++k) {
-    if (!is_fact[k]) continue;
-    const size_t offset = shard_offset[shard_of[k]];
-    for (size_t i = 0; i < tables[k]->NumRows(); ++i) {
-      ci[k][offset + i] = static_cast<int64_t>(i);
+  std::vector<std::vector<int64_t>> ci(
+      n_sources, std::vector<int64_t>(offsets.back(), -1));
+  for (size_t s = 0; s < fact_of_shard.size(); ++s) {
+    for (size_t i = offsets[s]; i < offsets[s + 1]; ++i) {
+      ci[fact_of_shard[s]][i] = static_cast<int64_t>(i - offsets[s]);
     }
   }
-  // Inner-join restriction mask, filled during composition: an inner edge
-  // drops every target row of a shard that references its parent but where
-  // *this edge's own chain* does not resolve the child — the relational
-  // inner join's row restriction applied through the metadata. The check
-  // is per edge, NOT against the merged indicator: a conformed dimension
-  // reached through another parent's chain must not launder a row past an
-  // inner edge whose own reference dangles.
-  std::vector<uint8_t> keep;
-  if (any_inner) keep.assign(full_rows, 1);
-  // Conformed-chain disagreements are *recorded*, not raised inline: a row
-  // an inner-join edge drops never reaches the target, so chains that only
-  // disagree on dropped rows are fine. First conflict per row, by row.
+  // Conformed-chain disagreements are *recorded* per row, not raised
+  // inline: they travel with their rows through every later gather, and a
+  // row an inner edge drops takes its conflict with it.
   struct ChainConflict {
     size_t child = 0;
     size_t edge = 0;
     int64_t first_row = 0;
     int64_t second_row = 0;
   };
-  std::map<size_t, ChainConflict> conflicts;
+  std::vector<ChainConflict> conflicts;
+  std::vector<int64_t> conflict_of(offsets.back(), -1);
+
+  // ---- One step per join edge, children in source order (every parent's
+  // CI is final by then). The edge maps each target row to one row per
+  // child row its parent row matched — a fan-out repeats the row — keeps a
+  // row whose own chain dangles with the child absent (left, full outer) or
+  // drops it (inner), and a full outer edge appends the child rows no
+  // parent row matched. Rows outside the parent's shards pass through. The
+  // child's CI *composes* the parent's CI with the matching, so a chained
+  // dimension still resolves in one indirection (the snowflake
+  // derivation); a conformed dimension merges the compositions of all its
+  // parent chains into ONE indicator. Inner edges test their own chain, so
+  // a conformed dimension reached through another parent never rescues a
+  // row whose inner-edge reference dangles.
   for (size_t c = 1; c < n_sources; ++c) {
     for (size_t e : parent_edges_of[c]) {
       const MetadataEdge& edge = edges[e];
       if (edge.kind == rel::JoinKind::kUnion) continue;
       const size_t parent_rows = tables[edge.parent]->NumRows();
-      std::vector<int64_t> parent_to_child(parent_rows, -1);
+      const size_t child_rows = tables[c]->NumRows();
+      // Child rows per parent row, in matching order (CSR layout).
+      std::vector<size_t> first(parent_rows + 1, 0);
       for (const auto& [parent_row, child_row] : matchings[e].matched) {
-        if (parent_row >= parent_rows ||
-            child_row >= tables[edge.child]->NumRows()) {
+        if (parent_row >= parent_rows || child_row >= child_rows) {
           return Status::OutOfRange("row match out of range on graph edge ", e);
         }
-        if (parent_to_child[parent_row] != -1) {
-          return Status::FailedPrecondition(
-              "row ", parent_row, " of source ", edge.parent,
-              " matches several rows of source ", edge.child,
-              "; graph derivation requires functional join matchings");
-        }
-        parent_to_child[parent_row] = static_cast<int64_t>(child_row);
+        ++first[parent_row + 1];
       }
-      // The parent's CI is -1 outside its reachable shards' blocks, so
-      // composition only ever visits those blocks — a 50-shard union pays
-      // for its own shard, not the whole target.
+      for (size_t r = 0; r < parent_rows; ++r) first[r + 1] += first[r];
+      std::vector<int64_t> children(first.back());
+      std::vector<size_t> cursor(first.begin(), first.end() - 1);
+      for (const auto& [parent_row, child_row] : matchings[e].matched) {
+        children[cursor[parent_row]++] = static_cast<int64_t>(child_row);
+      }
+      // `matched_by[r]`: the last parent row matching child row r.
+      std::vector<size_t> matched_by(child_rows, parent_rows);
+      bool fans_out = false;
+      for (size_t r = 0; r < parent_rows; ++r) {
+        fans_out |= first[r + 1] - first[r] > 1;
+        for (size_t j = first[r]; j < first[r + 1]; ++j) {
+          const size_t child_row = static_cast<size_t>(children[j]);
+          if (matched_by[child_row] == r) {
+            return Status::FailedPrecondition(
+                "graph edge ", e, " matches row ", r, " of source ",
+                edge.parent, " to row ", child_row, " of source ", c,
+                " twice");
+          }
+          matched_by[child_row] = r;
+        }
+      }
+      if (fans_out && parent_edges_of[c].size() > 1) {
+        return Status::FailedPrecondition(
+            "graph edge ", e, " (", edge.parent, " -> ", c,
+            ") matches a row of source ", edge.parent,
+            " to several rows of conformed dimension source ", c,
+            "; edges into a conformed dimension must not fan out");
+      }
+
+      // The row gather: new row -> current row (past the end: appended).
       const bool inner = edge.kind == rel::JoinKind::kInnerJoin;
       const std::vector<int64_t>& up = ci[edge.parent];
-      for (size_t s : shards_reaching[edge.parent]) {
-        for (size_t i = shard_offset[s]; i < shard_offset[s + 1]; ++i) {
-          const int64_t cand =
-              up[i] < 0 ? -1 : parent_to_child[static_cast<size_t>(up[i])];
-          if (cand < 0) {
-            if (inner) keep[i] = 0;  // this edge's chain dangles: drop
-            continue;
+      std::vector<size_t> from;
+      std::vector<int64_t> down;  // the child's row on each new row
+      std::vector<size_t> next_offsets{0};
+      from.reserve(offsets.back());
+      down.reserve(offsets.back());
+      for (size_t s = 0; s + 1 < offsets.size(); ++s) {
+        const bool reached = shards_reaching[edge.parent].count(s) > 0;
+        for (size_t i = offsets[s]; i < offsets[s + 1]; ++i) {
+          size_t j = 0, end = 0;
+          if (reached && up[i] >= 0) {
+            j = first[static_cast<size_t>(up[i])];
+            end = first[static_cast<size_t>(up[i]) + 1];
           }
-          if (ci[c][i] >= 0 && ci[c][i] != cand) {
-            conflicts.emplace(i, ChainConflict{c, e, ci[c][i], cand});
-            continue;  // keep the first chain's value; judged below
+          if (j == end && !(reached && inner)) {
+            from.push_back(i);
+            down.push_back(-1);
           }
-          ci[c][i] = cand;
+          for (; j < end; ++j) {
+            from.push_back(i);
+            down.push_back(children[j]);
+          }
         }
+        next_offsets.push_back(from.size());
+      }
+      if (edge.kind == rel::JoinKind::kFullOuterJoin) {
+        for (size_t r = 0; r < child_rows; ++r) {
+          if (matched_by[r] < parent_rows) continue;
+          from.push_back(offsets.back());
+          down.push_back(static_cast<int64_t>(r));
+        }
+        next_offsets.back() = from.size();
+      }
+      if (fans_out || from.size() != offsets.back()) {
+        for (std::vector<int64_t>& column : ci) column = Gather(column, from);
+        conflict_of = Gather(conflict_of, from);
+        offsets = std::move(next_offsets);
+      }
+
+      std::vector<int64_t>& mine = ci[c];
+      for (size_t i = 0; i < down.size(); ++i) {
+        if (down[i] < 0) continue;
+        if (mine[i] >= 0 && mine[i] != down[i]) {
+          if (conflict_of[i] < 0) {
+            conflict_of[i] = static_cast<int64_t>(conflicts.size());
+            conflicts.push_back({c, e, mine[i], down[i]});
+          }
+          continue;  // keep the first chain's value; judged below
+        }
+        mine[i] = down[i];
       }
     }
   }
 
-  // ---- Judge recorded chain conflicts now that the keep mask is final:
-  // only a conflict on a row that actually reaches the target violates the
+  // ---- Only a conflict on a row that reaches the target violates the
   // conformed contract.
-  for (const auto& [row, conflict] : conflicts) {
-    if (!keep.empty() && !keep[row]) continue;  // row dropped: harmless
+  for (size_t i = 0; i < conflict_of.size(); ++i) {
+    if (conflict_of[i] < 0) continue;
+    const ChainConflict& conflict =
+        conflicts[static_cast<size_t>(conflict_of[i])];
     return Status::FailedPrecondition(
-        "target row ", row, ": conformed dimension source ", conflict.child,
+        "target row ", i, ": conformed dimension source ", conflict.child,
         " resolves to row ", conflict.first_row,
         " through one parent chain and row ", conflict.second_row,
         " through graph edge ", conflict.edge,
         "; conformed-dimension chains must agree");
   }
 
-  // ---- Apply the inner restriction: compact rows, offsets and every CI.
-  // Graphs without inner edges skip this entirely (bitwise-stable tree
-  // fast path).
-  if (any_inner) {
-    size_t kept = 0;
-    std::vector<size_t> new_offsets(shard_offset.size(), 0);
-    std::vector<int64_t> new_index(full_rows, -1);
-    for (size_t s = 0; s + 1 < shard_offset.size(); ++s) {
-      for (size_t i = shard_offset[s]; i < shard_offset[s + 1]; ++i) {
-        if (keep[i]) new_index[i] = static_cast<int64_t>(kept++);
-      }
-      new_offsets[s + 1] = kept;
-    }
-    if (kept != full_rows) {
-      for (size_t k = 0; k < n_sources; ++k) {
-        std::vector<int64_t> compacted(kept, -1);
-        for (size_t i = 0; i < full_rows; ++i) {
-          if (new_index[i] >= 0) {
-            compacted[static_cast<size_t>(new_index[i])] = ci[k][i];
-          }
-        }
-        ci[k] = std::move(compacted);
-      }
-      shard_offset = std::move(new_offsets);
-    }
-  }
-  metadata.target_rows_ = shard_offset.back();
+  metadata.target_rows_ = offsets.back();
   metadata.source_shard_ = shard_of;
   metadata.source_shards_.reserve(n_sources);
   for (size_t k = 0; k < n_sources; ++k) {
     metadata.source_shards_.emplace_back(shards_reaching[k].begin(),
                                          shards_reaching[k].end());
   }
-  metadata.shard_offsets_ = shard_offset;
+  metadata.shard_offsets_ = offsets;
 
   AMALUR_RETURN_NOT_OK(FillSources(mapping, tables, ci, &metadata.sources_));
   return metadata;

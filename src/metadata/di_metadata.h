@@ -15,12 +15,18 @@
 /// The "tale of three matrices" (§III): for one integration scenario, the
 /// per-source processed data matrix `D_k`, compressed mapping `CM_k`,
 /// compressed indicator `CI_k` and redundancy mask `R_k`, derived from a
-/// schema mapping and a row matching (entity-resolution output).
+/// schema mapping and one row matching per source pair (entity-resolution
+/// output).
 ///
-/// Target row ordering follows Figure 4: matched rows first (in match order),
-/// then base-only rows, then other-only rows (when the dataset relationship
-/// keeps them). This is also the ordering the relational materializer emits,
-/// so matrix-level and table-level materialization agree row by row.
+/// One derivation (`DiMetadata::DeriveGraph`) serves every Table I
+/// relationship and graph shape, with one row rule: target rows start as
+/// the fact shards' rows in order; each join edge maps a row to one row per
+/// matched child row (a fan-out repeats the row), keeps an unmatched row
+/// with the child absent (left join, full outer join) or drops it (inner
+/// join); and a full outer join, legal only as a graph's only edge,
+/// appends the child rows no parent row matched. A left-join target row i
+/// is therefore fact row i. `rel::HashJoin` lays rows out matched-first
+/// instead; it is a test reference, not this layer's row order.
 
 namespace amalur {
 namespace metadata {
@@ -51,13 +57,18 @@ const char* IntegrationShapeToString(IntegrationShape shape);
 /// by source index. `kLeftJoin` edges join a retained parent to a child
 /// dimension; `kInnerJoin` edges do the same but additionally *restrict*
 /// the target row set to rows where the child is present; `kUnion` edges
-/// stack a sibling fact shard under the root. Several join edges may share
-/// one child — a conformed dimension.
+/// stack a sibling fact shard under the root; a `kFullOuterJoin` edge (a
+/// graph's only edge) also keeps the child rows no parent row matched.
+/// Several join edges may share one child — a conformed dimension.
 struct MetadataEdge {
   size_t parent = 0;
   size_t child = 0;
   rel::JoinKind kind = rel::JoinKind::kLeftJoin;
 };
+
+/// The schema-mapping kind of an edge set: a union when any edge is a
+/// union, the edge's own kind for a one-edge graph, otherwise a left join.
+rel::JoinKind GraphMappingKind(const std::vector<MetadataEdge>& edges);
 
 /// Everything the factorized runtime needs to know about one source.
 struct SourceMetadata {
@@ -79,40 +90,30 @@ struct SourceMetadata {
 /// Derived DI metadata for a full integration scenario.
 class DiMetadata {
  public:
-  /// Empty metadata (no sources); fill via `Derive`.
+  /// Empty metadata (no sources); fill via `DeriveGraph`.
   DiMetadata() = default;
 
-  /// Derives metadata for a two-source scenario. `matching` is the row
-  /// matching between `tables[0]` (base) and `tables[1]` — from entity
-  /// resolution or key equality. For `kUnion` the matching is ignored.
-  /// `Amalur::Integrate` derives every one-edge spec here rather than with
-  /// `DeriveGraph`: only this derivation accepts the full-outer
-  /// relationship and 1:N matchings, and only it lays rows out in Figure
-  /// 4's order (matched rows first, as `rel::HashJoin` emits them).
+  /// A two-source scenario: `DeriveGraph` over the one edge
+  /// `tables[0] -> tables[1]` of the mapping's kind, matched by `matching`
+  /// (ignored for `kUnion`). A lowering kept for
+  /// `facadebench/cpp/replay.cc` and the tests.
   static Result<DiMetadata> Derive(const integration::SchemaMapping& mapping,
                                    const std::vector<const rel::Table*>& tables,
                                    const rel::RowMatching& matching);
 
-  /// Derives metadata for an n-source *star* scenario (left joins from one
-  /// base/fact table to n−1 dimension tables — the generalization of
-  /// Table I's definitions the factorized-learning literature targets).
-  /// A lowering onto `DeriveGraph`: `tables[0]` is the base and edge k−1
-  /// left-joins it to `tables[k]` through `matchings[k-1]`, which must be
-  /// functional (each base row matches at most one row per dimension;
-  /// dimension rows may serve many base rows). Target rows are the base
-  /// rows in order.
+  /// An n-source *star*: `DeriveGraph` over the depth-1 left-join edges
+  /// `tables[0] -> tables[k]`, matched by `matchings[k-1]`. A lowering kept
+  /// for `facadebench/cpp/replay.cc` and the tests.
   static Result<DiMetadata> DeriveStar(
       const integration::SchemaMapping& mapping,
       const std::vector<const rel::Table*>& tables,
       const std::vector<rel::RowMatching>& matchings);
 
-  /// Derives metadata for a general integration *graph*: a DAG of sources
-  /// rooted at `tables[0]` whose edges are joins (parent retained, child
-  /// dimension; `kLeftJoin` keeps unmatched parent rows, `kInnerJoin` drops
-  /// them) or unions (sibling fact shards). `Amalur::Integrate` derives
-  /// every spec of two or more edges here, whatever its shape; a pure
-  /// depth-1 left-join tree is a star (`DeriveStar` is this call on such
-  /// edges). The derivations:
+  /// Derives metadata for any integration *graph*: a DAG of sources rooted
+  /// at `tables[0]` whose edges are joins (parent retained, child
+  /// dimension) or unions (sibling fact shards). `Amalur::Integrate`
+  /// derives every spec here. Rows follow the file comment's row rule; on
+  /// top of it:
   ///
   ///  * **Snowflake** (dimension-of-dimension chains): a sub-dimension's
   ///    indicator is the *composition* of the matchings along its chain —
@@ -122,15 +123,14 @@ class DiMetadata {
   ///    parents): each parent chain composes independently and the results
   ///    merge into ONE indicator — the dimension's columns appear once in
   ///    the target schema and its redundancy is counted once. Chains that
-  ///    resolve a target row to *different* dimension rows contradict the
-  ///    conformed contract and fail with `kFailedPrecondition`.
-  ///  * **Inner-join edges**: every target row of a shard that references
-  ///    the edge's parent but where *that edge's own* composed chain does
-  ///    not resolve the child is dropped from the target — the relational
-  ///    inner join's row restriction, applied through the metadata. The
-  ///    check is per edge: a conformed dimension resolved through a
-  ///    different parent's chain does not rescue a row whose inner-edge
-  ///    reference dangles.
+  ///    resolve a target row that reaches the target to *different*
+  ///    dimension rows contradict the conformed contract and fail with
+  ///    `kFailedPrecondition`, as does an edge into a conformed dimension
+  ///    whose matching fans out.
+  ///  * **Inner-join edges** drop a row of a shard that references the
+  ///    edge's parent when *that edge's own* composed chain does not
+  ///    resolve the child: a conformed dimension resolved through a
+  ///    different parent's chain does not rescue the row.
   ///  * **Union-of-stars** (`kUnion` edges between fact shards): target rows
   ///    are the shard blocks stacked in source order; each shard's sources
   ///    get block-local indicators (-1 outside their shard), which makes
@@ -138,13 +138,16 @@ class DiMetadata {
   ///    shared between shards (its indicator is then defined in several
   ///    blocks).
   ///
+  /// A one-edge graph has the `kPairwise` shape.
+  ///
   /// Requirements: every edge satisfies `parent < child` (sources in
-  /// topological order, root first), every non-root source has >= 1 parent
-  /// edge, fact shards (the root, union-edge children) have at most one,
-  /// `matchings[e]` relates `tables[edges[e].parent]` rows to
-  /// `tables[edges[e].child]` rows and must be functional for join edges
-  /// and empty for union edges, and `mapping.kind()` is `kUnion` when any
-  /// union edge exists, `kLeftJoin` otherwise.
+  /// topological order, root first), no (parent, child) pair repeats, every
+  /// non-root source has >= 1 parent edge, fact shards (the root,
+  /// union-edge children) have at most one, a `kFullOuterJoin` edge is the
+  /// graph's only edge, `matchings[e]` relates `tables[edges[e].parent]`
+  /// rows to `tables[edges[e].child]` rows without repeating a pair and is
+  /// empty for union edges, and `mapping.kind()` is
+  /// `GraphMappingKind(edges)`.
   static Result<DiMetadata> DeriveGraph(
       const integration::SchemaMapping& mapping,
       const std::vector<const rel::Table*>& tables,

@@ -14,9 +14,10 @@
 ///    (matched pairs + per-side unmatched rows). This is the relational ground
 ///    truth that entity resolution approximates, and the raw material of the
 ///    paper's indicator matrices.
-///  * `HashJoin` / `UnionAll` — conventional operators used by the
-///    materialization path, with provenance (source row per output row) so the
-///    metadata layer can derive `CI_k` vectors from an executed plan.
+///  * `HashJoin` / `UnionAll` — conventional operators with provenance
+///    (source row per output row): the relational reference that tests
+///    check matrix-level materialization against. `HashJoin` emits matched
+///    rows first; the metadata layer keeps fact rows in order instead.
 
 namespace amalur {
 namespace rel {

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include "common/rng.h"
 #include "core/amalur.h"
 #include "cost/calibrator.h"
 #include "factorized/scenario_builder.h"
@@ -24,21 +25,6 @@ TEST(CatalogTest, SourceCrud) {
   EXPECT_EQ((*entry)->silo_location, "er");
   EXPECT_TRUE(catalog.GetSource("S9").status().IsNotFound());
   EXPECT_EQ(catalog.SourceNames(), (std::vector<std::string>{"S1"}));
-}
-
-TEST(CatalogTest, DiMetadataStorage) {
-  Catalog catalog;
-  catalog.StoreColumnMatches("a", "b", {{0, 1, 0.9}});
-  auto matches = catalog.GetColumnMatches("a", "b");
-  ASSERT_TRUE(matches.ok());
-  EXPECT_EQ((*matches)->size(), 1u);
-  EXPECT_TRUE(catalog.GetColumnMatches("b", "a").status().IsNotFound());
-  rel::RowMatching matching;
-  matching.matched = {{3, 2}};
-  catalog.StoreRowMatching("a", "b", matching);
-  auto stored = catalog.GetRowMatching("a", "b");
-  ASSERT_TRUE(stored.ok());
-  EXPECT_EQ((*stored)->matched.size(), 1u);
 }
 
 TEST(CatalogTest, IntegrationRegistry) {
@@ -734,6 +720,163 @@ TEST(AmalurTest, IntegrateValidation) {
   EXPECT_TRUE(amalur.Integrate("A", "B", rel::JoinKind::kUnion)
                   .status()
                   .IsFailedPrecondition());
+}
+
+TEST(AmalurTest, PairwiseLeftJoinKeepsBaseRowOrder) {
+  // Base rows 1 and 3 have no partner. A left-join target row i is base
+  // row i all the same, so the base indicator is the identity and the
+  // unmatched rows keep their places.
+  rel::Table base("base");
+  AMALUR_CHECK_OK(
+      base.AddColumn(rel::Column::FromInt64s("pid", {0, 1, 2, 3, 4, 5})));
+  AMALUR_CHECK_OK(base.AddColumn(
+      rel::Column::FromDoubles("y", {1.5, 2.5, 3.5, 4.5, 5.5, 6.5})));
+  rel::Table other("other");
+  AMALUR_CHECK_OK(
+      other.AddColumn(rel::Column::FromInt64s("pid", {5, 0, 4, 2})));
+  AMALUR_CHECK_OK(other.AddColumn(
+      rel::Column::FromDoubles("bmi", {250.0, 210.0, 240.0, 220.0})));
+  Amalur amalur;
+  ASSERT_TRUE(amalur.catalog()->RegisterSource({"base", base, "", false}).ok());
+  ASSERT_TRUE(
+      amalur.catalog()->RegisterSource({"other", other, "", false}).ok());
+  auto integration =
+      amalur.Integrate("base", "other", rel::JoinKind::kLeftJoin);
+  ASSERT_TRUE(integration.ok()) << integration.status();
+  const metadata::DiMetadata& md = integration->metadata;
+  EXPECT_EQ(md.shape(), metadata::IntegrationShape::kPairwise);
+  EXPECT_EQ(md.source(0).indicator.values(),
+            (std::vector<int64_t>{0, 1, 2, 3, 4, 5}));
+  EXPECT_EQ(md.source(1).indicator.values(),
+            (std::vector<int64_t>{1, -1, 3, -1, 2, 0}));
+}
+
+TEST(AmalurTest, OneToManyEdgeFansOutTargetRows) {
+  // patients -> visits is 1:N (a patient has one to three visits), beside
+  // a functional patients -> regions edge. Each visit becomes its own
+  // target row, exactly as the relational join chain lays them out.
+  Rng rng(47);
+  const size_t n_patients = 20, n_regions = 4;
+  std::vector<int64_t> patient_ids, patient_regions, visit_patients;
+  std::vector<double> age, outcome, duration;
+  for (size_t p = 0; p < n_patients; ++p) {
+    patient_ids.push_back(static_cast<int64_t>(p));
+    patient_regions.push_back(static_cast<int64_t>(p % n_regions));
+    age.push_back(rng.NextGaussian());
+    outcome.push_back(rng.NextGaussian());
+  }
+  // Patient p has (p % 3) + 1 visits, interleaved across the table.
+  for (size_t round = 0; round < 3; ++round) {
+    for (size_t p = 0; p < n_patients; ++p) {
+      if (round > p % 3) continue;
+      visit_patients.push_back(static_cast<int64_t>(p));
+      duration.push_back(0.5 + 0.5 * rng.NextGaussian());
+    }
+  }
+  std::vector<int64_t> region_ids;
+  std::vector<double> density;
+  for (size_t r = 0; r < n_regions; ++r) {
+    region_ids.push_back(static_cast<int64_t>(r));
+    density.push_back(1.0 + rng.NextGaussian());
+  }
+  rel::Table patients("patients");
+  AMALUR_CHECK_OK(
+      patients.AddColumn(rel::Column::FromInt64s("patient_id", patient_ids)));
+  AMALUR_CHECK_OK(patients.AddColumn(
+      rel::Column::FromInt64s("region_id", patient_regions)));
+  AMALUR_CHECK_OK(patients.AddColumn(rel::Column::FromDoubles("age", age)));
+  AMALUR_CHECK_OK(
+      patients.AddColumn(rel::Column::FromDoubles("outcome", outcome)));
+  rel::Table visits("visits");
+  AMALUR_CHECK_OK(visits.AddColumn(
+      rel::Column::FromInt64s("patient_id", visit_patients)));
+  AMALUR_CHECK_OK(
+      visits.AddColumn(rel::Column::FromDoubles("duration", duration)));
+  rel::Table regions("regions");
+  AMALUR_CHECK_OK(
+      regions.AddColumn(rel::Column::FromInt64s("region_id", region_ids)));
+  AMALUR_CHECK_OK(
+      regions.AddColumn(rel::Column::FromDoubles("density", density)));
+
+  Amalur amalur;
+  for (const rel::Table* table : {&patients, &visits, &regions}) {
+    ASSERT_TRUE(amalur.catalog()
+                    ->RegisterSource({table->name(), *table, "", false})
+                    .ok());
+  }
+  IntegrationSpec spec;
+  spec.edges = {{"patients", "visits", rel::JoinKind::kLeftJoin},
+                {"patients", "regions", rel::JoinKind::kLeftJoin}};
+  auto integration = amalur.Integrate(spec);
+  ASSERT_TRUE(integration.ok()) << integration.status();
+  const metadata::DiMetadata& md = integration->metadata;
+  EXPECT_EQ(md.shape(), metadata::IntegrationShape::kStar);
+  EXPECT_EQ(md.target_schema().Names(),
+            (std::vector<std::string>{"age", "outcome", "duration", "density"}));
+  EXPECT_EQ(md.target_rows(), visits.NumRows());
+
+  // Relational reference: patients LJ visits LJ regions, projected.
+  auto j1 = rel::HashJoin(patients, visits, {"patient_id"}, {"patient_id"},
+                          rel::JoinKind::kLeftJoin);
+  ASSERT_TRUE(j1.ok()) << j1.status();
+  auto j2 = rel::HashJoin(j1->table, regions, {"region_id"}, {"region_id"},
+                          rel::JoinKind::kLeftJoin);
+  ASSERT_TRUE(j2.ok()) << j2.status();
+  auto projected = j2->table.ProjectNames(md.target_schema().Names());
+  ASSERT_TRUE(projected.ok()) << projected.status();
+  auto expected = projected->ToMatrix();
+  ASSERT_TRUE(expected.ok()) << expected.status();
+  EXPECT_TRUE(md.MaterializeTargetMatrix().ApproxEquals(*expected, 1e-12));
+
+  TrainRequest request;
+  request.label_column = "outcome";
+  request.gd.iterations = 50;
+  request.gd.learning_rate = 0.05;
+  request.force_strategy = ExecutionStrategy::kFactorize;
+  auto factorized = amalur.Train(*integration, request);
+  ASSERT_TRUE(factorized.ok()) << factorized.status();
+  request.force_strategy = ExecutionStrategy::kMaterialize;
+  auto materialized = amalur.Train(*integration, request);
+  ASSERT_TRUE(materialized.ok()) << materialized.status();
+  EXPECT_LT(factorized->weights().MaxAbsDiff(materialized->weights()), 1e-8);
+}
+
+TEST(AmalurTest, IdSuffixedMeasurementStaysAFeature) {
+  // `lipid` ends in "id" and its values are distinct, but it is a double
+  // measurement, not a surrogate key: it must stay a feature and must not
+  // join the rows (its readings differ slightly between the silos).
+  const size_t rows = 50;
+  std::vector<int64_t> ids;
+  std::vector<double> lipid_a, lipid_b, outcome, glucose;
+  for (size_t i = 0; i < rows; ++i) {
+    ids.push_back(static_cast<int64_t>(i));
+    lipid_a.push_back(120.0 + 1.25 * static_cast<double>(i));
+    lipid_b.push_back(120.1 + 1.25 * static_cast<double>(i));
+    outcome.push_back(static_cast<double>(i % 2));
+    glucose.push_back(80.0 + 0.5 * static_cast<double>(i));
+  }
+  rel::Table patients("patients");
+  AMALUR_CHECK_OK(
+      patients.AddColumn(rel::Column::FromInt64s("patient_id", ids)));
+  AMALUR_CHECK_OK(
+      patients.AddColumn(rel::Column::FromDoubles("lipid", lipid_a)));
+  AMALUR_CHECK_OK(
+      patients.AddColumn(rel::Column::FromDoubles("outcome", outcome)));
+  rel::Table labs("labs");
+  AMALUR_CHECK_OK(labs.AddColumn(rel::Column::FromInt64s("patient_id", ids)));
+  AMALUR_CHECK_OK(labs.AddColumn(rel::Column::FromDoubles("lipid", lipid_b)));
+  AMALUR_CHECK_OK(
+      labs.AddColumn(rel::Column::FromDoubles("glucose", glucose)));
+  Amalur amalur;
+  ASSERT_TRUE(
+      amalur.catalog()->RegisterSource({"patients", patients, "", false}).ok());
+  ASSERT_TRUE(amalur.catalog()->RegisterSource({"labs", labs, "", false}).ok());
+  auto integration =
+      amalur.Integrate("patients", "labs", rel::JoinKind::kLeftJoin);
+  ASSERT_TRUE(integration.ok()) << integration.status();
+  EXPECT_TRUE(integration->mapping.target_schema().Contains("lipid"));
+  ASSERT_EQ(integration->matchings.size(), 1u);
+  EXPECT_EQ(integration->matchings[0].matched.size(), rows);
 }
 
 TEST(ExecutorTest, UnknownLabelColumnRejected) {

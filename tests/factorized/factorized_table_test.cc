@@ -58,9 +58,9 @@ TEST(FactorizedTableTest, MorpheusRuleDoubleCountsOnOverlap) {
   la::DenseMatrix morpheus_t = morpheus.LeftMultiply(x);
   la::DenseMatrix expected = RunningExampleTargetMatrix();
   EXPECT_FALSE(morpheus_t.ApproxEquals(expected));
-  EXPECT_DOUBLE_EQ(morpheus_t.At(0, 0), 2.0);   // Jane's m doubled
-  EXPECT_DOUBLE_EQ(morpheus_t.At(0, 1), 74.0);  // Jane's a doubled
-  EXPECT_DOUBLE_EQ(morpheus_t.At(0, 3), 92.0);  // o unaffected
+  EXPECT_DOUBLE_EQ(morpheus_t.At(3, 0), 2.0);   // Jane's m doubled
+  EXPECT_DOUBLE_EQ(morpheus_t.At(3, 1), 74.0);  // Jane's a doubled
+  EXPECT_DOUBLE_EQ(morpheus_t.At(3, 3), 92.0);  // o unaffected
 }
 
 /// Factorized == materialized over every Table I dataset relationship and a

@@ -41,9 +41,9 @@ TEST(DiMetadataTest, Figure4CompressedForms) {
   EXPECT_EQ(md.source(0).mapping.values(), (std::vector<int64_t>{0, 1, 2, -1}));
   EXPECT_EQ(md.source(1).mapping.values(), (std::vector<int64_t>{0, 1, -1, 2}));
   EXPECT_EQ(md.source(0).indicator.values(),
-            (std::vector<int64_t>{3, 0, 1, 2, -1, -1}));
+            (std::vector<int64_t>{0, 1, 2, 3, -1, -1}));
   EXPECT_EQ(md.source(1).indicator.values(),
-            (std::vector<int64_t>{2, -1, -1, -1, 0, 1}));
+            (std::vector<int64_t>{-1, -1, -1, 2, 0, 1}));
 }
 
 TEST(DiMetadataTest, Figure4DataMatrices) {
@@ -59,19 +59,19 @@ TEST(DiMetadataTest, Figure4DataMatrices) {
 
 TEST(DiMetadataTest, Figure4SourceContributions) {
   DiMetadata md = DeriveRunningExample();
-  // T1 = I1 D1 M1^T (paper Figure 4c).
+  // T1 = I1 D1 M1^T (paper Figure 4c, S1's rows in order).
   EXPECT_TRUE(md.SourceContribution(0).ApproxEquals(
-      la::DenseMatrix({{1, 37, 70, 0},
-                       {0, 20, 60, 0},
+      la::DenseMatrix({{0, 20, 60, 0},
                        {0, 35, 58, 0},
                        {0, 22, 65, 0},
+                       {1, 37, 70, 0},
                        {0, 0, 0, 0},
                        {0, 0, 0, 0}})));
   EXPECT_TRUE(md.SourceContribution(1).ApproxEquals(
-      la::DenseMatrix({{1, 37, 0, 92},
+      la::DenseMatrix({{0, 0, 0, 0},
                        {0, 0, 0, 0},
                        {0, 0, 0, 0},
-                       {0, 0, 0, 0},
+                       {1, 37, 0, 92},
                        {1, 45, 0, 95},
                        {0, 20, 0, 97}})));
 }
@@ -87,8 +87,8 @@ TEST(DiMetadataTest, NaiveAdditionWouldBeWrong) {
   DiMetadata md = DeriveRunningExample();
   la::DenseMatrix naive = md.SourceContribution(0).Add(md.SourceContribution(1));
   EXPECT_FALSE(naive.ApproxEquals(RunningExampleTargetMatrix()));
-  EXPECT_DOUBLE_EQ(naive.At(0, 0), 2.0);    // 1 + 1
-  EXPECT_DOUBLE_EQ(naive.At(0, 1), 74.0);   // 37 + 37
+  EXPECT_DOUBLE_EQ(naive.At(3, 0), 2.0);    // 1 + 1
+  EXPECT_DOUBLE_EQ(naive.At(3, 1), 74.0);   // 37 + 37
 }
 
 TEST(DiMetadataTest, TupleAndFeatureRatios) {
@@ -128,12 +128,12 @@ TEST(DiMetadataTest, LeftJoinKeepsBaseRows) {
   ASSERT_TRUE(left_mapping.ok());
   auto md = DiMetadata::Derive(*left_mapping, {&ex.s1, &ex.s2}, ex.matching);
   ASSERT_TRUE(md.ok());
-  EXPECT_EQ(md->target_rows(), 4u);  // Jane + 3 left-only
+  EXPECT_EQ(md->target_rows(), 4u);  // S1's rows in order; Jane matched
   la::DenseMatrix t = md->MaterializeTargetMatrix();
-  EXPECT_TRUE(t.ApproxEquals(la::DenseMatrix({{1, 37, 70, 92},
-                                              {0, 20, 60, 0},
+  EXPECT_TRUE(t.ApproxEquals(la::DenseMatrix({{0, 20, 60, 0},
                                               {0, 35, 58, 0},
-                                              {0, 22, 65, 0}})));
+                                              {0, 22, 65, 0},
+                                              {1, 37, 70, 92}})));
 }
 
 TEST(DiMetadataTest, UnionStacksAllRows) {

@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <tuple>
 
 #include "common/rng.h"
 #include "factorized/factorized_table.h"
@@ -638,6 +639,66 @@ TEST(GraphMetadataTest, SharedDimensionAcrossUnionShards) {
       }
     }
   }
+}
+
+TEST(GraphMetadataTest, FanOutIntoConformedDimensionRejected) {
+  // Fan-out is legal on a plain dimension edge, but an edge into a
+  // conformed dimension must resolve each row to one dimension row: c has
+  // two rows with c_id 0, so b0 -> c (edge 2) fans out.
+  auto keyed = [](const std::string& name,
+                  std::vector<std::pair<std::string, std::vector<int64_t>>>
+                      key_columns,
+                  const std::string& feature, std::vector<double> values) {
+    rel::Table table(name);
+    for (auto& [k, v] : key_columns) {
+      AMALUR_CHECK_OK(table.AddColumn(rel::Column::FromInt64s(k, std::move(v))));
+    }
+    AMALUR_CHECK_OK(
+        table.AddColumn(rel::Column::FromDoubles(feature, std::move(values))));
+    return table;
+  };
+  rel::Table fact =
+      keyed("fact", {{"b0_id", {0, 1}}, {"b1_id", {0, 1}}}, "y", {1.0, 2.0});
+  rel::Table b0 =
+      keyed("b0", {{"b0_id", {0, 1}}, {"c_id", {0, 1}}}, "u0", {10.0, 11.0});
+  rel::Table b1 =
+      keyed("b1", {{"b1_id", {0, 1}}, {"c_id", {1, 1}}}, "v0", {20.0, 21.0});
+  rel::Table c = keyed("c", {{"c_id", {0, 0, 1}}}, "w0", {30.0, 31.0, 32.0});
+  auto mapping = integration::SchemaMapping::Create(
+      rel::JoinKind::kLeftJoin,
+      {integration::SchemaMapping::SourceSpec{"fact", fact.schema(),
+                                              {{"y", "y"}}},
+       integration::SchemaMapping::SourceSpec{"b0", b0.schema(),
+                                              {{"u0", "u0"}}},
+       integration::SchemaMapping::SourceSpec{"b1", b1.schema(),
+                                              {{"v0", "v0"}}},
+       integration::SchemaMapping::SourceSpec{"c", c.schema(), {{"w0", "w0"}}}},
+      rel::Schema::AllDouble({"y", "u0", "v0", "w0"}),
+      {{0, "b0_id", 1, "b0_id"},
+       {0, "b1_id", 2, "b1_id"},
+       {1, "c_id", 3, "c_id"},
+       {2, "c_id", 3, "c_id"}});
+  ASSERT_TRUE(mapping.ok()) << mapping.status();
+  std::vector<rel::RowMatching> matchings;
+  for (const auto& [left, right, key] :
+       std::vector<std::tuple<const rel::Table*, const rel::Table*,
+                              std::string>>{{&fact, &b0, "b0_id"},
+                                            {&fact, &b1, "b1_id"},
+                                            {&b0, &c, "c_id"},
+                                            {&b1, &c, "c_id"}}) {
+    auto matching = rel::MatchRowsOnKeys(*left, *right, {key}, {key});
+    ASSERT_TRUE(matching.ok()) << matching.status();
+    matchings.push_back(std::move(matching).ValueOrDie());
+  }
+  auto md = DiMetadata::DeriveGraph(*mapping, {&fact, &b0, &b1, &c},
+                                    {{0, 1, rel::JoinKind::kLeftJoin},
+                                     {0, 2, rel::JoinKind::kLeftJoin},
+                                     {1, 3, rel::JoinKind::kLeftJoin},
+                                     {2, 3, rel::JoinKind::kLeftJoin}},
+                                    matchings);
+  EXPECT_TRUE(md.status().IsFailedPrecondition()) << md.status();
+  EXPECT_NE(md.status().message().find("graph edge 2"), std::string::npos)
+      << md.status();
 }
 
 TEST(GraphMetadataTest, Validation) {

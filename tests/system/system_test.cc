@@ -17,6 +17,17 @@
 namespace amalur {
 namespace {
 
+/// Index of the handle's edge `left` -> `right` (edges.size() if absent).
+size_t EdgeIndex(const core::IntegrationHandle& handle,
+                 const std::string& left, const std::string& right) {
+  size_t e = 0;
+  while (e < handle.edges.size() &&
+         (handle.edges[e].left != left || handle.edges[e].right != right)) {
+    ++e;
+  }
+  return e;
+}
+
 TEST(SystemTest, CsvRoundTripThroughFullPipeline) {
   // Write the running example to disk, read it back, integrate, train.
   integration::RunningExample ex = integration::MakeRunningExample();
@@ -125,9 +136,11 @@ TEST(SystemTest, CatalogAccumulatesModelsAcrossIntegrations) {
           .IsAlreadyExists());
   EXPECT_EQ(system.catalog()->ModelNames(),
             (std::vector<std::string>{"model-v1", "model-v2"}));
-  // The catalog also kept the DI metadata of the integration run.
-  EXPECT_TRUE(system.catalog()->GetColumnMatches("a", "b").ok());
-  EXPECT_TRUE(system.catalog()->GetRowMatching("a", "b").ok());
+  // The handle kept the DI metadata of the integration run.
+  const size_t ab = EdgeIndex(*integration, "a", "b");
+  ASSERT_LT(ab, integration->edges.size());
+  EXPECT_FALSE(integration->edge_matches[ab].empty());
+  EXPECT_FALSE(integration->matchings[ab].matched.empty());
 }
 
 TEST(SystemTest, MalformedCsvSurfacesCleanErrors) {
@@ -296,11 +309,15 @@ TEST(SystemTest, StarFacadeMatchesHandBuiltDerivation) {
   }
   EXPECT_TRUE(derived.MaterializeTargetMatrix().ApproxEquals(
       reference.MaterializeTargetMatrix()));
-  // The named handle is reusable from the catalog, and the per-edge DI
-  // metadata was cached under the source pairs.
+  // The named handle is reusable from the catalog, and it carries the
+  // per-edge DI metadata.
   EXPECT_TRUE(system.catalog()->GetIntegration("visits-star").ok());
-  EXPECT_TRUE(system.catalog()->GetColumnMatches("visits", "patients").ok());
-  EXPECT_TRUE(system.catalog()->GetRowMatching("visits", "clinics").ok());
+  const size_t patients = EdgeIndex(*integration, "visits", "patients");
+  const size_t clinics = EdgeIndex(*integration, "visits", "clinics");
+  ASSERT_LT(patients, integration->edges.size());
+  ASSERT_LT(clinics, integration->edges.size());
+  EXPECT_FALSE(integration->edge_matches[patients].empty());
+  EXPECT_FALSE(integration->matchings[clinics].matched.empty());
 }
 
 TEST(SystemTest, StarFacadeMergesOverlappingDimensionFeature) {
@@ -588,8 +605,11 @@ TEST(SystemTest, ConformedDimensionEdgeListEndToEnd) {
   EXPECT_LT(fact_scores->MaxAbsDiff(*mat_scores), 1e-6);
 
   // Per-edge artifacts cover BOTH parents of the shared dimension.
-  EXPECT_TRUE(system.catalog()->GetRowMatching("branch0", "shared").ok());
-  EXPECT_TRUE(system.catalog()->GetRowMatching("branch1", "shared").ok());
+  for (const char* branch : {"branch0", "branch1"}) {
+    const size_t e = EdgeIndex(*integration, branch, "shared");
+    ASSERT_LT(e, integration->edges.size()) << branch;
+    EXPECT_FALSE(integration->matchings[e].matched.empty()) << branch;
+  }
 }
 
 TEST(SystemTest, InnerJoinEdgeEndToEnd) {
@@ -730,10 +750,15 @@ TEST(SystemTest, UnionOfStarsEdgeListEndToEnd) {
   EXPECT_EQ(fact_scores->rows(), 2 * union_spec.fact_rows);
   EXPECT_LT(fact_scores->MaxAbsDiff(*mat_scores), 1e-6);
 
-  // The named handle and its per-edge artifacts landed in the catalog.
+  // The named handle landed in the catalog, and it carries the per-edge
+  // artifacts.
   EXPECT_TRUE(system.catalog()->GetIntegration("claims-shards").ok());
-  EXPECT_TRUE(system.catalog()->GetColumnMatches("fact0", "fact1").ok());
-  EXPECT_TRUE(system.catalog()->GetRowMatching("fact1", "dim1").ok());
+  const size_t shards = EdgeIndex(*integration, "fact0", "fact1");
+  const size_t dim1 = EdgeIndex(*integration, "fact1", "dim1");
+  ASSERT_LT(shards, integration->edges.size());
+  ASSERT_LT(dim1, integration->edges.size());
+  EXPECT_FALSE(integration->edge_matches[shards].empty());
+  EXPECT_FALSE(integration->matchings[dim1].matched.empty());
 }
 
 TEST(SystemTest, PrivacyConstrainedStarTrainsNarySilos) {
