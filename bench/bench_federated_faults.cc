@@ -76,7 +76,7 @@ Measurement RunVflDropSweep(double drop_rate, size_t rounds, size_t rows) {
   federated::VflOptions options;
   options.iterations = rounds;
   options.learning_rate = 0.1;
-  options.policy.retry.max_retries = 10;
+  options.policy.max_retries = 10;
 
   federated::FaultSchedule schedule(301);
   federated::SiloFaultProfile lossy;

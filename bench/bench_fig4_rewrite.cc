@@ -5,9 +5,15 @@
 // gradients and the Morpheus-style rewrite (1) for reference (it is faster
 // but WRONG on overlapping silos — it double-counts; correctness is checked
 // in the test suite, speed is reported here).
+//
+// Each cell is the median of a few timed repeats. Smoke mode
+// (AMALUR_BENCH_SMOKE=1) shrinks every size tenfold and repeats less.
 
-#include <benchmark/benchmark.h>
+#include <algorithm>
+#include <cstdio>
+#include <vector>
 
+#include "bench/bench_util.h"
 #include "common/rng.h"
 #include "factorized/factorized_table.h"
 #include "factorized/scenario_builder.h"
@@ -36,83 +42,63 @@ metadata::DiMetadata MakeScaledRunningExample(size_t scale) {
   return std::move(metadata).ValueOrDie();
 }
 
-void BM_LmmAmalurRewrite(benchmark::State& state) {
-  const size_t scale = static_cast<size_t>(state.range(0));
-  factorized::FactorizedTable table(MakeScaledRunningExample(scale));
-  Rng rng(1);
-  la::DenseMatrix x = la::DenseMatrix::RandomGaussian(table.cols(), 4, &rng);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(table.LeftMultiply(x));
+/// Median wall-clock milliseconds of `repeats` calls to `op`.
+template <typename Op>
+double MedianMs(size_t repeats, const Op& op) {
+  std::vector<double> ms;
+  for (size_t r = 0; r < repeats; ++r) {
+    Stopwatch watch;
+    const la::DenseMatrix result = op();
+    ms.push_back(1e3 * watch.ElapsedSeconds());
   }
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<int64_t>(table.rows()));
-}
-
-void BM_LmmMaterialized(benchmark::State& state) {
-  const size_t scale = static_cast<size_t>(state.range(0));
-  factorized::FactorizedTable table(MakeScaledRunningExample(scale));
-  la::DenseMatrix dense = table.Materialize();
-  Rng rng(1);
-  la::DenseMatrix x = la::DenseMatrix::RandomGaussian(dense.cols(), 4, &rng);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(dense.Multiply(x));
-  }
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<int64_t>(dense.rows()));
-}
-
-void BM_LmmMaterializeThenMultiply(benchmark::State& state) {
-  // The true materialized path cost: build T, then multiply.
-  const size_t scale = static_cast<size_t>(state.range(0));
-  metadata::DiMetadata metadata = MakeScaledRunningExample(scale);
-  Rng rng(1);
-  la::DenseMatrix x =
-      la::DenseMatrix::RandomGaussian(metadata.target_cols(), 4, &rng);
-  for (auto _ : state) {
-    la::DenseMatrix dense = metadata.MaterializeTargetMatrix();
-    benchmark::DoNotOptimize(dense.Multiply(x));
-  }
-}
-
-void BM_LmmMorpheusRewrite(benchmark::State& state) {
-  // Rule (1) without redundancy handling — reference speed only.
-  const size_t scale = static_cast<size_t>(state.range(0));
-  factorized::MorpheusReference table(MakeScaledRunningExample(scale));
-  Rng rng(1);
-  la::DenseMatrix x = la::DenseMatrix::RandomGaussian(table.cols(), 4, &rng);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(table.LeftMultiply(x));
-  }
-}
-
-void BM_TransposeLmmAmalurRewrite(benchmark::State& state) {
-  const size_t scale = static_cast<size_t>(state.range(0));
-  factorized::FactorizedTable table(MakeScaledRunningExample(scale));
-  Rng rng(2);
-  la::DenseMatrix x = la::DenseMatrix::RandomGaussian(table.rows(), 4, &rng);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(table.TransposeLeftMultiply(x));
-  }
-}
-
-void BM_TransposeLmmMaterialized(benchmark::State& state) {
-  const size_t scale = static_cast<size_t>(state.range(0));
-  factorized::FactorizedTable table(MakeScaledRunningExample(scale));
-  la::DenseMatrix dense = table.Materialize();
-  Rng rng(2);
-  la::DenseMatrix x = la::DenseMatrix::RandomGaussian(dense.rows(), 4, &rng);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(dense.TransposeMultiply(x));
-  }
+  std::sort(ms.begin(), ms.end());
+  return ms[ms.size() / 2];
 }
 
 }  // namespace
 
-BENCHMARK(BM_LmmAmalurRewrite)->Arg(1000)->Arg(10000)->Arg(100000);
-BENCHMARK(BM_LmmMaterialized)->Arg(1000)->Arg(10000)->Arg(100000);
-BENCHMARK(BM_LmmMaterializeThenMultiply)->Arg(1000)->Arg(10000)->Arg(100000);
-BENCHMARK(BM_LmmMorpheusRewrite)->Arg(1000)->Arg(10000)->Arg(100000);
-BENCHMARK(BM_TransposeLmmAmalurRewrite)->Arg(1000)->Arg(10000)->Arg(100000);
-BENCHMARK(BM_TransposeLmmMaterialized)->Arg(1000)->Arg(10000)->Arg(100000);
+int main() {
+  const bool smoke = bench::SmokeMode();
+  const size_t repeats = smoke ? 3 : 7;
 
-BENCHMARK_MAIN();
+  std::printf("=== Figure 4: LMM rewrite vs materialized (median of %zu, ms) "
+              "===\n",
+              repeats);
+  std::printf("(running-example full outer join with S1 at `scale` rows; X "
+              "has 4 columns; mat+lmm includes building T; morpheus ignores "
+              "R and double-counts)\n\n");
+  std::printf("%8s %11s %11s %11s %13s %12s %11s\n", "scale", "lmm amalur",
+              "lmm mat", "mat+lmm", "lmm morpheus", "tlmm amalur",
+              "tlmm mat");
+  const size_t kScales[] = {1000, 10000, 100000};
+  for (size_t scale : kScales) {
+    const size_t rows = smoke ? scale / 10 : scale;
+    const metadata::DiMetadata metadata = MakeScaledRunningExample(rows);
+    const factorized::FactorizedTable table(metadata);
+    const factorized::MorpheusReference morpheus(metadata);
+    const la::DenseMatrix dense = table.Materialize();
+    Rng rng(1);
+    const la::DenseMatrix x =
+        la::DenseMatrix::RandomGaussian(table.cols(), 4, &rng);
+    Rng transpose_rng(2);
+    const la::DenseMatrix xt =
+        la::DenseMatrix::RandomGaussian(table.rows(), 4, &transpose_rng);
+
+    const double lmm_amalur =
+        MedianMs(repeats, [&] { return table.LeftMultiply(x); });
+    const double lmm_mat = MedianMs(repeats, [&] { return dense.Multiply(x); });
+    const double mat_then_lmm = MedianMs(repeats, [&] {
+      return metadata.MaterializeTargetMatrix().Multiply(x);
+    });
+    const double lmm_morpheus =
+        MedianMs(repeats, [&] { return morpheus.LeftMultiply(x); });
+    const double tlmm_amalur =
+        MedianMs(repeats, [&] { return table.TransposeLeftMultiply(xt); });
+    const double tlmm_mat =
+        MedianMs(repeats, [&] { return dense.TransposeMultiply(xt); });
+    std::printf("%8zu %11.3f %11.3f %11.3f %13.3f %12.3f %11.3f\n", rows,
+                lmm_amalur, lmm_mat, mat_then_lmm, lmm_morpheus,
+                tlmm_amalur, tlmm_mat);
+  }
+  return 0;
+}

@@ -348,7 +348,7 @@ int main() {
 
   // Calibration pass: fit the cost-model constants to the observation log
   // this run just extended, persist them for the optimizer
-  // ($AMALUR_CALIBRATION_FILE / TrainRequest::calibration_file), and
+  // ($AMALUR_CALIBRATION_FILE / AmalurOptions::cost), and
   // re-predict every scenario — the before/after decision map is the whole
   // point of the calibration loop.
   const cost::Calibration calibration =

@@ -35,7 +35,7 @@ int main() {
   federated::VflOptions vfl;
   vfl.iterations = 40;
   vfl.learning_rate = 0.1;
-  vfl.policy.retry.max_retries = 10;
+  vfl.policy.max_retries = 10;
 
   federated::MessageBus clean_bus;
   auto clean = federated::TrainVerticalFlrNary(parties, labels, vfl, &clean_bus);

@@ -1,6 +1,5 @@
 #include "core/amalur.h"
 
-#include <algorithm>
 #include <memory>
 #include <set>
 
@@ -65,50 +64,37 @@ class NameClaimer {
 };
 
 /// Normalizes a spec into its edge-list form and plans the graph. The flat
-/// `sources`/`relationships` form is validated as before (star base rotated
-/// to position 0, a single relationship broadcast over all edges, stars
-/// restricted to left joins) and then lowered into edges off the base; an
-/// explicit edge list goes straight to the graph planner, which enforces
-/// connectivity, acyclicity and the one-fact-root/union placement rules
-/// with precise error messages.
+/// `sources`/`relationships` form is validated as before (a single
+/// relationship broadcast over all edges, stars restricted to left joins)
+/// and then lowered into edges off the base, `sources[0]`; an explicit edge
+/// list goes straight to the graph planner, which enforces connectivity,
+/// acyclicity and the one-fact-root/union placement rules with precise
+/// error messages.
 Result<IntegrationGraphPlan> NormalizeSpec(const IntegrationSpec& spec) {
   if (!spec.edges.empty()) {
-    if (!spec.star_base.empty()) {
-      return Status::InvalidArgument(
-          "star_base applies to the flat sources/relationships form only; "
-          "an edge list already fixes the fact root");
-    }
     return PlanIntegrationGraph(spec.edges, spec.sources);
   } else {
-    IntegrationSpec flat = spec;
-    if (flat.sources.size() < 2) {
+    const std::vector<std::string>& sources = spec.sources;
+    if (sources.size() < 2) {
       return Status::InvalidArgument("an integration needs >= 2 sources, got ",
-                                     flat.sources.size());
+                                     sources.size());
     }
-    std::set<std::string> unique(flat.sources.begin(), flat.sources.end());
-    if (unique.size() != flat.sources.size()) {
+    std::set<std::string> unique(sources.begin(), sources.end());
+    if (unique.size() != sources.size()) {
       return Status::InvalidArgument("duplicate source in integration spec");
     }
-    if (!flat.star_base.empty()) {
-      auto it =
-          std::find(flat.sources.begin(), flat.sources.end(), flat.star_base);
-      if (it == flat.sources.end()) {
-        return Status::InvalidArgument("star base '", flat.star_base,
-                                       "' is not among the spec's sources");
-      }
-      std::rotate(flat.sources.begin(), it, it + 1);
-    }
-    const size_t edges = flat.sources.size() - 1;
-    if (flat.relationships.size() == 1) {
-      flat.relationships.assign(edges, flat.relationships[0]);
-    } else if (flat.relationships.size() != edges) {
+    const size_t edges = sources.size() - 1;
+    std::vector<rel::JoinKind> relationships = spec.relationships;
+    if (relationships.size() == 1) {
+      relationships.assign(edges, relationships[0]);
+    } else if (relationships.size() != edges) {
       return Status::InvalidArgument("expected one relationship per edge (",
                                      edges, " edges) or a single broadcast "
                                      "relationship, got ",
-                                     flat.relationships.size());
+                                     relationships.size());
     }
-    if (flat.sources.size() > 2) {
-      for (rel::JoinKind kind : flat.relationships) {
+    if (sources.size() > 2) {
+      for (rel::JoinKind kind : relationships) {
         if (kind != rel::JoinKind::kLeftJoin) {
           return Status::InvalidArgument(
               "star integrations (>= 3 sources) require the left-join "
@@ -119,10 +105,9 @@ Result<IntegrationGraphPlan> NormalizeSpec(const IntegrationSpec& spec) {
     }
     std::vector<IntegrationEdge> lowered;
     for (size_t e = 0; e < edges; ++e) {
-      lowered.push_back(
-          {flat.sources[0], flat.sources[e + 1], flat.relationships[e]});
+      lowered.push_back({sources[0], sources[e + 1], relationships[e]});
     }
-    return PlanIntegrationGraph(lowered, flat.sources);
+    return PlanIntegrationGraph(lowered, sources);
   }
 }
 
@@ -327,18 +312,7 @@ Plan Amalur::Explain(const IntegrationHandle& integration) const {
 Result<ModelHandle> Amalur::Train(const IntegrationHandle& integration,
                                   const TrainRequest& request,
                                   const std::string& model_name) {
-  Plan plan;
-  if (!request.calibration_file.empty()) {
-    // Per-request constants: the named fitted-constants file overrides the
-    // facade's resolved options for this plan only (falling back to them,
-    // reason included, when it cannot be loaded).
-    const cost::Calibration calibration =
-        cost::ResolveCalibration(options_.cost, request.calibration_file);
-    plan = Optimizer(calibration)
-               .Choose(integration.metadata, integration.privacy_constrained);
-  } else {
-    plan = Explain(integration);
-  }
+  Plan plan = Explain(integration);
   if (request.force_strategy.has_value()) {
     if (integration.privacy_constrained &&
         *request.force_strategy != ExecutionStrategy::kFederate) {

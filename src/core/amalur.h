@@ -100,16 +100,14 @@ struct IntegrationSpec {
   /// it keeps its own relationship in the derived metadata. The graph must
   /// be connected and acyclic with one fact root and at most one parent per
   /// fact shard; violations return precise `kInvalidArgument` messages.
-  /// When `edges` is set, `relationships` is ignored, `star_base` must be
-  /// empty (the edge list already fixes the root), and `sources` (if
+  /// When `edges` is set, `relationships` is ignored and `sources` (if
   /// non-empty) merely declares the expected participant set.
   std::vector<IntegrationEdge> edges;
 
   /// **Flat form** (used when `edges` is empty). Ordered names of >= 2
   /// registered sources. The first entry is the base table (the running
-  /// example's S1; the fact table of a star) unless `star_base` overrides
-  /// it. Two sources lower into one edge; three or more into a star (base
-  /// left-joined to each dimension).
+  /// example's S1; the fact table of a star). Two sources lower into one
+  /// edge; three or more into a star (base left-joined to each dimension).
   std::vector<std::string> sources;
 
   /// Flat form only: dataset relationship per edge (base, sources[i+1]) —
@@ -117,10 +115,6 @@ struct IntegrationSpec {
   /// entries. Star scenarios (>= 3 sources) require `kLeftJoin` on every
   /// edge; use the edge-list form for mixed-relationship graphs.
   std::vector<rel::JoinKind> relationships = {rel::JoinKind::kInnerJoin};
-
-  /// Flat form only: name of the source to use as the star base / pairwise
-  /// base. Must be an element of `sources`; empty means `sources[0]`.
-  std::string star_base;
 };
 
 /// Per-dataset evaluation metrics of a trained model (task-dependent:
@@ -248,12 +242,13 @@ class ModelHandle {
 /// The system facade.
 class Amalur {
  public:
-  /// Cost-model constants are resolved once per instance: a fitted-constants
-  /// file named by `$AMALUR_CALIBRATION_FILE` overrides the analytic
-  /// defaults (or the caller's `options.cost` constants), falling back to
-  /// them — with the reason surfaced in every plan explanation — when the
-  /// file is missing or malformed. A per-request
-  /// `TrainRequest::calibration_file` overrides both for one `Train` call.
+  /// Cost-model constants are resolved once per instance and plan every
+  /// `Explain` and `Train` call: a fitted-constants file named by
+  /// `$AMALUR_CALIBRATION_FILE` overrides `options.cost` (the analytic
+  /// defaults unless the caller set constants), falling back to them — with
+  /// the reason surfaced in every plan explanation — when the file is
+  /// missing or malformed. To plan with a particular file, pass
+  /// `cost::ResolveCalibration({}, path).options` as `options.cost`.
   explicit Amalur(AmalurOptions options = {}) : options_(std::move(options)) {
     options_.cost = cost::ResolveCalibration(options_.cost).options;
   }

@@ -1,6 +1,7 @@
 #include "core/executor.h"
 
 #include <algorithm>
+#include <cmath>
 #include <memory>
 
 #include "common/status.h"
@@ -21,6 +22,31 @@ ml::LinearModel TrainOver(const ml::TrainingMatrix& features,
     return ml::TrainLogisticRegression(features, labels, request.gd);
   }
   return ml::TrainLinearRegression(features, labels, request.gd);
+}
+
+/// A diverging run (a learning rate too large for the data, or NaN/Inf in
+/// the features) must come back as an error, never as a model with
+/// non-finite weights.
+Status CheckFinite(const TrainOutcome& outcome) {
+  const char* strategy = ExecutionStrategyToString(outcome.strategy_used);
+  const std::vector<double>& losses = outcome.loss_history;
+  for (size_t it = 0; it < losses.size(); ++it) {
+    if (!std::isfinite(losses[it])) {
+      return Status::FailedPrecondition(
+          strategy, " training diverged: the loss of iteration ", it + 1,
+          " of ", losses.size(), " is ", losses[it],
+          "; lower the learning rate or check the inputs for NaN/Inf");
+    }
+  }
+  for (size_t j = 0; j < outcome.weights.size(); ++j) {
+    if (!std::isfinite(outcome.weights.data()[j])) {
+      return Status::FailedPrecondition(
+          strategy, " training diverged: weight ", j, " is ",
+          outcome.weights.data()[j],
+          "; lower the learning rate or check the inputs for NaN/Inf");
+    }
+  }
+  return Status::OK();
 }
 
 }  // namespace
@@ -168,6 +194,7 @@ Result<TrainOutcome> Executor::Run(const metadata::DiMetadata& metadata,
     }
   }
   outcome.seconds = stopwatch.ElapsedSeconds();
+  AMALUR_RETURN_NOT_OK(CheckFinite(outcome));
   return outcome;
 }
 

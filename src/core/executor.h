@@ -58,13 +58,6 @@ struct TrainRequest {
   /// forcing a data-moving strategy over a privacy-constrained integration
   /// is rejected with `kFailedPrecondition`.
   std::optional<ExecutionStrategy> force_strategy;
-  /// Optional fitted-constants file (cost/calibrator.h) to plan this run
-  /// with: overrides the facade's resolved constants — including a
-  /// `$AMALUR_CALIBRATION_FILE` environment override — for this request
-  /// only. An unreadable or malformed file falls back to the facade's
-  /// constants with the reason recorded in the plan's explanation; the
-  /// plan always states whether calibrated or default constants decided.
-  std::string calibration_file;
   /// Reliability policy for federated plans: per-message retry/timeout
   /// budgets, the minimum quorum, and whether losing a silo fails the run
   /// or degrades it (HFL re-weights FedAvg over the survivors; VFL cannot

@@ -3,7 +3,6 @@
 #include <string>
 
 #include "cost/amalur_cost_model.h"
-#include "cost/calibrator.h"
 #include "metadata/di_metadata.h"
 
 /// \file optimizer.h
@@ -43,13 +42,6 @@ class Optimizer {
  public:
   explicit Optimizer(cost::AmalurCostModelOptions cost_options = {})
       : cost_model_(cost_options) {}
-
-  /// Plans with the constants of a resolved calibration
-  /// (`cost::ResolveCalibration` / `cost::Calibrator::CalibrateFromLog`);
-  /// the calibration's provenance — calibrated or analytic-defaults
-  /// fallback, and why — flows into every plan explanation.
-  explicit Optimizer(const cost::Calibration& calibration)
-      : cost_model_(calibration.options) {}
 
   /// Chooses the strategy. `privacy_constrained` reflects whether any
   /// participating source forbids data movement (§II.C: "In the existence

@@ -5,6 +5,18 @@
 namespace amalur {
 namespace cost {
 
+namespace {
+
+/// Columns of the LMM right-hand side (1 for GD on a single model).
+constexpr double kRhsCols = 1.0;
+/// The tgd prescreen (Example IV.1) only applies when the one-time
+/// materialization cost is amortized: join cost ≤ this fraction of the
+/// horizon's per-iteration work. Near the boundary the analytical model
+/// decides instead.
+constexpr double kPrescreenAmortizationLimit = 0.5;
+
+}  // namespace
+
 std::optional<Strategy> AmalurCostModel::PruneWithTgds(
     const CostFeatures& features) const {
   // Example IV.1: full tgds mean every target attribute is copied from some
@@ -23,7 +35,7 @@ std::optional<Strategy> AmalurCostModel::PruneWithTgds(
   const double join_cost = MaterializationCost(features);
   const double horizon_work =
       options_.training_iterations * MaterializedIterationCost(features);
-  if (join_cost > options_.prescreen_amortization_limit * horizon_work) {
+  if (join_cost > kPrescreenAmortizationLimit * horizon_work) {
     return std::nullopt;
   }
   return Strategy::kMaterialize;
@@ -42,9 +54,9 @@ double AmalurCostModel::FactorizedIterationCost(
     cells += static_cast<double>(s.compute_cells) * (1.0 - s.null_ratio);
     expansion_rows += static_cast<double>(s.contributed_rows);
   }
-  return 2.0 * cells * options_.rhs_cols * options_.flop_cost *
+  return 2.0 * cells * kRhsCols * options_.flop_cost *
              options_.factorized_cell_cost +
-         2.0 * expansion_rows * options_.rhs_cols * options_.flop_cost +
+         2.0 * expansion_rows * kRhsCols * options_.flop_cost +
          expansion_rows * options_.factorized_row_overhead;
 }
 
@@ -55,7 +67,7 @@ double AmalurCostModel::MaterializedIterationCost(
   // (NULL padding included), so the full target extent is paid every
   // iteration.
   return 2.0 * static_cast<double>(features.TargetCells()) *
-         options_.rhs_cols * options_.flop_cost;
+         kRhsCols * options_.flop_cost;
 }
 
 double AmalurCostModel::MaterializationCost(const CostFeatures& features) const {

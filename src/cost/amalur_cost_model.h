@@ -26,8 +26,6 @@ struct AmalurCostModelOptions {
   /// Gradient-descent iterations the training run will perform (the horizon
   /// the one-time materialization cost is amortized over).
   double training_iterations = 20.0;
-  /// Columns of the LMM right-hand side (1 for GD on a single model).
-  double rhs_cols = 1.0;
   /// Cost of one dense multiply-add on a cell (the work unit).
   double flop_cost = 1.0;
   /// Relative cost of one factorized multiply-add (gathers and indirection
@@ -41,11 +39,6 @@ struct AmalurCostModelOptions {
   /// Per-target-row-per-source bookkeeping of the factorized path
   /// (gather/scatter through CI/CM).
   double factorized_row_overhead = 2.0;
-  /// The tgd prescreen (Example IV.1) only applies when the one-time
-  /// materialization cost is amortized: join cost ≤ this fraction of the
-  /// horizon's per-iteration work. Near the boundary the analytical model
-  /// decides instead.
-  double prescreen_amortization_limit = 0.5;
   /// Provenance of the four per-op constants above, surfaced through
   /// `Explain` (and therefore every optimizer `Plan.explanation`): false
   /// means the analytic defaults decided; true means the constants were

@@ -35,9 +35,8 @@ namespace cost {
 
 /// The calibration the optimizer runs with: constants plus provenance.
 struct Calibration {
-  /// The constants to build an `AmalurCostModel` from. Workload knobs
-  /// (training_iterations, rhs_cols, prescreen_amortization_limit) are
-  /// never fitted — they keep the caller's values.
+  /// The constants to build an `AmalurCostModel` from. The workload knob
+  /// `training_iterations` is never fitted — it keeps the caller's value.
   AmalurCostModelOptions options;
   /// True when the constants came from a fit; false = analytic defaults.
   bool calibrated = false;
@@ -53,7 +52,7 @@ struct Calibration {
 /// Closed-form least-squares fitter for `AmalurCostModelOptions` constants.
 class Calibrator {
  public:
-  /// `defaults` supplies the workload knobs and the fallback constants.
+  /// `defaults` supplies the training horizon and the fallback constants.
   explicit Calibrator(AmalurCostModelOptions defaults = {})
       : defaults_(defaults) {}
 
@@ -85,18 +84,21 @@ class Calibrator {
 Status WriteCalibrationFile(const std::string& path,
                             const Calibration& calibration);
 
-/// Reads a fitted-constants file. Constants come from the file; workload
-/// knobs come from `defaults`. `kNotFound` / `kInvalidArgument` on a
-/// missing or malformed file.
+/// Reads a fitted-constants file. Constants come from the file; the
+/// training horizon comes from `defaults`. `kNotFound` / `kInvalidArgument`
+/// on a missing or malformed file.
 Result<Calibration> LoadCalibrationFile(const std::string& path,
                                         const AmalurCostModelOptions& defaults = {});
 
 /// Resolution order for the constants a planner should use:
-///  1. `explicit_path` (the `TrainRequest::calibration_file` knob),
+///  1. `explicit_path`, when non-empty,
 ///  2. the `$AMALUR_CALIBRATION_FILE` environment variable,
-///  3. the analytic defaults.
-/// A path that fails to load falls back to the defaults with the failure
+///  3. `defaults` (the analytic defaults unless the caller set constants).
+/// A path that fails to load falls back to `defaults` with the failure
 /// recorded in `source` — planning never breaks on a bad calibration file.
+/// `Amalur`'s constructor resolves `AmalurOptions::cost` this way; callers
+/// that plan with a particular file pass
+/// `ResolveCalibration(defaults, path).options` as `AmalurOptions::cost`.
 Calibration ResolveCalibration(const AmalurCostModelOptions& defaults = {},
                                const std::string& explicit_path = "");
 

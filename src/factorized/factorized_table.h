@@ -118,13 +118,6 @@ class FactorizedTable {
   /// result points into this table's metadata and must not outlive it.
   PartialScores ExtractPartialScores(const la::DenseMatrix& target_weights) const;
 
-  /// Reference (unrewritten) operators on an already-materialized T, used by
-  /// equivalence tests and the materialized training path.
-  static la::DenseMatrix MaterializedLeftMultiply(const la::DenseMatrix& t,
-                                                  const la::DenseMatrix& x) {
-    return t.Multiply(x);
-  }
-
  private:
   friend class MorpheusReference;
 

@@ -207,23 +207,19 @@ Result<std::vector<uint64_t>> FaultyMessageBus::ReceiveBytes(
   return MessageBus::ReceiveBytes(from, to);
 }
 
-const char* SiloLossActionToString(SiloLossAction action) {
-  switch (action) {
-    case SiloLossAction::kFail:
-      return "fail";
-    case SiloLossAction::kDegrade:
-      return "degrade";
-  }
-  return "unknown";
-}
-
 namespace {
+
+/// Simulated cost of one failed receive attempt.
+constexpr size_t kMessageTimeoutMs = 50;
+/// Backoff before the first retransmission, and the cap of its doubling.
+constexpr size_t kBaseBackoffMs = 25;
+constexpr size_t kMaxBackoffMs = 400;
 
 /// Simulated backoff before retransmission attempt `attempt` (0-based):
 /// min(base << attempt, max), with the shift clamped so it cannot overflow.
-size_t BackoffMs(const RetryPolicy& retry, size_t attempt) {
+size_t BackoffMs(size_t attempt) {
   const size_t shift = std::min<size_t>(attempt, 20);
-  return std::min(retry.base_backoff_ms << shift, retry.max_backoff_ms);
+  return std::min(kBaseBackoffMs << shift, kMaxBackoffMs);
 }
 
 /// Generic reliable transfer: `send(payload)` + `receive()` with
@@ -236,7 +232,6 @@ Result<Payload> ReliableTransfer(const FederatedPolicy& policy,
                                  const std::string& to,
                                  const std::string& blame, SendFn&& send,
                                  ReceiveFn&& receive, WireTelemetry* wire) {
-  const RetryPolicy& retry = policy.retry;
   for (size_t attempt = 0;; ++attempt) {
     send();
     auto received = receive();
@@ -244,9 +239,9 @@ Result<Payload> ReliableTransfer(const FederatedPolicy& policy,
     // Failed receive: the message never surfaced within the (simulated)
     // timeout window. Charge the timeout, then either give up or back off
     // and retransmit.
-    wire->virtual_ms += retry.message_timeout_ms;
-    wire->round_ms += retry.message_timeout_ms;
-    const bool budget_spent = attempt >= retry.max_retries;
+    wire->virtual_ms += kMessageTimeoutMs;
+    wire->round_ms += kMessageTimeoutMs;
+    const bool budget_spent = attempt >= policy.max_retries;
     const bool round_expired = wire->round_ms > policy.max_round_timeout_ms;
     if (budget_spent || round_expired) {
       return Status::Unavailable(
@@ -256,7 +251,7 @@ Result<Payload> ReliableTransfer(const FederatedPolicy& policy,
                                          : "retry budget exhausted",
           ", ", wire->round_ms, " ms of simulated round time)");
     }
-    const size_t backoff = BackoffMs(retry, attempt);
+    const size_t backoff = BackoffMs(attempt);
     wire->virtual_ms += backoff;
     wire->round_ms += backoff;
     wire->retries += 1;

@@ -202,26 +202,13 @@ enum class SiloLossAction : int8_t {
   kDegrade = 1,
 };
 
-const char* SiloLossActionToString(SiloLossAction action);
-
-/// Per-message reliability knobs: how hard a transfer tries before the
-/// remote end is presumed lost. Time is *simulated* (accumulated in
-/// `WireTelemetry`), never slept — chaos runs stay fast and deterministic.
-struct RetryPolicy {
-  /// Retransmissions after the initial send (so max_retries + 1 delivery
-  /// attempts in total).
-  size_t max_retries = 3;
-  /// Simulated cost of one failed receive attempt.
-  size_t message_timeout_ms = 50;
-  /// Exponential backoff between attempts: min(base << attempt, max).
-  size_t base_backoff_ms = 25;
-  size_t max_backoff_ms = 400;
-};
-
 /// Coordinator policy for a fault-tolerant federated run. The defaults are
 /// transparent for healthy runs: retries only fire on a fault, so a
 /// no-fault run's traffic, RNG schedule and weights are bitwise-identical
-/// to the pre-policy protocols.
+/// to the pre-policy protocols. Time is *simulated* (accumulated in
+/// `WireTelemetry`), never slept — chaos runs stay fast and deterministic:
+/// each failed receive costs a fixed 50 ms timeout, and retransmission k
+/// (counting from 0) waits min(25·2^k, 400) ms of backoff.
 struct FederatedPolicy {
   /// Minimum reachable participants a round may proceed with (HFL). Falling
   /// below it is `kUnavailable` even under `kDegrade`.
@@ -231,7 +218,9 @@ struct FederatedPolicy {
   /// lost without consuming the rest of their retry budget.
   size_t max_round_timeout_ms = 60000;
   SiloLossAction on_silo_loss = SiloLossAction::kFail;
-  RetryPolicy retry;
+  /// Retransmissions after the initial send (so max_retries + 1 delivery
+  /// attempts per message in total).
+  size_t max_retries = 3;
 };
 
 /// Accumulated reliability telemetry of one training run. `round_ms` is
@@ -244,7 +233,7 @@ struct WireTelemetry {
 
 /// Reliable-delivery helpers: send + receive on (`from` -> `to`) with
 /// retransmission, simulated timeout and bounded exponential backoff per
-/// `policy.retry`, charging virtual time to `wire`. On a healthy channel
+/// `policy`, charging virtual time to `wire`. On a healthy channel
 /// each performs exactly one send and one receive — byte-for-byte what the
 /// unhardened protocols did. When the budget (retries or the round's
 /// `max_round_timeout_ms`) is exhausted, returns `kUnavailable` naming

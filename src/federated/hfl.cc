@@ -13,6 +13,9 @@ namespace federated {
 
 namespace {
 
+/// Seed of the protocol RNG (secret-share randomness).
+constexpr uint64_t kProtocolSeed = 7;
+
 std::string PartyName(size_t p) { return "P" + std::to_string(p); }
 
 }  // namespace
@@ -40,7 +43,7 @@ Result<HflResult> TrainHorizontalFlr(const std::vector<HflPartition>& parties,
   if (total_rows == 0) return Status::InvalidArgument("no training rows");
 
   bus->Reset();
-  Rng rng(options.seed);
+  Rng rng(kProtocolSeed);
   AdditiveSecretSharing sharing;
   HflResult result;
   result.weights = la::DenseMatrix(d, 1);
@@ -69,7 +72,7 @@ Result<HflResult> TrainHorizontalFlr(const std::vector<HflPartition>& parties,
     participants.reserve(parties.size());
     for (size_t p = 0; p < parties.size(); ++p) {
       FederatedPolicy attempt = policy;
-      if (!live[p]) attempt.retry.max_retries = 0;  // single rejoin probe
+      if (!live[p]) attempt.max_retries = 0;  // single rejoin probe
       auto delivered = TransferDense(bus, attempt, "server", PartyName(p),
                                      PartyName(p), result.weights, &wire);
       if (delivered.ok()) {
@@ -245,9 +248,11 @@ Result<std::vector<HflPartition>> AlignForHfl(
   // non-conformed silo, so assembly stays O(rows of the own block) in the
   // common case — built at the block's height: D_k M_kᵀ is silo-sized,
   // rows route through CI_k restricted to [begin, end), and
-  // redundancy-masked cells are simply not added. A conformed dimension
-  // shared between shards serves each referencing block from its single
-  // silo. No full-target temporary, no cross-shard data.
+  // redundancy-masked cells are zeroed before the row is added, so every
+  // cell holds exactly the sum `MaterializeTargetMatrix` forms. A conformed
+  // dimension shared between shards serves each referencing block from its
+  // single silo. No full-target temporary, no cross-shard data.
+  std::vector<double> masked_row(metadata.target_cols());
   for (size_t k = 0; k < metadata.num_sources(); ++k) {
     const metadata::SourceMetadata& source = metadata.source(k);
     const la::DenseMatrix expanded = source.mapping.ExpandColumns(source.data);
@@ -261,12 +266,15 @@ Result<std::vector<HflPartition>> AlignForHfl(
         if (source_row < 0) continue;
         const double* in = expanded.RowPtr(static_cast<size_t>(source_row));
         double* out = block.RowPtr(i - begin);
-        for (size_t j = 0; j < metadata.target_cols(); ++j) out[j] += in[j];
+        std::copy(in, in + metadata.target_cols(), masked_row.begin());
         const int32_t set_id = source.redundancy.row_set(i);
         if (set_id >= 0) {
           for (size_t j : masked_sets[static_cast<size_t>(set_id)]) {
-            out[j] -= in[j];  // masked cell: contributed upstream, not here
+            masked_row[j] = 0.0;  // contributed upstream, not here
           }
+        }
+        for (size_t j = 0; j < metadata.target_cols(); ++j) {
+          out[j] += masked_row[j];
         }
       }
     }

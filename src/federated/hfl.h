@@ -39,7 +39,6 @@ struct HflOptions {
   double l2 = 0.0;
   /// Aggregate updates via additive secret sharing instead of plaintext.
   bool secure_aggregation = true;
-  uint64_t seed = 7;
   /// Reliability policy. Under `on_silo_loss = kDegrade` a party whose
   /// round broadcast exhausts its retry budget is marked down and FedAvg
   /// re-weights over the surviving shards (the round average divides by the

@@ -13,6 +13,12 @@ namespace federated {
 
 namespace {
 
+/// Seed of the protocol RNG (encryption randomness and Paillier keys).
+constexpr uint64_t kProtocolSeed = 99;
+/// Paillier key size (prime bits) and fixed-point precision.
+constexpr int kPaillierPrimeBits = 30;
+constexpr int kFractionalBits = 12;
+
 /// Homomorphic Xᵀ·[[d]]: for each column j, Π_i CipherScale([[d_i]], x_ij)
 /// with fixed-point-encoded scalars (negatives via the upper half-space).
 /// The result's fixed-point scale is scale² (both factors scaled).
@@ -93,7 +99,7 @@ Result<NaryVflResult> TrainVerticalFlrNary(const std::vector<VflParty>& parties,
   }
   result.rounds = options.iterations;
   bus->Reset();
-  Rng rng(options.seed);
+  Rng rng(kProtocolSeed);
 
   // Reliable-delivery context. VFL has no quorum to fall back on — every
   // party owns feature columns the model cannot do without — so a transfer
@@ -109,11 +115,10 @@ Result<NaryVflResult> TrainVerticalFlrNary(const std::vector<VflParty>& parties,
   // Coordinator C owns the Paillier keys in the secure mode; the data
   // parties use the public key only. (GenerateKeys is deterministic in the
   // seed.)
-  Paillier paillier(Paillier::GenerateKeys(options.seed ^ 0xC0FFEE,
-                                           options.paillier_prime_bits),
-                    options.fractional_bits);
-  const double scale =
-      static_cast<double>(uint64_t{1} << options.fractional_bits);
+  Paillier paillier(
+      Paillier::GenerateKeys(kProtocolSeed ^ 0xC0FFEE, kPaillierPrimeBits),
+      kFractionalBits);
+  const double scale = static_cast<double>(uint64_t{1} << kFractionalBits);
   const double scale_squared = scale * scale;
   const uint64_t n_pub = paillier.public_key().n;
 

@@ -46,10 +46,6 @@ struct VflOptions {
   double learning_rate = 0.1;
   double l2 = 0.0;
   VflPrivacy privacy = VflPrivacy::kPlaintext;
-  /// Paillier key size (prime bits) and fixed-point precision.
-  int paillier_prime_bits = 30;
-  int fractional_bits = 12;
-  uint64_t seed = 99;
   /// Reliability policy: retry/timeout budgets per transfer. Vertical FLR
   /// cannot shed a feature-owning party, so `on_silo_loss = kDegrade` does
   /// not change VFL behavior — an unreachable data party (or coordinator)

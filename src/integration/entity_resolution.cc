@@ -12,6 +12,10 @@ namespace integration {
 
 namespace {
 
+/// Candidate pairs compared per left row and block (guards the quadratic
+/// worst case when blocking degenerates).
+constexpr size_t kMaxBlockSize = 4096;
+
 /// Similarity of two cells in matched columns, in [0, 1].
 double CellSimilarity(const rel::Column& a, size_t row_a, const rel::Column& b,
                       size_t row_b) {
@@ -89,7 +93,7 @@ Result<std::vector<EntityMatch>> ResolveEntityPairs(
       if (it == right_blocks.end()) continue;
       size_t taken = 0;
       for (size_t r : it->second) {
-        if (++taken > options.max_block_size) break;
+        if (++taken > kMaxBlockSize) break;
         candidates.emplace_back(l, r);
       }
     }

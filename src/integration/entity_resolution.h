@@ -22,9 +22,6 @@ namespace integration {
 struct EntityResolverOptions {
   /// Minimum mean per-column similarity to accept a pair.
   double threshold = 0.85;
-  /// Compare at most this many candidate pairs per block (guards the
-  /// quadratic worst case when blocking degenerates).
-  size_t max_block_size = 4096;
   /// Use blocking (first character / rounded numeric of the best matched
   /// column). Disable to compare all pairs (exact but quadratic).
   bool use_blocking = true;

@@ -12,6 +12,13 @@ namespace integration {
 
 namespace {
 
+/// Signal weights of the combined score, normalized by their sum.
+constexpr double kNameWeight = 0.5;
+constexpr double kTypeWeight = 0.15;
+constexpr double kInstanceWeight = 0.35;
+/// Seed of the per-column instance sample.
+constexpr uint64_t kSampleSeed = 0xA3A1;
+
 double NameSimilarity(const std::string& a, const std::string& b) {
   const std::string ca = CanonicalizeIdentifier(a);
   const std::string cb = CanonicalizeIdentifier(b);
@@ -113,7 +120,7 @@ double ScoreColumnPair(const rel::Column& left, const rel::Column& right,
   if (type_score == 0.0) return 0.0;  // string vs numeric never matches
   const double name_score = NameSimilarity(left.name(), right.name());
 
-  Rng rng(options.seed);
+  Rng rng(kSampleSeed);
   const auto sample_left = SampleRows(left.size(), options.sample_size, &rng);
   const auto sample_right = SampleRows(right.size(), options.sample_size, &rng);
   double instance_score = 0.0;
@@ -125,10 +132,9 @@ double ScoreColumnPair(const rel::Column& left, const rel::Column& right,
         NumericInstanceSimilarity(left, right, sample_left, sample_right);
   }
 
-  const double total_weight =
-      options.name_weight + options.type_weight + options.instance_weight;
-  return (options.name_weight * name_score + options.type_weight * type_score +
-          options.instance_weight * instance_score) /
+  const double total_weight = kNameWeight + kTypeWeight + kInstanceWeight;
+  return (kNameWeight * name_score + kTypeWeight * type_score +
+          kInstanceWeight * instance_score) /
          total_weight;
 }
 

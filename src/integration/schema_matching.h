@@ -26,14 +26,8 @@ struct ColumnMatch {
 struct SchemaMatcherOptions {
   /// Minimum combined score for a pair to count as a match.
   double threshold = 0.55;
-  /// Signal weights (need not sum to 1; they are normalized).
-  double name_weight = 0.5;
-  double type_weight = 0.15;
-  double instance_weight = 0.35;
   /// Rows sampled per column for the instance-based signal.
   size_t sample_size = 200;
-  /// Seed for sampling.
-  uint64_t seed = 0xA3A1;
 };
 
 /// Scores one column pair (exposed for tests and for matcher ensembles).

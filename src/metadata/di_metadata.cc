@@ -237,7 +237,6 @@ Result<DiMetadata> DiMetadata::DeriveGraph(
       shards_reaching[c].insert(shards_reaching[p].begin(),
                                 shards_reaching[p].end());
     }
-    shard_of[c] = shard_of[edges[parents[0]].parent];
     max_depth = std::max(max_depth, depth[c]);
     if (parents.size() > 1) ++shared_dimensions;
   }
@@ -416,7 +415,6 @@ Result<DiMetadata> DiMetadata::DeriveGraph(
   }
 
   metadata.target_rows_ = offsets.back();
-  metadata.source_shard_ = shard_of;
   metadata.source_shards_.reserve(n_sources);
   for (size_t k = 0; k < n_sources; ++k) {
     metadata.source_shards_.emplace_back(shards_reaching[k].begin(),

@@ -197,22 +197,12 @@ class DiMetadata {
            kind_ == rel::JoinKind::kUnion;
   }
 
-  /// Shard source k belongs to (a shard = one fact plus its dimension
-  /// subtree; always 0 for join-only scenarios). A conformed dimension
-  /// referenced from several shards reports the *first* referencing shard;
-  /// consumers that assemble per-shard data (e.g. `AlignForHfl`) must scan
-  /// each shard's row block through the indicator instead of trusting this
-  /// single id. The horizontal federated runtime groups silos into FedAvg
-  /// participants with this.
-  size_t shard_of(size_t k) const {
-    AMALUR_CHECK_LT(k, source_shard_.size()) << "source index";
-    return source_shard_[k];
-  }
-  /// Every shard whose row block source k's indicator can reach, ascending.
-  /// `{shard_of(k)}` for all tree-shaped graphs; a conformed dimension
-  /// referenced from several shards lists each. Consumers assembling
-  /// per-shard data iterate exactly these blocks (CI_k is -1 everywhere
-  /// else).
+  /// Every shard whose row block source k's indicator can reach, ascending
+  /// (a shard = one fact plus its dimension subtree; always {0} for
+  /// join-only scenarios). A singleton for all tree-shaped graphs; a
+  /// conformed dimension referenced from several shards lists each.
+  /// Consumers assembling per-shard data iterate exactly these blocks (CI_k
+  /// is -1 everywhere else).
   const std::vector<size_t>& shards_reaching(size_t k) const {
     AMALUR_CHECK_LT(k, source_shards_.size()) << "source index";
     return source_shards_[k];
@@ -252,8 +242,6 @@ class DiMetadata {
   size_t num_shards_ = 1;
   size_t join_depth_ = 1;
   size_t num_shared_dimensions_ = 0;
-  /// Per-source shard id (parallel to `sources_`).
-  std::vector<size_t> source_shard_;
   /// Per-source reachable shards, ascending (parallel to `sources_`;
   /// singleton except for cross-shard conformed dimensions).
   std::vector<std::vector<size_t>> source_shards_;

@@ -178,20 +178,12 @@ TEST(AmalurTest, TrainRequestCalibrationFileDrivesThePlan) {
   spec.seed = 78;
   rel::SiloPair pair = rel::GenerateSiloPair(spec);
 
-  Amalur amalur;
-  ASSERT_TRUE(
-      amalur.catalog()->RegisterSource({"S1", pair.base, "silo1", false}).ok());
-  ASSERT_TRUE(
-      amalur.catalog()->RegisterSource({"S2", pair.other, "silo2", false}).ok());
-  auto integration = amalur.Integrate("S1", "S2", rel::JoinKind::kLeftJoin);
-  ASSERT_TRUE(integration.ok()) << integration.status();
-
-  // A calibration that prices factorization out entirely: the per-request
-  // knob must override the facade's constants, flip the plan to materialize
-  // and disclose the file's provenance in the explanation.
+  // A calibration that prices factorization out entirely: its constants,
+  // resolved from the file into `AmalurOptions::cost`, must flip the plan
+  // to materialize and disclose the file's provenance in the explanation.
   cost::Calibration calibration;
   calibration.calibrated = true;
-  calibration.source = "request-knob-constants";
+  calibration.source = "calibration-file-constants";
   calibration.options.flop_cost = 1e-9;
   calibration.options.factorized_cell_cost = 1e6;
   calibration.options.materialize_cell_cost = 1e-12;
@@ -199,26 +191,40 @@ TEST(AmalurTest, TrainRequestCalibrationFileDrivesThePlan) {
   const std::string path = ::testing::TempDir() + "facade_calibration.json";
   ASSERT_TRUE(cost::WriteCalibrationFile(path, calibration).ok());
 
+  AmalurOptions options;
+  options.cost = cost::ResolveCalibration({}, path).options;
+  Amalur amalur(options);
+  ASSERT_TRUE(
+      amalur.catalog()->RegisterSource({"S1", pair.base, "silo1", false}).ok());
+  ASSERT_TRUE(
+      amalur.catalog()->RegisterSource({"S2", pair.other, "silo2", false}).ok());
+  auto integration = amalur.Integrate("S1", "S2", rel::JoinKind::kLeftJoin);
+  ASSERT_TRUE(integration.ok()) << integration.status();
+
   TrainRequest request;
   request.label_column = "y";
   request.gd.iterations = 10;
   request.gd.learning_rate = 0.05;
-  request.calibration_file = path;
   auto model = amalur.Train(*integration, request);
   ASSERT_TRUE(model.ok()) << model.status();
   EXPECT_EQ(model->outcome().strategy_used, ExecutionStrategy::kMaterialize);
   const Plan plan = amalur.Explain(*model);
   EXPECT_NE(plan.explanation.find("calibrated"), std::string::npos)
       << plan.explanation;
-  EXPECT_NE(plan.explanation.find("request-knob-constants"), std::string::npos)
+  EXPECT_NE(plan.explanation.find("calibration-file-constants"),
+            std::string::npos)
       << plan.explanation;
 
   // An unreadable calibration file never breaks training: the plan falls
-  // back to the facade's constants and says why.
-  request.calibration_file = ::testing::TempDir() + "no_such_calibration.json";
-  auto fallback = amalur.Train(*integration, request);
+  // back to the analytic defaults and says why.
+  AmalurOptions fallback_options;
+  fallback_options.cost = cost::ResolveCalibration(
+      {}, ::testing::TempDir() + "no_such_calibration.json").options;
+  Amalur fallback_system(fallback_options);
+  auto fallback = fallback_system.Train(*integration, request);
   ASSERT_TRUE(fallback.ok()) << fallback.status();
-  EXPECT_NE(amalur.Explain(*fallback).explanation.find("analytic defaults"),
+  EXPECT_NE(fallback_system.Explain(*fallback).explanation.find(
+                "analytic defaults"),
             std::string::npos);
 }
 
@@ -262,6 +268,49 @@ TEST(AmalurTest, ForceStrategyAllThreeAgreeOnRedundancyFreeScenario) {
   }
   EXPECT_LT(weights[0].MaxAbsDiff(weights[1]), 1e-8);  // fact == mat
   EXPECT_LT(weights[0].MaxAbsDiff(weights[2]), 1e-8);  // fact == federated
+}
+
+TEST(AmalurTest, DivergingTrainingFailsInsteadOfReturningNanWeights) {
+  // A learning rate far too large for the data overflows gradient descent
+  // to Inf/NaN. Whatever the strategy, Train must say so with a Status that
+  // names the strategy and the iteration, not hand back non-finite weights.
+  rel::SiloPairSpec spec;
+  spec.kind = rel::JoinKind::kLeftJoin;
+  spec.base_rows = 200;
+  spec.other_rows = 40;
+  spec.base_features = 2;
+  spec.other_features = 3;
+  spec.seed = 33;
+  rel::SiloPair pair = rel::GenerateSiloPair(spec);
+
+  AmalurOptions options;
+  options.matcher.threshold = 0.75;  // generic x0/z0 names need evidence
+  Amalur amalur(options);
+  ASSERT_TRUE(
+      amalur.catalog()->RegisterSource({"a", pair.base, "", false}).ok());
+  ASSERT_TRUE(
+      amalur.catalog()->RegisterSource({"b", pair.other, "", false}).ok());
+  auto integration = amalur.Integrate("a", "b", rel::JoinKind::kLeftJoin);
+  ASSERT_TRUE(integration.ok()) << integration.status();
+
+  TrainRequest request;
+  request.label_column = "y";
+  request.gd.iterations = 200;
+  request.gd.learning_rate = 50;
+  for (ExecutionStrategy strategy :
+       {ExecutionStrategy::kFactorize, ExecutionStrategy::kMaterialize,
+        ExecutionStrategy::kFederate}) {
+    request.force_strategy = strategy;
+    auto model = amalur.Train(*integration, request);
+    ASSERT_FALSE(model.ok()) << ExecutionStrategyToString(strategy);
+    EXPECT_TRUE(model.status().IsFailedPrecondition()) << model.status();
+    const std::string message = model.status().message();
+    EXPECT_EQ(message.rfind(ExecutionStrategyToString(strategy), 0), 0u)
+        << message;
+    EXPECT_NE(message.find("diverged: the loss of iteration "),
+              std::string::npos)
+        << message;
+  }
 }
 
 TEST(AmalurTest, ModelHandlePredictsAndEvaluatesRelationalData) {
@@ -396,14 +445,9 @@ TEST(AmalurTest, IntegrationSpecValidation) {
   spec.relationships = {rel::JoinKind::kInnerJoin, rel::JoinKind::kLeftJoin};
   EXPECT_TRUE(amalur.Integrate(spec).status().IsInvalidArgument());
 
-  spec.relationships = {rel::JoinKind::kInnerJoin};
-  spec.star_base = "S7";  // not among the sources
-  EXPECT_TRUE(amalur.Integrate(spec).status().IsInvalidArgument());
-
   // Star scenarios demand the left-join relationship on every edge.
   ASSERT_TRUE(
       amalur.catalog()->RegisterSource({"S3", ex.s2, "", false}).ok());
-  spec.star_base.clear();
   spec.sources = {"S1", "S2", "S3"};
   spec.relationships = {rel::JoinKind::kInnerJoin};
   EXPECT_TRUE(amalur.Integrate(spec).status().IsInvalidArgument());
@@ -492,15 +536,8 @@ TEST(AmalurTest, GraphSpecValidationReportsPreciseErrors) {
                 "only valid on single-edge (pairwise) specs"),
             std::string::npos);
 
-  // star_base belongs to the flat form.
-  spec.edges = {{"a", "b", rel::JoinKind::kLeftJoin}};
-  spec.star_base = "a";
-  EXPECT_NE(integrate_message(spec).find("star_base applies to the flat"),
-            std::string::npos);
-
   // Edge endpoints that pass validation but are not registered sources
   // surface as NotFound from the catalog.
-  spec.star_base.clear();
   spec.edges = {{"a", "b", rel::JoinKind::kLeftJoin}};
   EXPECT_TRUE(amalur.Integrate(spec).status().IsNotFound());
 }
@@ -608,35 +645,6 @@ TEST(AmalurTest, InSampleServingRoutesThroughFactorizedRuntime) {
   ModelHandle empty;
   EXPECT_TRUE(empty.Predict().status().IsFailedPrecondition());
   EXPECT_TRUE(empty.Evaluate().status().IsFailedPrecondition());
-}
-
-TEST(AmalurTest, StarBaseReordersSources) {
-  // Naming a star base rotates it to the front: the spec below is the same
-  // scenario as {base, dim} with a left join.
-  rel::SiloPairSpec pair_spec;
-  pair_spec.kind = rel::JoinKind::kLeftJoin;
-  pair_spec.base_rows = 60;
-  pair_spec.other_rows = 20;
-  pair_spec.base_features = 2;
-  pair_spec.other_features = 2;
-  pair_spec.seed = 17;
-  rel::SiloPair pair = rel::GenerateSiloPair(pair_spec);
-
-  Amalur amalur;
-  ASSERT_TRUE(
-      amalur.catalog()->RegisterSource({"dim", pair.other, "", false}).ok());
-  ASSERT_TRUE(
-      amalur.catalog()->RegisterSource({"base", pair.base, "", false}).ok());
-
-  IntegrationSpec spec;
-  spec.sources = {"dim", "base"};  // wrong order on purpose
-  spec.relationships = {rel::JoinKind::kLeftJoin};
-  spec.star_base = "base";
-  auto integration = amalur.Integrate(spec);
-  ASSERT_TRUE(integration.ok()) << integration.status();
-  EXPECT_EQ(integration->source_names,
-            (std::vector<std::string>{"base", "dim"}));
-  EXPECT_EQ(integration->metadata.target_rows(), 60u);
 }
 
 TEST(AmalurTest, PrivacySensitiveSourceTriggersFederatedRun) {

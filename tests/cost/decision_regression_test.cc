@@ -169,7 +169,7 @@ core::ExecutionStrategy Expected(Strategy measured) {
 TEST(DecisionRegressionTest, InnerJoinMaterializes) {
   const ScenarioCase c = InnerJoinCase();
   const core::Plan plan =
-      core::Optimizer(PinnedCalibration()).Choose(c.metadata, false);
+      core::Optimizer(PinnedCalibration().options).Choose(c.metadata, false);
   EXPECT_EQ(plan.strategy, core::ExecutionStrategy::kMaterialize)
       << plan.explanation;
 }
@@ -180,7 +180,7 @@ TEST(DecisionRegressionTest, InnerJoinMaterializes) {
 TEST(DecisionRegressionTest, UnionMaterializes) {
   const ScenarioCase c = UnionCase();
   const core::Plan plan =
-      core::Optimizer(PinnedCalibration()).Choose(c.metadata, false);
+      core::Optimizer(PinnedCalibration().options).Choose(c.metadata, false);
   EXPECT_EQ(plan.strategy, core::ExecutionStrategy::kMaterialize)
       << plan.explanation;
 }
@@ -191,7 +191,7 @@ TEST(DecisionRegressionTest, ZeroMispredictionsOnTableOneScenarios) {
       FullOuterJoinCase(), InnerJoinCase(),    LeftJoinCase(),
       UnionCase(),         SnowflakeCase(),    UnionOfStarsCase(),
       ConformedSnowflakeCase()};
-  const core::Optimizer optimizer{PinnedCalibration()};
+  const core::Optimizer optimizer{PinnedCalibration().options};
   for (const ScenarioCase& c : cases) {
     const core::Plan plan = optimizer.Choose(c.metadata, false);
     EXPECT_EQ(plan.strategy, Expected(c.measured))
@@ -201,7 +201,7 @@ TEST(DecisionRegressionTest, ZeroMispredictionsOnTableOneScenarios) {
 
 // The plan must disclose that calibrated constants made the decision.
 TEST(DecisionRegressionTest, ExplanationReportsCalibratedConstants) {
-  const core::Plan plan = core::Optimizer(PinnedCalibration())
+  const core::Plan plan = core::Optimizer(PinnedCalibration().options)
                               .Choose(LeftJoinCase().metadata, false);
   EXPECT_NE(plan.explanation.find("calibrated"), std::string::npos)
       << plan.explanation;

@@ -165,7 +165,7 @@ TEST_F(FaultToleranceTest, TransferRetriesThroughDropsAndChargesVirtualTime) {
   FaultyMessageBus bus(schedule);
 
   FederatedPolicy policy;
-  policy.retry.max_retries = 16;
+  policy.max_retries = 16;
   WireTelemetry wire;
   size_t delivered = 0;
   for (int i = 0; i < 16; ++i) {
@@ -188,7 +188,7 @@ TEST_F(FaultToleranceTest, TransferExhaustedRetriesReturnUnavailable) {
   bus.BeginRound(0);
 
   FederatedPolicy policy;
-  policy.retry.max_retries = 2;
+  policy.max_retries = 2;
   WireTelemetry wire;
   auto got =
       TransferDense(&bus, policy, "A", "B", "B", la::DenseMatrix(1, 1), &wire);
@@ -201,6 +201,31 @@ TEST_F(FaultToleranceTest, TransferExhaustedRetriesReturnUnavailable) {
       << got.status();
 }
 
+TEST_F(FaultToleranceTest, RetryScheduleChargesTimeoutsAndCappedBackoff) {
+  // A sender that drops everything exhausts the budget: 7 delivery attempts
+  // each cost the 50 ms timeout, and the 6 retransmissions wait
+  // 25, 50, 100, 200, 400 and 400 ms (doubling, capped at 400 ms).
+  FaultSchedule schedule(20);
+  SiloFaultProfile lossy;
+  lossy.drop_rate = 1.0;
+  schedule.Set("A", lossy);
+  FaultyMessageBus bus(schedule);
+
+  FederatedPolicy policy;
+  policy.max_retries = 6;
+  WireTelemetry wire;
+  auto got =
+      TransferDense(&bus, policy, "A", "B", "B", la::DenseMatrix(1, 1), &wire);
+  ASSERT_FALSE(got.ok());
+  EXPECT_TRUE(got.status().IsUnavailable()) << got.status();
+  EXPECT_NE(got.status().message().find("7 delivery attempts"),
+            std::string::npos)
+      << got.status();
+  EXPECT_EQ(wire.retries, 6u);
+  EXPECT_EQ(wire.virtual_ms, 7 * 50 + 25 + 50 + 100 + 200 + 400 + 400u);
+  EXPECT_EQ(wire.round_ms, 1525u);
+}
+
 TEST_F(FaultToleranceTest, RoundTimeoutBudgetCutsRetriesShort) {
   FaultSchedule schedule(19);
   SiloFaultProfile glacial;
@@ -210,7 +235,7 @@ TEST_F(FaultToleranceTest, RoundTimeoutBudgetCutsRetriesShort) {
   FaultyMessageBus bus(schedule);
 
   FederatedPolicy policy;
-  policy.retry.max_retries = 50;        // per-message budget would allow 51
+  policy.max_retries = 50;              // per-message budget would allow 51
   policy.max_round_timeout_ms = 120;    // ... but the round budget does not
   WireTelemetry wire;
   auto got =
@@ -246,7 +271,7 @@ TEST_F(FaultToleranceTest, VflAbsorbsDropsAndMatchesCleanWeightsBitwise) {
   VflOptions options;
   options.iterations = 15;
   options.learning_rate = 0.05;
-  options.policy.retry.max_retries = 8;
+  options.policy.max_retries = 8;
 
   MessageBus clean_bus;
   auto clean = TrainVerticalFlrNary(parties, labels, options, &clean_bus);
@@ -282,7 +307,7 @@ TEST_F(FaultToleranceTest, PaillierVflRetransmitsCiphertextsUnchanged) {
   options.iterations = 3;
   options.learning_rate = 0.05;
   options.privacy = VflPrivacy::kPaillier;
-  options.policy.retry.max_retries = 8;
+  options.policy.max_retries = 8;
 
   MessageBus clean_bus;
   auto clean = TrainVerticalFlrNary(parties, labels, options, &clean_bus);
@@ -514,14 +539,14 @@ TEST_F(FaultToleranceTest, ChaosMatrixIsDeterministicAcrossThreadCounts) {
   HflOptions hfl_options;
   hfl_options.rounds = 10;
   hfl_options.policy.on_silo_loss = SiloLossAction::kDegrade;
-  hfl_options.policy.retry.max_retries = 8;
+  hfl_options.policy.max_retries = 8;
 
   la::DenseMatrix labels;
   std::vector<VflParty> vfl_parties = MakeVflParties(3, 40, 2, 44, &labels);
   VflOptions vfl_options;
   vfl_options.iterations = 12;
   vfl_options.learning_rate = 0.05;
-  vfl_options.policy.retry.max_retries = 8;
+  vfl_options.policy.max_retries = 8;
 
   FaultSchedule schedule(45);
   SiloFaultProfile lossy;

@@ -1,8 +1,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 
 #include "common/rng.h"
+#include "core/amalur.h"
 #include "factorized/scenario_builder.h"
 #include "integration/schema_mapping.h"
 #include "metadata/di_metadata.h"
@@ -411,6 +413,86 @@ TEST(HflAlignmentTest, SharedDimensionServesEveryReferencingShardBlock) {
   auto result = TrainHorizontalFlr(*partitions, options, &bus);
   ASSERT_TRUE(result.ok()) << result.status();
   EXPECT_LT(result->loss_history.back(), result->loss_history.front());
+}
+
+TEST(HflAlignmentTest, MergedDimensionColumnEqualsTheTargetBitForBit) {
+  // Two fact shards (y, x, d_id), each left-joined to its own dimension
+  // (d_id, x, w) whose x the matcher merges into the fact's x. The fact
+  // supplies x first, so the dimension's copy is redundancy-masked: every
+  // partition must equal its block of the materialized target bit for bit.
+  // Adding the masked value and subtracting it again would leave
+  // (a + b) - b, which rounds, and loses a entirely next to b = 1e17.
+  Rng rng(61);
+  const size_t fact_rows = 40, dim_rows = 8;
+  const auto gaussians = [&](size_t n) {
+    std::vector<double> values(n);
+    for (double& v : values) v = rng.NextGaussian();
+    return values;
+  };
+  core::Amalur system;
+  for (size_t s = 0; s < 2; ++s) {
+    rel::Table dim("dim" + std::to_string(s));
+    std::vector<int64_t> keys(dim_rows);
+    for (size_t i = 0; i < dim_rows; ++i) keys[i] = static_cast<int64_t>(i);
+    std::vector<double> dim_x = gaussians(dim_rows);
+    dim_x[3] = 1e17;
+    AMALUR_CHECK_OK(dim.AddColumn(rel::Column::FromInt64s("d_id", keys)));
+    AMALUR_CHECK_OK(dim.AddColumn(rel::Column::FromDoubles("x", dim_x)));
+    AMALUR_CHECK_OK(
+        dim.AddColumn(rel::Column::FromDoubles("w", gaussians(dim_rows))));
+
+    rel::Table fact("fact" + std::to_string(s));
+    std::vector<int64_t> refs(fact_rows);
+    for (size_t i = 0; i < fact_rows; ++i) {
+      refs[i] = static_cast<int64_t>(i % dim_rows);
+    }
+    AMALUR_CHECK_OK(
+        fact.AddColumn(rel::Column::FromDoubles("y", gaussians(fact_rows))));
+    AMALUR_CHECK_OK(
+        fact.AddColumn(rel::Column::FromDoubles("x", gaussians(fact_rows))));
+    AMALUR_CHECK_OK(fact.AddColumn(rel::Column::FromInt64s("d_id", refs)));
+    ASSERT_TRUE(
+        system.catalog()->RegisterSource({fact.name(), fact, "", false}).ok());
+    ASSERT_TRUE(
+        system.catalog()->RegisterSource({dim.name(), dim, "", false}).ok());
+  }
+  core::IntegrationSpec spec;
+  spec.edges = {{"fact0", "dim0", rel::JoinKind::kLeftJoin},
+                {"fact0", "fact1", rel::JoinKind::kUnion},
+                {"fact1", "dim1", rel::JoinKind::kLeftJoin}};
+  auto integration = system.Integrate(spec);
+  ASSERT_TRUE(integration.ok()) << integration.status();
+  const metadata::DiMetadata& md = integration->metadata;
+  ASSERT_EQ(md.target_cols(), 4u);  // y, x, w and the second shard's w
+  size_t masked_cells = 0;
+  for (size_t k = 0; k < md.num_sources(); ++k) {
+    masked_cells += md.source(k).redundancy.RedundantCellCount();
+  }
+  ASSERT_EQ(masked_cells, 2 * fact_rows);  // every dimension x is masked
+
+  const size_t label = *md.target_schema().IndexOf("y");
+  auto partitions = AlignForHfl(md, label);
+  ASSERT_TRUE(partitions.ok()) << partitions.status();
+  ASSERT_EQ(partitions->size(), 2u);
+  const la::DenseMatrix target = md.MaterializeTargetMatrix();
+  const auto same_bits = [](double a, double b) {
+    return std::memcmp(&a, &b, sizeof(double)) == 0;
+  };
+  size_t differing = 0;
+  for (size_t s = 0; s < 2; ++s) {
+    const HflPartition& partition = (*partitions)[s];
+    ASSERT_EQ(partition.features.rows(), fact_rows);
+    for (size_t i = 0; i < fact_rows; ++i) {
+      const size_t row = md.ShardRowBegin(s) + i;
+      differing += !same_bits(partition.labels.At(i, 0), target.At(row, label));
+      for (size_t j = 0, f = 0; j < md.target_cols(); ++j) {
+        if (j == label) continue;
+        differing +=
+            !same_bits(partition.features.At(i, f++), target.At(row, j));
+      }
+    }
+  }
+  EXPECT_EQ(differing, 0u);
 }
 
 TEST(HflTest, InputValidation) {
