@@ -1,5 +1,5 @@
-// Ablation study of the training-backend design choices DESIGN.md calls
-// out. Two questions:
+// Ablation study of the training backends behind the optimizer's strategy
+// choice. Two questions:
 //
 //  1. Backend choice vs target sparsity: dense materialization multiplies
 //     through outer-join NULL padding, CSR materialization skips it, and
@@ -11,11 +11,20 @@
 //     Morpheus-style reference shares the kernels, so the ablation here
 //     contrasts the factorized path against dense materialization as the
 //     join fan-out grows — the speedup is exactly the deduplication win.
+//
+// Dense and factorized times are the executor's own training runs
+// (`bench::TrainSeconds`); the CSR backend has no strategy of its own and
+// is timed here with the same stopwatch scope.
 
 #include <cstdio>
+#include <vector>
 
 #include "bench/bench_util.h"
+#include "common/stopwatch.h"
+#include "ml/linear_models.h"
 #include "ml/training_matrix.h"
+#include "testing/generator.h"
+#include "testing/scenario_builder.h"
 
 namespace {
 
@@ -69,9 +78,11 @@ int main() {
     const double null_fraction =
         static_cast<double>(zeros) / static_cast<double>(target.size());
 
-    const double dense = bench::RunMaterialized(*metadata, kIterations);
+    const double dense = bench::TrainSeconds(
+        *metadata, core::ExecutionStrategy::kMaterialize, kIterations);
     const double sparse = RunSparseMaterialized(*metadata, kIterations);
-    const double factorized = bench::RunFactorized(*metadata, kIterations);
+    const double factorized = bench::TrainSeconds(
+        *metadata, core::ExecutionStrategy::kFactorize, kIterations);
     std::printf("%8.0f%% %10.2f %12.3f %12.3f %12.3f\n", 100 * match,
                 null_fraction, dense, sparse, factorized);
   }

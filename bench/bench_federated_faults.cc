@@ -131,31 +131,6 @@ Measurement RunHflLifecycle(bool rejoin, size_t rounds, size_t rows_each) {
           result->loss_history.back()};
 }
 
-void WriteJson(const std::vector<Measurement>& measurements,
-               const char* path) {
-  std::FILE* out = std::fopen(path, "w");
-  if (out == nullptr) {
-    std::fprintf(stderr, "cannot write %s\n", path);
-    return;
-  }
-  std::fprintf(out, "[\n");
-  for (size_t i = 0; i < measurements.size(); ++i) {
-    const Measurement& m = measurements[i];
-    std::fprintf(out,
-                 "  {\"scenario\": \"%s\", \"drop_rate\": %.2f, "
-                 "\"silos\": %zu, \"rounds\": %zu, \"rounds_degraded\": %zu, "
-                 "\"bytes_delivered\": %zu, \"bytes_wasted\": %zu, "
-                 "\"retries\": %zu, \"seconds\": %.6f, "
-                 "\"final_loss\": %.6f}%s\n",
-                 m.scenario.c_str(), m.drop_rate, m.silos, m.rounds,
-                 m.rounds_degraded, m.bytes_delivered, m.bytes_wasted,
-                 m.retries, m.seconds, m.final_loss,
-                 i + 1 < measurements.size() ? "," : "");
-  }
-  std::fprintf(out, "]\n");
-  std::fclose(out);
-}
-
 void PrintRow(const Measurement& m) {
   std::printf("%11s %5.2f %6zu %7zu %9zu %12zu %10zu %8zu %9.3f %10.4f\n",
               m.scenario.c_str(), m.drop_rate, m.silos, m.rounds,
@@ -187,7 +162,19 @@ int main() {
     PrintRow(measurements.back());
   }
 
-  WriteJson(measurements, "BENCH_federated_faults.json");
+  bench::WriteJson(
+      "BENCH_federated_faults.json", measurements,
+      [](std::FILE* out, const Measurement& m) {
+        std::fprintf(out,
+                     "{\"scenario\": \"%s\", \"drop_rate\": %.2f, "
+                     "\"silos\": %zu, \"rounds\": %zu, "
+                     "\"rounds_degraded\": %zu, \"bytes_delivered\": %zu, "
+                     "\"bytes_wasted\": %zu, \"retries\": %zu, "
+                     "\"seconds\": %.6f, \"final_loss\": %.6f}",
+                     m.scenario.c_str(), m.drop_rate, m.silos, m.rounds,
+                     m.rounds_degraded, m.bytes_delivered, m.bytes_wasted,
+                     m.retries, m.seconds, m.final_loss);
+      });
   std::printf(
       "\nWrote BENCH_federated_faults.json (%zu measurements).\n"
       "Expected shape: delivered bytes and final loss are *identical* across\n"

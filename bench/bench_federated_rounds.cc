@@ -115,29 +115,6 @@ Measurement RunHfl(size_t shards, bool secure, size_t rounds,
           result->loss_history.back()};
 }
 
-void WriteJson(const std::vector<Measurement>& measurements,
-               const char* path) {
-  std::FILE* out = std::fopen(path, "w");
-  if (out == nullptr) {
-    std::fprintf(stderr, "cannot write %s\n", path);
-    return;
-  }
-  std::fprintf(out, "[\n");
-  for (size_t i = 0; i < measurements.size(); ++i) {
-    const Measurement& m = measurements[i];
-    std::fprintf(out,
-                 "  {\"protocol\": \"%s\", \"wires\": \"%s\", "
-                 "\"silos\": %zu, \"rounds\": %zu, \"bytes\": %zu, "
-                 "\"messages\": %zu, \"seconds\": %.6f, "
-                 "\"final_loss\": %.6f}%s\n",
-                 m.protocol.c_str(), m.wires.c_str(), m.silos, m.rounds,
-                 m.bytes, m.messages, m.seconds, m.final_loss,
-                 i + 1 < measurements.size() ? "," : "");
-  }
-  std::fprintf(out, "]\n");
-  std::fclose(out);
-}
-
 void PrintRow(const Measurement& m) {
   std::printf("%5s %10s %6zu %7zu %12zu %9zu %9.3f %10.4f\n",
               m.protocol.c_str(), m.wires.c_str(), m.silos, m.rounds, m.bytes,
@@ -176,7 +153,17 @@ int main() {
     }
   }
 
-  WriteJson(measurements, "BENCH_federated.json");
+  bench::WriteJson(
+      "BENCH_federated.json", measurements,
+      [](std::FILE* out, const Measurement& m) {
+        std::fprintf(out,
+                     "{\"protocol\": \"%s\", \"wires\": \"%s\", "
+                     "\"silos\": %zu, \"rounds\": %zu, \"bytes\": %zu, "
+                     "\"messages\": %zu, \"seconds\": %.6f, "
+                     "\"final_loss\": %.6f}",
+                     m.protocol.c_str(), m.wires.c_str(), m.silos, m.rounds,
+                     m.bytes, m.messages, m.seconds, m.final_loss);
+      });
   std::printf(
       "\nWrote BENCH_federated.json (%zu measurements).\n"
       "Expected shape: vertical bytes grow linearly in silo count (N-1\n"

@@ -15,9 +15,10 @@
 
 #include "bench/bench_util.h"
 #include "common/rng.h"
+#include "common/stopwatch.h"
 #include "factorized/factorized_table.h"
-#include "factorized/scenario_builder.h"
-#include "relational/generator.h"
+#include "testing/generator.h"
+#include "testing/scenario_builder.h"
 
 namespace {
 

@@ -13,8 +13,10 @@
 #include "bench/bench_util.h"
 #include "cost/amalur_cost_model.h"
 #include "cost/calibrator.h"
-#include "cost/morpheus_heuristic.h"
 #include "cost/observation_log.h"
+#include "testing/generator.h"
+#include "testing/morpheus_heuristic.h"
+#include "testing/scenario_builder.h"
 
 namespace {
 

@@ -9,12 +9,12 @@
 #include <cstdio>
 
 #include "common/stopwatch.h"
-#include "factorized/scenario_builder.h"
 #include "federated/hfl.h"
 #include "federated/vfl.h"
 #include "ml/linear_models.h"
 #include "ml/training_matrix.h"
-#include "relational/generator.h"
+#include "testing/generator.h"
+#include "testing/scenario_builder.h"
 
 namespace {
 

@@ -15,9 +15,10 @@
 #include <string>
 #include <vector>
 
+#include "bench/bench_util.h"
 #include "common/thread_pool.h"
 #include "core/amalur.h"
-#include "relational/generator.h"
+#include "testing/generator.h"
 
 namespace {
 
@@ -119,30 +120,6 @@ struct Measurement {
   double materialized_speedup = 1.0;
 };
 
-void WriteJson(const std::vector<Measurement>& measurements,
-               const char* path) {
-  std::FILE* out = std::fopen(path, "w");
-  if (out == nullptr) {
-    std::fprintf(stderr, "cannot write %s\n", path);
-    return;
-  }
-  std::fprintf(out, "[\n");
-  for (size_t i = 0; i < measurements.size(); ++i) {
-    const Measurement& m = measurements[i];
-    std::fprintf(out,
-                 "  {\"scenario\": \"%s\", \"threads\": %zu, "
-                 "\"factorized_seconds\": %.6f, \"materialized_seconds\": "
-                 "%.6f, \"factorized_speedup\": %.3f, "
-                 "\"materialized_speedup\": %.3f}%s\n",
-                 m.scenario.c_str(), m.threads, m.factorized_seconds,
-                 m.materialized_seconds, m.factorized_speedup,
-                 m.materialized_speedup,
-                 i + 1 < measurements.size() ? "," : "");
-  }
-  std::fprintf(out, "]\n");
-  std::fclose(out);
-}
-
 }  // namespace
 
 int main() {
@@ -215,7 +192,19 @@ int main() {
     }
   }
 
-  WriteJson(measurements, "BENCH_parallel.json");
+  bench::WriteJson(
+      "BENCH_parallel.json", measurements,
+      [](std::FILE* out, const Measurement& m) {
+        std::fprintf(out,
+                     "{\"scenario\": \"%s\", \"threads\": %zu, "
+                     "\"factorized_seconds\": %.6f, "
+                     "\"materialized_seconds\": %.6f, "
+                     "\"factorized_speedup\": %.3f, "
+                     "\"materialized_speedup\": %.3f}",
+                     m.scenario.c_str(), m.threads, m.factorized_seconds,
+                     m.materialized_seconds, m.factorized_speedup,
+                     m.materialized_speedup);
+      });
   std::printf("\nWrote BENCH_parallel.json (%zu measurements).\n",
               measurements.size());
   return 0;

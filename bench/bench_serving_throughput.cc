@@ -2,7 +2,8 @@
 // a trained model is deployed into a `serving::ModelRegistry` and hammered
 // with batched scoring requests from a growing set of client threads, once
 // through the factorized partial-score cache (`PredictBatch`) and once
-// through the dense materialized baseline (`PredictBatchDense`). The
+// through a dense baseline kept here in the bench: a dot product over the
+// rows of the materialized target. The
 // harness reports sustained QPS / rows-per-second and request-latency
 // percentiles (p50/p99) per (scenario, mode, client count) and emits
 // machine-readable `BENCH_serving.json` so the serving trajectory can be
@@ -23,9 +24,9 @@
 #include "common/parallel_for.h"
 #include "common/stopwatch.h"
 #include "core/amalur.h"
-#include "relational/generator.h"
 #include "serving/deployed_model.h"
 #include "serving/model_registry.h"
+#include "testing/generator.h"
 
 namespace {
 
@@ -199,6 +200,43 @@ std::vector<PreparedScenario> MakeScenarios() {
   return out;
 }
 
+/// The dense baseline: the materialized target (rT x cT) and the model's
+/// weights padded to target columns with a 0 at the label, so a full-width
+/// dot product scores a row's features only.
+struct DenseBaseline {
+  la::DenseMatrix target;
+  la::DenseMatrix weights;
+};
+
+DenseBaseline MakeDenseBaseline(const PreparedScenario& scenario,
+                                const core::ModelHandle& model) {
+  DenseBaseline dense;
+  dense.target = scenario.integration.metadata.MaterializeTargetMatrix();
+  dense.weights = la::DenseMatrix(dense.target.cols(), 1);
+  for (size_t j = 0, f = 0; j < dense.target.cols(); ++j) {
+    if (j != model.label_index()) {
+      dense.weights.At(j, 0) = model.weights().At(f++, 0);
+    }
+  }
+  return dense;
+}
+
+/// Linear scores of the referenced target rows, gathered from the dense
+/// baseline.
+la::DenseMatrix ScoreDense(const DenseBaseline& dense,
+                           const std::vector<serving::RowRef>& batch) {
+  la::DenseMatrix out(batch.size(), 1);
+  for (size_t i = 0; i < batch.size(); ++i) {
+    const double* row = dense.target.RowPtr(batch[i].row);
+    double acc = 0.0;
+    for (size_t j = 0; j < dense.target.cols(); ++j) {
+      acc += row[j] * dense.weights.At(j, 0);
+    }
+    out.At(i, 0) = acc;
+  }
+  return out;
+}
+
 struct Measurement {
   std::string scenario;
   std::string mode;  // "factorized" | "dense"
@@ -222,13 +260,14 @@ double PercentileMs(std::vector<double>* latencies, double fraction) {
 }
 
 /// Runs `clients` threads, each issuing `requests_per_client` batched
-/// scoring requests against the deployment resolved from the registry, and
-/// returns the aggregate measurement. Row choice is deterministic per
-/// (client, request) so every run scores identical batches.
+/// scoring requests against the deployment resolved from the registry (or,
+/// with `dense`, against the dense baseline), and returns the aggregate
+/// measurement. Row choice is deterministic per (client, request) so every
+/// run scores identical batches.
 Measurement RunLoad(const serving::ModelRegistry& registry,
-                    const PreparedScenario& scenario, bool dense,
-                    size_t clients, size_t requests_per_client,
-                    size_t batch_rows) {
+                    const PreparedScenario& scenario,
+                    const DenseBaseline* dense, size_t clients,
+                    size_t requests_per_client, size_t batch_rows) {
   std::vector<std::vector<double>> latencies(clients);
   Stopwatch wall;
   std::vector<std::thread> threads;
@@ -249,8 +288,13 @@ Measurement RunLoad(const serving::ModelRegistry& registry,
           batch[j].row = (c * 100003 + r * 8191 + j * 31) % rows;
         }
         Stopwatch request;
-        auto scores = dense ? (*model)->PredictBatchDense(batch)
-                            : (*model)->PredictBatch(batch);
+        if (dense != nullptr) {
+          const la::DenseMatrix scores = ScoreDense(*dense, batch);
+          latencies[c].push_back(request.ElapsedSeconds());
+          AMALUR_CHECK_EQ(scores.rows(), batch_rows);
+          continue;
+        }
+        auto scores = (*model)->PredictBatch(batch);
         latencies[c].push_back(request.ElapsedSeconds());
         AMALUR_CHECK(scores.ok()) << scores.status();
       }
@@ -265,7 +309,7 @@ Measurement RunLoad(const serving::ModelRegistry& registry,
   }
   Measurement m;
   m.scenario = scenario.slug;
-  m.mode = dense ? "dense" : "factorized";
+  m.mode = dense != nullptr ? "dense" : "factorized";
   m.client_threads = clients;
   m.batch_rows = batch_rows;
   m.requests = merged.size();
@@ -275,31 +319,6 @@ Measurement RunLoad(const serving::ModelRegistry& registry,
   m.p50_ms = PercentileMs(&merged, 0.50);
   m.p99_ms = PercentileMs(&merged, 0.99);
   return m;
-}
-
-void WriteJson(const std::vector<Measurement>& measurements,
-               const char* path) {
-  std::FILE* out = std::fopen(path, "w");
-  if (out == nullptr) {
-    std::fprintf(stderr, "cannot write %s\n", path);
-    return;
-  }
-  std::fprintf(out, "[\n");
-  for (size_t i = 0; i < measurements.size(); ++i) {
-    const Measurement& m = measurements[i];
-    std::fprintf(out,
-                 "  {\"scenario\": \"%s\", \"mode\": \"%s\", "
-                 "\"client_threads\": %zu, \"batch_rows\": %zu, "
-                 "\"requests\": %zu, \"seconds\": %.6f, \"qps\": %.1f, "
-                 "\"rows_per_sec\": %.1f, \"p50_ms\": %.4f, "
-                 "\"p99_ms\": %.4f}%s\n",
-                 m.scenario.c_str(), m.mode.c_str(), m.client_threads,
-                 m.batch_rows, m.requests, m.seconds, m.qps, m.rows_per_sec,
-                 m.p50_ms, m.p99_ms,
-                 i + 1 < measurements.size() ? "," : "");
-  }
-  std::fprintf(out, "]\n");
-  std::fclose(out);
 }
 
 }  // namespace
@@ -334,15 +353,15 @@ int main() {
     AMALUR_CHECK(model.ok()) << model.status();
 
     serving::ModelRegistry registry;
-    serving::DeployOptions options;
-    options.enable_dense_scoring = true;  // the baseline needs the copy
-    auto deployed = model->Deploy(&registry, "scorer", options);
+    auto deployed = model->Deploy(&registry, "scorer");
     AMALUR_CHECK(deployed.ok()) << deployed.status();
+    const DenseBaseline baseline = MakeDenseBaseline(scenario, *model);
 
     for (bool dense : {false, true}) {
       for (size_t clients : client_counts) {
-        Measurement m = RunLoad(registry, scenario, dense, clients,
-                                kRequestsPerClient, kBatchRows);
+        Measurement m =
+            RunLoad(registry, scenario, dense ? &baseline : nullptr, clients,
+                    kRequestsPerClient, kBatchRows);
         std::printf("%-18s %11s %8zu %10.0f %10.0f %9.4f %9.4f\n",
                     scenario.name.c_str(), m.mode.c_str(), m.client_threads,
                     m.qps, m.rows_per_sec, m.p50_ms, m.p99_ms);
@@ -351,7 +370,19 @@ int main() {
     }
   }
 
-  WriteJson(measurements, "BENCH_serving.json");
+  bench::WriteJson(
+      "BENCH_serving.json", measurements,
+      [](std::FILE* out, const Measurement& m) {
+        std::fprintf(out,
+                     "{\"scenario\": \"%s\", \"mode\": \"%s\", "
+                     "\"client_threads\": %zu, \"batch_rows\": %zu, "
+                     "\"requests\": %zu, \"seconds\": %.6f, "
+                     "\"qps\": %.1f, \"rows_per_sec\": %.1f, "
+                     "\"p50_ms\": %.4f, \"p99_ms\": %.4f}",
+                     m.scenario.c_str(), m.mode.c_str(), m.client_threads,
+                     m.batch_rows, m.requests, m.seconds, m.qps,
+                     m.rows_per_sec, m.p50_ms, m.p99_ms);
+      });
   std::printf(
       "\nWrote BENCH_serving.json (%zu measurements).\n"
       "Expected shape: the factorized partial-score cache serves each row\n"

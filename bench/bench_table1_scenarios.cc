@@ -23,7 +23,7 @@
 #include "cost/calibrator.h"
 #include "cost/cost_features.h"
 #include "cost/observation_log.h"
-#include "relational/generator.h"
+#include "testing/generator.h"
 
 namespace {
 
@@ -241,33 +241,6 @@ struct Measurement {
   cost::CostFeatures features;
 };
 
-void WriteJson(const std::vector<Measurement>& measurements,
-               const char* path) {
-  std::FILE* out = std::fopen(path, "w");
-  if (out == nullptr) {
-    std::fprintf(stderr, "cannot write %s\n", path);
-    return;
-  }
-  std::fprintf(out, "[\n");
-  for (size_t i = 0; i < measurements.size(); ++i) {
-    const Measurement& m = measurements[i];
-    std::fprintf(out,
-                 "  {\"scenario\": \"%s\", \"shape\": \"%s\", "
-                 "\"factorized_seconds\": %.6f, \"materialized_seconds\": "
-                 "%.6f, \"speedup\": %.3f, \"measured\": \"%s\", "
-                 "\"predicted\": \"%s\", \"predicted_calibrated\": \"%s\", "
-                 "\"target_rows\": %zu, \"target_cols\": %zu}%s\n",
-                 m.scenario.c_str(), m.shape.c_str(), m.factorized_seconds,
-                 m.materialized_seconds,
-                 m.materialized_seconds / std::max(m.factorized_seconds, 1e-12),
-                 m.measured.c_str(), m.predicted.c_str(),
-                 m.predicted_calibrated.c_str(), m.target_rows, m.target_cols,
-                 i + 1 < measurements.size() ? "," : "");
-  }
-  std::fprintf(out, "]\n");
-  std::fclose(out);
-}
-
 }  // namespace
 
 int main() {
@@ -390,7 +363,22 @@ int main() {
               default_wrong, measurements.size(), calibrated_wrong,
               measurements.size());
 
-  WriteJson(measurements, "BENCH_table1.json");
+  bench::WriteJson(
+      "BENCH_table1.json", measurements,
+      [](std::FILE* out, const Measurement& m) {
+        std::fprintf(
+            out,
+            "{\"scenario\": \"%s\", \"shape\": \"%s\", "
+            "\"factorized_seconds\": %.6f, \"materialized_seconds\": %.6f, "
+            "\"speedup\": %.3f, \"measured\": \"%s\", "
+            "\"predicted\": \"%s\", \"predicted_calibrated\": \"%s\", "
+            "\"target_rows\": %zu, \"target_cols\": %zu}",
+            m.scenario.c_str(), m.shape.c_str(), m.factorized_seconds,
+            m.materialized_seconds,
+            m.materialized_seconds / std::max(m.factorized_seconds, 1e-12),
+            m.measured.c_str(), m.predicted.c_str(),
+            m.predicted_calibrated.c_str(), m.target_rows, m.target_cols);
+      });
   std::printf(
       "\nWrote BENCH_table1.json (%zu scenarios).\n"
       "Expected shape (paper §IV): factorization wins where integration\n"

@@ -5,24 +5,24 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <memory>
 #include <string>
 #include <vector>
 
-#include "common/stopwatch.h"
+#include "common/logging.h"
+#include "common/status.h"
+#include "core/executor.h"
+#include "core/optimizer.h"
 #include "cost/cost_features.h"
 #include "cost/observation_log.h"
-#include "factorized/factorized_table.h"
-#include "factorized/scenario_builder.h"
 #include "metadata/di_metadata.h"
-#include "ml/linear_models.h"
-#include "ml/training_matrix.h"
 
 /// \file bench_util.h
 /// Shared measurement plumbing for the per-table/figure bench binaries.
-/// Ground truth for every decision experiment is the same pair of end-to-end
-/// pipelines the system itself runs: factorized = plan build + training over
-/// silo matrices; materialized = target materialization + dense training.
+/// Ground truth for every decision experiment is the training run the
+/// system itself executes: `core::Executor` with the strategy pinned, timed
+/// by the stopwatch behind `TrainOutcome::seconds` (factorized = plan build
+/// + training over silo matrices; materialized = target materialization +
+/// dense training).
 
 namespace amalur {
 namespace bench {
@@ -43,6 +43,26 @@ inline bool SmokeMode() {
   return true;
 }
 
+/// Writes `rows` to `path` as a JSON array with one object per line;
+/// `print_row(out, row)` prints one row's `{...}` object.
+template <typename Row, typename PrintRow>
+void WriteJson(const char* path, const std::vector<Row>& rows,
+               PrintRow print_row) {
+  std::FILE* out = std::fopen(path, "w");
+  if (out == nullptr) {
+    std::fprintf(stderr, "cannot write %s\n", path);
+    return;
+  }
+  std::fprintf(out, "[\n");
+  for (size_t i = 0; i < rows.size(); ++i) {
+    std::fprintf(out, "  ");
+    print_row(out, rows[i]);
+    std::fprintf(out, "%s\n", i + 1 < rows.size() ? "," : "");
+  }
+  std::fprintf(out, "]\n");
+  std::fclose(out);
+}
+
 /// End-to-end seconds of both strategies for one scenario.
 struct StrategyTiming {
   double factorized_seconds = 0.0;
@@ -59,33 +79,21 @@ struct StrategyTiming {
   }
 };
 
-/// Gradient-descent linear regression, label at target column 0.
-inline double RunFactorized(const metadata::DiMetadata& metadata,
-                            size_t iterations) {
-  Stopwatch watch;
-  auto table = std::make_shared<factorized::FactorizedTable>(metadata);
-  ml::FactorizedFeatures features(table, 0);
-  const la::DenseMatrix labels = features.Labels();
-  ml::GradientDescentOptions gd;
-  gd.iterations = iterations;
-  gd.learning_rate = 0.05;
-  ml::TrainLinearRegression(features, labels, gd);
-  return watch.ElapsedSeconds();
-}
-
-inline double RunMaterialized(const metadata::DiMetadata& metadata,
-                              size_t iterations) {
-  Stopwatch watch;
-  la::DenseMatrix target = metadata.MaterializeTargetMatrix();
-  std::vector<size_t> feature_cols;
-  for (size_t j = 1; j < target.cols(); ++j) feature_cols.push_back(j);
-  ml::MaterializedMatrix features(target.SelectColumns(feature_cols));
-  la::DenseMatrix labels = target.SelectColumns({0});
-  ml::GradientDescentOptions gd;
-  gd.iterations = iterations;
-  gd.learning_rate = 0.05;
-  ml::TrainLinearRegression(features, labels, gd);
-  return watch.ElapsedSeconds();
+/// Seconds of one gradient-descent linear regression over `metadata` (label
+/// at target column 0) with `strategy` pinned: the executor run and
+/// stopwatch `Amalur::Train` uses, reported as `TrainOutcome::seconds`.
+inline double TrainSeconds(const metadata::DiMetadata& metadata,
+                           core::ExecutionStrategy strategy,
+                           size_t iterations) {
+  core::Plan plan;
+  plan.strategy = strategy;
+  core::TrainRequest request;
+  request.label_column = metadata.target_schema().field(0).name;
+  request.gd.iterations = iterations;
+  request.gd.learning_rate = 0.05;
+  auto outcome = core::Executor().Run(metadata, plan, request);
+  AMALUR_CHECK(outcome.ok()) << outcome.status();
+  return outcome->seconds;
 }
 
 /// Medians over `repeats` runs (interleaved to decorrelate cache effects).
@@ -93,8 +101,10 @@ inline StrategyTiming MeasureTraining(const metadata::DiMetadata& metadata,
                                       size_t iterations, size_t repeats = 3) {
   std::vector<double> fact, mat;
   for (size_t r = 0; r < repeats; ++r) {
-    fact.push_back(RunFactorized(metadata, iterations));
-    mat.push_back(RunMaterialized(metadata, iterations));
+    fact.push_back(TrainSeconds(metadata, core::ExecutionStrategy::kFactorize,
+                                iterations));
+    mat.push_back(TrainSeconds(metadata, core::ExecutionStrategy::kMaterialize,
+                               iterations));
   }
   std::sort(fact.begin(), fact.end());
   std::sort(mat.begin(), mat.end());

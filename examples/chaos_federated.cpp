@@ -15,7 +15,7 @@
 #include "federated/fault_injection.h"
 #include "federated/hfl.h"
 #include "federated/vfl.h"
-#include "relational/generator.h"
+#include "testing/generator.h"
 
 int main() {
   using namespace amalur;

@@ -8,11 +8,11 @@
 
 #include "common/stopwatch.h"
 #include "cost/amalur_cost_model.h"
-#include "cost/morpheus_heuristic.h"
-#include "factorized/scenario_builder.h"
 #include "ml/linear_models.h"
 #include "ml/training_matrix.h"
-#include "relational/generator.h"
+#include "testing/generator.h"
+#include "testing/morpheus_heuristic.h"
+#include "testing/scenario_builder.h"
 
 namespace {
 

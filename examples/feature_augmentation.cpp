@@ -9,10 +9,10 @@
 
 #include "common/stopwatch.h"
 #include "core/amalur.h"
-#include "factorized/scenario_builder.h"
 #include "ml/linear_models.h"
 #include "ml/training_matrix.h"
-#include "relational/generator.h"
+#include "testing/generator.h"
+#include "testing/scenario_builder.h"
 
 namespace {
 

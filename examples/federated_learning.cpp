@@ -14,7 +14,7 @@
 #include "core/amalur.h"
 #include "federated/hfl.h"
 #include "federated/vfl.h"
-#include "relational/generator.h"
+#include "testing/generator.h"
 
 int main() {
   using namespace amalur;

@@ -14,7 +14,7 @@
 #include <cstdio>
 
 #include "core/amalur.h"
-#include "relational/generator.h"
+#include "testing/generator.h"
 
 namespace {
 

@@ -12,7 +12,7 @@
 #include <cstdio>
 
 #include "core/amalur.h"
-#include "integration/running_example.h"
+#include "testing/running_example.h"
 
 int main() {
   using namespace amalur;

@@ -13,9 +13,9 @@
 #include <vector>
 
 #include "core/amalur.h"
-#include "relational/generator.h"
 #include "serving/deployed_model.h"
 #include "serving/model_registry.h"
+#include "testing/generator.h"
 
 int main() {
   using namespace amalur;

@@ -376,8 +376,8 @@ Result<ModelHandle> Amalur::Train(const IntegrationHandle& integration,
   model.outcome_ = std::move(outcome);
   // In-sample serving state: factorized plans reuse the exact view training
   // ran over; other plans keep a metadata copy (the handle must outlive the
-  // integration) and materialize on demand — no row-class plans are built
-  // for them. The label position was validated by the executor.
+  // integration) and build the view on demand — no row-class plans are
+  // built for them. The label position was validated by the executor.
   model.label_index_ =
       *integration.metadata.target_schema().IndexOf(request.label_column);
   if (model.outcome_.factorized_table != nullptr) {
@@ -444,49 +444,42 @@ Result<la::DenseMatrix> ModelHandle::Predict(const rel::Table& data) const {
     indices.push_back(index);
   }
   AMALUR_ASSIGN_OR_RETURN(la::DenseMatrix features, data.ToMatrix(indices));
-  const ml::MaterializedMatrix matrix(std::move(features));
-  if (task_ == TrainingTask::kLogisticRegression) {
-    return ml::PredictLogistic(matrix, outcome_.weights);
-  }
-  return ml::PredictLinear(matrix, outcome_.weights);
+  return PredictOver(ml::MaterializedMatrix(std::move(features)));
 }
 
-la::DenseMatrix ModelHandle::PredictFactorized() const {
-  // Silo pushdown: the LMM runs over the source matrices through the same
-  // training-matrix view the trainer used — no rT x cT intermediate.
-  const ml::FactorizedFeatures features(factorized_table_, label_index_);
+la::DenseMatrix ModelHandle::PredictOver(
+    const ml::TrainingMatrix& features) const {
   return task_ == TrainingTask::kLogisticRegression
              ? ml::PredictLogistic(features, outcome_.weights)
              : ml::PredictLinear(features, outcome_.weights);
 }
 
-la::DenseMatrix ModelHandle::PredictDense(const la::DenseMatrix& target) const {
-  std::vector<size_t> feature_cols;
-  for (size_t j = 0; j < target.cols(); ++j) {
-    if (j != label_index_) feature_cols.push_back(j);
-  }
-  const ml::MaterializedMatrix features(target.SelectColumns(feature_cols));
-  return task_ == TrainingTask::kLogisticRegression
-             ? ml::PredictLogistic(features, outcome_.weights)
-             : ml::PredictLinear(features, outcome_.weights);
-}
-
-Result<la::DenseMatrix> ModelHandle::Predict() const {
-  if (factorized_table_ != nullptr) return PredictFactorized();
+Result<std::shared_ptr<const factorized::FactorizedTable>>
+ModelHandle::InSampleView() const {
+  if (factorized_table_ != nullptr) return factorized_table_;
   if (metadata_ == nullptr) {
     return Status::FailedPrecondition(
         "this model handle carries no integration data; train it through "
-        "Amalur::Train or predict over a relational table");
+        "Amalur::Train first");
   }
-  return PredictDense(metadata_->MaterializeTargetMatrix());
+  return std::make_shared<const factorized::FactorizedTable>(*metadata_);
 }
 
-EvaluationReport ModelHandle::Score(const la::DenseMatrix& predictions,
-                                    const la::DenseMatrix& labels) const {
+Result<la::DenseMatrix> ModelHandle::Predict() const {
+  // Silo pushdown: the LMM runs over the source matrices through the same
+  // training-matrix view the factorized trainer uses — no rT x cT
+  // intermediate.
+  AMALUR_ASSIGN_OR_RETURN(auto table, InSampleView());
+  return PredictOver(ml::FactorizedFeatures(std::move(table), label_index_));
+}
+
+EvaluationReport MakeEvaluationReport(TrainingTask task,
+                                      const la::DenseMatrix& predictions,
+                                      const la::DenseMatrix& labels) {
   EvaluationReport report;
   report.rows = predictions.rows();
   report.mse = ml::MeanSquaredError(predictions, labels);
-  if (task_ == TrainingTask::kLogisticRegression) {
+  if (task == TrainingTask::kLogisticRegression) {
     report.log_loss = ml::LogLoss(predictions, labels);
     report.accuracy = ml::BinaryAccuracy(predictions, labels);
     report.primary = report.accuracy;
@@ -510,24 +503,14 @@ Result<EvaluationReport> ModelHandle::Evaluate(const rel::Table& data) const {
                           ResolveServingColumn(data, label_column_, "label"));
   AMALUR_ASSIGN_OR_RETURN(la::DenseMatrix labels,
                           data.ToMatrix({label_index}));
-  return Score(predictions, labels);
+  return MakeEvaluationReport(task_, predictions, labels);
 }
 
 Result<EvaluationReport> ModelHandle::Evaluate() const {
-  if (factorized_table_ != nullptr) {
-    // One cheap factorized LMM extracts the label column from the silos.
-    return Score(
-        PredictFactorized(),
-        ml::FactorizedFeatures(factorized_table_, label_index_).Labels());
-  }
-  if (metadata_ == nullptr) {
-    return Status::FailedPrecondition(
-        "this model handle carries no integration data; train it through "
-        "Amalur::Train or evaluate over a relational table");
-  }
-  // Materialize once; slice features and label from the same matrix.
-  const la::DenseMatrix target = metadata_->MaterializeTargetMatrix();
-  return Score(PredictDense(target), target.SelectColumns({label_index_}));
+  AMALUR_ASSIGN_OR_RETURN(auto table, InSampleView());
+  const ml::FactorizedFeatures features(std::move(table), label_index_);
+  // One cheap factorized LMM extracts the label column from the silos.
+  return MakeEvaluationReport(task_, PredictOver(features), features.Labels());
 }
 
 }  // namespace core

@@ -13,6 +13,7 @@
 #include "integration/entity_resolution.h"
 #include "integration/schema_matching.h"
 #include "metadata/di_metadata.h"
+#include "ml/training_matrix.h"
 
 /// \file amalur.h
 /// The Amalur system facade — the end-to-end pipeline of Figure 3. Users
@@ -26,8 +27,8 @@
 /// the graph, then runs automatic schema matching → target-schema
 /// synthesis → tgd generation → row matching → metadata derivation per
 /// edge. Training returns a `ModelHandle` that serves predictions and
-/// evaluations — in-sample through the factorized runtime when the plan
-/// was factorized, or on new relational data; the optimizer's choice of
+/// evaluations — in-sample through the factorized runtime whatever plan
+/// trained it, or on new relational data; the optimizer's choice of
 /// factorized, materialized or federated execution (and the graph's shape)
 /// is inspectable through `Explain`.
 ///
@@ -65,7 +66,6 @@ namespace amalur {
 // `ModelHandle::Deploy` is defined next to the registry.
 namespace serving {
 class DeployedModel;
-struct DeployOptions;
 class ModelRegistry;
 }  // namespace serving
 
@@ -132,6 +132,13 @@ struct EvaluationReport {
   double primary = 0.0;
 };
 
+/// Fills the task-dependent report for `predictions` vs `labels` (rows x 1
+/// each): the one builder behind `ModelHandle::Evaluate` and
+/// `serving::DeployedModel::EvaluateBatch`.
+EvaluationReport MakeEvaluationReport(TrainingTask task,
+                                      const la::DenseMatrix& predictions,
+                                      const la::DenseMatrix& labels);
+
 /// A trained model returned by `Amalur::Train`: the executor's outcome plus
 /// everything needed to serve the model on new relational data. Handles are
 /// self-contained values (weights and schema are copied); registering under
@@ -171,10 +178,12 @@ class ModelHandle {
   Result<la::DenseMatrix> Predict(const rel::Table& data) const;
 
   /// Scores the integration's own target rows (in-sample serving, rT x 1)
-  /// without the caller materializing anything: models whose executed plan
-  /// was factorized run the factorized LMM straight over the silo matrices
-  /// (the training-matrix path — the target table is never built); other
-  /// plans materialize the dense feature matrix first.
+  /// with the factorized LMM straight over the silo matrices, whatever plan
+  /// trained the model: factorized plans reuse the view training ran over,
+  /// materialized and federated plans build one from the metadata copy. The
+  /// target table is never built, so a privacy-constrained integration
+  /// scores too, and every row equals `serving::DeployedModel::PredictBatch`
+  /// for the same row bit for bit.
   Result<la::DenseMatrix> Predict() const;
 
   /// Predicts over `data` and scores against its label column (which must
@@ -185,19 +194,18 @@ class ModelHandle {
   Result<EvaluationReport> Evaluate(const rel::Table& data) const;
 
   /// In-sample evaluation against the target's label column, routed through
-  /// the factorized runtime exactly like the no-argument `Predict()`.
+  /// the factorized runtime exactly like the no-argument `Predict()`; equal
+  /// in every field to a full-batch `DeployedModel::EvaluateBatch`.
   Result<EvaluationReport> Evaluate() const;
 
   /// Deploys this model into the serving tier: builds an immutable
   /// `serving::DeployedModel` snapshot (weights, schema, factorized view,
   /// partial-score cache) and publishes it in `registry` under `name`
   /// (empty = the model's catalog name). Same error contract as
-  /// `ModelRegistry::Deploy`. Defined with the registry in src/serving/.
+  /// `ModelRegistry::Deploy`; a null `registry` is `kInvalidArgument`.
+  /// Defined with the registry in src/serving/.
   Result<std::shared_ptr<const serving::DeployedModel>> Deploy(
       serving::ModelRegistry* registry, const std::string& name = "") const;
-  Result<std::shared_ptr<const serving::DeployedModel>> Deploy(
-      serving::ModelRegistry* registry, const std::string& name,
-      const serving::DeployOptions& options) const;
 
   /// Deploy-time snapshot state, read by the serving tier: the factorized
   /// view training ran over (factorized plans) or the derived-metadata copy
@@ -212,16 +220,18 @@ class ModelHandle {
   }
   size_t label_index() const { return label_index_; }
 
+  /// The factorized view that `Predict()`, `Evaluate()` and every
+  /// deployment score over: `factorized_table()`, or a view built from
+  /// `metadata()` for plans that did not train factorized. A handle that
+  /// carries neither (default-constructed) is `kFailedPrecondition`.
+  Result<std::shared_ptr<const factorized::FactorizedTable>> InSampleView()
+      const;
+
  private:
   friend class Amalur;
 
-  /// Fills the task-dependent metric report for `predictions` vs `labels`.
-  EvaluationReport Score(const la::DenseMatrix& predictions,
-                         const la::DenseMatrix& labels) const;
-  /// Factorized in-sample scoring (requires `factorized_table_`).
-  la::DenseMatrix PredictFactorized() const;
-  /// Dense in-sample scoring over an already-materialized target matrix.
-  la::DenseMatrix PredictDense(const la::DenseMatrix& target) const;
+  /// y-hat = F w, or sigma(F w) for classification, over any backend.
+  la::DenseMatrix PredictOver(const ml::TrainingMatrix& features) const;
 
   std::string name_;
   TrainingTask task_ = TrainingTask::kLinearRegression;
@@ -232,7 +242,7 @@ class ModelHandle {
   TrainOutcome outcome_;
   /// In-sample serving state: factorized-plan models share the exact view
   /// the executor trained over; other plans keep one copy of the derived
-  /// metadata (no row-class plans built) and materialize on demand.
+  /// metadata (no row-class plans built) and build the view on demand.
   /// Exactly one of the two is set by `Train`.
   std::shared_ptr<const factorized::FactorizedTable> factorized_table_;
   std::shared_ptr<const metadata::DiMetadata> metadata_;

@@ -100,15 +100,11 @@ class SparseMaterializedMatrix : public TrainingMatrix {
 class FactorizedFeatures : public TrainingMatrix {
  public:
   /// Wraps `table`, excluding target column `label_column` from the view.
-  /// Pass `kNoLabel` to expose every column (unsupervised workloads).
-  static constexpr size_t kNoLabel = static_cast<size_t>(-1);
   FactorizedFeatures(std::shared_ptr<const factorized::FactorizedTable> table,
                      size_t label_column);
 
   size_t rows() const override { return table_->rows(); }
-  size_t cols() const override {
-    return table_->cols() - (label_column_ == kNoLabel ? 0 : 1);
-  }
+  size_t cols() const override { return table_->cols() - 1; }
   la::DenseMatrix LeftMultiply(const la::DenseMatrix& x) const override;
   la::DenseMatrix TransposeLeftMultiply(const la::DenseMatrix& x) const override;
   la::DenseMatrix RowSquaredNorms() const override;

@@ -20,26 +20,14 @@ constexpr size_t kBatchGrain = 64;
 }  // namespace
 
 Result<std::shared_ptr<DeployedModel>> DeployedModel::Create(
-    const std::string& name, const core::ModelHandle& model,
-    const DeployOptions& options) {
+    const std::string& name, const core::ModelHandle& model) {
   if (name.empty()) return Status::InvalidArgument("empty deployment name");
-
-  std::shared_ptr<const factorized::FactorizedTable> table;
-  if (model.factorized_table() != nullptr) {
-    // Factorized plans: share the exact view training ran over.
-    table = model.factorized_table();
-  } else if (model.metadata() != nullptr) {
-    // Materialized/federated plans kept only the derived metadata; build
-    // the factorized view once at deploy time so every deployment serves
-    // through the partial-score cache.
-    table =
-        std::make_shared<const factorized::FactorizedTable>(*model.metadata());
-  } else {
-    return Status::FailedPrecondition(
-        "model for deployment '", name,
-        "' carries no integration data; train it through Amalur::Train "
-        "before deploying");
-  }
+  // The view in-sample scoring runs over, built once at deploy time for
+  // plans that did not train factorized, so every deployment serves through
+  // the partial-score cache and agrees with `ModelHandle::Predict()`.
+  AMALUR_ASSIGN_OR_RETURN(
+      std::shared_ptr<const factorized::FactorizedTable> table,
+      model.InSampleView());
 
   const size_t label = model.label_index();
   const la::DenseMatrix& weights = model.weights();
@@ -66,10 +54,8 @@ Result<std::shared_ptr<DeployedModel>> DeployedModel::Create(
     if (j == label) continue;
     target_weights.At(j, 0) = weights.At(f++, 0);
   }
-  out->target_weights_ = std::move(target_weights);
-  out->partials_ = table->ExtractPartialScores(out->target_weights_);
+  out->partials_ = table->ExtractPartialScores(target_weights);
   out->labels_ = ml::FactorizedFeatures(table, label).Labels();
-  if (options.enable_dense_scoring) out->dense_target_ = table->Materialize();
   out->table_ = std::move(table);
   return out;
 }
@@ -107,34 +93,6 @@ Result<la::DenseMatrix> DeployedModel::PredictBatch(
   return out;
 }
 
-Result<la::DenseMatrix> DeployedModel::PredictBatchDense(
-    common::Span<RowRef> batch) const {
-  if (dense_target_.empty()) {
-    return Status::FailedPrecondition(
-        "deployment '", name_, "' was created without dense scoring; pass "
-        "DeployOptions{.enable_dense_scoring = true} at deploy time");
-  }
-  AMALUR_RETURN_NOT_OK(ValidateBatch(batch));
-  la::DenseMatrix out(batch.size(), 1);
-  common::ParallelFor(
-      0, batch.size(), kBatchGrain, [&](size_t begin, size_t end) {
-        for (size_t i = begin; i < end; ++i) {
-          const double* row = dense_target_.RowPtr(batch[i].row);
-          double acc = 0.0;
-          // The label weight is 0, so the full-width dot product scores
-          // features only.
-          for (size_t j = 0; j < dense_target_.cols(); ++j) {
-            acc += row[j] * target_weights_.At(j, 0);
-          }
-          out.At(i, 0) = acc;
-        }
-      });
-  if (task_ == core::TrainingTask::kLogisticRegression) out = ml::Sigmoid(out);
-  requests_.fetch_add(1, std::memory_order_relaxed);
-  rows_served_.fetch_add(batch.size(), std::memory_order_relaxed);
-  return out;
-}
-
 Result<core::EvaluationReport> DeployedModel::EvaluateBatch(
     common::Span<RowRef> batch) const {
   if (batch.empty()) {
@@ -147,17 +105,7 @@ Result<core::EvaluationReport> DeployedModel::EvaluateBatch(
   for (size_t i = 0; i < batch.size(); ++i) {
     labels.At(i, 0) = labels_.At(batch[i].row, 0);
   }
-  core::EvaluationReport report;
-  report.rows = batch.size();
-  report.mse = ml::MeanSquaredError(predictions, labels);
-  if (task_ == core::TrainingTask::kLogisticRegression) {
-    report.log_loss = ml::LogLoss(predictions, labels);
-    report.accuracy = ml::BinaryAccuracy(predictions, labels);
-    report.primary = report.accuracy;
-  } else {
-    report.primary = report.mse;
-  }
-  return report;
+  return core::MakeEvaluationReport(task_, predictions, labels);
 }
 
 ServingStats DeployedModel::stats() const {

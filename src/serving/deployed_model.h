@@ -38,20 +38,12 @@ struct RowRef {
   size_t row = 0;
 };
 
-/// Deploy-time knobs.
-struct DeployOptions {
-  /// Also materialize the dense target matrix into the snapshot so the
-  /// model can serve through `PredictBatchDense` (the benchmark baseline).
-  /// Costs an rT × cT copy at deploy time; off by default.
-  bool enable_dense_scoring = false;
-};
-
 /// Monotonic per-model serving counters (relaxed atomics — stats, not
 /// synchronization). Snapshot via `DeployedModel::stats()`.
 struct ServingStats {
-  uint64_t requests = 0;    ///< PredictBatch/PredictBatchDense/EvaluateBatch calls
+  uint64_t requests = 0;    ///< PredictBatch/EvaluateBatch calls
   uint64_t rows = 0;        ///< rows scored across all requests
-  uint64_t cache_hits = 0;  ///< partial-score lookups served (factorized path)
+  uint64_t cache_hits = 0;  ///< partial-score lookups served
 };
 
 /// An immutable deployed-model snapshot. Create via `Create` (or
@@ -61,17 +53,15 @@ struct ServingStats {
 /// scoring results.
 class DeployedModel {
  public:
-  /// Builds a snapshot of `model` under `name`. Requires the handle to
-  /// carry integration data (`factorized_table()` or `metadata()` — models
-  /// trained through `Amalur::Train` always do); a default-constructed
-  /// handle is `kFailedPrecondition`. Non-factorized plans get a factorized
-  /// view built from the metadata copy here, so every deployment serves
-  /// through the partial-score cache. Returns a mutable pointer so the
-  /// registry can stamp the version before publication; after publication
-  /// the object is shared as `const`.
+  /// Builds a snapshot of `model` under `name` over the handle's
+  /// `InSampleView()` (so a default-constructed handle is
+  /// `kFailedPrecondition`); non-factorized plans get their factorized view
+  /// built here, so every deployment serves through the partial-score
+  /// cache. Returns a mutable pointer so the registry can stamp the version
+  /// before publication; after publication the object is shared as
+  /// `const`.
   static Result<std::shared_ptr<DeployedModel>> Create(
-      const std::string& name, const core::ModelHandle& model,
-      const DeployOptions& options = {});
+      const std::string& name, const core::ModelHandle& model);
 
   /// Deployment identity.
   const std::string& name() const { return name_; }
@@ -90,7 +80,6 @@ class DeployedModel {
 
   /// Scorable target rows of the integration scenario.
   size_t rows() const { return table_->rows(); }
-  bool dense_scoring_enabled() const { return !dense_target_.empty(); }
 
   /// Scores the referenced target rows through the partial-score cache:
   /// y-hat = T·w for regression, sigma(T·w) for classification (n × 1, in
@@ -98,17 +87,9 @@ class DeployedModel {
   /// before scoring starts — no partial result escapes). An empty batch
   /// returns an empty 0 × 1 matrix. Bitwise-deterministic: equal batches
   /// give bit-equal scores at any thread count, concurrent redeploys
-  /// notwithstanding; for factorized-plan models each row additionally
-  /// matches the training-time `ModelHandle::Predict()` score bit for bit.
+  /// notwithstanding, and each row matches the model's in-sample
+  /// `ModelHandle::Predict()` score bit for bit whatever plan trained it.
   Result<la::DenseMatrix> PredictBatch(common::Span<RowRef> batch) const;
-
-  /// The dense baseline: gathers the referenced rows from the materialized
-  /// target snapshot and scores them with a plain dot product. Requires
-  /// `DeployOptions::enable_dense_scoring` (`kFailedPrecondition`
-  /// otherwise). Same validation contract as `PredictBatch`; results agree
-  /// with it to summation-order rounding (pinned at 1e-12 by the
-  /// equivalence suite).
-  Result<la::DenseMatrix> PredictBatchDense(common::Span<RowRef> batch) const;
 
   /// Predicts the batch and scores it against the snapshot's own labels
   /// (gathered from the silos at deploy time). An empty batch is
@@ -142,10 +123,6 @@ class DeployedModel {
   factorized::PartialScores partials_;
   /// Target labels (rT × 1), for EvaluateBatch.
   la::DenseMatrix labels_;
-  /// Materialized target (rT × cT), only with `enable_dense_scoring`.
-  la::DenseMatrix dense_target_;
-  /// Padded weights (cT × 1, 0 at the label position) for the dense path.
-  la::DenseMatrix target_weights_;
 
   mutable std::atomic<uint64_t> requests_{0};
   mutable std::atomic<uint64_t> rows_served_{0};

@@ -9,13 +9,12 @@ namespace amalur {
 namespace serving {
 
 Result<std::shared_ptr<const DeployedModel>> ModelRegistry::Deploy(
-    const std::string& name, const core::ModelHandle& model,
-    const DeployOptions& options) {
+    const std::string& name, const core::ModelHandle& model) {
   // Build the snapshot outside the lock — partial-score extraction is the
   // expensive part and must never stall readers. The optimistic build can
   // lose a deploy race; the name check under the lock is authoritative.
   AMALUR_ASSIGN_OR_RETURN(std::shared_ptr<DeployedModel> snapshot,
-                          DeployedModel::Create(name, model, options));
+                          DeployedModel::Create(name, model));
   common::MutexLock lock(mu_);
   if (deployments_->count(name) > 0) {
     return Status::AlreadyExists("deployment '", name,
@@ -31,10 +30,9 @@ Result<std::shared_ptr<const DeployedModel>> ModelRegistry::Deploy(
 }
 
 Result<std::shared_ptr<const DeployedModel>> ModelRegistry::Redeploy(
-    const std::string& name, const core::ModelHandle& model,
-    const DeployOptions& options) {
+    const std::string& name, const core::ModelHandle& model) {
   AMALUR_ASSIGN_OR_RETURN(std::shared_ptr<DeployedModel> snapshot,
-                          DeployedModel::Create(name, model, options));
+                          DeployedModel::Create(name, model));
   common::MutexLock lock(mu_);
   auto it = deployments_->find(name);
   if (it == deployments_->end()) {
@@ -94,15 +92,12 @@ namespace core {
 // and only forward-declares these types.
 Result<std::shared_ptr<const serving::DeployedModel>> ModelHandle::Deploy(
     serving::ModelRegistry* registry, const std::string& name) const {
-  return Deploy(registry, name, serving::DeployOptions{});
-}
-
-Result<std::shared_ptr<const serving::DeployedModel>> ModelHandle::Deploy(
-    serving::ModelRegistry* registry, const std::string& name,
-    const serving::DeployOptions& options) const {
-  AMALUR_CHECK(registry != nullptr) << "null registry";
+  if (registry == nullptr) {
+    return Status::InvalidArgument("cannot deploy model '", name_,
+                                   "' into a null registry");
+  }
   // Default the deployment name to the model's catalog name.
-  return registry->Deploy(name.empty() ? name_ : name, *this, options);
+  return registry->Deploy(name.empty() ? name_ : name, *this);
 }
 
 }  // namespace core

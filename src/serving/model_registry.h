@@ -38,16 +38,14 @@ class ModelRegistry {
   /// 1). `kAlreadyExists` when the name is live (use `Redeploy`);
   /// `kInvalidArgument` for the empty name; `Create`'s errors pass through.
   Result<std::shared_ptr<const DeployedModel>> Deploy(
-      const std::string& name, const core::ModelHandle& model,
-      const DeployOptions& options = {});
+      const std::string& name, const core::ModelHandle& model);
 
   /// Replaces the deployment under `name` with a fresh snapshot of `model`
   /// at version +1. `kNotFound` when nothing is deployed under the name.
   /// In-flight batches on the previous snapshot are unaffected — they hold
   /// their own `shared_ptr`.
   Result<std::shared_ptr<const DeployedModel>> Redeploy(
-      const std::string& name, const core::ModelHandle& model,
-      const DeployOptions& options = {});
+      const std::string& name, const core::ModelHandle& model);
 
   /// Removes the deployment under `name` (`kNotFound` otherwise). The
   /// snapshot itself lives on until the last in-flight holder drops it.

@@ -1,4 +1,4 @@
-#include "cost/morpheus_heuristic.h"
+#include "testing/morpheus_heuristic.h"
 
 #include <sstream>
 

@@ -1,4 +1,4 @@
-#include "integration/running_example.h"
+#include "testing/running_example.h"
 
 namespace amalur {
 namespace integration {

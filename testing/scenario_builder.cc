@@ -1,4 +1,4 @@
-#include "factorized/scenario_builder.h"
+#include "testing/scenario_builder.h"
 
 #include <set>
 

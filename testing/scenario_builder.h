@@ -3,7 +3,7 @@
 #include "common/status.h"
 #include "integration/schema_mapping.h"
 #include "metadata/di_metadata.h"
-#include "relational/generator.h"
+#include "testing/generator.h"
 
 /// \file scenario_builder.h
 /// Glue for experiments: given a generated scenario (a `SiloPair`, a

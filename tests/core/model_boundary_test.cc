@@ -1,7 +1,7 @@
 #include <gtest/gtest.h>
 
 #include "core/amalur.h"
-#include "relational/generator.h"
+#include "testing/generator.h"
 
 /// Zero-row holdout boundary contracts: predicting over an empty (but
 /// schema-correct) table is a legal no-op — an empty answer — while

@@ -4,9 +4,9 @@
 
 #include "cost/amalur_cost_model.h"
 #include "cost/cost_features.h"
-#include "cost/morpheus_heuristic.h"
-#include "factorized/scenario_builder.h"
-#include "integration/running_example.h"
+#include "testing/morpheus_heuristic.h"
+#include "testing/running_example.h"
+#include "testing/scenario_builder.h"
 
 namespace amalur {
 namespace cost {

@@ -15,9 +15,9 @@
 #include "core/optimizer.h"
 #include "cost/calibrator.h"
 #include "cost/cost_features.h"
-#include "factorized/scenario_builder.h"
 #include "metadata/di_metadata.h"
-#include "relational/generator.h"
+#include "testing/generator.h"
+#include "testing/scenario_builder.h"
 
 namespace amalur {
 namespace cost {

@@ -3,8 +3,8 @@
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
-#include "factorized/scenario_builder.h"
-#include "integration/running_example.h"
+#include "testing/running_example.h"
+#include "testing/scenario_builder.h"
 
 namespace amalur {
 namespace factorized {

@@ -5,7 +5,7 @@
 #include "common/rng.h"
 #include "common/thread_pool.h"
 #include "factorized/factorized_table.h"
-#include "factorized/scenario_builder.h"
+#include "testing/scenario_builder.h"
 
 /// Parallel/serial equivalence for the factorized rewrite kernels. Every
 /// parallel loop in FactorizedTable partitions disjoint output (unique rows,

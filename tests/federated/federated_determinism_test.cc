@@ -12,10 +12,10 @@
 #include "common/rng.h"
 #include "common/thread_pool.h"
 #include "core/amalur.h"
-#include "factorized/scenario_builder.h"
 #include "federated/hfl.h"
 #include "federated/vfl.h"
-#include "relational/generator.h"
+#include "testing/generator.h"
+#include "testing/scenario_builder.h"
 
 namespace amalur {
 namespace federated {

@@ -5,15 +5,15 @@
 
 #include "common/rng.h"
 #include "core/amalur.h"
-#include "factorized/scenario_builder.h"
-#include "integration/schema_mapping.h"
-#include "metadata/di_metadata.h"
-#include "relational/generator.h"
-#include "relational/join.h"
 #include "federated/hfl.h"
 #include "federated/vfl.h"
+#include "integration/schema_mapping.h"
+#include "metadata/di_metadata.h"
 #include "ml/linear_models.h"
 #include "ml/training_matrix.h"
+#include "relational/join.h"
+#include "testing/generator.h"
+#include "testing/scenario_builder.h"
 
 namespace amalur {
 namespace federated {

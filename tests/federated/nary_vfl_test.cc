@@ -8,12 +8,12 @@
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
-#include "factorized/scenario_builder.h"
 #include "federated/vfl.h"
 #include "ml/linear_models.h"
 #include "ml/metrics.h"
 #include "ml/training_matrix.h"
-#include "relational/generator.h"
+#include "testing/generator.h"
+#include "testing/scenario_builder.h"
 
 namespace amalur {
 namespace federated {

@@ -2,9 +2,9 @@
 
 #include <gtest/gtest.h>
 
-#include "integration/running_example.h"
 #include "integration/schema_matching.h"
-#include "relational/generator.h"
+#include "testing/generator.h"
+#include "testing/running_example.h"
 
 namespace amalur {
 namespace integration {

@@ -2,7 +2,7 @@
 
 #include <gtest/gtest.h>
 
-#include "integration/running_example.h"
+#include "testing/running_example.h"
 
 namespace amalur {
 namespace integration {

@@ -2,8 +2,8 @@
 
 #include <gtest/gtest.h>
 
-#include "integration/running_example.h"
-#include "relational/generator.h"
+#include "testing/generator.h"
+#include "testing/running_example.h"
 
 namespace amalur {
 namespace integration {

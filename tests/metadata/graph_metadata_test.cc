@@ -12,10 +12,10 @@
 
 #include "common/rng.h"
 #include "factorized/factorized_table.h"
-#include "factorized/scenario_builder.h"
 #include "metadata/di_metadata.h"
-#include "relational/generator.h"
 #include "relational/join.h"
+#include "testing/generator.h"
+#include "testing/scenario_builder.h"
 
 namespace amalur {
 namespace metadata {

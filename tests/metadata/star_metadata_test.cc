@@ -3,7 +3,7 @@
 #include "common/rng.h"
 #include "factorized/factorized_table.h"
 #include "metadata/di_metadata.h"
-#include "relational/generator.h"
+#include "testing/generator.h"
 
 namespace amalur {
 namespace metadata {

@@ -1,12 +1,10 @@
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
-#include "factorized/scenario_builder.h"
-#include "ml/gnmf.h"
-#include "ml/kmeans.h"
 #include "ml/linear_models.h"
 #include "ml/metrics.h"
 #include "ml/training_matrix.h"
+#include "testing/scenario_builder.h"
 
 namespace amalur {
 namespace ml {
@@ -84,31 +82,6 @@ TEST_P(BackendEquivalenceTest, LogisticRegressionWeightsAgree) {
   EXPECT_LT(fact.weights.MaxAbsDiff(mat.weights), 1e-8);
 }
 
-TEST_P(BackendEquivalenceTest, KMeansAssignmentsAgree) {
-  BothBackends both = MakeBackends(GetParam(), 300);
-  KMeansOptions options;
-  options.clusters = 3;
-  options.iterations = 10;
-  KMeansModel fact = TrainKMeans(*both.factorized, options);
-  KMeansModel mat = TrainKMeans(*both.materialized, options);
-  EXPECT_EQ(fact.assignments, mat.assignments);
-  EXPECT_LT(fact.centroids.MaxAbsDiff(mat.centroids), 1e-8);
-}
-
-TEST_P(BackendEquivalenceTest, GnmfLossTrajectoriesAgree) {
-  BothBackends both = MakeBackends(GetParam(), 400);
-  GnmfOptions options;
-  options.rank = 3;
-  options.iterations = 8;
-  GnmfModel fact = TrainGnmf(*both.factorized, options);
-  GnmfModel mat = TrainGnmf(*both.materialized, options);
-  ASSERT_EQ(fact.loss_history.size(), mat.loss_history.size());
-  for (size_t i = 0; i < fact.loss_history.size(); ++i) {
-    EXPECT_NEAR(fact.loss_history[i], mat.loss_history[i],
-                1e-6 * (1.0 + std::fabs(mat.loss_history[i])));
-  }
-}
-
 INSTANTIATE_TEST_SUITE_P(AllScenarios, BackendEquivalenceTest,
                          ::testing::Values(rel::JoinKind::kInnerJoin,
                                            rel::JoinKind::kLeftJoin,
@@ -149,55 +122,6 @@ TEST(LogisticRegressionTest, SeparatesLinearlySeparableData) {
   la::DenseMatrix p = PredictLogistic(features, model.weights);
   EXPECT_GT(BinaryAccuracy(p, y), 0.97);
   EXPECT_LT(model.loss_history.back(), model.loss_history.front());
-}
-
-TEST(KMeansTest, SeparatesWellSeparatedBlobs) {
-  Rng rng(44);
-  la::DenseMatrix x(90, 2);
-  for (size_t i = 0; i < 90; ++i) {
-    const double cx = i < 30 ? 0.0 : (i < 60 ? 20.0 : 40.0);
-    x.At(i, 0) = cx + rng.NextGaussian();
-    x.At(i, 1) = cx + rng.NextGaussian();
-  }
-  MaterializedMatrix data(x);
-  KMeansOptions options;
-  options.clusters = 3;
-  options.iterations = 25;
-  KMeansModel model = TrainKMeans(data, options);
-  // All rows of one blob share one label, and blobs get distinct labels.
-  std::set<size_t> blob_labels;
-  for (size_t blob = 0; blob < 3; ++blob) {
-    const size_t label = model.assignments[blob * 30];
-    blob_labels.insert(label);
-    for (size_t i = blob * 30; i < (blob + 1) * 30; ++i) {
-      EXPECT_EQ(model.assignments[i], label) << "row " << i;
-    }
-  }
-  EXPECT_EQ(blob_labels.size(), 3u);
-  // Inertia decreases.
-  EXPECT_LE(model.inertia_history.back(), model.inertia_history.front());
-}
-
-TEST(GnmfTest, ReconstructionErrorDecreases) {
-  Rng rng(45);
-  // Non-negative low-rank data.
-  la::DenseMatrix w = la::DenseMatrix::RandomUniform(50, 3, 0.0, 1.0, &rng);
-  la::DenseMatrix h = la::DenseMatrix::RandomUniform(3, 8, 0.0, 1.0, &rng);
-  MaterializedMatrix data(w.Multiply(h));
-  GnmfOptions options;
-  options.rank = 3;
-  options.iterations = 50;
-  GnmfModel model = TrainGnmf(data, options);
-  EXPECT_LT(model.loss_history.back(), 0.05 * model.loss_history.front());
-  for (size_t i = 1; i < model.loss_history.size(); ++i) {
-    EXPECT_LE(model.loss_history[i], model.loss_history[i - 1] * 1.0001);
-  }
-  // Factors stay non-negative.
-  for (size_t i = 0; i < model.w.rows(); ++i) {
-    for (size_t j = 0; j < model.w.cols(); ++j) {
-      EXPECT_GE(model.w.At(i, j), 0.0);
-    }
-  }
 }
 
 TEST(MetricsTest, KnownValues) {

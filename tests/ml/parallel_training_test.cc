@@ -7,11 +7,11 @@
 #include "common/rng.h"
 #include "common/thread_pool.h"
 #include "core/amalur.h"
-#include "factorized/scenario_builder.h"
 #include "ml/linear_models.h"
 #include "ml/metrics.h"
 #include "ml/training_matrix.h"
-#include "relational/generator.h"
+#include "testing/generator.h"
+#include "testing/scenario_builder.h"
 
 /// End-to-end parallel/serial equivalence: gradient-descent training (which
 /// exercises the dense GEMM family, the factorized rewrites and the sigmoid

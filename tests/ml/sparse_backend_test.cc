@@ -1,9 +1,9 @@
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
-#include "factorized/scenario_builder.h"
 #include "ml/linear_models.h"
 #include "ml/training_matrix.h"
+#include "testing/scenario_builder.h"
 
 namespace amalur {
 namespace ml {

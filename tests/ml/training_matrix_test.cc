@@ -3,7 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
-#include "factorized/scenario_builder.h"
+#include "testing/scenario_builder.h"
 
 namespace amalur {
 namespace ml {
@@ -79,16 +79,6 @@ TEST(FactorizedFeaturesTest, LabelsMatchTargetColumn) {
   for (size_t i = 0; i < t.rows(); ++i) {
     EXPECT_DOUBLE_EQ(labels.At(i, 0), t.At(i, 0));
   }
-}
-
-TEST(FactorizedFeaturesTest, NoLabelViewExposesAllColumns) {
-  auto table = MakeTable(6);
-  FactorizedFeatures all(table, FactorizedFeatures::kNoLabel);
-  EXPECT_EQ(all.cols(), table->cols());
-  la::DenseMatrix t = table->Materialize();
-  Rng rng(2);
-  la::DenseMatrix x = la::DenseMatrix::RandomGaussian(all.cols(), 2, &rng);
-  EXPECT_LT(all.LeftMultiply(x).MaxAbsDiff(t.Multiply(x)), 1e-10);
 }
 
 TEST(FactorizedFeaturesTest, MiddleLabelColumnHandled) {

@@ -1,4 +1,4 @@
-#include "relational/generator.h"
+#include "testing/generator.h"
 
 #include <gtest/gtest.h>
 

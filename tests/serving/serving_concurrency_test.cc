@@ -9,9 +9,9 @@
 #include "common/parallel_for.h"
 #include "core/amalur.h"
 #include "la/dense_matrix.h"
-#include "relational/generator.h"
 #include "serving/deployed_model.h"
 #include "serving/model_registry.h"
+#include "testing/generator.h"
 
 /// Concurrent-serving acceptance suite (runs under CI's TSan job): N client
 /// threads hammer `PredictBatch` through `ModelRegistry::Get` while another

@@ -6,15 +6,17 @@
 #include <vector>
 
 #include "core/amalur.h"
-#include "relational/generator.h"
 #include "serving/deployed_model.h"
 #include "serving/model_registry.h"
+#include "testing/generator.h"
 
 /// Regression suite for the serving rewrite: on every Table I integration
-/// scenario the batched factorized scorer (partial-score cache) must agree
-/// with the dense baseline to 1e-12, and must reproduce the training-time
-/// in-sample predictions bit for bit. This pins the serving tier to the
-/// paper's core equivalence claim — factorization never changes the answer.
+/// scenario, for models trained under forced factorize and forced
+/// materialize, the batched factorized scorer (partial-score cache) must
+/// agree with a dense product over the materialized target to 1e-12, and
+/// must reproduce the model's in-sample predictions bit for bit. This pins
+/// the serving tier to the paper's core equivalence claim — factorization
+/// never changes the answer.
 
 namespace amalur {
 namespace serving {
@@ -173,42 +175,51 @@ std::vector<Scenario> MakeScenarios() {
 
 TEST(ServingEquivalenceTest, BatchedFactorizedMatchesDenseOnAllScenarios) {
   for (Scenario& scenario : MakeScenarios()) {
-    SCOPED_TRACE(scenario.name);
+    const la::DenseMatrix target =
+        scenario.integration.metadata.MaterializeTargetMatrix();
+    for (core::ExecutionStrategy strategy :
+         {core::ExecutionStrategy::kFactorize,
+          core::ExecutionStrategy::kMaterialize}) {
+      SCOPED_TRACE(scenario.name + " trained with " +
+                   core::ExecutionStrategyToString(strategy));
 
-    core::TrainRequest request;
-    request.label_column = "y";
-    request.gd.iterations = 20;
-    request.gd.learning_rate = 0.05;
-    request.force_strategy = core::ExecutionStrategy::kFactorize;
-    auto model = scenario.system->Train(scenario.integration, request);
-    ASSERT_TRUE(model.ok()) << model.status();
+      core::TrainRequest request;
+      request.label_column = "y";
+      request.gd.iterations = 20;
+      request.gd.learning_rate = 0.05;
+      request.force_strategy = strategy;
+      auto model = scenario.system->Train(scenario.integration, request);
+      ASSERT_TRUE(model.ok()) << model.status();
 
-    ModelRegistry registry;
-    DeployOptions options;
-    options.enable_dense_scoring = true;
-    auto deployed = model->Deploy(&registry, "scorer", options);
-    ASSERT_TRUE(deployed.ok()) << deployed.status();
-    ASSERT_EQ((*deployed)->rows(),
-              scenario.integration.metadata.target_rows());
+      ModelRegistry registry;
+      auto deployed = model->Deploy(&registry, "scorer");
+      ASSERT_TRUE(deployed.ok()) << deployed.status();
+      ASSERT_EQ((*deployed)->rows(), target.rows());
 
-    std::vector<RowRef> batch((*deployed)->rows());
-    for (size_t i = 0; i < batch.size(); ++i) batch[i].row = i;
+      std::vector<RowRef> batch((*deployed)->rows());
+      for (size_t i = 0; i < batch.size(); ++i) batch[i].row = i;
+      auto factorized = (*deployed)->PredictBatch(batch);
+      ASSERT_TRUE(factorized.ok()) << factorized.status();
 
-    auto factorized = (*deployed)->PredictBatch(batch);
-    auto dense = (*deployed)->PredictBatchDense(batch);
-    ASSERT_TRUE(factorized.ok()) << factorized.status();
-    ASSERT_TRUE(dense.ok()) << dense.status();
+      // The paper's equivalence claim, serving edition: the partial-score
+      // cache and a dense dot product over the materialized target differ
+      // by summation order only.
+      la::DenseMatrix dense(target.rows(), 1);
+      for (size_t i = 0; i < target.rows(); ++i) {
+        for (size_t j = 0, f = 0; j < target.cols(); ++j) {
+          if (j == model->label_index()) continue;
+          dense.At(i, 0) += target.At(i, j) * model->weights().At(f++, 0);
+        }
+      }
+      EXPECT_LT(factorized->MaxAbsDiff(dense), 1e-12);
 
-    // The paper's equivalence claim, serving edition: the partial-score
-    // cache and a dense dot product over the materialized target differ by
-    // summation order only.
-    EXPECT_LT(factorized->MaxAbsDiff(*dense), 1e-12);
-
-    // And the cache reproduces the training-time in-sample predictions bit
-    // for bit (same factorized view, same mapped-pair order).
-    auto in_sample = model->Predict();
-    ASSERT_TRUE(in_sample.ok()) << in_sample.status();
-    EXPECT_EQ(*factorized, *in_sample);
+      // And the cache reproduces the in-sample predictions bit for bit,
+      // whatever plan trained the model (same factorized view, same
+      // mapped-pair order).
+      auto in_sample = model->Predict();
+      ASSERT_TRUE(in_sample.ok()) << in_sample.status();
+      EXPECT_EQ(*factorized, *in_sample);
+    }
   }
 }
 

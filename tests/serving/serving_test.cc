@@ -5,10 +5,10 @@
 
 #include "common/parallel_for.h"
 #include "core/amalur.h"
-#include "integration/running_example.h"
-#include "relational/generator.h"
 #include "serving/deployed_model.h"
 #include "serving/model_registry.h"
+#include "testing/generator.h"
+#include "testing/running_example.h"
 
 namespace amalur {
 namespace serving {
@@ -125,6 +125,9 @@ TEST(ModelRegistryTest, DeployNameDefaultsAndValidation) {
   core::ModelHandle untrained;
   EXPECT_TRUE(
       registry.Deploy("ghost", untrained).status().IsFailedPrecondition());
+
+  // A null registry is the caller's error, not a crash.
+  EXPECT_TRUE(fixture.model.Deploy(nullptr).status().IsInvalidArgument());
 }
 
 TEST(ModelRegistryTest, SnapshotIsImmuneToLaterMutations) {
@@ -206,9 +209,7 @@ TEST(DeployedModelTest, BatchValidationAndEmptyBatchContracts) {
   TrainedFixture fixture =
       TrainLeftJoinModel(core::ExecutionStrategy::kFactorize);
   ModelRegistry registry;
-  DeployOptions options;
-  options.enable_dense_scoring = true;
-  auto deployed = registry.Deploy("scorer", fixture.model, options);
+  auto deployed = registry.Deploy("scorer", fixture.model);
   ASSERT_TRUE(deployed.ok()) << deployed.status();
   const size_t rows = (*deployed)->rows();
 
@@ -224,32 +225,7 @@ TEST(DeployedModelTest, BatchValidationAndEmptyBatchContracts) {
   // Any out-of-range reference fails the whole batch before scoring starts.
   std::vector<RowRef> bad = {{0}, {rows}};
   EXPECT_TRUE((*deployed)->PredictBatch(bad).status().IsInvalidArgument());
-  EXPECT_TRUE(
-      (*deployed)->PredictBatchDense(bad).status().IsInvalidArgument());
   EXPECT_TRUE((*deployed)->EvaluateBatch(bad).status().IsInvalidArgument());
-}
-
-TEST(DeployedModelTest, DenseScoringIsOptIn) {
-  TrainedFixture fixture =
-      TrainLeftJoinModel(core::ExecutionStrategy::kFactorize);
-  ModelRegistry registry;
-  auto lean = registry.Deploy("lean", fixture.model);
-  ASSERT_TRUE(lean.ok()) << lean.status();
-  EXPECT_FALSE((*lean)->dense_scoring_enabled());
-  const std::vector<RowRef> batch = AllRows((*lean)->rows());
-  EXPECT_TRUE(
-      (*lean)->PredictBatchDense(batch).status().IsFailedPrecondition());
-
-  DeployOptions options;
-  options.enable_dense_scoring = true;
-  auto full = registry.Deploy("full", fixture.model, options);
-  ASSERT_TRUE(full.ok()) << full.status();
-  EXPECT_TRUE((*full)->dense_scoring_enabled());
-  auto factorized = (*full)->PredictBatch(batch);
-  auto dense = (*full)->PredictBatchDense(batch);
-  ASSERT_TRUE(factorized.ok()) << factorized.status();
-  ASSERT_TRUE(dense.ok()) << dense.status();
-  EXPECT_LT(factorized->MaxAbsDiff(*dense), 1e-12);
 }
 
 TEST(DeployedModelTest, BatchScoringIsThreadCountInvariant) {
@@ -333,15 +309,21 @@ TEST(DeployedModelTest, LogisticDeploymentsServeProbabilities) {
   ASSERT_TRUE(report.ok()) << report.status();
   EXPECT_GT(report->log_loss, 0.0);
   EXPECT_DOUBLE_EQ(report->primary, report->accuracy);
+  // The full batch evaluates exactly like the handle, field by field.
+  auto in_sample_report = model->Evaluate();
+  ASSERT_TRUE(in_sample_report.ok()) << in_sample_report.status();
+  EXPECT_EQ(report->rows, in_sample_report->rows);
+  EXPECT_EQ(report->mse, in_sample_report->mse);
+  EXPECT_EQ(report->log_loss, in_sample_report->log_loss);
+  EXPECT_EQ(report->accuracy, in_sample_report->accuracy);
+  EXPECT_EQ(report->primary, in_sample_report->primary);
 }
 
 TEST(DeployedModelTest, StatsCountRequestsRowsAndCacheHits) {
   TrainedFixture fixture =
       TrainLeftJoinModel(core::ExecutionStrategy::kFactorize);
   ModelRegistry registry;
-  DeployOptions options;
-  options.enable_dense_scoring = true;
-  auto deployed = registry.Deploy("scorer", fixture.model, options);
+  auto deployed = registry.Deploy("scorer", fixture.model);
   ASSERT_TRUE(deployed.ok()) << deployed.status();
 
   ServingStats fresh = (*deployed)->stats();
@@ -358,17 +340,10 @@ TEST(DeployedModelTest, StatsCountRequestsRowsAndCacheHits) {
   // factorized path served >= one lookup per row.
   EXPECT_GE(after.cache_hits, batch.size());
 
-  // The dense path counts the request but never hits the cache.
-  ASSERT_TRUE((*deployed)->PredictBatchDense(batch).ok());
-  ServingStats dense = (*deployed)->stats();
-  EXPECT_EQ(dense.requests, 2u);
-  EXPECT_EQ(dense.rows, 2 * batch.size());
-  EXPECT_EQ(dense.cache_hits, after.cache_hits);
-
   // A failed batch never counts.
   std::vector<RowRef> bad = {{(*deployed)->rows()}};
   ASSERT_FALSE((*deployed)->PredictBatch(bad).ok());
-  EXPECT_EQ((*deployed)->stats().requests, 2u);
+  EXPECT_EQ((*deployed)->stats().requests, 1u);
 }
 
 }  // namespace

@@ -9,10 +9,10 @@
 
 #include "common/rng.h"
 #include "core/amalur.h"
-#include "factorized/scenario_builder.h"
-#include "integration/running_example.h"
 #include "relational/csv.h"
-#include "relational/generator.h"
+#include "testing/generator.h"
+#include "testing/running_example.h"
+#include "testing/scenario_builder.h"
 
 namespace amalur {
 namespace {

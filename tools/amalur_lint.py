@@ -4,14 +4,14 @@
 Rules (each can be silenced per line with `// NOLINT(amalur-<rule>): <reason>`;
 the reason is mandatory — a bare NOLINT is itself a finding):
 
-  raw-mutex            src/, bench/, and examples/ must not use std::mutex /
-                       std::shared_mutex / their guards /
+  raw-mutex            src/, testing/, bench/, and examples/ must not use
+                       std::mutex / std::shared_mutex / their guards /
                        std::condition_variable directly. Only the
                        capability-annotated wrappers in
                        src/common/thread_annotations.h carry the Clang
                        thread-safety annotations the CI gate checks, so raw
                        primitives would silently escape the analysis.
-  wall-clock           src/, bench/, and examples/ must not call
+  wall-clock           src/, testing/, bench/, and examples/ must not call
                        rand()/srand(), std::random_device,
                        sleep_for/sleep_until/usleep/sleep. Randomness goes
                        through seeded common::Rng, waiting through simulated
@@ -64,7 +64,7 @@ KERNEL_DIRS = ("src/la", "src/factorized", "src/ml", "src/metadata")
 RAW_MUTEX_EXEMPT = ("src/common/thread_annotations.h",)
 # Trees scanned for source rules: tests/ is exempt (tests may exercise raw
 # primitives to race the wrappers themselves), everything else is not.
-SOURCE_TREES = ("src", "bench", "examples")
+SOURCE_TREES = ("src", "testing", "bench", "examples")
 SOURCE_EXTENSIONS = (".h", ".cc", ".cpp")
 
 RAW_MUTEX_RE = re.compile(

@@ -5,9 +5,11 @@ Three passes over the repo's own source (driven by its #include graph and
 lock-acquisition sites — no compiler needed, so it runs anywhere Python
 does):
 
-  layering     src/ modules may only depend along the edges declared in
-               tools/analysis/layering.json (the committed architecture);
-               cycles and undeclared edges are findings with file:line.
+  layering     src/ modules and the testing/ fixtures may only depend
+               along the edges declared in tools/analysis/layering.json (the
+               committed architecture); cycles and undeclared edges are
+               findings with file:line. No src/ module may include
+               testing/.
                Also renders deps.json + deps.dot reports (--report-dir).
   lock-order   builds the acquired-while-held graph across every
                common::Mutex/SharedMutex site and fails on cycles (static

@@ -154,7 +154,11 @@ class SourceFile:
         return self.rel.endswith(".h")
 
 
-def load_tree(root, subdirs=("src",), extensions=(".h", ".cc")):
+# The trees the analyzer passes scan: the library and its test fixtures.
+LIBRARY_TREES = ("src", "testing")
+
+
+def load_tree(root, subdirs=LIBRARY_TREES, extensions=(".h", ".cc")):
     """Loads every matching source file under root/<subdir>, sorted by path."""
     files = []
     for subdir in subdirs:

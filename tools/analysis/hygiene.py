@@ -1,7 +1,8 @@
-"""Include hygiene for src/.
+"""Include hygiene for src/ and testing/.
 
 Rules:
-  pragma-once       every header under src/ must contain `#pragma once`.
+  pragma-once       every header under src/ and testing/ must contain
+                    `#pragma once`.
                     (House style: the pragma, not ifndef guards — one line,
                     no guard-name drift when files move.)
   iwyu              include-what-you-use for the curated house vocabulary:
@@ -25,7 +26,7 @@ Escapes: `// NOLINT(amalur-<rule>): <reason>` on the offending line
 
 import re
 
-from cpp_source import nolint_rules
+from cpp_source import LIBRARY_TREES, nolint_rules
 from findings import Finding
 
 # token -> defining header. Tokens are matched against stripped code with
@@ -66,7 +67,7 @@ def _nolint(findings, source, line):
 
 def check(sources, findings):
     for source in sources:
-        if not source.rel.startswith("src/"):
+        if not source.rel.startswith(tuple(t + "/" for t in LIBRARY_TREES)):
             continue
         _check_pragma_once(source, findings)
         _check_forbidden_includes(source, findings)
@@ -120,8 +121,8 @@ def _check_forbidden_includes(source, findings):
         else:
             findings.append(Finding(
                 "forbidden-include", source.rel, lineno,
-                f"<{path}> is banned in src/: all randomness flows through "
-                "seeded common::Rng so runs stay bitwise-reproducible"))
+                f"<{path}> is banned: all randomness flows through seeded "
+                "common::Rng so runs stay bitwise-reproducible"))
 
 
 def _check_iwyu(source, findings):

@@ -1,10 +1,15 @@
-"""Include-graph extraction for src/.
+"""Include-graph extraction for src/ and testing/.
 
-Every `#include "module/header.h"` in a src/ file is one edge. The graph is
-file-level (with line numbers, so layering findings are clickable) and rolls
-up to module-level (module = first path component under src/), which is what
-the layering check and the DOT/deps.json reports consume.
+Every `#include "module/header.h"` in a scanned file is one edge. The graph
+is file-level (with line numbers, so layering findings are clickable) and
+rolls up to module-level (module = first path component under src/; the
+top-level testing/ tree is the one module "testing"), which is what the
+layering check and the DOT/deps.json reports consume.
 """
+
+from cpp_source import LIBRARY_TREES
+
+TESTING_MODULE = "testing"
 
 
 class IncludeEdge:
@@ -16,6 +21,8 @@ class IncludeEdge:
     @property
     def from_module(self):
         parts = self.from_file.split("/")
+        if parts[0] == TESTING_MODULE:
+            return TESTING_MODULE
         return parts[1] if len(parts) > 2 and parts[0] == "src" else None
 
     @property
@@ -24,12 +31,12 @@ class IncludeEdge:
 
 
 def extract_edges(sources):
-    """All quoted-include edges from the given src/ SourceFiles. System
-    includes (<...>) are not part of the layering graph — the hygiene pass
-    owns those."""
+    """All quoted-include edges from the given src/ and testing/
+    SourceFiles. System includes (<...>) are not part of the layering graph
+    — the hygiene pass owns those."""
     edges = []
     for source in sources:
-        if not source.rel.startswith("src/"):
+        if not source.rel.startswith(tuple(t + "/" for t in LIBRARY_TREES)):
             continue
         for lineno, kind, path in source.includes:
             if kind != '"':
