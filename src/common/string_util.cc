@@ -56,21 +56,38 @@ bool StartsWith(std::string_view text, std::string_view prefix) {
   return text.size() >= prefix.size() && text.substr(0, prefix.size()) == prefix;
 }
 
-size_t EditDistance(std::string_view a, std::string_view b) {
+size_t BoundedEditDistance(std::string_view a, std::string_view b,
+                           size_t bound) {
   if (a.size() < b.size()) std::swap(a, b);  // ensure |b| <= |a|: O(|b|) space
+  bound = std::min(bound, a.size());         // no distance exceeds |a|
+  if (a.size() - b.size() > bound) return bound + 1;
+  if (b.empty()) return a.size();
+  // row[j] holds min(D(i, j), cap). Cells off the band |i - j| <= bound have
+  // D >= |i - j| > bound, so they hold cap; nothing is computed there.
+  const size_t cap = bound + 1;
   std::vector<size_t> row(b.size() + 1);
-  for (size_t j = 0; j <= b.size(); ++j) row[j] = j;
+  for (size_t j = 0; j <= b.size(); ++j) row[j] = std::min(j, cap);
   for (size_t i = 1; i <= a.size(); ++i) {
-    size_t diagonal = row[0];
-    row[0] = i;
-    for (size_t j = 1; j <= b.size(); ++j) {
-      size_t above = row[j];
-      size_t substitution = diagonal + (a[i - 1] == b[j - 1] ? 0 : 1);
-      row[j] = std::min({row[j] + 1, row[j - 1] + 1, substitution});
+    const size_t lo = i > bound ? i - bound : 1;
+    const size_t hi = std::min(b.size(), i + bound);
+    size_t diagonal = row[lo - 1];
+    row[lo - 1] = lo == 1 ? std::min(i, cap) : cap;
+    size_t row_min = row[lo - 1];
+    for (size_t j = lo; j <= hi; ++j) {
+      const size_t above = row[j];
+      const size_t substitution = diagonal + (a[i - 1] == b[j - 1] ? 0 : 1);
+      row[j] = std::min({above + 1, row[j - 1] + 1, substitution, cap});
+      row_min = std::min(row_min, row[j]);
       diagonal = above;
     }
+    // Every path to (|a|, |b|) crosses this row and never gets cheaper.
+    if (row_min == cap) return cap;
   }
   return row[b.size()];
+}
+
+size_t EditDistance(std::string_view a, std::string_view b) {
+  return BoundedEditDistance(a, b, std::max(a.size(), b.size()));
 }
 
 double EditSimilarity(std::string_view a, std::string_view b) {

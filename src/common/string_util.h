@@ -25,7 +25,14 @@ std::string ToLower(std::string_view text);
 /// True when `text` starts with `prefix`.
 bool StartsWith(std::string_view text, std::string_view prefix);
 
-/// Levenshtein edit distance (unit costs). O(|a|*|b|) time, O(min) space.
+/// Levenshtein edit distance (unit costs), banded at `bound`: exact when the
+/// distance is <= `bound`, otherwise some value > `bound`. O(max(|a|,|b|) *
+/// (2 * bound + 1)) time, O(min(|a|,|b|)) space.
+size_t BoundedEditDistance(std::string_view a, std::string_view b,
+                           size_t bound);
+
+/// Exact Levenshtein edit distance: `BoundedEditDistance` with a bound no
+/// pair can exceed.
 size_t EditDistance(std::string_view a, std::string_view b);
 
 /// Edit-distance similarity in [0,1]: 1 - dist / max(|a|,|b|); 1.0 for two

@@ -2,6 +2,7 @@
 
 #include <memory>
 #include <set>
+#include <unordered_set>
 
 #include "common/status.h"
 #include "common/string_util.h"
@@ -21,10 +22,15 @@ bool IsNumeric(const rel::Column& column) {
 }
 
 bool AllValuesDistinct(const rel::Column& column) {
-  std::set<std::string> seen;
+  auto hash = [&column](size_t row) { return column.CellHash(row); };
+  auto equal = [&column](size_t a, size_t b) {
+    return column.CellsEqual(a, b);
+  };
+  std::unordered_set<size_t, decltype(hash), decltype(equal)> seen(
+      column.size(), hash, equal);
   for (size_t i = 0; i < column.size(); ++i) {
     if (column.IsNull(i)) continue;
-    if (!seen.insert(column.KeyString(i)).second) return false;
+    if (!seen.insert(i).second) return false;
   }
   return true;
 }

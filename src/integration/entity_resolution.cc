@@ -1,8 +1,12 @@
 #include "integration/entity_resolution.h"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
+#include <cstdint>
+#include <cstdlib>
 #include <unordered_map>
+#include <unordered_set>
 
 #include "common/status.h"
 #include "common/string_util.h"
@@ -16,22 +20,46 @@ namespace {
 /// worst case when blocking degenerates).
 constexpr size_t kMaxBlockSize = 4096;
 
-/// Similarity of two cells in matched columns, in [0, 1].
-double CellSimilarity(const rel::Column& a, size_t row_a, const rel::Column& b,
-                      size_t row_b) {
-  const bool null_a = a.IsNull(row_a);
-  const bool null_b = b.IsNull(row_b);
-  if (null_a && null_b) return 1.0;  // jointly missing: no evidence against
-  if (null_a || null_b) return 0.0;
-  const bool str_a = a.type() == rel::DataType::kString;
-  const bool str_b = b.type() == rel::DataType::kString;
-  if (str_a != str_b) return 0.0;
-  if (str_a) {
-    return EditSimilarity(ToLower(a.KeyString(row_a)),
-                          ToLower(b.KeyString(row_b)));
+/// Saturating per-cell character histogram over `c % 32` buckets. An edit
+/// changes it by at most 2 in L1 (saturation only shrinks differences), so
+/// ceil(L1 / 2) bounds the edit distance from below.
+using CharHistogram = std::array<uint8_t, 32>;
+
+/// One side of a matched column pair, prepared once per call. String columns
+/// carry each cell lower-cased ("" for NULL) and its histogram.
+struct PreparedColumn {
+  const rel::Column* column;
+  std::vector<std::string> lowered;
+  std::vector<CharHistogram> histograms;
+};
+
+PreparedColumn Prepare(const rel::Column& column) {
+  PreparedColumn out{&column, {}, {}};
+  if (column.type() != rel::DataType::kString) return out;
+  out.lowered.reserve(column.size());
+  out.histograms.resize(column.size());
+  for (size_t row = 0; row < column.size(); ++row) {
+    out.lowered.push_back(column.IsNull(row)
+                              ? std::string()
+                              : ToLower(column.string_data()[row]));
+    CharHistogram& histogram = out.histograms[row];
+    histogram.fill(0);
+    for (unsigned char c : out.lowered.back()) {
+      uint8_t& bucket = histogram[c % histogram.size()];
+      if (bucket < UINT8_MAX) ++bucket;
+    }
   }
-  const double va = a.GetDouble(row_a);
-  const double vb = b.GetDouble(row_b);
+  return out;
+}
+
+/// Edit similarity of two strings at edit distance `distance`, the longer of
+/// length `longest` (the `EditSimilarity` formula).
+double StringSimilarity(size_t distance, size_t longest) {
+  if (longest == 0) return 1.0;
+  return 1.0 - static_cast<double>(distance) / static_cast<double>(longest);
+}
+
+double NumericSimilarity(double va, double vb) {
   if (va == vb) return 1.0;
   const double scale = std::fabs(va) + std::fabs(vb);
   return std::max(0.0, 1.0 - std::fabs(va - vb) / (scale > 0 ? scale : 1.0));
@@ -39,11 +67,11 @@ double CellSimilarity(const rel::Column& a, size_t row_a, const rel::Column& b,
 
 /// Blocking key of one row: lower-cased first character for strings,
 /// magnitude bucket for numerics, "" for NULL (null keys block together).
-std::string BlockKey(const rel::Column& col, size_t row) {
+std::string BlockKey(const PreparedColumn& side, size_t row) {
+  const rel::Column& col = *side.column;
   if (col.IsNull(row)) return "";
   if (col.type() == rel::DataType::kString) {
-    const std::string v = ToLower(col.KeyString(row));
-    return v.empty() ? "" : v.substr(0, 1);
+    return side.lowered[row].substr(0, 1);
   }
   // Numeric: bucket by rounded value so near-equal values collide.
   return std::to_string(static_cast<int64_t>(std::llround(col.GetDouble(row))));
@@ -61,6 +89,114 @@ size_t ChooseBlockingPair(const rel::Table& left,
   return 0;
 }
 
+/// Scores candidate pairs by the mean per-column similarity, computing an
+/// edit distance only for pairs whose similarity bound reaches the
+/// threshold. Accepted scores are exact: the column similarities are summed
+/// in column order, as the unpruned definition does.
+class PairScorer {
+ public:
+  PairScorer(const rel::Table& left, const rel::Table& right,
+             const std::vector<ColumnMatch>& matches, double threshold)
+      : threshold_(threshold),
+        columns_(static_cast<double>(matches.size())),
+        similarity_(matches.size()),
+        exact_(matches.size()) {
+    for (const ColumnMatch& m : matches) {
+      left_.push_back(Prepare(left.column(m.left_column)));
+      right_.push_back(Prepare(right.column(m.right_column)));
+    }
+  }
+
+  const PreparedColumn& left(size_t match) const { return left_[match]; }
+  const PreparedColumn& right(size_t match) const { return right_[match]; }
+
+  /// Appends (l, r, score) to `out` when the pair's mean similarity reaches
+  /// the threshold.
+  void Score(size_t l, size_t r, std::vector<EntityMatch>* out) {
+    for (size_t k = 0; k < similarity_.size(); ++k) Bound(k, l, r);
+    if (!Reaches(Sum())) return;
+    for (size_t k = 0; k < similarity_.size(); ++k) {
+      if (exact_[k]) continue;
+      const std::string& a = left_[k].lowered[l];
+      const std::string& b = right_[k].lowered[r];
+      const size_t longest = std::max(a.size(), b.size());
+      // The most edits that may still reach the threshold with every other
+      // column at its bound, plus one edit of slack for rounding.
+      const double others = Sum() - similarity_[k];
+      const double most = (1.0 - (threshold_ * columns_ - others)) *
+                          static_cast<double>(longest);
+      size_t budget = longest;
+      if (most < static_cast<double>(longest)) {
+        budget = most > 0.0 ? static_cast<size_t>(most) + 1 : 1;
+      }
+      size_t distance = BoundedEditDistance(a, b, budget);
+      if (distance > budget) {
+        // The budget only limits the DP: the skip rests on the bound
+        // `distance > budget`, and should rounding defeat the slack, the
+        // exact distance is computed rather than the pair dropped.
+        similarity_[k] = StringSimilarity(budget + 1, longest);
+        if (!Reaches(Sum())) return;
+        distance = BoundedEditDistance(a, b, longest);
+      }
+      similarity_[k] = StringSimilarity(distance, longest);
+      exact_[k] = 1;
+    }
+    const double score = Sum() / columns_;
+    if (score >= threshold_) out->push_back({l, r, score});
+  }
+
+ private:
+  /// Sets column `k`'s similarity: exact for NULL, numeric and empty cells,
+  /// an upper bound from the length and histogram distances otherwise.
+  void Bound(size_t k, size_t l, size_t r) {
+    const rel::Column& a = *left_[k].column;
+    const rel::Column& b = *right_[k].column;
+    exact_[k] = 1;
+    const bool null_a = a.IsNull(l);
+    const bool null_b = b.IsNull(r);
+    if (null_a || null_b) {
+      // Jointly missing: no evidence against.
+      similarity_[k] = null_a && null_b ? 1.0 : 0.0;
+      return;
+    }
+    const bool str_a = a.type() == rel::DataType::kString;
+    const bool str_b = b.type() == rel::DataType::kString;
+    if (str_a != str_b) {
+      similarity_[k] = 0.0;
+    } else if (!str_a) {
+      similarity_[k] = NumericSimilarity(a.GetDouble(l), b.GetDouble(r));
+    } else {
+      const size_t len_a = left_[k].lowered[l].size();
+      const size_t len_b = right_[k].lowered[r].size();
+      const size_t longest = std::max(len_a, len_b);
+      const CharHistogram& ha = left_[k].histograms[l];
+      const CharHistogram& hb = right_[k].histograms[r];
+      size_t l1 = 0;
+      for (size_t i = 0; i < ha.size(); ++i) {
+        l1 += static_cast<size_t>(std::abs(static_cast<int>(ha[i]) - hb[i]));
+      }
+      const size_t fewest =
+          std::max(longest - std::min(len_a, len_b), (l1 + 1) / 2);
+      similarity_[k] = StringSimilarity(fewest, longest);
+      exact_[k] = longest == 0 ? 1 : 0;
+    }
+  }
+
+  double Sum() const {
+    double sum = 0.0;
+    for (double s : similarity_) sum += s;
+    return sum;
+  }
+
+  bool Reaches(double sum) const { return !(sum / columns_ < threshold_); }
+
+  double threshold_;
+  double columns_;
+  std::vector<PreparedColumn> left_, right_;
+  std::vector<double> similarity_;
+  std::vector<uint8_t> exact_;
+};
+
 }  // namespace
 
 Result<std::vector<EntityMatch>> ResolveEntityPairs(
@@ -77,42 +213,27 @@ Result<std::vector<EntityMatch>> ResolveEntityPairs(
     }
   }
 
-  // Candidate generation.
-  std::vector<std::pair<size_t, size_t>> candidates;
-  if (options.use_blocking && !column_matches.empty() && left.NumRows() > 0) {
+  // Candidate generation and scoring, one candidate at a time.
+  PairScorer scorer(left, right, column_matches, options.threshold);
+  std::vector<EntityMatch> scored;
+  if (options.use_blocking) {
     const size_t pair_index = ChooseBlockingPair(left, column_matches);
-    const rel::Column& block_left = left.column(column_matches[pair_index].left_column);
-    const rel::Column& block_right =
-        right.column(column_matches[pair_index].right_column);
     std::unordered_map<std::string, std::vector<size_t>> right_blocks;
     for (size_t r = 0; r < right.NumRows(); ++r) {
-      right_blocks[BlockKey(block_right, r)].push_back(r);
+      right_blocks[BlockKey(scorer.right(pair_index), r)].push_back(r);
     }
     for (size_t l = 0; l < left.NumRows(); ++l) {
-      auto it = right_blocks.find(BlockKey(block_left, l));
+      auto it = right_blocks.find(BlockKey(scorer.left(pair_index), l));
       if (it == right_blocks.end()) continue;
-      size_t taken = 0;
-      for (size_t r : it->second) {
-        if (++taken > kMaxBlockSize) break;
-        candidates.emplace_back(l, r);
+      const std::vector<size_t>& block = it->second;
+      for (size_t i = 0; i < std::min(block.size(), kMaxBlockSize); ++i) {
+        scorer.Score(l, block[i], &scored);
       }
     }
   } else {
     for (size_t l = 0; l < left.NumRows(); ++l) {
-      for (size_t r = 0; r < right.NumRows(); ++r) candidates.emplace_back(l, r);
+      for (size_t r = 0; r < right.NumRows(); ++r) scorer.Score(l, r, &scored);
     }
-  }
-
-  // Pairwise scoring.
-  std::vector<EntityMatch> scored;
-  for (const auto& [l, r] : candidates) {
-    double sum = 0.0;
-    for (const ColumnMatch& m : column_matches) {
-      sum += CellSimilarity(left.column(m.left_column), l,
-                            right.column(m.right_column), r);
-    }
-    const double score = sum / static_cast<double>(column_matches.size());
-    if (score >= options.threshold) scored.push_back({l, r, score});
   }
 
   // Greedy 1:1 assignment by descending score (entity semantics: a row
@@ -165,23 +286,32 @@ Result<rel::RowMatching> ResolveEntities(
 
 std::vector<size_t> DeduplicateRows(const rel::Table& table,
                                     const std::vector<size_t>& columns) {
-  std::unordered_map<std::string, size_t> first_seen;
-  std::vector<size_t> cluster(table.NumRows());
-  for (size_t row = 0; row < table.NumRows(); ++row) {
-    std::string key;
-    bool all_null = true;
-    for (size_t c : columns) {
-      const rel::Value v = table.column(c).GetValue(row);
-      all_null &= v.is_null();
-      key += v.ToString();
-      key.push_back('\x1f');
+  const size_t rows = table.NumRows();
+  std::vector<uint64_t> row_hash(rows, 0);
+  std::vector<uint8_t> all_null(rows, 1);
+  for (size_t c : columns) {
+    const rel::Column& column = table.column(c);
+    for (size_t row = 0; row < rows; ++row) {
+      row_hash[row] = row_hash[row] * 0x100000001B3ULL + column.CellHash(row);
+      all_null[row] &= column.IsNull(row) ? 1 : 0;
     }
-    if (all_null) {
+  }
+  auto hash = [&row_hash](size_t row) { return row_hash[row]; };
+  auto equal = [&](size_t a, size_t b) {
+    for (size_t c : columns) {
+      if (!table.column(c).CellsEqual(a, b)) return false;
+    }
+    return true;
+  };
+  std::unordered_set<size_t, decltype(hash), decltype(equal)> first_seen(
+      rows, hash, equal);
+  std::vector<size_t> cluster(rows);
+  for (size_t row = 0; row < rows; ++row) {
+    if (all_null[row]) {
       cluster[row] = row;  // no evidence of duplication
       continue;
     }
-    auto [it, inserted] = first_seen.try_emplace(key, row);
-    cluster[row] = it->second;
+    cluster[row] = *first_seen.insert(row).first;
   }
   return cluster;
 }

@@ -35,9 +35,18 @@ struct EntityMatch {
 };
 
 /// Resolves entities between `left` and `right`, comparing only the column
-/// pairs in `column_matches` (the schema-matching output). Each row matches
-/// at most one row of the other table (greedy by descending score). Returns
-/// a `RowMatching` with the same contract as key-equality matching.
+/// pairs in `column_matches` (the schema-matching output). A pair's score is
+/// the mean per-column similarity: edit similarity of the lower-cased
+/// strings, relative closeness of numbers, 1 for two NULLs and 0 for one.
+/// Each row matches at most one row of the other table (greedy by
+/// descending score). Returns a `RowMatching` with the same contract as
+/// key-equality matching.
+///
+/// The search is pruned, the scores are not: a candidate whose bounded
+/// score (length and character-histogram lower bounds on each edit
+/// distance) misses the threshold is skipped, survivors get a banded edit
+/// distance, and every accepted score equals the exhaustive definition's bit
+/// for bit.
 Result<rel::RowMatching> ResolveEntities(
     const rel::Table& left, const rel::Table& right,
     const std::vector<ColumnMatch>& column_matches,
@@ -51,7 +60,10 @@ Result<std::vector<EntityMatch>> ResolveEntityPairs(
 
 /// Exact-duplicate detection within one table over the given columns:
 /// returns for each row the id of its duplicate cluster (cluster id = lowest
-/// member row). Rows with NULL in all key columns are their own cluster.
+/// member row). Two rows are duplicates when every key column holds equal
+/// cells by `rel::Column::CellsEqual` (equal `Value::ToString()` renderings,
+/// compared typed, never as joined strings). Rows with NULL in all key
+/// columns are their own cluster.
 std::vector<size_t> DeduplicateRows(const rel::Table& table,
                                     const std::vector<size_t>& columns);
 

@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
-#include <set>
+#include <utility>
 
 #include "common/rng.h"
 #include "common/string_util.h"
@@ -16,7 +16,7 @@ namespace {
 constexpr double kNameWeight = 0.5;
 constexpr double kTypeWeight = 0.15;
 constexpr double kInstanceWeight = 0.35;
-/// Seed of the per-column instance sample.
+/// Seed of the instance samples, drawn once per table and call.
 constexpr uint64_t kSampleSeed = 0xA3A1;
 
 double NameSimilarity(const std::string& a, const std::string& b) {
@@ -40,17 +40,27 @@ double TypeCompatibility(rel::DataType a, rel::DataType b) {
   return 0.0;
 }
 
-/// Summary of a numeric column sample.
-struct NumericProfile {
-  double lo = 0.0, hi = 0.0, mean = 0.0;
+/// One column's sampled instances, profiled once per matcher call: the
+/// range and mean of a numeric sample, or the distinct lower-cased values of
+/// a string sample (sorted).
+struct ColumnProfile {
+  double lo = 1e300, hi = -1e300, mean = 0.0;
   size_t count = 0;
+  std::vector<std::string> values;
 };
 
-NumericProfile ProfileNumeric(const rel::Column& col,
-                              const std::vector<size_t>& sample) {
-  NumericProfile p;
-  p.lo = 1e300;
-  p.hi = -1e300;
+ColumnProfile Profile(const rel::Column& col,
+                      const std::vector<size_t>& sample) {
+  ColumnProfile p;
+  if (col.type() == rel::DataType::kString) {
+    for (size_t row : sample) {
+      if (!col.IsNull(row)) p.values.push_back(ToLower(col.string_data()[row]));
+    }
+    std::sort(p.values.begin(), p.values.end());
+    p.values.erase(std::unique(p.values.begin(), p.values.end()),
+                   p.values.end());
+    return p;
+  }
   double sum = 0.0;
   for (size_t row : sample) {
     if (col.IsNull(row)) continue;
@@ -64,11 +74,8 @@ NumericProfile ProfileNumeric(const rel::Column& col,
   return p;
 }
 
-double NumericInstanceSimilarity(const rel::Column& a, const rel::Column& b,
-                                 const std::vector<size_t>& sample_a,
-                                 const std::vector<size_t>& sample_b) {
-  const NumericProfile pa = ProfileNumeric(a, sample_a);
-  const NumericProfile pb = ProfileNumeric(b, sample_b);
+double NumericInstanceSimilarity(const ColumnProfile& pa,
+                                 const ColumnProfile& pb) {
   if (pa.count == 0 || pb.count == 0) return 0.0;
   // Interval overlap of the observed ranges.
   const double lo = std::max(pa.lo, pb.lo);
@@ -86,20 +93,25 @@ double NumericInstanceSimilarity(const rel::Column& a, const rel::Column& b,
   return 0.7 * overlap + 0.3 * (1.0 - std::min(1.0, mean_gap));
 }
 
-double StringInstanceSimilarity(const rel::Column& a, const rel::Column& b,
-                                const std::vector<size_t>& sample_a,
-                                const std::vector<size_t>& sample_b) {
-  std::set<std::string> values_a, values_b;
-  for (size_t row : sample_a) {
-    if (!a.IsNull(row)) values_a.insert(ToLower(a.KeyString(row)));
-  }
-  for (size_t row : sample_b) {
-    if (!b.IsNull(row)) values_b.insert(ToLower(b.KeyString(row)));
-  }
-  if (values_a.empty() || values_b.empty()) return 0.0;
+/// Jaccard similarity of the two distinct-value sets.
+double StringInstanceSimilarity(const ColumnProfile& pa,
+                                const ColumnProfile& pb) {
+  if (pa.values.empty() || pb.values.empty()) return 0.0;
   size_t intersection = 0;
-  for (const std::string& v : values_a) intersection += values_b.count(v);
-  const size_t unioned = values_a.size() + values_b.size() - intersection;
+  auto a = pa.values.begin();
+  auto b = pb.values.begin();
+  while (a != pa.values.end() && b != pb.values.end()) {
+    if (*a < *b) {
+      ++a;
+    } else if (*b < *a) {
+      ++b;
+    } else {
+      ++intersection;
+      ++a;
+      ++b;
+    }
+  }
+  const size_t unioned = pa.values.size() + pb.values.size() - intersection;
   return static_cast<double>(intersection) / static_cast<double>(unioned);
 }
 
@@ -112,40 +124,57 @@ std::vector<size_t> SampleRows(size_t rows, size_t sample_size, Rng* rng) {
   return rng->SampleWithoutReplacement(rows, sample_size);
 }
 
-}  // namespace
+/// The row samples of one matcher call: the left sample is drawn first from
+/// a fresh generator, then the right one.
+std::pair<std::vector<size_t>, std::vector<size_t>> DrawSamples(
+    size_t left_rows, size_t right_rows, size_t sample_size) {
+  Rng rng(kSampleSeed);
+  auto left = SampleRows(left_rows, sample_size, &rng);
+  auto right = SampleRows(right_rows, sample_size, &rng);
+  return {std::move(left), std::move(right)};
+}
 
-double ScoreColumnPair(const rel::Column& left, const rel::Column& right,
-                       const SchemaMatcherOptions& options) {
+double ScoreProfiles(const rel::Column& left, const ColumnProfile& left_profile,
+                     const rel::Column& right,
+                     const ColumnProfile& right_profile) {
   const double type_score = TypeCompatibility(left.type(), right.type());
   if (type_score == 0.0) return 0.0;  // string vs numeric never matches
   const double name_score = NameSimilarity(left.name(), right.name());
-
-  Rng rng(kSampleSeed);
-  const auto sample_left = SampleRows(left.size(), options.sample_size, &rng);
-  const auto sample_right = SampleRows(right.size(), options.sample_size, &rng);
-  double instance_score = 0.0;
-  if (left.type() == rel::DataType::kString) {
-    instance_score =
-        StringInstanceSimilarity(left, right, sample_left, sample_right);
-  } else {
-    instance_score =
-        NumericInstanceSimilarity(left, right, sample_left, sample_right);
-  }
-
+  const double instance_score =
+      left.type() == rel::DataType::kString
+          ? StringInstanceSimilarity(left_profile, right_profile)
+          : NumericInstanceSimilarity(left_profile, right_profile);
   const double total_weight = kNameWeight + kTypeWeight + kInstanceWeight;
   return (kNameWeight * name_score + kTypeWeight * type_score +
           kInstanceWeight * instance_score) /
          total_weight;
 }
 
+}  // namespace
+
+double ScoreColumnPair(const rel::Column& left, const rel::Column& right,
+                       const SchemaMatcherOptions& options) {
+  const auto [sample_left, sample_right] =
+      DrawSamples(left.size(), right.size(), options.sample_size);
+  return ScoreProfiles(left, Profile(left, sample_left), right,
+                       Profile(right, sample_right));
+}
+
 std::vector<ColumnMatch> MatchSchemas(const rel::Table& left,
                                       const rel::Table& right,
                                       const SchemaMatcherOptions& options) {
+  const auto [sample_left, sample_right] =
+      DrawSamples(left.NumRows(), right.NumRows(), options.sample_size);
+  std::vector<ColumnProfile> right_profiles;
+  for (size_t j = 0; j < right.NumColumns(); ++j) {
+    right_profiles.push_back(Profile(right.column(j), sample_right));
+  }
   std::vector<ColumnMatch> candidates;
   for (size_t i = 0; i < left.NumColumns(); ++i) {
+    const ColumnProfile left_profile = Profile(left.column(i), sample_left);
     for (size_t j = 0; j < right.NumColumns(); ++j) {
-      const double score = ScoreColumnPair(left.column(i), right.column(j),
-                                           options);
+      const double score = ScoreProfiles(left.column(i), left_profile,
+                                         right.column(j), right_profiles[j]);
       if (score >= options.threshold) candidates.push_back({i, j, score});
     }
   }

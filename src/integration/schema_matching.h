@@ -31,12 +31,16 @@ struct SchemaMatcherOptions {
 };
 
 /// Scores one column pair (exposed for tests and for matcher ensembles).
+/// Samples `options.sample_size` rows of each column, the left one first,
+/// from a generator seeded the same way on every call.
 double ScoreColumnPair(const rel::Column& left, const rel::Column& right,
                        const SchemaMatcherOptions& options);
 
 /// Returns a 1:1 matching between columns of `left` and `right`: all pairs
 /// scoring >= threshold, chosen greedily by descending score. Output is
-/// sorted by left column index.
+/// sorted by left column index. Each call draws one row sample per table and
+/// profiles each column once; every score equals `ScoreColumnPair` for its
+/// pair bit for bit.
 std::vector<ColumnMatch> MatchSchemas(const rel::Table& left,
                                       const rel::Table& right,
                                       const SchemaMatcherOptions& options = {});

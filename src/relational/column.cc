@@ -1,7 +1,37 @@
 #include "relational/column.h"
 
+#include <cmath>
+#include <cstring>
+#include <functional>
+
 namespace amalur {
 namespace rel {
+
+namespace {
+
+/// The bits `%.17g` tells apart: every double's own, but one per NaN sign.
+uint64_t RenderedBits(double v) {
+  if (std::isnan(v)) {
+    return std::signbit(v) ? 0xFFF8000000000000ULL : 0x7FF8000000000000ULL;
+  }
+  uint64_t bits = 0;
+  std::memcpy(&bits, &v, sizeof(bits));
+  return bits;
+}
+
+/// Hash of a NULL int64 or double cell.
+constexpr uint64_t kNullHash = 0x9E3779B97F4A7C15ULL;
+
+/// splitmix64 finalizer: spreads int64 and double bits over the hash.
+uint64_t Mix(uint64_t x) {
+  x ^= x >> 30;
+  x *= 0xBF58476D1CE4E5B9ULL;
+  x ^= x >> 27;
+  x *= 0x94D049BB133111EBULL;
+  return x ^ (x >> 31);
+}
+
+}  // namespace
 
 Column Column::Nulls(std::string name, DataType type, size_t rows) {
   Column col(std::move(name), type);
@@ -134,6 +164,29 @@ double Column::GetDouble(size_t row, double null_substitute) const {
       AMALUR_LOG(Fatal) << "GetDouble on string column " << name_;
   }
   return null_substitute;
+}
+
+size_t Column::CellHash(size_t row) const {
+  AMALUR_CHECK_LT(row, size()) << "CellHash out of range";
+  if (type_ == DataType::kString) {
+    return std::hash<std::string_view>{}(RenderedString(row));
+  }
+  if (validity_[row] == 0) return kNullHash;
+  return Mix(type_ == DataType::kInt64 ? static_cast<uint64_t>(ints_[row])
+                                       : RenderedBits(doubles_[row]));
+}
+
+bool Column::CellsEqual(size_t row, size_t other_row) const {
+  AMALUR_CHECK_LT(row, size()) << "CellsEqual out of range";
+  AMALUR_CHECK_LT(other_row, size()) << "CellsEqual out of range";
+  if (type_ == DataType::kString) {
+    return RenderedString(row) == RenderedString(other_row);
+  }
+  const bool present = validity_[row] != 0;
+  const bool other_present = validity_[other_row] != 0;
+  if (!present || !other_present) return present == other_present;
+  if (type_ == DataType::kInt64) return ints_[row] == ints_[other_row];
+  return RenderedBits(doubles_[row]) == RenderedBits(doubles_[other_row]);
 }
 
 Column Column::Gather(const std::vector<size_t>& rows) const {

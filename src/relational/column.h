@@ -2,6 +2,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/logging.h"
@@ -71,15 +72,26 @@ class Column {
   const std::vector<double>& double_data() const { return doubles_; }
   const std::vector<std::string>& string_data() const { return strings_; }
 
-  /// A key usable for hashing/equality in joins and entity resolution:
-  /// the canonical string rendering of the cell ("" for NULL).
-  std::string KeyString(size_t row) const { return GetValue(row).ToString(); }
+  /// Typed cell hash and equality (for deduplication and distinctness checks
+  /// without boxing). Two cells of this column are equal exactly when their
+  /// `Value::ToString()` renderings are: in a string column NULL equals "",
+  /// elsewhere NULL equals only NULL; doubles compare by bits, except that
+  /// NaNs of one sign are equal (so 0.0 != -0.0). Equal cells hash equally.
+  size_t CellHash(size_t row) const;
+  bool CellsEqual(size_t row, size_t other_row) const;
 
   /// New column with the given rows, in the given order; `kNullRow` emits NULL.
   static constexpr size_t kNullRow = static_cast<size_t>(-1);
   Column Gather(const std::vector<size_t>& rows) const;
 
  private:
+  /// A string cell as `Value::ToString()` renders it: "" for NULL, whose
+  /// stored string may be stale.
+  std::string_view RenderedString(size_t row) const {
+    return validity_[row] != 0 ? std::string_view(strings_[row])
+                               : std::string_view();
+  }
+
   std::string name_;
   DataType type_;
   std::vector<uint8_t> validity_;

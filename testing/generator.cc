@@ -2,6 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <iterator>
+#include <limits>
 
 #include "common/rng.h"
 
@@ -499,6 +502,49 @@ Table GenerateTable(const std::string& name, size_t rows, size_t features,
         Column::FromDoubles("x" + std::to_string(j), std::move(col))));
   }
   return table;
+}
+
+Column GenerateEdgeCaseColumn(const std::string& name, DataType type,
+                              size_t rows, uint64_t seed) {
+  static const int64_t kInts[] = {0, 1, -1, INT64_MAX, INT64_MIN};
+  static const char* const kStrings[] = {"", "a", "A", "ab", "b", "0", "nan"};
+  const double inf = std::numeric_limits<double>::infinity();
+  const double doubles[] = {0.0, -0.0, inf, -inf, 1.0, 0.1 + 0.2, 0.3};
+  Rng rng(seed);
+  Column column(name, type);
+  for (size_t row = 0; row < rows; ++row) {
+    if (rng.NextUint64(6) == 0) {
+      column.AppendNull();
+      continue;
+    }
+    switch (type) {
+      case DataType::kInt64:
+        column.AppendInt64(kInts[rng.NextUint64(std::size(kInts))]);
+        break;
+      case DataType::kDouble: {
+        const uint64_t pick = rng.NextUint64(std::size(doubles) + 2);
+        if (pick < std::size(doubles)) {
+          column.AppendDouble(doubles[pick]);
+          break;
+        }
+        // A NaN with a random non-zero payload; the sign is the pick's.
+        uint64_t bits = 0x7FF0000000000000ULL |
+                        (1 + rng.NextUint64(0x000FFFFFFFFFFFFFULL));
+        if (pick == std::size(doubles)) bits |= 0x8000000000000000ULL;
+        double nan = 0.0;
+        std::memcpy(&nan, &bits, sizeof(nan));
+        column.AppendDouble(nan);
+        break;
+      }
+      case DataType::kString:
+        column.AppendString(kStrings[rng.NextUint64(std::size(kStrings))]);
+        break;
+    }
+  }
+  for (size_t row = 0; row < rows; ++row) {
+    if (rng.NextUint64(8) == 0) column.SetValue(row, Value::Null());
+  }
+  return column;
 }
 
 }  // namespace rel

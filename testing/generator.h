@@ -181,5 +181,14 @@ UnionOfStars GenerateUnionOfStars(const UnionOfStarsSpec& spec);
 Table GenerateTable(const std::string& name, size_t rows, size_t features,
                     uint64_t seed);
 
+/// Column of `rows` cells drawn from values whose `Value::ToString()`
+/// renderings collide or nearly collide: NULL, "" and short strings with
+/// case variants; 0, +-1 and the int64 extremes; +-0.0, +-inf, 0.1 + 0.2 vs
+/// 0.3, and NaNs of both signs with random payloads. Some NULLs overwrite a
+/// present cell, so a NULL's stale payload is exercised too. Deterministic
+/// in `seed`.
+Column GenerateEdgeCaseColumn(const std::string& name, DataType type,
+                              size_t rows, uint64_t seed);
+
 }  // namespace rel
 }  // namespace amalur

@@ -2,6 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <cstring>
+#include <map>
+#include <string>
+#include <vector>
+
+#include "common/rng.h"
+#include "common/string_util.h"
 #include "integration/schema_matching.h"
 #include "testing/generator.h"
 #include "testing/running_example.h"
@@ -129,6 +138,249 @@ TEST(EntityResolutionTest, RejectsOutOfRangeColumns) {
   EXPECT_TRUE(ResolveEntities(ex.s1, ex.s2, {{99, 0, 1.0}})
                   .status()
                   .IsOutOfRange());
+}
+
+// ---------------------------------------------------------------------------
+// Differential reference: the unpruned definitions, scoring every candidate
+// with `EditSimilarity` over boxed, lower-cased renderings.
+
+uint64_t Bits(double v) {
+  uint64_t bits = 0;
+  std::memcpy(&bits, &v, sizeof(bits));
+  return bits;
+}
+
+double ReferenceCellSimilarity(const rel::Column& a, size_t row_a,
+                               const rel::Column& b, size_t row_b) {
+  const bool null_a = a.IsNull(row_a);
+  const bool null_b = b.IsNull(row_b);
+  if (null_a && null_b) return 1.0;
+  if (null_a || null_b) return 0.0;
+  const bool str_a = a.type() == rel::DataType::kString;
+  const bool str_b = b.type() == rel::DataType::kString;
+  if (str_a != str_b) return 0.0;
+  if (str_a) {
+    return EditSimilarity(ToLower(a.GetValue(row_a).ToString()),
+                          ToLower(b.GetValue(row_b).ToString()));
+  }
+  const double va = a.GetDouble(row_a);
+  const double vb = b.GetDouble(row_b);
+  if (va == vb) return 1.0;
+  const double scale = std::fabs(va) + std::fabs(vb);
+  return std::max(0.0, 1.0 - std::fabs(va - vb) / (scale > 0 ? scale : 1.0));
+}
+
+std::string ReferenceBlockKey(const rel::Column& col, size_t row) {
+  if (col.IsNull(row)) return "";
+  if (col.type() == rel::DataType::kString) {
+    return ToLower(col.GetValue(row).ToString()).substr(0, 1);
+  }
+  return std::to_string(static_cast<int64_t>(std::llround(col.GetDouble(row))));
+}
+
+/// Every pair in the same block (blocks stay far below the per-block cap
+/// here) scored exactly, then the greedy 1:1 assignment.
+std::vector<EntityMatch> ReferencePairs(const rel::Table& left,
+                                        const rel::Table& right,
+                                        const std::vector<ColumnMatch>& matches,
+                                        const EntityResolverOptions& options) {
+  size_t blocking = 0;
+  while (blocking < matches.size() &&
+         left.column(matches[blocking].left_column).type() !=
+             rel::DataType::kString) {
+    ++blocking;
+  }
+  if (blocking == matches.size()) blocking = 0;
+  std::vector<EntityMatch> scored;
+  for (size_t l = 0; l < left.NumRows(); ++l) {
+    for (size_t r = 0; r < right.NumRows(); ++r) {
+      if (options.use_blocking &&
+          ReferenceBlockKey(left.column(matches[blocking].left_column), l) !=
+              ReferenceBlockKey(right.column(matches[blocking].right_column),
+                                r)) {
+        continue;
+      }
+      double sum = 0.0;
+      for (const ColumnMatch& m : matches) {
+        sum += ReferenceCellSimilarity(left.column(m.left_column), l,
+                                       right.column(m.right_column), r);
+      }
+      const double score = sum / static_cast<double>(matches.size());
+      if (score >= options.threshold) scored.push_back({l, r, score});
+    }
+  }
+  std::sort(scored.begin(), scored.end(),
+            [](const EntityMatch& a, const EntityMatch& b) {
+              if (a.score != b.score) return a.score > b.score;
+              if (a.left_row != b.left_row) return a.left_row < b.left_row;
+              return a.right_row < b.right_row;
+            });
+  std::vector<uint8_t> left_used(left.NumRows(), 0);
+  std::vector<uint8_t> right_used(right.NumRows(), 0);
+  std::vector<EntityMatch> accepted;
+  for (const EntityMatch& m : scored) {
+    if (left_used[m.left_row] || right_used[m.right_row]) continue;
+    left_used[m.left_row] = 1;
+    right_used[m.right_row] = 1;
+    accepted.push_back(m);
+  }
+  std::sort(accepted.begin(), accepted.end(),
+            [](const EntityMatch& a, const EntityMatch& b) {
+              return a.left_row < b.left_row;
+            });
+  return accepted;
+}
+
+/// Random names over a small mixed-case alphabet; `typos` of them are near
+/// copies of `like` (case flips and up to three edits), so high thresholds
+/// still accept pairs.
+rel::Column RandomNames(const std::string& name, size_t rows, Rng* rng,
+                        const rel::Column* like = nullptr) {
+  const std::string alphabet = "abcdeABC ";
+  rel::Column col(name, rel::DataType::kString);
+  for (size_t r = 0; r < rows; ++r) {
+    if (rng->NextUint64(10) == 0) {
+      col.AppendNull();
+      continue;
+    }
+    std::string s;
+    if (like != nullptr && r < like->size() && !like->IsNull(r) &&
+        rng->NextUint64(3) != 0) {
+      s = like->string_data()[r];
+      for (uint64_t edits = rng->NextUint64(4); edits > 0; --edits) {
+        const size_t at = rng->NextUint64(s.size() + 1);
+        const char c = alphabet[rng->NextUint64(alphabet.size())];
+        if (at == s.size()) {
+          s.push_back(c);
+        } else if (rng->NextUint64(2) == 0) {
+          s[at] = c;
+        } else {
+          s.erase(at, 1);
+        }
+      }
+    } else {
+      s.resize(rng->NextUint64(13));
+      for (char& c : s) c = alphabet[rng->NextUint64(alphabet.size())];
+    }
+    col.AppendString(std::move(s));
+  }
+  return col;
+}
+
+rel::Column RandomNumbers(const std::string& name, rel::DataType type,
+                          size_t rows, Rng* rng) {
+  rel::Column col(name, type);
+  for (size_t r = 0; r < rows; ++r) {
+    if (rng->NextUint64(8) == 0) {
+      col.AppendNull();
+    } else if (type == rel::DataType::kInt64) {
+      col.AppendInt64(static_cast<int64_t>(rng->NextUint64(4)));
+    } else {
+      col.AppendDouble(static_cast<double>(rng->NextUint64(6)) * 0.5);
+    }
+  }
+  return col;
+}
+
+TEST(EntityResolutionTest, PrunedScoringMatchesExhaustiveReference) {
+  // Columns: 0 name, 1 alias (strings), 2 double, 3 int64.
+  const std::vector<std::vector<ColumnMatch>> column_sets = {
+      {{0, 0, 1.0}},
+      {{0, 0, 1.0}, {2, 2, 1.0}},
+      {{2, 2, 1.0}, {0, 0, 1.0}},
+      {{0, 0, 1.0}, {1, 1, 1.0}},
+      {{0, 0, 1.0}, {3, 2, 1.0}, {1, 1, 1.0}},
+      {{0, 1, 1.0}, {2, 3, 1.0}},
+      {{3, 3, 1.0}, {0, 2, 1.0}, {1, 0, 1.0}},
+  };
+  Rng rng(4242);
+  size_t accepted = 0;
+  for (int trial = 0; trial < 60; ++trial) {
+    const size_t rows = 1 + rng.NextUint64(40);
+    rel::Table left("L");
+    rel::Table right("R");
+    AMALUR_CHECK_OK(left.AddColumn(RandomNames("name", rows, &rng)));
+    AMALUR_CHECK_OK(left.AddColumn(RandomNames("alias", rows, &rng)));
+    AMALUR_CHECK_OK(right.AddColumn(
+        RandomNames("name", rows, &rng, &left.column(0))));
+    AMALUR_CHECK_OK(right.AddColumn(
+        RandomNames("alias", rows, &rng, &left.column(1))));
+    for (rel::Table* t : {&left, &right}) {
+      AMALUR_CHECK_OK(t->AddColumn(
+          RandomNumbers("x", rel::DataType::kDouble, rows, &rng)));
+      AMALUR_CHECK_OK(t->AddColumn(
+          RandomNumbers("k", rel::DataType::kInt64, rows, &rng)));
+    }
+    for (const std::vector<ColumnMatch>& matches : column_sets) {
+      for (double threshold : {0.5, 0.7, 0.85, 0.9, 1.0}) {
+        for (bool use_blocking : {true, false}) {
+          EntityResolverOptions options;
+          options.threshold = threshold;
+          options.use_blocking = use_blocking;
+          auto pairs = ResolveEntityPairs(left, right, matches, options);
+          ASSERT_TRUE(pairs.ok()) << pairs.status();
+          const std::vector<EntityMatch> expected =
+              ReferencePairs(left, right, matches, options);
+          ASSERT_EQ(pairs->size(), expected.size())
+              << "trial " << trial << " threshold " << threshold;
+          for (size_t i = 0; i < expected.size(); ++i) {
+            ASSERT_EQ((*pairs)[i].left_row, expected[i].left_row);
+            ASSERT_EQ((*pairs)[i].right_row, expected[i].right_row);
+            ASSERT_EQ(Bits((*pairs)[i].score), Bits(expected[i].score));
+          }
+          accepted += expected.size();
+        }
+      }
+    }
+  }
+  EXPECT_GT(accepted, 1000u);  // the comparison is not vacuous
+}
+
+TEST(DeduplicateRowsTest, SeparatorInsideStringsIsNotADuplicate) {
+  // ("x\x1f", "") and ("x", "\x1f") joined with a '\x1f' separator give
+  // one key; as typed rows they differ.
+  rel::Table t("D");
+  AMALUR_CHECK_OK(t.AddColumn(rel::Column::FromStrings("a", {"x\x1f", "x"})));
+  AMALUR_CHECK_OK(t.AddColumn(rel::Column::FromStrings("b", {"", "\x1f"})));
+  EXPECT_EQ(DeduplicateRows(t, {0, 1}), (std::vector<size_t>{0, 1}));
+  EXPECT_DOUBLE_EQ(DuplicateRatio(t, {0, 1}), 0.0);
+}
+
+TEST(DeduplicateRowsTest, MatchesRenderedRowReferenceOnRandomTables) {
+  // Reference: rows are duplicates when their per-cell renderings are equal
+  // column by column; rows NULL in every key column are their own cluster.
+  const rel::DataType kTypes[] = {rel::DataType::kInt64,
+                                  rel::DataType::kDouble,
+                                  rel::DataType::kString};
+  Rng rng(77);
+  size_t duplicates = 0;
+  for (uint64_t trial = 0; trial < 1200; ++trial) {
+    const size_t rows = 1 + rng.NextUint64(40);
+    rel::Table table("T");
+    std::vector<size_t> columns(1 + rng.NextUint64(4));
+    for (size_t c = 0; c < columns.size(); ++c) {
+      AMALUR_CHECK_OK(table.AddColumn(rel::GenerateEdgeCaseColumn(
+          "c" + std::to_string(c), kTypes[rng.NextUint64(3)], rows,
+          rng.NextUint64(1u << 30))));
+      columns[c] = columns.size() - 1 - c;  // key order differs from storage
+    }
+    std::map<std::vector<std::string>, size_t> first_seen;
+    std::vector<size_t> expected(rows);
+    for (size_t row = 0; row < rows; ++row) {
+      std::vector<std::string> key;
+      bool all_null = true;
+      for (size_t c : columns) {
+        const rel::Value v = table.column(c).GetValue(row);
+        all_null &= v.is_null();
+        key.push_back(v.ToString());
+      }
+      expected[row] =
+          all_null ? row : first_seen.try_emplace(key, row).first->second;
+      duplicates += expected[row] != row ? 1 : 0;
+    }
+    ASSERT_EQ(DeduplicateRows(table, columns), expected) << "trial " << trial;
+  }
+  EXPECT_GT(duplicates, 1000u);  // the comparison is not vacuous
 }
 
 TEST(DeduplicateRowsTest, ExactDuplicatesCluster) {

@@ -2,12 +2,42 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstring>
+
 #include "testing/generator.h"
 #include "testing/running_example.h"
 
 namespace amalur {
 namespace integration {
 namespace {
+
+uint64_t Bits(double v) {
+  uint64_t bits = 0;
+  std::memcpy(&bits, &v, sizeof(bits));
+  return bits;
+}
+
+/// Every score `MatchSchemas` reports is its pair's `ScoreColumnPair`, bit
+/// for bit, whether or not the row samples are drawn.
+void ExpectScoresMatchPairScores(const rel::Table& left,
+                                 const rel::Table& right) {
+  for (size_t sample_size : {size_t{2}, size_t{50}, size_t{200}}) {
+    SchemaMatcherOptions options;
+    options.sample_size = sample_size;
+    options.threshold = 0.0;
+    const std::vector<ColumnMatch> matches = MatchSchemas(left, right, options);
+    EXPECT_EQ(matches.size(), std::min(left.NumColumns(), right.NumColumns()));
+    for (const ColumnMatch& m : matches) {
+      EXPECT_EQ(Bits(m.score),
+                Bits(ScoreColumnPair(left.column(m.left_column),
+                                     right.column(m.right_column), options)))
+          << left.column(m.left_column).name() << " vs "
+          << right.column(m.right_column).name() << " at sample size "
+          << sample_size;
+    }
+  }
+}
 
 TEST(SchemaMatchingTest, RunningExampleFindsSharedColumns) {
   RunningExample ex = MakeRunningExample();
@@ -26,6 +56,7 @@ TEST(SchemaMatchingTest, RunningExampleFindsSharedColumns) {
   EXPECT_TRUE(found_m);
   EXPECT_TRUE(found_n);
   EXPECT_TRUE(found_a);
+  ExpectScoresMatchPairScores(ex.s1, ex.s2);
 }
 
 TEST(SchemaMatchingTest, IdenticalColumnsScoreHigh) {
@@ -88,6 +119,7 @@ TEST(SchemaMatchingTest, GeneratedSilosSharedColumnsRecovered) {
     }
   }
   EXPECT_EQ(shared_found, 3u);
+  ExpectScoresMatchPairScores(pair.base, pair.other);
 }
 
 TEST(SchemaMatchingTest, ThresholdFiltersWeakPairs) {

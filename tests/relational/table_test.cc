@@ -2,7 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <limits>
+
 #include "relational/schema.h"
+#include "testing/generator.h"
 
 namespace amalur {
 namespace rel {
@@ -67,6 +71,64 @@ TEST(ColumnTest, SetValueOverwrites) {
   EXPECT_TRUE(c.IsNull(1));
   c.SetValue(1, Value(72.0));
   EXPECT_DOUBLE_EQ(c.GetDouble(1), 72.0);
+}
+
+double NaNWithPayload(uint64_t payload, bool negative) {
+  const uint64_t bits = 0x7FF0000000000000ULL | payload |
+                        (negative ? 0x8000000000000000ULL : 0);
+  double v = 0.0;
+  std::memcpy(&v, &bits, sizeof(v));
+  return v;
+}
+
+TEST(ColumnTest, CellEqualityFollowsRenderings) {
+  Column s("s", DataType::kString);
+  s.AppendNull();
+  s.AppendString("");
+  s.AppendString("a");
+  EXPECT_TRUE(s.CellsEqual(0, 1));  // NULL renders as ""
+  EXPECT_EQ(s.CellHash(0), s.CellHash(1));
+  EXPECT_FALSE(s.CellsEqual(1, 2));
+
+  Column i("i", DataType::kInt64);
+  i.AppendNull();
+  i.AppendInt64(0);
+  i.AppendNull();
+  EXPECT_FALSE(i.CellsEqual(0, 1));
+  EXPECT_TRUE(i.CellsEqual(0, 2));
+
+  Column d = Column::FromDoubles(
+      "d", {0.0, -0.0, NaNWithPayload(1, false), NaNWithPayload(77, false),
+            NaNWithPayload(1, true), std::numeric_limits<double>::infinity()});
+  EXPECT_FALSE(d.CellsEqual(0, 1));  // "0" vs "-0"
+  EXPECT_TRUE(d.CellsEqual(2, 3));   // one NaN sign, any payload: "nan"
+  EXPECT_EQ(d.CellHash(2), d.CellHash(3));
+  EXPECT_FALSE(d.CellsEqual(2, 4));  // "nan" vs "-nan"
+  EXPECT_FALSE(d.CellsEqual(5, 2));
+}
+
+TEST(ColumnTest, CellHashAndEqualityMatchRenderingsOnRandomColumns) {
+  // Differential check against the definition: equal renderings <=> equal
+  // cells, and equal cells => equal hashes.
+  for (uint64_t seed = 1; seed <= 40; ++seed) {
+    for (DataType type :
+         {DataType::kInt64, DataType::kDouble, DataType::kString}) {
+      const Column column = GenerateEdgeCaseColumn("c", type, 48, seed);
+      for (size_t a = 0; a < column.size(); ++a) {
+        const std::string rendered = column.GetValue(a).ToString();
+        for (size_t b = 0; b < column.size(); ++b) {
+          const bool equal = rendered == column.GetValue(b).ToString();
+          ASSERT_EQ(column.CellsEqual(a, b), equal)
+              << DataTypeToString(type) << " seed " << seed << " rows " << a
+              << "/" << b << ": '" << rendered << "' vs '"
+              << column.GetValue(b).ToString() << "'";
+          if (equal) {
+            ASSERT_EQ(column.CellHash(a), column.CellHash(b));
+          }
+        }
+      }
+    }
+  }
 }
 
 TEST(TableTest, BasicShapeAndSchema) {
