@@ -318,6 +318,19 @@ Plan Amalur::Explain(const IntegrationHandle& integration) const {
 Result<ModelHandle> Amalur::Train(const IntegrationHandle& integration,
                                   const TrainRequest& request,
                                   const std::string& model_name) {
+  // Every strategy divides by the row count; an empty target (say, an inner
+  // join whose keys never match) is the integration's problem, not the
+  // optimizer's or the learning rate's.
+  if (integration.metadata.target_rows() == 0) {
+    std::string sources;
+    for (const std::string& source : integration.source_names) {
+      sources += (sources.empty() ? "" : ", ") + source;
+    }
+    return Status::InvalidArgument(
+        "the integration of {", sources,
+        "} has an empty target table: no rows to train on (do the join "
+        "keys match any rows?)");
+  }
   Plan plan = Explain(integration);
   if (request.force_strategy.has_value()) {
     if (integration.privacy_constrained &&

@@ -299,7 +299,9 @@ class Amalur {
   /// chooses the strategy unless `request.force_strategy` pins one
   /// (privacy-constrained integrations cannot be forced onto data-moving
   /// strategies). When `model_name` is non-empty the trained model is also
-  /// registered in the catalog with its final loss as the metric.
+  /// registered in the catalog with its final loss as the metric. An
+  /// integration whose target has no rows is `kInvalidArgument`, whatever
+  /// the strategy.
   Result<ModelHandle> Train(const IntegrationHandle& integration,
                             const TrainRequest& request,
                             const std::string& model_name = "");

@@ -1,8 +1,7 @@
 #include "cost/cost_features.h"
 
-#include <map>
-#include <set>
 #include <sstream>
+#include <vector>
 
 namespace amalur {
 namespace cost {
@@ -35,22 +34,26 @@ CostFeatures CostFeatures::FromMetadata(const metadata::DiMetadata& metadata) {
     sf.redundant_cells = s.redundancy.RedundantCellCount();
     sf.null_ratio = s.null_ratio;
     sf.duplicate_ratio = s.duplicate_ratio;
-    // Replay the factorized planner's class construction to count the
-    // fan-out-deduplicated compute cells.
+    // Group rows as the factorized planner does and count each class's
+    // distinct source rows (the fan-out-deduplicated compute cells): a
+    // source row is new to class c while its stamp is not c + 1.
     const size_t mapped_cols = s.mapping.MappedTargetColumns().size();
-    std::map<int32_t, std::set<size_t>> unique_rows_per_class;
-    for (size_t i = 0; i < metadata.target_rows(); ++i) {
-      const int64_t row = s.indicator.At(i);
-      if (row < 0) continue;
-      unique_rows_per_class[s.redundancy.row_set(i)].insert(
-          static_cast<size_t>(row));
-    }
-    for (const auto& [set_id, unique_rows] : unique_rows_per_class) {
+    const std::vector<int64_t>& indicator = s.indicator.values();
+    const std::vector<std::vector<metadata::RowId>> classes =
+        metadata::RowClassTargets(s);
+    std::vector<size_t> stamp(s.data.rows(), 0);
+    for (size_t c = 0; c < classes.size(); ++c) {
+      size_t unique_rows = 0;
+      for (metadata::RowId i : classes[c]) {
+        size_t& row_stamp = stamp[static_cast<size_t>(indicator[i])];
+        if (row_stamp != c + 1) {
+          row_stamp = c + 1;
+          ++unique_rows;
+        }
+      }
       const size_t masked =
-          set_id < 0
-              ? 0
-              : s.redundancy.column_sets()[static_cast<size_t>(set_id)].size();
-      sf.compute_cells += unique_rows.size() * (mapped_cols - masked);
+          c == 0 ? 0 : s.redundancy.column_sets()[c - 1].size();
+      sf.compute_cells += unique_rows * (mapped_cols - masked);
     }
     features.sources.push_back(sf);
   }

@@ -97,6 +97,20 @@ class FactorizedTable {
   /// Tᵀ · X for X (rT × n) — the transpose rewrite (gradients).
   la::DenseMatrix TransposeLeftMultiply(const la::DenseMatrix& x) const;
 
+  /// The LMM and transpose-LMM kernels themselves, writing into buffers the
+  /// caller owns: `*out` must already be rT × n (LMM) or cT × n (TLMM) and is
+  /// overwritten; `*scratch` holds the per-class unique-row products and is
+  /// grown on first use, so a caller that keeps both buffers across calls
+  /// allocates nothing after its first call. `LeftMultiply` and
+  /// `TransposeLeftMultiply` are these kernels over fresh buffers, so the
+  /// results are bitwise-equal. The table itself stays immutable — it is
+  /// shared across threads by model handles and serving snapshots — so
+  /// reused buffers belong to the caller, one set per calling thread.
+  void LeftMultiplyInto(const la::DenseMatrix& x, la::DenseMatrix* out,
+                        std::vector<double>* scratch) const;
+  void TransposeLeftMultiplyInto(const la::DenseMatrix& x, la::DenseMatrix* out,
+                                 std::vector<double>* scratch) const;
+
   /// X · T for X (m × rT) — the RMM rewrite.
   la::DenseMatrix RightMultiply(const la::DenseMatrix& x) const;
 
@@ -127,30 +141,60 @@ class FactorizedTable {
   /// then expanded to the class's target rows through the indicator — the
   /// mechanism that makes factorized learning cheaper than materialization
   /// on redundant targets.
+  ///
+  /// A class *without fan-out* (as many unique source rows as target rows —
+  /// a star or snowflake fact under left joins, a fact whose inner join
+  /// dropped rows, a union shard) has target row r ↔ unique row r: the
+  /// kernels then read and write its rows in place, skipping the LMM's
+  /// unique → target expansion and the transpose's fan-out gather, with the
+  /// same per-element arithmetic.
   struct RowClassPlan {
     /// Distinct D_k rows used by this class.
-    std::vector<size_t> unique_source_rows;
+    std::vector<metadata::RowId> unique_source_rows;
     /// Target rows of the class.
-    std::vector<size_t> target_rows;
+    std::vector<metadata::RowId> target_rows;
     /// Index into `unique_source_rows`, parallel to `target_rows`.
-    std::vector<size_t> target_to_unique;
+    std::vector<metadata::RowId> target_to_unique;
     /// Reverse fan-out index: for unique row u, the target rows it expands
     /// to are `fanout_targets[fanout_offsets[u] .. fanout_offsets[u+1])`, in
     /// class (ascending-row) order. Lets the transpose rewrites reduce over
     /// fan-out *per unique row* — disjoint writes under parallel execution
     /// and the same floating-point accumulation order as the serial walk.
-    std::vector<size_t> fanout_offsets;  // size unique_source_rows.size() + 1
-    std::vector<size_t> fanout_targets;  // size target_rows.size()
+    std::vector<metadata::RowId> fanout_offsets;  // size unique rows + 1
+    std::vector<metadata::RowId> fanout_targets;  // size target_rows.size()
     /// Allowed (D_k column, target column) pairs for this class.
     std::vector<size_t> dk_cols;
     std::vector<size_t> t_cols;  // parallel to dk_cols
+
+    /// Target row r maps to unique row r (see above).
+    bool NoFanout() const {
+      return unique_source_rows.size() == target_rows.size();
+    }
   };
 
-  /// Plans per source; built once at construction.
+  /// Plans per source; built once at construction. Classes come in set-id
+  /// order, unique rows in order of first appearance; dense per-class
+  /// indexes, no hashing.
   void BuildPlans(bool ignore_redundancy);
+
+  /// Grows `scratch` to the largest fan-out class's unique rows × n.
+  void ReserveScratch(size_t n, std::vector<double>* scratch) const;
+
+  /// The kernels behind the `...Into` calls. `kCols` fixes X's column count
+  /// at compile time (1: the gradient step's vectors) or is 0 to read it at
+  /// run time; both instantiations share this one body. With one column, a
+  /// run-time column loop costs more than the multiply-add it wraps.
+  template <size_t kCols>
+  void LeftMultiplyKernel(const la::DenseMatrix& x, la::DenseMatrix* out,
+                          double* unique) const;
+  template <size_t kCols>
+  void TransposeLeftMultiplyKernel(const la::DenseMatrix& x,
+                                   la::DenseMatrix* out, double* reduced) const;
 
   metadata::DiMetadata metadata_;
   std::vector<std::vector<RowClassPlan>> plans_;  // [source][class]
+  /// Unique rows of the largest class with fan-out (sizes the scratch).
+  size_t max_fanout_unique_rows_ = 0;
 };
 
 /// The Morpheus-style baseline (rewrite rule (1) of §IV.A, after [27]):

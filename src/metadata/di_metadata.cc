@@ -1,6 +1,7 @@
 #include "metadata/di_metadata.h"
 
 #include <algorithm>
+#include <limits>
 #include <set>
 #include <sstream>
 #include <utility>
@@ -424,6 +425,32 @@ Result<DiMetadata> DiMetadata::DeriveGraph(
 
   AMALUR_RETURN_NOT_OK(FillSources(mapping, tables, ci, &metadata.sources_));
   return metadata;
+}
+
+std::vector<std::vector<RowId>> RowClassTargets(const SourceMetadata& source,
+                                                bool ignore_redundancy) {
+  const std::vector<int64_t>& indicator = source.indicator.values();
+  AMALUR_CHECK(indicator.size() < std::numeric_limits<RowId>::max() &&
+               source.data.rows() < std::numeric_limits<RowId>::max())
+      << "row classes index rows with 32 bits";
+  // Without masked sets every row is in class 0.
+  const size_t num_classes =
+      ignore_redundancy ? 1 : source.redundancy.column_sets().size() + 1;
+  const auto class_of = [&](size_t i) {
+    return num_classes == 1
+               ? size_t{0}
+               : static_cast<size_t>(source.redundancy.row_set(i) + 1);
+  };
+  std::vector<size_t> counts(num_classes, 0);
+  for (size_t i = 0; i < indicator.size(); ++i) {
+    if (indicator[i] >= 0) ++counts[class_of(i)];
+  }
+  std::vector<std::vector<RowId>> classes(num_classes);
+  for (size_t c = 0; c < num_classes; ++c) classes[c].reserve(counts[c]);
+  for (size_t i = 0; i < indicator.size(); ++i) {
+    if (indicator[i] >= 0) classes[class_of(i)].push_back(static_cast<RowId>(i));
+  }
+  return classes;
 }
 
 la::DenseMatrix DiMetadata::SourceContribution(size_t k) const {

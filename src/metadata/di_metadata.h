@@ -1,5 +1,6 @@
 #pragma once
 
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -86,6 +87,21 @@ struct SourceMetadata {
   /// (cost-model feature: "redundancy in source tables").
   double duplicate_ratio = 0.0;
 };
+
+/// A row index in the per-class row lists below and in the factorized
+/// plans built from them: 32 bits halve the memory the kernels stream, and
+/// targets and sources stay below 2^32 rows.
+using RowId = uint32_t;
+
+/// The target rows `source` contributes to (CI_k != -1), grouped into
+/// redundancy row classes: entry c lists, ascending, the rows whose
+/// `redundancy.row_set` is c − 1 (entry 0: the rows with nothing masked).
+/// With `ignore_redundancy` there is one class holding every contributed
+/// row. The factorized planner builds one plan per class and the cost model
+/// counts each class's distinct source rows, so both group rows alike.
+/// Two passes over the target rows; each list is allocated at its exact size.
+std::vector<std::vector<RowId>> RowClassTargets(const SourceMetadata& source,
+                                                bool ignore_redundancy = false);
 
 /// Derived DI metadata for a full integration scenario.
 class DiMetadata {

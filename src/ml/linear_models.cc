@@ -8,9 +8,26 @@ namespace ml {
 
 namespace {
 
-void CheckLabels(const TrainingMatrix& features, const la::DenseMatrix& labels) {
+/// Gradient descent over `features.GradientStep`: one gradient buffer for
+/// the whole run, w ← w − η (g/n + λw) per iteration.
+LinearModel TrainGradientDescent(const TrainingMatrix& features,
+                                 const la::DenseMatrix& labels,
+                                 const GradientDescentOptions& options,
+                                 Loss loss) {
   AMALUR_CHECK(labels.rows() == features.rows() && labels.cols() == 1)
       << "labels must be rows×1";
+  const double n = static_cast<double>(features.rows());
+  LinearModel model{la::DenseMatrix(features.cols(), 1), {}};
+  model.loss_history.reserve(options.iterations);
+  la::DenseMatrix gradient(features.cols(), 1);
+  for (size_t it = 0; it < options.iterations; ++it) {
+    model.loss_history.push_back(
+        features.GradientStep(model.weights, labels, loss, &gradient));
+    gradient.ScaleInPlace(1.0 / n);
+    if (options.l2 > 0.0) gradient.AddScaled(model.weights, options.l2);
+    model.weights.AddScaled(gradient, -options.learning_rate);
+  }
+  return model;
 }
 
 }  // namespace
@@ -18,40 +35,13 @@ void CheckLabels(const TrainingMatrix& features, const la::DenseMatrix& labels) 
 LinearModel TrainLinearRegression(const TrainingMatrix& features,
                                   const la::DenseMatrix& labels,
                                   const GradientDescentOptions& options) {
-  CheckLabels(features, labels);
-  const double n = static_cast<double>(features.rows());
-  LinearModel model{la::DenseMatrix(features.cols(), 1), {}};
-  model.loss_history.reserve(options.iterations);
-  for (size_t it = 0; it < options.iterations; ++it) {
-    la::DenseMatrix predictions = features.LeftMultiply(model.weights);
-    la::DenseMatrix residual = predictions.Subtract(labels);
-    model.loss_history.push_back(MeanSquaredError(predictions, labels));
-    la::DenseMatrix gradient = features.TransposeLeftMultiply(residual);
-    gradient.ScaleInPlace(1.0 / n);
-    if (options.l2 > 0.0) gradient.AddScaled(model.weights, options.l2);
-    model.weights.AddScaled(gradient, -options.learning_rate);
-  }
-  return model;
+  return TrainGradientDescent(features, labels, options, Loss::kSquared);
 }
 
 LinearModel TrainLogisticRegression(const TrainingMatrix& features,
                                     const la::DenseMatrix& labels,
                                     const GradientDescentOptions& options) {
-  CheckLabels(features, labels);
-  const double n = static_cast<double>(features.rows());
-  LinearModel model{la::DenseMatrix(features.cols(), 1), {}};
-  model.loss_history.reserve(options.iterations);
-  for (size_t it = 0; it < options.iterations; ++it) {
-    la::DenseMatrix probabilities =
-        Sigmoid(features.LeftMultiply(model.weights));
-    model.loss_history.push_back(LogLoss(probabilities, labels));
-    la::DenseMatrix residual = probabilities.Subtract(labels);
-    la::DenseMatrix gradient = features.TransposeLeftMultiply(residual);
-    gradient.ScaleInPlace(1.0 / n);
-    if (options.l2 > 0.0) gradient.AddScaled(model.weights, options.l2);
-    model.weights.AddScaled(gradient, -options.learning_rate);
-  }
-  return model;
+  return TrainGradientDescent(features, labels, options, Loss::kLogistic);
 }
 
 la::DenseMatrix PredictLinear(const TrainingMatrix& features,

@@ -28,15 +28,17 @@ double LogLoss(const la::DenseMatrix& probabilities,
                probabilities.cols() == 1 && labels.cols() == 1)
       << "log-loss expects n×1 vectors";
   if (probabilities.rows() == 0) return 0.0;
-  constexpr double kEps = 1e-12;
   double acc = 0.0;
   for (size_t i = 0; i < probabilities.rows(); ++i) {
-    const double p =
-        std::clamp(probabilities.At(i, 0), kEps, 1.0 - kEps);
-    const double y = labels.At(i, 0);
-    acc -= y * std::log(p) + (1.0 - y) * std::log(1.0 - p);
+    acc -= LogLossTerm(probabilities.At(i, 0), labels.At(i, 0));
   }
   return acc / static_cast<double>(probabilities.rows());
+}
+
+double LogLossTerm(double probability, double label) {
+  constexpr double kEps = 1e-12;
+  const double p = std::clamp(probability, kEps, 1.0 - kEps);
+  return label * std::log(p) + (1.0 - label) * std::log(1.0 - p);
 }
 
 double BinaryAccuracy(const la::DenseMatrix& probabilities,
@@ -51,20 +53,21 @@ double BinaryAccuracy(const la::DenseMatrix& probabilities,
   return static_cast<double>(correct) / static_cast<double>(probabilities.rows());
 }
 
+double Sigmoid(double x) {
+  // Branching form avoids overflow in exp for large |x|.
+  if (x >= 0) {
+    const double e = std::exp(-x);
+    return 1.0 / (1.0 + e);
+  }
+  const double e = std::exp(x);
+  return e / (1.0 + e);
+}
+
 la::DenseMatrix Sigmoid(const la::DenseMatrix& x) {
   // Statically-dispatched (and parallel) transform instead of Map's
-  // std::function-per-element: this is the logistic-regression training hot
-  // path, applied to every prediction every iteration.
+  // std::function-per-element.
   la::DenseMatrix out = x;
-  out.TransformInPlace([](double v) {
-    // Branching form avoids overflow in exp for large |v|.
-    if (v >= 0) {
-      const double e = std::exp(-v);
-      return 1.0 / (1.0 + e);
-    }
-    const double e = std::exp(v);
-    return e / (1.0 + e);
-  });
+  out.TransformInPlace([](double v) { return Sigmoid(v); });
   return out;
 }
 

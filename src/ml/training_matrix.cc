@@ -1,9 +1,24 @@
 #include "ml/training_matrix.h"
 
+#include <algorithm>
+
 #include "common/parallel_for.h"
+#include "ml/metrics.h"
 
 namespace amalur {
 namespace ml {
+
+double TrainingMatrix::GradientStep(const la::DenseMatrix& w,
+                                    const la::DenseMatrix& y, Loss loss,
+                                    la::DenseMatrix* gradient) const {
+  la::DenseMatrix predictions = LeftMultiply(w);
+  if (loss == Loss::kLogistic) predictions = Sigmoid(predictions);
+  const double value = loss == Loss::kLogistic
+                           ? LogLoss(predictions, y)
+                           : MeanSquaredError(predictions, y);
+  *gradient = TransposeLeftMultiply(predictions.Subtract(y));
+  return value;
+}
 
 la::DenseMatrix MaterializedMatrix::RowSquaredNorms() const {
   la::DenseMatrix out(data_.rows(), 1);
@@ -43,34 +58,78 @@ FactorizedFeatures::FactorizedFeatures(
   AMALUR_CHECK(label_column_ < table_->cols()) << "label column out of range";
 }
 
-la::DenseMatrix FactorizedFeatures::PadToTarget(const la::DenseMatrix& x) const {
-  la::DenseMatrix padded(table_->cols(), x.cols());
-  for (size_t i = 0, src = 0; i < table_->cols(); ++i) {
-    if (i == label_column_) continue;
-    for (size_t c = 0; c < x.cols(); ++c) padded.At(i, c) = x.At(src, c);
-    ++src;
+void FactorizedFeatures::PadInto(const la::DenseMatrix& x,
+                                 la::DenseMatrix* padded) const {
+  for (size_t f = 0; f < cols(); ++f) {
+    std::copy(x.RowPtr(f), x.RowPtr(f) + x.cols(),
+              padded->RowPtr(TargetRow(f)));
   }
-  return padded;
 }
 
-la::DenseMatrix FactorizedFeatures::DropLabelRow(const la::DenseMatrix& x) const {
-  la::DenseMatrix out(x.rows() - 1, x.cols());
-  for (size_t i = 0, dst = 0; i < x.rows(); ++i) {
-    if (i == label_column_) continue;
-    for (size_t c = 0; c < x.cols(); ++c) out.At(dst, c) = x.At(i, c);
-    ++dst;
+void FactorizedFeatures::DropLabelRowInto(const la::DenseMatrix& target,
+                                          la::DenseMatrix* out) const {
+  for (size_t f = 0; f < cols(); ++f) {
+    const double* row = target.RowPtr(TargetRow(f));
+    std::copy(row, row + target.cols(), out->RowPtr(f));
   }
-  return out;
 }
 
 la::DenseMatrix FactorizedFeatures::LeftMultiply(const la::DenseMatrix& x) const {
   AMALUR_CHECK_EQ(x.rows(), cols()) << "feature LMM shape";
-  return table_->LeftMultiply(PadToTarget(x));
+  la::DenseMatrix padded(table_->cols(), x.cols());
+  PadInto(x, &padded);
+  return table_->LeftMultiply(padded);
 }
 
 la::DenseMatrix FactorizedFeatures::TransposeLeftMultiply(
     const la::DenseMatrix& x) const {
-  return DropLabelRow(table_->TransposeLeftMultiply(x));
+  const la::DenseMatrix target = table_->TransposeLeftMultiply(x);
+  la::DenseMatrix out(cols(), x.cols());
+  DropLabelRowInto(target, &out);
+  return out;
+}
+
+double FactorizedFeatures::GradientStep(const la::DenseMatrix& w,
+                                        const la::DenseMatrix& y, Loss loss,
+                                        la::DenseMatrix* gradient) const {
+  AMALUR_CHECK(w.rows() == cols() && w.cols() == 1) << "step: w is cols x 1";
+  AMALUR_CHECK(y.rows() == rows() && y.cols() == 1) << "step: y is rows x 1";
+  StepBuffers& b = step_;
+  if (b.padded_weights.rows() != table_->cols()) {  // this view's first step
+    b.padded_weights = la::DenseMatrix(table_->cols(), 1);
+    b.predictions = la::DenseMatrix(rows(), 1);
+    b.target_gradient = la::DenseMatrix(table_->cols(), 1);
+  }
+  if (gradient->rows() != cols() || gradient->cols() != 1) {
+    *gradient = la::DenseMatrix(cols(), 1);
+  }
+  PadInto(w, &b.padded_weights);
+  table_->LeftMultiplyInto(b.padded_weights, &b.predictions, &b.scratch);
+
+  // Residuals in place, loss summed rows ascending — the order and the
+  // per-row terms of MeanSquaredError / LogLoss and Subtract.
+  double* residual = b.predictions.data();
+  const double* labels = y.data();
+  const size_t n = rows();
+  double acc = 0.0;
+  if (loss == Loss::kLogistic) {
+    for (size_t i = 0; i < n; ++i) {
+      const double p = Sigmoid(residual[i]);
+      acc -= LogLossTerm(p, labels[i]);
+      residual[i] = p - labels[i];
+    }
+  } else {
+    for (size_t i = 0; i < n; ++i) {
+      const double d = residual[i] - labels[i];
+      acc += d * d;
+      residual[i] = d;
+    }
+  }
+
+  table_->TransposeLeftMultiplyInto(b.predictions, &b.target_gradient,
+                                    &b.scratch);
+  DropLabelRowInto(b.target_gradient, gradient);
+  return n == 0 ? 0.0 : acc / static_cast<double>(n);
 }
 
 la::DenseMatrix FactorizedFeatures::RowSquaredNorms() const {

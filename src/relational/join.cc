@@ -1,5 +1,6 @@
 #include "relational/join.h"
 
+#include <cstring>
 #include <unordered_map>
 
 #include "common/status.h"
@@ -23,8 +24,12 @@ const char* JoinKindToString(JoinKind kind) {
 
 namespace {
 
-/// Composite key of one row over the key columns; empty optional when any key
-/// cell is NULL (SQL semantics: NULL keys never match).
+/// Key of one row over the key columns; empty optional when any key cell is
+/// NULL (SQL semantics: NULL keys never match). Cells compare by their
+/// `Value::ToString()` renderings, so an int64 1 and a double 1.0 (both "1")
+/// match. A one-column key is the rendering itself; a composite key puts
+/// each rendering behind its byte length, so no two cell sequences share a
+/// key, whatever bytes the cells hold.
 std::optional<std::string> RowKey(const Table& table,
                                   const std::vector<size_t>& key_columns,
                                   size_t row) {
@@ -32,8 +37,13 @@ std::optional<std::string> RowKey(const Table& table,
   for (size_t c : key_columns) {
     const Value v = table.column(c).GetValue(row);
     if (v.is_null()) return std::nullopt;
-    key += v.ToString();
-    key.push_back('\x1f');  // unit separator: avoids "a"+"bc" == "ab"+"c"
+    std::string cell = v.ToString();
+    if (key_columns.size() == 1) return cell;
+    const size_t length = cell.size();
+    char prefix[sizeof(length)];
+    std::memcpy(prefix, &length, sizeof(length));
+    key.append(prefix, sizeof(prefix));
+    key += cell;
   }
   return key;
 }

@@ -47,7 +47,7 @@ Result<std::shared_ptr<DeployedModel>> DeployedModel::Create(
   out->source_names_ = model.source_names();
 
   // Pad the weights to target-column space with a zero at the label — the
-  // same layout FactorizedFeatures::PadToTarget gives the training LMM, so
+  // same layout FactorizedFeatures gives the training LMM's weights, so
   // the partial scores reproduce training-time predictions bit for bit.
   la::DenseMatrix target_weights(table->cols(), 1);
   for (size_t j = 0, f = 0; j < table->cols(); ++j) {

@@ -313,6 +313,75 @@ TEST(AmalurTest, DivergingTrainingFailsInsteadOfReturningNanWeights) {
   }
 }
 
+TEST(AmalurTest, EmptyTargetIsAnInvalidIntegrationForEveryStrategy) {
+  // An inner join whose keys never match leaves no target rows. Every path
+  // (the optimizer's choice, forced factorize and materialize, federated)
+  // must report the empty target as kInvalidArgument before planning, not
+  // as divergence from 1/n with n = 0 or as a protocol error.
+  Rng rng(37);
+  std::vector<int64_t> left_ids, right_ids;
+  std::vector<double> heart_rate, outcome, weight;
+  for (int64_t i = 0; i < 60; ++i) {
+    left_ids.push_back(2 * i);  // even ids only
+    heart_rate.push_back(70.0 + 8.0 * rng.NextGaussian());
+    outcome.push_back(rng.NextGaussian());
+  }
+  for (int64_t i = 0; i < 60; ++i) {
+    right_ids.push_back(2 * i + 1);  // odd ids only: no visit's patient
+    weight.push_back(75.0 + 10.0 * rng.NextGaussian());
+  }
+  rel::Table visits("visits");
+  ASSERT_TRUE(
+      visits.AddColumn(rel::Column::FromInt64s("patient_id", left_ids)).ok());
+  ASSERT_TRUE(visits.AddColumn(rel::Column::FromDoubles("heart_rate", heart_rate))
+                  .ok());
+  ASSERT_TRUE(
+      visits.AddColumn(rel::Column::FromDoubles("outcome", outcome)).ok());
+  rel::Table scales("scales");
+  ASSERT_TRUE(
+      scales.AddColumn(rel::Column::FromInt64s("patient_id", right_ids)).ok());
+  ASSERT_TRUE(
+      scales.AddColumn(rel::Column::FromDoubles("weight", weight)).ok());
+
+  TrainRequest request;
+  request.label_column = "outcome";
+  request.gd.iterations = 10;
+  request.gd.learning_rate = 0.05;
+  const auto expect_empty_target = [](const Result<ModelHandle>& model,
+                                      const std::string& path) {
+    ASSERT_FALSE(model.ok()) << path;
+    EXPECT_TRUE(model.status().IsInvalidArgument())
+        << path << ": " << model.status();
+    EXPECT_NE(model.status().message().find("empty target table"),
+              std::string::npos)
+        << path << ": " << model.status();
+  };
+
+  for (bool privacy_constrained : {false, true}) {
+    Amalur amalur;
+    ASSERT_TRUE(
+        amalur.catalog()->RegisterSource({"a", visits, "", false}).ok());
+    ASSERT_TRUE(amalur.catalog()
+                    ->RegisterSource({"b", scales, "", privacy_constrained})
+                    .ok());
+    auto integration = amalur.Integrate("a", "b", rel::JoinKind::kInnerJoin);
+    ASSERT_TRUE(integration.ok()) << integration.status();
+    ASSERT_EQ(integration->metadata.target_rows(), 0u);
+    ASSERT_EQ(integration->privacy_constrained, privacy_constrained);
+
+    request.force_strategy.reset();
+    if (privacy_constrained) {
+      expect_empty_target(amalur.Train(*integration, request), "federated");
+      continue;
+    }
+    expect_empty_target(amalur.Train(*integration, request), "optimizer");
+    request.force_strategy = ExecutionStrategy::kFactorize;
+    expect_empty_target(amalur.Train(*integration, request), "factorize");
+    request.force_strategy = ExecutionStrategy::kMaterialize;
+    expect_empty_target(amalur.Train(*integration, request), "materialize");
+  }
+}
+
 TEST(AmalurTest, ModelHandlePredictsAndEvaluatesRelationalData) {
   rel::SiloPairSpec spec;
   spec.kind = rel::JoinKind::kLeftJoin;

@@ -1,0 +1,444 @@
+#include <gtest/gtest.h>
+
+#include <algorithm>
+#include <cstring>
+#include <map>
+#include <memory>
+#include <set>
+#include <string>
+#include <vector>
+
+#include "common/parallel_for.h"
+#include "common/rng.h"
+#include "cost/cost_features.h"
+#include "factorized/factorized_table.h"
+#include "ml/linear_models.h"
+#include "ml/training_matrix.h"
+#include "testing/generator.h"
+#include "testing/scenario_builder.h"
+
+/// Differential test of `FactorizedFeatures::GradientStep`, the fused
+/// factorized step, against the default unfused step it overrides. The
+/// reference trains through a forwarding decorator that overrides only the
+/// four operators and so inherits the default step — the shape of the
+/// facade benchmark's timing wrapper, whose replay must stay bitwise-equal
+/// to the facade. Integrations are drawn at random from the `testing/`
+/// fixtures: pairs of every Table I relationship (with shared columns, so
+/// some rows carry masked redundancy sets, and with duplicated keys, so the
+/// base fans out), one-to-one pairs, snowflakes, conformed snowflakes whose
+/// inner edge drops fact rows, unions of stars, and one target without rows. Between them
+/// they give classes with and without fan-out. The same integrations check
+/// the kernels against expand-and-gather reference arithmetic and the cost
+/// model's `compute_cells` against a map-of-sets count.
+
+namespace amalur {
+namespace ml {
+namespace {
+
+/// Forwards the four operators and inherits the default `GradientStep`.
+class Forwarding : public TrainingMatrix {
+ public:
+  explicit Forwarding(const TrainingMatrix& inner) : inner_(inner) {}
+  size_t rows() const override { return inner_.rows(); }
+  size_t cols() const override { return inner_.cols(); }
+  la::DenseMatrix LeftMultiply(const la::DenseMatrix& x) const override {
+    return inner_.LeftMultiply(x);
+  }
+  la::DenseMatrix TransposeLeftMultiply(
+      const la::DenseMatrix& x) const override {
+    return inner_.TransposeLeftMultiply(x);
+  }
+  la::DenseMatrix RowSquaredNorms() const override {
+    return inner_.RowSquaredNorms();
+  }
+  la::DenseMatrix ColSums() const override { return inner_.ColSums(); }
+
+ private:
+  const TrainingMatrix& inner_;
+};
+
+struct Integration {
+  std::string name;
+  metadata::DiMetadata metadata;
+};
+
+/// Same length and the same bits; empty buffers may be null.
+bool BitEqual(const double* a, const double* b, size_t n) {
+  return n == 0 || std::memcmp(a, b, n * sizeof(double)) == 0;
+}
+
+bool BitEqual(const std::vector<double>& a, const std::vector<double>& b) {
+  return a.size() == b.size() && BitEqual(a.data(), b.data(), a.size());
+}
+
+bool BitEqual(const la::DenseMatrix& a, const la::DenseMatrix& b) {
+  return a.rows() == b.rows() && a.cols() == b.cols() &&
+         BitEqual(a.data(), b.data(), a.size());
+}
+
+size_t Draw(Rng* rng, size_t lo, size_t hi) {
+  return static_cast<size_t>(
+      rng->NextInt64(static_cast<int64_t>(lo), static_cast<int64_t>(hi)));
+}
+
+metadata::DiMetadata Unwrap(Result<metadata::DiMetadata> metadata) {
+  AMALUR_CHECK(metadata.ok()) << metadata.status();
+  return std::move(metadata).ValueOrDie();
+}
+
+/// Random integrations of every fixture shape, `draws` of each.
+std::vector<Integration> DrawIntegrations(uint64_t seed, size_t draws) {
+  Rng rng(seed);
+  std::vector<Integration> out;
+  for (size_t d = 0; d < draws; ++d) {
+    for (rel::JoinKind kind :
+         {rel::JoinKind::kInnerJoin, rel::JoinKind::kLeftJoin,
+          rel::JoinKind::kFullOuterJoin, rel::JoinKind::kUnion}) {
+      rel::SiloPairSpec spec;
+      spec.kind = kind;
+      spec.base_rows = Draw(&rng, 20, 160);
+      spec.other_rows = Draw(&rng, 5, 60);
+      spec.base_features = Draw(&rng, 1, 3);
+      spec.other_features = Draw(&rng, 1, 6);
+      spec.shared_features = Draw(&rng, 0, 2);
+      spec.match_fraction = rng.NextDouble(0.4, 1.0);
+      spec.row_overlap = rng.NextDouble(0.4, 1.0);
+      spec.other_dup_rate = rng.NextBernoulli(0.5) ? 0.3 : 0.0;
+      spec.null_ratio = rng.NextBernoulli(0.3) ? 0.2 : 0.0;
+      spec.other_has_label = rng.NextBernoulli(0.5);
+      if (kind == rel::JoinKind::kUnion) {
+        spec.base_features = 0;
+        spec.other_features = 0;
+        spec.shared_features = Draw(&rng, 1, 4);
+        spec.match_fraction = 0.0;
+        spec.row_overlap = 0.0;
+        spec.other_dup_rate = 0.0;
+        spec.other_has_label = true;
+      }
+      spec.seed = rng.Next();
+      out.push_back({std::string("pair ") + rel::JoinKindToString(kind),
+                     Unwrap(factorized::DerivePairMetadata(
+                         rel::GenerateSiloPair(spec)))});
+    }
+
+    // One-to-one joins: the second silo's classes have no fan-out either,
+    // so in-place rows add onto what the first silo left there.
+    for (rel::JoinKind kind :
+         {rel::JoinKind::kInnerJoin, rel::JoinKind::kLeftJoin}) {
+      rel::SiloPairSpec spec;
+      spec.kind = kind;
+      spec.base_rows = Draw(&rng, 20, 120);
+      spec.other_rows = spec.base_rows;
+      spec.base_features = Draw(&rng, 1, 3);
+      spec.other_features = Draw(&rng, 1, 4);
+      spec.shared_features = Draw(&rng, 0, 2);
+      spec.match_fraction = rng.NextDouble(0.6, 1.0);
+      spec.seed = rng.Next();
+      out.push_back(
+          {std::string("one-to-one pair ") + rel::JoinKindToString(kind),
+           Unwrap(factorized::DerivePairMetadata(
+               rel::GenerateSiloPair(spec)))});
+    }
+
+    rel::SnowflakeSpec snowflake;
+    snowflake.fact_rows = Draw(&rng, 40, 200);
+    snowflake.level_rows = {Draw(&rng, 10, 30), Draw(&rng, 2, 9)};
+    snowflake.level_features = {Draw(&rng, 1, 4), Draw(&rng, 1, 3)};
+    snowflake.seed = rng.Next();
+    out.push_back({"snowflake", Unwrap(factorized::DeriveSnowflakeMetadata(
+                                    rel::GenerateSnowflake(snowflake)))});
+
+    rel::ConformedSnowflakeSpec conformed;
+    conformed.fact_rows = Draw(&rng, 40, 200);
+    conformed.branch_rows = Draw(&rng, 8, 30);
+    conformed.shared_rows = Draw(&rng, 2, 7);
+    conformed.match_fraction = rng.NextDouble(0.5, 0.9);
+    conformed.seed = rng.Next();
+    // The first branch edge is an inner join: its dangling references drop
+    // fact rows from the target.
+    out.push_back({"conformed snowflake, inner first branch",
+                   Unwrap(factorized::DeriveConformedSnowflakeMetadata(
+                       rel::GenerateConformedSnowflake(conformed), 1))});
+
+    rel::UnionOfStarsSpec stars;
+    stars.shards = Draw(&rng, 2, 3);
+    stars.fact_rows = Draw(&rng, 20, 120);
+    stars.dim_rows = Draw(&rng, 4, 20);
+    stars.seed = rng.Next();
+    out.push_back({"union of stars",
+                   Unwrap(factorized::DeriveUnionOfStarsMetadata(
+                       rel::GenerateUnionOfStars(stars)))});
+  }
+  // An inner join whose keys never match: a target without rows.
+  rel::SiloPairSpec empty;
+  empty.kind = rel::JoinKind::kInnerJoin;
+  empty.match_fraction = 0.0;
+  empty.base_rows = 30;
+  empty.other_rows = 10;
+  empty.other_features = 3;
+  empty.seed = rng.Next();
+  out.push_back({"pair inner join, no key matches",
+                 Unwrap(factorized::DerivePairMetadata(
+                     rel::GenerateSiloPair(empty)))});
+  return out;
+}
+
+size_t LabelColumn(const metadata::DiMetadata& metadata) {
+  const auto label = metadata.target_schema().IndexOf("y");
+  AMALUR_CHECK(label.has_value()) << "fixtures label their targets y";
+  return *label;
+}
+
+TEST(GradientStepTest, FusedTrainingIsBitwiseTheDefaultStep) {
+  for (const Integration& integration : DrawIntegrations(1801, 2)) {
+    SCOPED_TRACE(integration.name);
+    auto table =
+        std::make_shared<factorized::FactorizedTable>(integration.metadata);
+    const FactorizedFeatures features(table, LabelColumn(integration.metadata));
+    const Forwarding reference(features);
+    const la::DenseMatrix labels = features.Labels();
+    la::DenseMatrix binary = labels;
+    binary.TransformInPlace([](double v) { return v > 0.0 ? 1.0 : 0.0; });
+
+    for (size_t threads : {1, 4}) {
+      common::ScopedNumThreads scope(threads);
+      for (double l2 : {0.0, 0.05}) {
+        GradientDescentOptions gd;
+        gd.iterations = 12;
+        gd.l2 = l2;
+        gd.learning_rate = 0.05;
+        const LinearModel linear = TrainLinearRegression(features, labels, gd);
+        const LinearModel linear_ref =
+            TrainLinearRegression(reference, labels, gd);
+        EXPECT_TRUE(BitEqual(linear.weights, linear_ref.weights))
+            << "linear, threads " << threads << ", l2 " << l2;
+        EXPECT_TRUE(BitEqual(linear.loss_history, linear_ref.loss_history))
+            << "linear, threads " << threads << ", l2 " << l2;
+
+        gd.learning_rate = 0.5;
+        const LinearModel logistic =
+            TrainLogisticRegression(features, binary, gd);
+        const LinearModel logistic_ref =
+            TrainLogisticRegression(reference, binary, gd);
+        EXPECT_TRUE(BitEqual(logistic.weights, logistic_ref.weights))
+            << "logistic, threads " << threads << ", l2 " << l2;
+        EXPECT_TRUE(BitEqual(logistic.loss_history, logistic_ref.loss_history))
+            << "logistic, threads " << threads << ", l2 " << l2;
+      }
+    }
+  }
+}
+
+TEST(GradientStepTest, StepAtRandomWeightsIsBitwiseTheDefaultStep) {
+  // Training starts at w = 0; a step at arbitrary weights (large ones too,
+  // so sigmoids saturate and the log-loss clamp engages) must agree as well,
+  // and repeated steps on one view reuse its buffers without drift.
+  Rng rng(1802);
+  for (const Integration& integration : DrawIntegrations(1803, 1)) {
+    SCOPED_TRACE(integration.name);
+    auto table =
+        std::make_shared<factorized::FactorizedTable>(integration.metadata);
+    const FactorizedFeatures features(table, LabelColumn(integration.metadata));
+    const Forwarding reference(features);
+    const la::DenseMatrix labels = features.Labels();
+    la::DenseMatrix binary = labels;
+    binary.TransformInPlace([](double v) { return v > 0.0 ? 1.0 : 0.0; });
+    for (size_t threads : {1, 4}) {
+      common::ScopedNumThreads scope(threads);
+      for (double scale : {0.1, 1.0, 40.0}) {
+        la::DenseMatrix w =
+            la::DenseMatrix::RandomGaussian(features.cols(), 1, &rng);
+        w.ScaleInPlace(scale);
+        for (Loss loss : {Loss::kSquared, Loss::kLogistic}) {
+          const la::DenseMatrix& y = loss == Loss::kSquared ? labels : binary;
+          la::DenseMatrix fused, unfused;
+          const double fused_loss = features.GradientStep(w, y, loss, &fused);
+          const double unfused_loss =
+              reference.GradientStep(w, y, loss, &unfused);
+          EXPECT_TRUE(BitEqual({fused_loss}, {unfused_loss}))
+              << fused_loss << " vs " << unfused_loss;
+          EXPECT_TRUE(BitEqual(fused, unfused))
+              << "threads " << threads << ", scale " << scale;
+        }
+      }
+    }
+  }
+}
+
+/// Reference arithmetic of the rewrite kernels: per redundancy class (set id
+/// ascending), one product row per unique source row (first appearance),
+/// expanded to the class's target rows (LMM); X's rows gathered per unique
+/// source row, then multiply-added into the target columns (TLMM). Classes
+/// the kernels read in place must give these bits.
+struct ReferenceClass {
+  std::vector<size_t> unique_rows;
+  std::vector<size_t> target_rows;
+  std::vector<size_t> target_to_unique;
+  std::vector<size_t> dk_cols;
+  std::vector<size_t> t_cols;
+};
+
+std::vector<ReferenceClass> ReferenceClasses(
+    const metadata::SourceMetadata& source, size_t target_rows) {
+  std::map<int32_t, ReferenceClass> classes;
+  std::map<int32_t, std::map<size_t, size_t>> unique_index;
+  for (size_t i = 0; i < target_rows; ++i) {
+    const int64_t row = source.indicator.At(i);
+    if (row < 0) continue;
+    const int32_t set = source.redundancy.row_set(i);
+    ReferenceClass& c = classes[set];
+    const auto [it, inserted] = unique_index[set].emplace(
+        static_cast<size_t>(row), c.unique_rows.size());
+    if (inserted) c.unique_rows.push_back(static_cast<size_t>(row));
+    c.target_rows.push_back(i);
+    c.target_to_unique.push_back(it->second);
+  }
+  std::vector<ReferenceClass> out;
+  for (auto& [set, c] : classes) {
+    for (size_t t = 0; t < source.mapping.target_cols(); ++t) {
+      const int64_t j = source.mapping.At(t);
+      if (j < 0) continue;
+      if (set >= 0) {
+        const std::vector<size_t>& masked =
+            source.redundancy.column_sets()[static_cast<size_t>(set)];
+        if (std::binary_search(masked.begin(), masked.end(), t)) continue;
+      }
+      c.dk_cols.push_back(static_cast<size_t>(j));
+      c.t_cols.push_back(t);
+    }
+    if (!c.dk_cols.empty()) out.push_back(std::move(c));
+  }
+  return out;
+}
+
+la::DenseMatrix ReferenceLeftMultiply(const metadata::DiMetadata& metadata,
+                                      const la::DenseMatrix& x) {
+  la::DenseMatrix out(metadata.target_rows(), x.cols());
+  for (size_t k = 0; k < metadata.num_sources(); ++k) {
+    const la::DenseMatrix& dk = metadata.source(k).data;
+    for (const ReferenceClass& c :
+         ReferenceClasses(metadata.source(k), metadata.target_rows())) {
+      la::DenseMatrix unique(c.unique_rows.size(), x.cols());
+      for (size_t u = 0; u < c.unique_rows.size(); ++u) {
+        for (size_t p = 0; p < c.dk_cols.size(); ++p) {
+          const double v = dk.At(c.unique_rows[u], c.dk_cols[p]);
+          if (v == 0.0) continue;
+          for (size_t col = 0; col < x.cols(); ++col) {
+            unique.At(u, col) += v * x.At(c.t_cols[p], col);
+          }
+        }
+      }
+      for (size_t r = 0; r < c.target_rows.size(); ++r) {
+        for (size_t col = 0; col < x.cols(); ++col) {
+          out.At(c.target_rows[r], col) +=
+              unique.At(c.target_to_unique[r], col);
+        }
+      }
+    }
+  }
+  return out;
+}
+
+la::DenseMatrix ReferenceTransposeLeftMultiply(
+    const metadata::DiMetadata& metadata, const la::DenseMatrix& x) {
+  la::DenseMatrix out(metadata.target_cols(), x.cols());
+  for (size_t k = 0; k < metadata.num_sources(); ++k) {
+    const la::DenseMatrix& dk = metadata.source(k).data;
+    for (const ReferenceClass& c :
+         ReferenceClasses(metadata.source(k), metadata.target_rows())) {
+      la::DenseMatrix reduced(c.unique_rows.size(), x.cols());
+      for (size_t r = 0; r < c.target_rows.size(); ++r) {
+        for (size_t col = 0; col < x.cols(); ++col) {
+          reduced.At(c.target_to_unique[r], col) += x.At(c.target_rows[r], col);
+        }
+      }
+      for (size_t u = 0; u < c.unique_rows.size(); ++u) {
+        for (size_t p = 0; p < c.dk_cols.size(); ++p) {
+          const double v = dk.At(c.unique_rows[u], c.dk_cols[p]);
+          if (v == 0.0) continue;
+          for (size_t col = 0; col < x.cols(); ++col) {
+            out.At(c.t_cols[p], col) += v * reduced.At(u, col);
+          }
+        }
+      }
+    }
+  }
+  return out;
+}
+
+TEST(GradientStepTest, KernelsMatchTheExpandAndGatherReference) {
+  // Both kernels read a class without fan-out in place; the sums must stay
+  // the ones the unique-row buffers produced, for vectors (the step's n = 1)
+  // and for wider X, with zeros of both signs among the inputs.
+  Rng rng(1805);
+  for (const Integration& integration : DrawIntegrations(1806, 2)) {
+    SCOPED_TRACE(integration.name);
+    const factorized::FactorizedTable table(integration.metadata);
+    for (size_t n : {1, 3}) {
+      la::DenseMatrix x =
+          la::DenseMatrix::RandomGaussian(table.cols(), n, &rng);
+      la::DenseMatrix xt =
+          la::DenseMatrix::RandomGaussian(table.rows(), n, &rng);
+      for (size_t i = 0; i < x.size(); i += 3) x.data()[i] = -0.0;
+      for (size_t i = 1; i < xt.size(); i += 4) xt.data()[i] = -0.0;
+      for (size_t i = 2; i < xt.size(); i += 5) xt.data()[i] = 0.0;
+      for (size_t threads : {1, 4}) {
+        common::ScopedNumThreads scope(threads);
+        EXPECT_TRUE(BitEqual(table.LeftMultiply(x),
+                             ReferenceLeftMultiply(integration.metadata, x)))
+            << "LMM, n " << n << ", threads " << threads;
+        EXPECT_TRUE(
+            BitEqual(table.TransposeLeftMultiply(xt),
+                     ReferenceTransposeLeftMultiply(integration.metadata, xt)))
+            << "TLMM, n " << n << ", threads " << threads;
+      }
+    }
+  }
+}
+
+/// Reference count of compute cells: one ordered set of source rows per
+/// redundancy class.
+std::vector<size_t> MapOfSetsComputeCells(
+    const metadata::DiMetadata& metadata) {
+  std::vector<size_t> cells;
+  for (size_t k = 0; k < metadata.num_sources(); ++k) {
+    const metadata::SourceMetadata& s = metadata.source(k);
+    const size_t mapped_cols = s.mapping.MappedTargetColumns().size();
+    std::map<int32_t, std::set<size_t>> unique_rows_per_class;
+    for (size_t i = 0; i < metadata.target_rows(); ++i) {
+      const int64_t row = s.indicator.At(i);
+      if (row < 0) continue;
+      unique_rows_per_class[s.redundancy.row_set(i)].insert(
+          static_cast<size_t>(row));
+    }
+    size_t total = 0;
+    for (const auto& [set_id, unique_rows] : unique_rows_per_class) {
+      const size_t masked =
+          set_id < 0
+              ? 0
+              : s.redundancy.column_sets()[static_cast<size_t>(set_id)].size();
+      total += unique_rows.size() * (mapped_cols - masked);
+    }
+    cells.push_back(total);
+  }
+  return cells;
+}
+
+TEST(GradientStepTest, ComputeCellsMatchTheMapOfSetsCount) {
+  for (const Integration& integration : DrawIntegrations(1804, 3)) {
+    SCOPED_TRACE(integration.name);
+    const cost::CostFeatures features =
+        cost::CostFeatures::FromMetadata(integration.metadata);
+    const std::vector<size_t> expected =
+        MapOfSetsComputeCells(integration.metadata);
+    ASSERT_EQ(features.sources.size(), expected.size());
+    for (size_t k = 0; k < expected.size(); ++k) {
+      EXPECT_EQ(features.sources[k].compute_cells, expected[k])
+          << "source " << k;
+    }
+  }
+}
+
+}  // namespace
+}  // namespace ml
+}  // namespace amalur

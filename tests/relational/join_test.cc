@@ -83,6 +83,49 @@ TEST(MatchRowsTest, CompositeKeySeparatorIsUnambiguous) {
   EXPECT_TRUE(matching->matched.empty());
 }
 
+TEST(MatchRowsTest, SeparatorBytesInsideCellsCannotForgeAKey) {
+  // Renderings joined with a separator byte would make ("x\x1f", "") and
+  // ("x", "\x1f") one key; composite keys must keep them apart.
+  Table l("L");
+  AMALUR_CHECK_OK(l.AddColumn(Column::FromStrings("p", {"x\x1f", "y"})));
+  AMALUR_CHECK_OK(l.AddColumn(Column::FromStrings("q", {"", "z"})));
+  Table r("R");
+  AMALUR_CHECK_OK(r.AddColumn(Column::FromStrings("p", {"x", "y"})));
+  AMALUR_CHECK_OK(r.AddColumn(Column::FromStrings("q", {"\x1f", "z"})));
+  auto matching = MatchRowsOnKeys(l, r, {"p", "q"}, {"p", "q"});
+  ASSERT_TRUE(matching.ok());
+  EXPECT_EQ(matching->matched,
+            (std::vector<std::pair<size_t, size_t>>{{1, 1}}));
+  EXPECT_EQ(matching->left_only, (std::vector<size_t>{0}));
+  EXPECT_EQ(matching->right_only, (std::vector<size_t>{0}));
+}
+
+TEST(MatchRowsTest, KeysStillCompareByRendering) {
+  // An int64 1 and a double 1.0 both render as "1" and keep matching across
+  // differently typed key columns; a NULL in any key column still never
+  // matches, not even another NULL.
+  Table l("L");
+  Column lk("k", DataType::kInt64);
+  lk.AppendInt64(1);
+  lk.AppendNull();
+  lk.AppendInt64(2);
+  AMALUR_CHECK_OK(l.AddColumn(std::move(lk)));
+  AMALUR_CHECK_OK(l.AddColumn(Column::FromStrings("s", {"a", "b", "c"})));
+  Table r("R");
+  Column rk("k", DataType::kDouble);
+  rk.AppendDouble(1.0);
+  rk.AppendNull();
+  rk.AppendDouble(2.5);
+  AMALUR_CHECK_OK(r.AddColumn(std::move(rk)));
+  AMALUR_CHECK_OK(r.AddColumn(Column::FromStrings("s", {"a", "b", "c"})));
+  auto matching = MatchRowsOnKeys(l, r, {"k", "s"}, {"k", "s"});
+  ASSERT_TRUE(matching.ok());
+  EXPECT_EQ(matching->matched,
+            (std::vector<std::pair<size_t, size_t>>{{0, 0}}));
+  EXPECT_EQ(matching->left_only, (std::vector<size_t>{1, 2}));
+  EXPECT_EQ(matching->right_only, (std::vector<size_t>{1, 2}));
+}
+
 TEST(MatchRowsTest, RejectsBadKeyLists) {
   EXPECT_TRUE(MatchRowsOnKeys(MakeS1(), MakeS2(), {}, {}).status()
                   .IsInvalidArgument());
