@@ -1,6 +1,8 @@
 #include "federated/hfl.h"
 
 #include <algorithm>
+#include <cmath>
+#include <string>
 
 #include "common/parallel_for.h"
 #include "common/rng.h"
@@ -17,6 +19,33 @@ namespace {
 constexpr uint64_t kProtocolSeed = 7;
 
 std::string PartyName(size_t p) { return "P" + std::to_string(p); }
+
+/// Secure aggregation's entry check: every feature and label value must lie
+/// inside the secret-sharing fixed-point range (`|v| < bound`, which NaN
+/// fails); a model trained on a value outside it could not be encoded.
+/// Names the first offending party, column and row.
+Status CheckInputsEncodable(const std::vector<HflPartition>& parties,
+                            double bound) {
+  for (size_t p = 0; p < parties.size(); ++p) {
+    const la::DenseMatrix& x = parties[p].features;
+    const la::DenseMatrix& y = parties[p].labels;
+    // Column x.cols() of row i stands for the row's label.
+    for (size_t i = 0; i < x.rows(); ++i) {
+      for (size_t j = 0; j <= x.cols(); ++j) {
+        const double v = j < x.cols() ? x.At(i, j) : y.At(i, 0);
+        if (std::fabs(v) < bound) continue;
+        return Status::InvalidArgument(
+            "party ", PartyName(p), " holds ", v, " in ",
+            j < x.cols() ? "feature column " + std::to_string(j)
+                         : std::string("the label column"),
+            " (row ", i,
+            "); secure aggregation encodes only values of magnitude below ",
+            bound);
+      }
+    }
+  }
+  return Status::OK();
+}
 
 }  // namespace
 
@@ -42,9 +71,13 @@ Result<HflResult> TrainHorizontalFlr(const std::vector<HflPartition>& parties,
   }
   if (total_rows == 0) return Status::InvalidArgument("no training rows");
 
+  AdditiveSecretSharing sharing;
+  if (options.secure_aggregation) {
+    AMALUR_RETURN_NOT_OK(
+        CheckInputsEncodable(parties, sharing.EncodableBound()));
+  }
   bus->Reset();
   Rng rng(kProtocolSeed);
-  AdditiveSecretSharing sharing;
   HflResult result;
   result.weights = la::DenseMatrix(d, 1);
 
@@ -154,7 +187,20 @@ Result<HflResult> TrainHorizontalFlr(const std::vector<HflPartition>& parties,
       // individual model.
       std::vector<std::vector<ShareMatrix>> outgoing(m);
       for (size_t i = 0; i < m; ++i) {
-        outgoing[i] = sharing.Share(local_models[participants[i]], m, &rng);
+        const la::DenseMatrix& model = local_models[participants[i]];
+        for (size_t j = 0; j < model.size(); ++j) {
+          const double v = model.data()[j];
+          if (std::fabs(v) < sharing.EncodableBound()) continue;
+          return Status::FailedPrecondition(
+              "federate training diverged: weight ", j,
+              " of party ", PartyName(participants[i]),
+              "'s row-weighted local model is ", v, " in round ", round + 1,
+              ", outside the secret-sharing fixed-point range (magnitude "
+              "below ",
+              sharing.EncodableBound(),
+              "); lower the learning rate or check the inputs for NaN/Inf");
+        }
+        outgoing[i] = sharing.Share(model, m, &rng);
       }
       std::vector<ShareMatrix> share_sums(m);
       for (size_t q = 0; q < m; ++q) {

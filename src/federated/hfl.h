@@ -67,7 +67,12 @@ struct HflResult {
   size_t bytes_wasted = 0;
 };
 
-/// Runs FedAvg linear regression over the partitions.
+/// Runs FedAvg linear regression over the partitions. With secure
+/// aggregation, a feature or label value outside the secret-sharing
+/// fixed-point range (`AdditiveSecretSharing::EncodableBound()`, NaN and
+/// ±Inf included) is `kInvalidArgument` naming the party, column and row,
+/// and a row-weighted local model that leaves the range during training is
+/// divergence: `kFailedPrecondition`.
 Result<HflResult> TrainHorizontalFlr(const std::vector<HflPartition>& parties,
                                      const HflOptions& options, MessageBus* bus);
 

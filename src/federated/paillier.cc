@@ -170,10 +170,9 @@ PaillierCiphertext Paillier::CipherScale(PaillierCiphertext ciphertext,
 
 PaillierCiphertext Paillier::EncryptDouble(double value, Rng* rng) const {
   const uint64_t n = keys_.public_key.n;
-  const double scaled = value * scale_;
-  AMALUR_CHECK(std::fabs(scaled) < static_cast<double>(n / 2))
-      << "fixed-point overflow for plaintext space";
-  const int64_t fixed = std::llround(scaled);
+  AMALUR_CHECK(std::fabs(value) < EncodableBound())
+      << "fixed-point overflow for plaintext space: " << value;
+  const int64_t fixed = std::llround(value * scale_);
   const uint64_t message =
       fixed >= 0 ? static_cast<uint64_t>(fixed)
                  : n - static_cast<uint64_t>(-fixed);  // upper half = negative

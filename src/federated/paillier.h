@@ -64,8 +64,14 @@ class Paillier {
                                  uint64_t scalar) const;
 
   /// Encrypts a double: fixed-point, negatives mapped to the upper
-  /// half-space [n/2, n).
+  /// half-space [n/2, n). `|value|` must be below `EncodableBound()`.
   PaillierCiphertext EncryptDouble(double value, Rng* rng) const;
+  /// The fixed-point range: `EncryptDouble` takes values of magnitude
+  /// strictly below it (never NaN), whose image fits the half of [0, n)
+  /// that the value's sign maps to.
+  double EncodableBound() const {
+    return static_cast<double>(keys_.public_key.n / 2) / scale_;
+  }
   /// Decrypts a double.
   double DecryptDouble(PaillierCiphertext ciphertext) const;
 

@@ -10,9 +10,10 @@ namespace federated {
 
 uint64_t AdditiveSecretSharing::Encode(double value) const {
   // Round-to-nearest fixed point; negatives wrap via two's complement.
-  const double scaled = value * scale_;
-  AMALUR_CHECK(std::fabs(scaled) < 9.0e18) << "fixed-point overflow: " << value;
-  return static_cast<uint64_t>(static_cast<int64_t>(std::llround(scaled)));
+  AMALUR_CHECK(std::fabs(value) < EncodableBound())
+      << "fixed-point overflow: " << value;
+  return static_cast<uint64_t>(
+      static_cast<int64_t>(std::llround(value * scale_)));
 }
 
 double AdditiveSecretSharing::Decode(uint64_t encoded) const {

@@ -46,12 +46,18 @@ class AdditiveSecretSharing {
   static ShareMatrix AddShares(const ShareMatrix& a, const ShareMatrix& b);
 
   /// Fixed-point encoding of one double (two's-complement wrap for
-  /// negatives).
+  /// negatives). `|value|` must be below `EncodableBound()`.
   uint64_t Encode(double value) const;
+  /// The fixed-point range: `Encode` takes values of magnitude strictly
+  /// below it (never NaN).
+  double EncodableBound() const { return kMaxScaled / scale_; }
   /// Inverse of `Encode`.
   double Decode(uint64_t encoded) const;
 
  private:
+  /// Largest scaled magnitude `Encode` accepts: inside int64's range.
+  static constexpr double kMaxScaled = 9.0e18;
+
   double scale_;
 };
 

@@ -1,12 +1,12 @@
 #include "federated/vfl.h"
 
+#include <algorithm>
 #include <cmath>
 
 #include "common/parallel_for.h"
 #include "common/rng.h"
 #include "common/status.h"
 #include "federated/paillier.h"
-#include "ml/metrics.h"
 
 namespace amalur {
 namespace federated {
@@ -58,6 +58,57 @@ double DecodeScaled(uint64_t message, uint64_t n, double scale_squared) {
 
 std::string DefaultPartyName(size_t k) { return "P" + std::to_string(k); }
 
+/// The Paillier protocol's entry check: every feature and label value must
+/// lie inside the fixed-point range (`|v| < bound`, which NaN fails), or
+/// encryption and `HomomorphicTransposeDot`'s encoding could not represent
+/// it. Names the first offending party, column and row.
+Status CheckInputsEncodable(const std::vector<VflParty>& parties,
+                            const std::vector<std::string>& names,
+                            const la::DenseMatrix& labels, double bound) {
+  for (size_t i = 0; i < labels.rows(); ++i) {
+    const double v = labels.At(i, 0);
+    if (std::fabs(v) < bound) continue;
+    return Status::InvalidArgument(
+        "label party ", names[0], " holds ", v, " in the label column (row ",
+        i, "); the Paillier protocol encodes only values of magnitude below ",
+        bound);
+  }
+  for (size_t k = 0; k < parties.size(); ++k) {
+    const la::DenseMatrix& x = parties[k].x;
+    const std::vector<size_t>& columns = parties[k].columns;
+    for (size_t i = 0; i < x.rows(); ++i) {
+      for (size_t j = 0; j < x.cols(); ++j) {
+        const double v = x.At(i, j);
+        if (std::fabs(v) < bound) continue;
+        return Status::InvalidArgument(
+            "party ", names[k], " holds ", v, " in feature column ",
+            j < columns.size() ? columns[j] : j, " (row ", i,
+            "); the Paillier protocol encodes only values of magnitude below ",
+            bound);
+      }
+    }
+  }
+  return Status::OK();
+}
+
+/// The Paillier protocol's in-training check: a partial prediction or
+/// residual start that leaves the fixed-point range means gradient descent
+/// diverged (the inputs passed the entry check).
+Status CheckEncodable(const la::DenseMatrix& values, double bound,
+                      const char* what, const std::string& party,
+                      size_t round) {
+  for (size_t i = 0; i < values.size(); ++i) {
+    const double v = values.data()[i];
+    if (std::fabs(v) < bound) continue;
+    return Status::FailedPrecondition(
+        "federate training diverged: ", what, " of party ", party, " is ", v,
+        " at row ", i, " in round ", round + 1,
+        ", outside the Paillier fixed-point range (magnitude below ", bound,
+        "); lower the learning rate or check the inputs for NaN/Inf");
+  }
+  return Status::OK();
+}
+
 }  // namespace
 
 Result<NaryVflResult> TrainVerticalFlrNary(const std::vector<VflParty>& parties,
@@ -93,6 +144,7 @@ Result<NaryVflResult> TrainVerticalFlrNary(const std::vector<VflParty>& parties,
   }
 
   NaryVflResult result;
+  result.loss_history.reserve(options.iterations);
   result.thetas.reserve(n_parties);
   for (size_t k = 0; k < n_parties; ++k) {
     result.thetas.emplace_back(parties[k].x.cols(), 1);
@@ -122,8 +174,19 @@ Result<NaryVflResult> TrainVerticalFlrNary(const std::vector<VflParty>& parties,
   const double scale_squared = scale * scale;
   const uint64_t n_pub = paillier.public_key().n;
 
+  const double bound = paillier.EncodableBound();
+  if (options.privacy == VflPrivacy::kPaillier) {
+    AMALUR_RETURN_NOT_OK(CheckInputsEncodable(parties, names, labels, bound));
+  }
+
+  // The round's buffers, sized by the first round and reused by every
+  // later one: u_k and the gradient of θ_k per party, the label party's
+  // residual d, and the u_k and d payloads received over the bus.
   std::vector<la::DenseMatrix> u(n_parties);
   std::vector<la::DenseMatrix> gradients(n_parties);
+  std::vector<la::DenseMatrix> u_at_root(n_parties);
+  std::vector<la::DenseMatrix> d_at(n_parties);
+  la::DenseMatrix residual(n_rows, 1);
   for (size_t it = 0; it < options.iterations; ++it) {
     bus->BeginRound(it);
     wire.round_ms = 0;
@@ -133,7 +196,7 @@ Result<NaryVflResult> TrainVerticalFlrNary(const std::vector<VflParty>& parties,
       common::ParallelForChunks(
           0, n_parties, 1, [&](size_t, size_t begin, size_t end) {
             for (size_t k = begin; k < end; ++k) {
-              u[k] = parties[k].x.Multiply(result.thetas[k]);
+              parties[k].x.MultiplyInto(result.thetas[k], &u[k]);
             }
           });
 
@@ -141,30 +204,40 @@ Result<NaryVflResult> TrainVerticalFlrNary(const std::vector<VflParty>& parties,
       // and the loss, then broadcasts d. Each hop is a reliable transfer —
       // on a healthy wire exactly one send + one receive per channel, so
       // the traffic is byte-identical to the unhardened protocol.
-      la::DenseMatrix predictions = u[0];
       for (size_t k = 1; k < n_parties; ++k) {
         AMALUR_ASSIGN_OR_RETURN(
-            la::DenseMatrix u_at_root,
+            u_at_root[k],
             TransferDense(bus, options.policy, names[k], names[0],
                           blame(names[k], names[0]), u[k], &wire));
-        predictions = predictions.Add(u_at_root);
       }
-      la::DenseMatrix d = predictions.Subtract(labels);
-      result.loss_history.push_back(ml::MeanSquaredError(predictions, labels));
-      std::vector<la::DenseMatrix> d_at(n_parties);
+      // d = ((u_0 + u_1) + ...) + u_{N−1} − y, built in place; the loss
+      // sums d_i² in ascending i in the same pass as the subtraction (the
+      // order of ml::MeanSquaredError).
+      std::copy(u[0].data(), u[0].data() + n_rows, residual.data());
+      for (size_t k = 1; k < n_parties; ++k) residual.AddInPlace(u_at_root[k]);
+      double squared_error = 0.0;
+      double* d = residual.data();
+      const double* y = labels.data();
+      for (size_t i = 0; i < n_rows; ++i) {
+        d[i] -= y[i];
+        squared_error += d[i] * d[i];
+      }
+      result.loss_history.push_back(squared_error /
+                                    static_cast<double>(n_rows));
       for (size_t k = 1; k < n_parties; ++k) {
         AMALUR_ASSIGN_OR_RETURN(
             d_at[k], TransferDense(bus, options.policy, names[0], names[k],
-                                   blame(names[0], names[k]), d, &wire));
+                                   blame(names[0], names[k]), residual,
+                                   &wire));
       }
-      d_at[0] = std::move(d);
 
       // Local gradient steps, again one silo per slot.
       common::ParallelForChunks(
           0, n_parties, 1, [&](size_t, size_t begin, size_t end) {
             for (size_t k = begin; k < end; ++k) {
-              gradients[k] =
-                  parties[k].x.TransposeMultiply(d_at[k]).Scale(inv_n);
+              parties[k].x.TransposeMultiplyInto(k == 0 ? residual : d_at[k],
+                                                 &gradients[k]);
+              gradients[k].ScaleInPlace(inv_n);
             }
           });
       for (size_t k = 0; k < n_parties; ++k) {
@@ -182,9 +255,16 @@ Result<NaryVflResult> TrainVerticalFlrNary(const std::vector<VflParty>& parties,
     // holds [[d]] = [[Σ_k u_k − y]]. Serial: the shared RNG threads through
     // every encryption in protocol order.
     for (size_t k = 0; k < n_parties; ++k) {
-      u[k] = parties[k].x.Multiply(result.thetas[k]);
+      parties[k].x.MultiplyInto(result.thetas[k], &u[k]);
     }
     la::DenseMatrix u0_minus_y = u[0].Subtract(labels);
+    AMALUR_RETURN_NOT_OK(CheckEncodable(u0_minus_y, bound,
+                                        "the residual start u_0 - y",
+                                        names[0], it));
+    for (size_t k = 1; k < n_parties; ++k) {
+      AMALUR_RETURN_NOT_OK(CheckEncodable(u[k], bound, "the partial prediction",
+                                          names[k], it));
+    }
     std::vector<PaillierCiphertext> enc_sum =
         paillier.EncryptMatrix(u0_minus_y, &rng);
     // Ring hops are reliable transfers of the *packed* ciphertexts: a
@@ -230,7 +310,8 @@ Result<NaryVflResult> TrainVerticalFlrNary(const std::vector<VflParty>& parties,
       la::DenseMatrix mask(x.cols(), 1);
       for (size_t j = 0; j < x.cols(); ++j) mask.At(j, 0) = rng.NextDouble(-8, 8);
       for (size_t j = 0; j < x.cols(); ++j) {
-        // Mask enters at scale², matching the gradient's fixed-point scale.
+        // Mask enters at scale², matching the gradient's fixed-point scale;
+        // |mask| < 8 keeps it far inside the plaintext range.
         const int64_t fixed = std::llround(mask.At(j, 0) * scale_squared);
         const uint64_t message =
             fixed >= 0 ? static_cast<uint64_t>(fixed)

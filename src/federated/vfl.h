@@ -91,6 +91,21 @@ struct NaryVflResult {
 /// shared pool (`ParallelForChunks`, fixed-order merge) in the plaintext
 /// mode; the Paillier mode is serial because the protocol threads one RNG
 /// through the encryption schedule.
+///
+/// The plaintext round works in buffers the call allocates once: each
+/// party's partial prediction u_k = X_k θ_k and gradient, and the label
+/// party's residual d = Σ_k u_k − y, built in place in party order with the
+/// loss summed in the same pass. After the first round its only large
+/// allocations are the bus's payload copies, 2(N−1) n × 1 blocks per round
+/// (N−1 u_k in, N−1 broadcasts of d out); the received payloads replace the
+/// previous round's.
+///
+/// Paillier mode rejects, with `kInvalidArgument` naming the party, column
+/// and row, a feature or label value outside the fixed-point range
+/// (`Paillier::EncodableBound()`, NaN and ±Inf included). A partial
+/// prediction or residual that leaves the range during training is
+/// divergence: `kFailedPrecondition`. A homomorphic gradient that wraps
+/// modulo n is not detected; no party sees it in the clear.
 Result<NaryVflResult> TrainVerticalFlrNary(const std::vector<VflParty>& parties,
                                            const la::DenseMatrix& labels,
                                            const VflOptions& options,

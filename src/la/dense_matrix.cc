@@ -11,11 +11,97 @@ namespace amalur {
 namespace la {
 
 namespace {
-// Micro-kernel block size; tuned for ~32KiB L1 caches but not critical.
-constexpr size_t kBlock = 64;
+// Minimum output rows per ParallelFor chunk of `Multiply`.
+constexpr size_t kMultiplyGrain = 64;
 // Minimum elements per ParallelFor chunk for element-wise reductions; below
 // this the scheduling overhead beats the arithmetic.
 constexpr size_t kReduceGrain = 1 << 14;
+
+// The two product kernels. `kCols` fixes the right-hand side's width at
+// compile time (1: a matrix-vector product, whose inner loops then have no
+// column loop left); 0 reads it from `n`. Every output element sums its
+// terms in ascending order of the shared index from +0.0, and no term is
+// skipped for a zero factor.
+
+// Rows [row_begin, row_end) of c = a·b for a (·×k) and b (k×n). Each sum
+// lives in a register; four output rows at a time make four independent
+// addition chains that share each load of b.
+template <size_t kCols>
+void MultiplyRows(const double* a, const double* b, size_t k, size_t n,
+                  double* __restrict c, size_t row_begin, size_t row_end) {
+  if (kCols != 0) n = kCols;
+  size_t i = row_begin;
+  for (; i + 4 <= row_end; i += 4) {
+    const double* a0 = a + i * k;
+    const double* a1 = a0 + k;
+    const double* a2 = a1 + k;
+    const double* a3 = a2 + k;
+    double* c0 = c + i * n;
+    for (size_t j = 0; j < n; ++j) {
+      double s0 = 0.0, s1 = 0.0, s2 = 0.0, s3 = 0.0;
+      for (size_t p = 0; p < k; ++p) {
+        const double b_pj = b[p * n + j];
+        s0 += a0[p] * b_pj;
+        s1 += a1[p] * b_pj;
+        s2 += a2[p] * b_pj;
+        s3 += a3[p] * b_pj;
+      }
+      c0[j] = s0;
+      c0[n + j] = s1;
+      c0[2 * n + j] = s2;
+      c0[3 * n + j] = s3;
+    }
+  }
+  for (; i < row_end; ++i) {
+    const double* a_row = a + i * k;
+    for (size_t j = 0; j < n; ++j) {
+      double s = 0.0;
+      for (size_t p = 0; p < k; ++p) s += a_row[p] * b[p * n + j];
+      c[i * n + j] = s;
+    }
+  }
+}
+
+// Rows [col_begin, col_end) of c += aᵀ·b for a (k×m) and b (k×n); output
+// row i is column i of a. The inner loops run contiguously along a's rows;
+// at kCols == 1 b's elements are loop-invariant there, which `__restrict`
+// lets the compiler hoist. Four shared rows are folded per pass, in order,
+// so an output element makes one trip through memory per four terms.
+template <size_t kCols>
+void TransposeMultiplyRows(const double* a, size_t m, const double* b,
+                           size_t k, size_t n, double* __restrict c,
+                           size_t col_begin, size_t col_end) {
+  if (kCols != 0) n = kCols;
+  size_t p = 0;
+  for (; p + 4 <= k; p += 4) {
+    const double* a0 = a + p * m;
+    const double* a1 = a0 + m;
+    const double* a2 = a1 + m;
+    const double* a3 = a2 + m;
+    const double* b0 = b + p * n;
+    const double* b1 = b0 + n;
+    const double* b2 = b1 + n;
+    const double* b3 = b2 + n;
+    for (size_t i = col_begin; i < col_end; ++i) {
+      const double a0i = a0[i], a1i = a1[i], a2i = a2[i], a3i = a3[i];
+      double* c_row = c + i * n;
+      for (size_t j = 0; j < n; ++j) {
+        c_row[j] = (((c_row[j] + a0i * b0[j]) + a1i * b1[j]) + a2i * b2[j]) +
+                   a3i * b3[j];
+      }
+    }
+  }
+  for (; p < k; ++p) {
+    const double* a_row = a + p * m;
+    const double* b_row = b + p * n;
+    for (size_t i = col_begin; i < col_end; ++i) {
+      const double a_pi = a_row[i];
+      double* c_row = c + i * n;
+      for (size_t j = 0; j < n; ++j) c_row[j] += a_pi * b_row[j];
+    }
+  }
+}
+
 }  // namespace
 
 DenseMatrix::DenseMatrix(size_t rows, size_t cols, std::vector<double> data)
@@ -58,81 +144,63 @@ DenseMatrix DenseMatrix::RandomUniform(size_t rows, size_t cols, double lo,
 }
 
 DenseMatrix DenseMatrix::Multiply(const DenseMatrix& other) const {
-  AMALUR_CHECK_EQ(cols_, other.rows_) << "gemm shape mismatch";
-  DenseMatrix out(rows_, other.cols_);
-  const size_t m = rows_, k = cols_, n = other.cols_;
-  // i-k-j loop order with blocking on all three extents: streams through
-  // `other` rows (cache-friendly for row-major storage) and tiles `n` so the
-  // active `out`/`b` row segments stay in L1 for wide right-hand sides.
-  // Parallel over output row blocks — chunks write disjoint `out` rows and
-  // each element accumulates its k-terms in ascending order, so the result
-  // is bitwise-equal to the serial kernel at any thread count.
-  common::ParallelFor(0, m, kBlock, [&](size_t row_begin, size_t row_end) {
-    for (size_t ii = row_begin; ii < row_end; ii += kBlock) {
-      const size_t i_end = std::min(ii + kBlock, row_end);
-      for (size_t jj = 0; jj < n; jj += kBlock) {
-        const size_t j_end = std::min(jj + kBlock, n);
-        for (size_t kk = 0; kk < k; kk += kBlock) {
-          const size_t k_end = std::min(kk + kBlock, k);
-          for (size_t i = ii; i < i_end; ++i) {
-            const double* a_row = RowPtr(i);
-            double* out_row = out.RowPtr(i);
-            for (size_t p = kk; p < k_end; ++p) {
-              // No zero-skipping: this is the dense-BLAS reference the
-              // materialized path is priced against; structural-zero skipping
-              // is the factorized kernels' prerogative.
-              const double a = a_row[p];
-              const double* b_row = other.RowPtr(p);
-              for (size_t j = jj; j < j_end; ++j) out_row[j] += a * b_row[j];
-            }
-          }
-        }
-      }
-    }
-  });
+  DenseMatrix out;
+  MultiplyInto(other, &out);
   return out;
 }
 
 DenseMatrix DenseMatrix::TransposeMultiply(const DenseMatrix& other) const {
-  AMALUR_CHECK_EQ(rows_, other.rows_) << "gemm(Aᵀ,B) shape mismatch";
-  DenseMatrix out(cols_, other.cols_);
-  const size_t m = cols_, k = rows_, n = other.cols_;
-  // Partitioning the *output* rows (this-columns) instead of the shared k
-  // extent keeps writes disjoint — no per-thread accumulators or merge — and
-  // every out element still sums its k-terms in ascending order, so the
-  // result is bitwise-equal to the serial kernel at any thread count. Each
-  // chunk streams all of `other` but only its own column band of `this`.
-  common::ParallelFor(0, m, 8, [&](size_t col_begin, size_t col_end) {
-    for (size_t p = 0; p < k; ++p) {
-      const double* a_row = RowPtr(p);
-      const double* b_row = other.RowPtr(p);
-      for (size_t i = col_begin; i < col_end; ++i) {
-        const double a = a_row[i];
-        double* out_row = out.RowPtr(i);
-        for (size_t j = 0; j < n; ++j) out_row[j] += a * b_row[j];
-      }
-    }
-  });
+  DenseMatrix out;
+  TransposeMultiplyInto(other, &out);
   return out;
 }
 
-DenseMatrix DenseMatrix::MultiplyTranspose(const DenseMatrix& other) const {
-  AMALUR_CHECK_EQ(cols_, other.cols_) << "gemm(A,Bᵀ) shape mismatch";
-  DenseMatrix out(rows_, other.rows_);
-  const size_t k = cols_, n = other.rows_;
-  common::ParallelFor(0, rows_, 8, [&](size_t row_begin, size_t row_end) {
-    for (size_t i = row_begin; i < row_end; ++i) {
-      const double* a_row = RowPtr(i);
-      double* out_row = out.RowPtr(i);
-      for (size_t j = 0; j < n; ++j) {
-        const double* b_row = other.RowPtr(j);
-        double acc = 0.0;
-        for (size_t p = 0; p < k; ++p) acc += a_row[p] * b_row[p];
-        out_row[j] = acc;
-      }
+void DenseMatrix::MultiplyInto(const DenseMatrix& other,
+                               DenseMatrix* out) const {
+  AMALUR_CHECK_EQ(cols_, other.rows_) << "gemm shape mismatch";
+  AMALUR_CHECK(out != this && out != &other) << "gemm output aliases an operand";
+  out->Reshape(rows_, other.cols_);
+  const double* a = data();
+  const double* b = other.data();
+  double* c = out->data();
+  const size_t k = cols_, n = other.cols_;
+  // Parallel over output row blocks: chunks write disjoint rows.
+  common::ParallelFor(0, rows_, kMultiplyGrain,
+                      [=](size_t row_begin, size_t row_end) {
+                        if (n == 1) {
+                          MultiplyRows<1>(a, b, k, n, c, row_begin, row_end);
+                        } else {
+                          MultiplyRows<0>(a, b, k, n, c, row_begin, row_end);
+                        }
+                      });
+}
+
+void DenseMatrix::TransposeMultiplyInto(const DenseMatrix& other,
+                                        DenseMatrix* out) const {
+  AMALUR_CHECK_EQ(rows_, other.rows_) << "gemm(Aᵀ,B) shape mismatch";
+  AMALUR_CHECK(out != this && out != &other) << "gemm output aliases an operand";
+  out->Reshape(cols_, other.cols_);
+  std::fill(out->data_.begin(), out->data_.end(), 0.0);
+  const double* a = data();
+  const double* b = other.data();
+  double* c = out->data();
+  const size_t m = cols_, k = rows_, n = other.cols_;
+  // Partitioning the *output* rows (this-columns) instead of the shared k
+  // extent keeps writes disjoint, with no per-thread accumulators or merge.
+  // Each chunk streams all of `other` but only its own column band of
+  // `this`.
+  common::ParallelFor(0, m, 8, [=](size_t col_begin, size_t col_end) {
+    if (n == 1) {
+      TransposeMultiplyRows<1>(a, m, b, k, n, c, col_begin, col_end);
+    } else {
+      TransposeMultiplyRows<0>(a, m, b, k, n, c, col_begin, col_end);
     }
   });
-  return out;
+}
+
+void DenseMatrix::Reshape(size_t rows, size_t cols) {
+  if (rows == rows_ && cols == cols_) return;
+  *this = DenseMatrix(rows, cols);
 }
 
 DenseMatrix DenseMatrix::Transpose() const {

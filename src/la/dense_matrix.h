@@ -71,12 +71,25 @@ class DenseMatrix {
   double* data() { return data_.data(); }
   const double* data() const { return data_.data(); }
 
-  /// `this * other` (standard GEMM, blocked for cache locality).
+  /// `this * other`.
+  ///
+  /// Summation-order contract (both products): every output element sums
+  /// its terms in ascending order of the shared index, starting from +0.0,
+  /// with no zero-skipping (this is the dense reference the materialized
+  /// path is priced against). Threads partition output rows only, so the
+  /// result is bitwise-equal to the serial one at any thread count.
+  /// `Multiply` keeps each sum in a register, four output rows at a time.
   DenseMatrix Multiply(const DenseMatrix& other) const;
-  /// `thisᵀ * other` without forming the transpose.
+  /// `thisᵀ * other` without forming the transpose. Streams `this` row by
+  /// row; each output row (a column of `this`) accumulates in place.
   DenseMatrix TransposeMultiply(const DenseMatrix& other) const;
-  /// `this * otherᵀ` without forming the transpose.
-  DenseMatrix MultiplyTranspose(const DenseMatrix& other) const;
+
+  /// `Multiply` and `TransposeMultiply` into a caller's buffer, for loops
+  /// that repeat a product: `*out` keeps its storage when it already has
+  /// the result's shape and is reshaped (one allocation) otherwise. `out`
+  /// must be neither operand. The allocating forms call these.
+  void MultiplyInto(const DenseMatrix& other, DenseMatrix* out) const;
+  void TransposeMultiplyInto(const DenseMatrix& other, DenseMatrix* out) const;
 
   DenseMatrix Transpose() const;
 
@@ -146,6 +159,10 @@ class DenseMatrix {
   std::string ToString(int max_rows = 8) const;
 
  private:
+  /// Gives the matrix the shape rows x cols; keeps the storage (and its
+  /// contents) when the shape already matches, else zero-fills a new one.
+  void Reshape(size_t rows, size_t cols);
+
   size_t rows_;
   size_t cols_;
   std::vector<double> data_;

@@ -1,11 +1,10 @@
 #include <gtest/gtest.h>
 
-#include <atomic>
-#include <cstdlib>
 #include <memory>
-#include <new>
+#include <string>
 
 #include "common/parallel_for.h"
+#include "counting_allocator.h"
 #include "factorized/factorized_table.h"
 #include "ml/linear_models.h"
 #include "ml/training_matrix.h"
@@ -16,72 +15,13 @@
 /// after its first iteration: the step's vectors are sized once per view,
 /// and the trainer keeps one gradient for the whole run. Tiny blocks (the
 /// `std::function` closures of the parallel loops) are allowed.
-///
-/// This suite replaces the global allocation functions with counting ones.
-/// Each tests/<suite>/ directory builds its own binary, so the replacement
-/// reaches no other suite.
-
-namespace {
-
-constexpr size_t kLargeBlock = 1024;
-std::atomic<bool> g_counting{false};
-std::atomic<size_t> g_large_blocks{0};
-std::atomic<size_t> g_blocks{0};
-
-void* CountedAllocate(size_t size) {
-  if (g_counting.load(std::memory_order_relaxed)) {
-    g_blocks.fetch_add(1, std::memory_order_relaxed);
-    if (size >= kLargeBlock) {
-      g_large_blocks.fetch_add(1, std::memory_order_relaxed);
-    }
-  }
-  return std::malloc(size == 0 ? 1 : size);
-}
-
-}  // namespace
-
-void* operator new(size_t size) {
-  if (void* p = CountedAllocate(size)) return p;
-  throw std::bad_alloc();
-}
-void* operator new[](size_t size) {
-  if (void* p = CountedAllocate(size)) return p;
-  throw std::bad_alloc();
-}
-void* operator new(size_t size, const std::nothrow_t&) noexcept {
-  return CountedAllocate(size);
-}
-void* operator new[](size_t size, const std::nothrow_t&) noexcept {
-  return CountedAllocate(size);
-}
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, size_t) noexcept { std::free(p); }
-void operator delete[](void* p, size_t) noexcept { std::free(p); }
-void operator delete(void* p, const std::nothrow_t&) noexcept { std::free(p); }
-void operator delete[](void* p, const std::nothrow_t&) noexcept {
-  std::free(p);
-}
 
 namespace amalur {
 namespace ml {
 namespace {
 
-struct Counts {
-  size_t blocks = 0;
-  size_t large_blocks = 0;
-};
-
-/// Allocations made by `fn`.
-template <typename Fn>
-Counts CountAllocations(Fn fn) {
-  g_blocks = 0;
-  g_large_blocks = 0;
-  g_counting = true;
-  fn();
-  g_counting = false;
-  return {g_blocks.load(), g_large_blocks.load()};
-}
+using allocation::CountAllocations;
+using allocation::Counts;
 
 /// A left join whose base fans out into the other silo (a class with
 /// fan-out) and keeps one target row per base row (a class without), with

@@ -1,8 +1,14 @@
 #include <gtest/gtest.h>
 
+#include <sstream>
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "common/rng.h"
 #include "core/amalur.h"
 #include "cost/calibrator.h"
+#include "relational/csv.h"
 #include "testing/generator.h"
 #include "testing/running_example.h"
 #include "testing/scenario_builder.h"
@@ -310,6 +316,126 @@ TEST(AmalurTest, DivergingTrainingFailsInsteadOfReturningNanWeights) {
     EXPECT_NE(message.find("diverged: the loss of iteration "),
               std::string::npos)
         << message;
+  }
+}
+
+/// A silo export as CSV text: an int64 key `pid` (0..rows-1) and the given
+/// double columns, drawn from N(0,1), except that row `bad_row` of column
+/// `bad_column` reads `bad_cell` verbatim.
+std::string SiloCsv(const std::vector<std::string>& columns, size_t rows,
+                    uint64_t seed, const std::string& bad_column = "",
+                    size_t bad_row = 0, const std::string& bad_cell = "") {
+  Rng rng(seed);
+  std::string csv = "pid";
+  for (const std::string& column : columns) csv += "," + column;
+  csv += "\n";
+  for (size_t i = 0; i < rows; ++i) {
+    csv += std::to_string(i);
+    for (const std::string& column : columns) {
+      const double value = rng.NextGaussian();
+      csv += ",";
+      csv += column == bad_column && i == bad_row ? bad_cell
+                                                  : std::to_string(value);
+    }
+    csv += "\n";
+  }
+  return csv;
+}
+
+/// Registers two privacy-sensitive silos read from CSV and integrates them.
+Result<IntegrationHandle> IntegrateSecretSilos(Amalur* amalur,
+                                               const std::string& a_csv,
+                                               const std::string& b_csv,
+                                               rel::JoinKind kind) {
+  for (const auto& [name, csv] : {std::pair<std::string, std::string>{"a", a_csv},
+                                  {"b", b_csv}}) {
+    std::istringstream input(csv);
+    AMALUR_ASSIGN_OR_RETURN(rel::Table table, rel::ReadCsv(input, name));
+    AMALUR_RETURN_NOT_OK(amalur->catalog()->RegisterSource(
+        {name, std::move(table), "silo-" + name, true}));
+  }
+  return amalur->Integrate("a", "b", kind);
+}
+
+TEST(AmalurTest, SecureFederatedTrainRejectsValuesOutsideTheFixedPointRange) {
+  // NaN, Inf and 1e300 parse as doubles, but neither Paillier nor the
+  // secret-sharing encoder can represent them: a join (Paillier VFL) and a
+  // union (FedAvg with secure aggregation) must both name the silo and the
+  // column instead of aborting inside the encoder.
+  AmalurOptions options;
+  options.matcher.threshold = 0.75;  // generic x0/z0 names need evidence
+  TrainRequest request;
+  request.label_column = "y";
+  request.gd.iterations = 3;
+  request.privacy = federated::VflPrivacy::kPaillier;
+  for (const std::string& bad : {"nan", "inf", "-inf", "1e300"}) {
+    SCOPED_TRACE(bad);
+    {
+      Amalur amalur(options);
+      auto integration = IntegrateSecretSilos(
+          &amalur, SiloCsv({"y", "x0", "x1"}, 60, 1),
+          SiloCsv({"z0", "z1"}, 60, 2, "z1", 17, bad),
+          rel::JoinKind::kInnerJoin);
+      ASSERT_TRUE(integration.ok()) << integration.status();
+      const size_t z1 = *integration->mapping.target_schema().IndexOf("z1");
+      auto model = amalur.Train(*integration, request);
+      ASSERT_FALSE(model.ok());
+      EXPECT_TRUE(model.status().IsInvalidArgument()) << model.status();
+      EXPECT_NE(model.status().message().find(
+                    "party P1 holds " + std::string(bad == "1e300" ? "1e+300"
+                                                                   : bad) +
+                    " in feature column " + std::to_string(z1) + " (row 17)"),
+                std::string::npos)
+          << model.status();
+    }
+    {
+      Amalur amalur(options);
+      auto integration = IntegrateSecretSilos(
+          &amalur, SiloCsv({"y", "x0", "x1"}, 60, 3),
+          SiloCsv({"y", "x0", "x1"}, 40, 4, "x1", 9, bad),
+          rel::JoinKind::kUnion);
+      ASSERT_TRUE(integration.ok()) << integration.status();
+      auto model = amalur.Train(*integration, request);
+      ASSERT_FALSE(model.ok());
+      EXPECT_TRUE(model.status().IsInvalidArgument()) << model.status();
+      EXPECT_NE(model.status().message().find("party P1 holds "),
+                std::string::npos)
+          << model.status();
+      EXPECT_NE(model.status().message().find("(row 9)"), std::string::npos)
+          << model.status();
+    }
+  }
+}
+
+TEST(AmalurTest, SecureFederatedTrainThatLeavesTheFixedPointRangeDiverges) {
+  // 1e10 is inside both encoders' ranges, so the inputs pass; gradient
+  // descent then drives a partial prediction (Paillier VFL) or a local
+  // model (secure FedAvg) out of the range, which is divergence.
+  AmalurOptions options;
+  options.matcher.threshold = 0.75;
+  TrainRequest request;
+  request.label_column = "y";
+  request.gd.iterations = 20;
+  request.privacy = federated::VflPrivacy::kPaillier;
+  for (rel::JoinKind kind : {rel::JoinKind::kInnerJoin, rel::JoinKind::kUnion}) {
+    SCOPED_TRACE(rel::JoinKindToString(kind));
+    Amalur amalur(options);
+    const bool join = kind == rel::JoinKind::kInnerJoin;
+    auto integration = IntegrateSecretSilos(
+        &amalur, SiloCsv({"y", "x0", "x1"}, 60, 5),
+        join ? SiloCsv({"z0", "z1"}, 60, 6, "z1", 4, "1e10")
+             : SiloCsv({"y", "x0", "x1"}, 40, 6, "x1", 4, "1e10"),
+        kind);
+    ASSERT_TRUE(integration.ok()) << integration.status();
+    auto model = amalur.Train(*integration, request);
+    ASSERT_FALSE(model.ok());
+    EXPECT_TRUE(model.status().IsFailedPrecondition()) << model.status();
+    EXPECT_EQ(model.status().message().rfind("federate training diverged: ", 0),
+              0u)
+        << model.status();
+    EXPECT_NE(model.status().message().find("fixed-point range"),
+              std::string::npos)
+        << model.status();
   }
 }
 

@@ -13,6 +13,7 @@
 #include "ml/metrics.h"
 #include "ml/training_matrix.h"
 #include "testing/generator.h"
+#include "testing/reference_kernels.h"
 #include "testing/scenario_builder.h"
 
 namespace amalur {
@@ -94,21 +95,26 @@ TEST(NaryVflTest, PlaintextMatchesCentralizedForTwoThreeAndFiveSilos) {
 
 TEST(NaryVflTest, TwoSilosBitwiseIdenticalToLegacyPairwiseProtocol) {
   // Reference: the historical hard-coded two-party plaintext loop (B sends
-  // u_B to A, A forms the residual and sends it back), replicated verbatim.
-  // The n-ary protocol at N = 2 must reproduce it bit for bit — same
-  // arithmetic, same operation order.
+  // u_B to A, A forms the residual and sends it back), replicated verbatim
+  // on the frozen tiled kernels, so it pins the arithmetic rather than
+  // re-running the library's. The n-ary protocol at N = 2 must reproduce it
+  // bit for bit — same arithmetic, same operation order.
   NaryFixture f = MakeNaryFixture({3, 4}, 70, 5);
   const size_t iterations = 40;
   const double lr = 0.1, l2 = 0.01;
   const double inv_n = 1.0 / 70.0;
   la::DenseMatrix theta_a(3, 1), theta_b(4, 1);
+  std::vector<double> losses;
   for (size_t it = 0; it < iterations; ++it) {
-    la::DenseMatrix ua = f.parties[0].x.Multiply(theta_a);
-    la::DenseMatrix ub = f.parties[1].x.Multiply(theta_b);
+    la::DenseMatrix ua = la::ReferenceMultiply(f.parties[0].x, theta_a);
+    la::DenseMatrix ub = la::ReferenceMultiply(f.parties[1].x, theta_b);
     la::DenseMatrix predictions = ua.Add(ub);
+    losses.push_back(ml::MeanSquaredError(predictions, f.labels));
     la::DenseMatrix d = predictions.Subtract(f.labels);
-    la::DenseMatrix grad_a = f.parties[0].x.TransposeMultiply(d).Scale(inv_n);
-    la::DenseMatrix grad_b = f.parties[1].x.TransposeMultiply(d).Scale(inv_n);
+    la::DenseMatrix grad_a =
+        la::ReferenceTransposeMultiply(f.parties[0].x, d).Scale(inv_n);
+    la::DenseMatrix grad_b =
+        la::ReferenceTransposeMultiply(f.parties[1].x, d).Scale(inv_n);
     grad_a.AddScaled(theta_a, l2);
     grad_b.AddScaled(theta_b, l2);
     theta_a.AddScaled(grad_a, -lr);
@@ -124,6 +130,7 @@ TEST(NaryVflTest, TwoSilosBitwiseIdenticalToLegacyPairwiseProtocol) {
   ASSERT_TRUE(nary.ok()) << nary.status();
   EXPECT_TRUE(nary->thetas[0] == theta_a);
   EXPECT_TRUE(nary->thetas[1] == theta_b);
+  EXPECT_EQ(nary->loss_history, losses);
 }
 
 TEST(NaryVflTest, PaillierThreeSilosTracksCentralizedWithinFixedPoint) {

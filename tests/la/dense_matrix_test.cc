@@ -51,14 +51,6 @@ TEST(DenseMatrixTest, TransposeMultiplyMatchesExplicitTranspose) {
       a.TransposeMultiply(b).ApproxEquals(a.Transpose().Multiply(b), 1e-10));
 }
 
-TEST(DenseMatrixTest, MultiplyTransposeMatchesExplicitTranspose) {
-  Rng rng(3);
-  DenseMatrix a = DenseMatrix::RandomGaussian(6, 4, &rng);
-  DenseMatrix b = DenseMatrix::RandomGaussian(5, 4, &rng);
-  EXPECT_TRUE(
-      a.MultiplyTranspose(b).ApproxEquals(a.Multiply(b.Transpose()), 1e-10));
-}
-
 TEST(DenseMatrixTest, TransposeInvolution) {
   Rng rng(4);
   DenseMatrix a = DenseMatrix::RandomGaussian(5, 9, &rng);

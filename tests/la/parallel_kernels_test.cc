@@ -58,7 +58,7 @@ class ParallelKernelsTest : public ::testing::Test {
 
 TEST_F(ParallelKernelsTest, DenseMultiplyBitwiseEqualAcrossThreads) {
   Rng rng(101);
-  // Odd sizes straddle the kBlock=64 tile boundaries.
+  // Odd sizes straddle the four-row blocks and the chunk boundaries.
   const DenseMatrix a = DenseMatrix::RandomGaussian(173, 95, &rng);
   const DenseMatrix b = DenseMatrix::RandomGaussian(95, 131, &rng);
   ExpectBitwiseStable([&] { return a.Multiply(b); });
@@ -69,13 +69,6 @@ TEST_F(ParallelKernelsTest, DenseTransposeMultiplyBitwiseEqualAcrossThreads) {
   const DenseMatrix a = DenseMatrix::RandomGaussian(301, 47, &rng);
   const DenseMatrix b = DenseMatrix::RandomGaussian(301, 3, &rng);
   ExpectBitwiseStable([&] { return a.TransposeMultiply(b); });
-}
-
-TEST_F(ParallelKernelsTest, DenseMultiplyTransposeBitwiseEqualAcrossThreads) {
-  Rng rng(103);
-  const DenseMatrix a = DenseMatrix::RandomGaussian(111, 37, &rng);
-  const DenseMatrix b = DenseMatrix::RandomGaussian(53, 37, &rng);
-  ExpectBitwiseStable([&] { return a.MultiplyTranspose(b); });
 }
 
 TEST_F(ParallelKernelsTest, DenseTransposeAndRowSumsBitwiseEqual) {

@@ -6,14 +6,18 @@
 #include <memory>
 #include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/parallel_for.h"
 #include "common/rng.h"
 #include "cost/cost_features.h"
 #include "factorized/factorized_table.h"
+#include "integration/schema_mapping.h"
+#include "metadata/di_metadata.h"
 #include "ml/linear_models.h"
 #include "ml/training_matrix.h"
+#include "relational/join.h"
 #include "testing/generator.h"
 #include "testing/scenario_builder.h"
 
@@ -85,6 +89,76 @@ metadata::DiMetadata Unwrap(Result<metadata::DiMetadata> metadata) {
   AMALUR_CHECK(metadata.ok()) << metadata.status();
   return std::move(metadata).ValueOrDie();
 }
+
+/// A star whose two dimensions share the target column `c`, under left
+/// joins. About half the fact rows reference a key the first dimension
+/// lacks, so the second dimension's copy of `c` is masked on the fact rows
+/// the first covers and kept on the others; with fan-out into the second
+/// dimension, one of its source rows then lands in two redundancy classes.
+metadata::DiMetadata SharedColumnStar(Rng* rng) {
+  const size_t fact_rows = Draw(rng, 40, 160);
+  const size_t d1_rows = Draw(rng, 5, 20);
+  const size_t d2_rows = Draw(rng, 3, 12);
+  auto gaussians = [rng](size_t rows) {
+    std::vector<double> values(rows);
+    for (double& v : values) v = rng->NextGaussian();
+    return values;
+  };
+  std::vector<int64_t> k1(fact_rows), k2(fact_rows);
+  for (size_t i = 0; i < fact_rows; ++i) {
+    k1[i] = rng->NextBernoulli(0.5)
+                ? static_cast<int64_t>(Draw(rng, 0, d1_rows - 1))
+                : static_cast<int64_t>(d1_rows + i);
+    k2[i] = static_cast<int64_t>(Draw(rng, 0, d2_rows - 1));
+  }
+  std::vector<int64_t> d1_keys(d1_rows), d2_keys(d2_rows);
+  for (size_t r = 0; r < d1_rows; ++r) d1_keys[r] = static_cast<int64_t>(r);
+  for (size_t r = 0; r < d2_rows; ++r) d2_keys[r] = static_cast<int64_t>(r);
+
+  rel::Table fact("fact"), d1("d1"), d2("d2");
+  AMALUR_CHECK_OK(fact.AddColumn(rel::Column::FromInt64s("k1", k1)));
+  AMALUR_CHECK_OK(fact.AddColumn(rel::Column::FromInt64s("k2", k2)));
+  AMALUR_CHECK_OK(fact.AddColumn(rel::Column::FromDoubles("y", gaussians(fact_rows))));
+  AMALUR_CHECK_OK(fact.AddColumn(rel::Column::FromDoubles("x0", gaussians(fact_rows))));
+  AMALUR_CHECK_OK(d1.AddColumn(rel::Column::FromInt64s("k1", d1_keys)));
+  AMALUR_CHECK_OK(d1.AddColumn(rel::Column::FromDoubles("c", gaussians(d1_rows))));
+  AMALUR_CHECK_OK(d1.AddColumn(rel::Column::FromDoubles("a0", gaussians(d1_rows))));
+  AMALUR_CHECK_OK(d2.AddColumn(rel::Column::FromInt64s("k2", d2_keys)));
+  AMALUR_CHECK_OK(d2.AddColumn(rel::Column::FromDoubles("c", gaussians(d2_rows))));
+  AMALUR_CHECK_OK(d2.AddColumn(rel::Column::FromDoubles("b0", gaussians(d2_rows))));
+
+  auto mapping = integration::SchemaMapping::Create(
+      rel::JoinKind::kLeftJoin,
+      {{"fact", fact.schema(), {{"y", "y"}, {"x0", "x0"}}},
+       {"d1", d1.schema(), {{"c", "c"}, {"a0", "a0"}}},
+       {"d2", d2.schema(), {{"c", "c"}, {"b0", "b0"}}}},
+      rel::Schema::AllDouble({"y", "x0", "c", "a0", "b0"}),
+      {{0, "k1", 1, "k1"}, {0, "k2", 2, "k2"}});
+  AMALUR_CHECK(mapping.ok()) << mapping.status();
+  auto to_d1 = rel::MatchRowsOnKeys(fact, d1, {"k1"}, {"k1"});
+  auto to_d2 = rel::MatchRowsOnKeys(fact, d2, {"k2"}, {"k2"});
+  AMALUR_CHECK(to_d1.ok() && to_d2.ok()) << "key matching failed";
+  return Unwrap(metadata::DiMetadata::DeriveGraph(
+      *mapping, {&fact, &d1, &d2},
+      {{0, 1, rel::JoinKind::kLeftJoin}, {0, 2, rel::JoinKind::kLeftJoin}},
+      {*to_d1, *to_d2}));
+}
+
+/// Whether some source row of `source` lands in two redundancy classes.
+bool HasRowInTwoClasses(const metadata::SourceMetadata& source,
+                        size_t target_rows) {
+  std::map<int64_t, int32_t> class_of_row;
+  for (size_t i = 0; i < target_rows; ++i) {
+    const int64_t row = source.indicator.At(i);
+    if (row < 0) continue;
+    const auto [it, inserted] =
+        class_of_row.emplace(row, source.redundancy.row_set(i));
+    if (!inserted && it->second != source.redundancy.row_set(i)) return true;
+  }
+  return false;
+}
+
+constexpr char kSharedColumnStar[] = "star, two dimensions share a column";
 
 /// Random integrations of every fixture shape, `draws` of each.
 std::vector<Integration> DrawIntegrations(uint64_t seed, size_t draws) {
@@ -168,6 +242,8 @@ std::vector<Integration> DrawIntegrations(uint64_t seed, size_t draws) {
     out.push_back({"union of stars",
                    Unwrap(factorized::DeriveUnionOfStarsMetadata(
                        rel::GenerateUnionOfStars(stars)))});
+
+    out.push_back({kSharedColumnStar, SharedColumnStar(&rng)});
   }
   // An inner join whose keys never match: a target without rows.
   rel::SiloPairSpec empty;
@@ -422,6 +498,21 @@ std::vector<size_t> MapOfSetsComputeCells(
     cells.push_back(total);
   }
   return cells;
+}
+
+TEST(GradientStepTest, SharedColumnStarPutsASourceRowInTwoClasses) {
+  // The fixture is there for the second dimension's rows that sit in the
+  // masked class on some fact rows and the unmasked one on others; every
+  // draw the tests above use must have one.
+  for (const auto& [seed, draws] :
+       {std::pair<uint64_t, size_t>{1801, 2}, {1803, 1}, {1804, 3}}) {
+    for (const Integration& integration : DrawIntegrations(seed, draws)) {
+      if (integration.name != kSharedColumnStar) continue;
+      EXPECT_TRUE(HasRowInTwoClasses(integration.metadata.source(2),
+                                     integration.metadata.target_rows()))
+          << "seed " << seed;
+    }
+  }
 }
 
 TEST(GradientStepTest, ComputeCellsMatchTheMapOfSetsCount) {
