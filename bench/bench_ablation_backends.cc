@@ -2,9 +2,9 @@
 // choice. Two questions:
 //
 //  1. Backend choice vs target sparsity: dense materialization multiplies
-//     through outer-join NULL padding, CSR materialization skips it, and
-//     factorization never materializes it. Sweep the unmatched fraction of
-//     a full outer join and time all three backends on identical GD runs.
+//     through outer-join NULL padding, factorization never materializes
+//     it. Sweep the unmatched fraction of a full outer join and time both
+//     backends on identical GD runs.
 //
 //  2. Fan-out deduplication: the factorized kernels compute once per
 //     *unique source row* and expand through the indicator. The
@@ -12,55 +12,36 @@
 //     contrasts the factorized path against dense materialization as the
 //     join fan-out grows — the speedup is exactly the deduplication win.
 //
-// Dense and factorized times are the executor's own training runs
-// (`bench::TrainSeconds`); the CSR backend has no strategy of its own and
-// is timed here with the same stopwatch scope.
+// Both are the executor's own training runs (`bench::TrainSeconds`).
+// AMALUR_BENCH_SMOKE=1 shrinks the tables and the iterations; every row
+// stays.
 
 #include <cstdio>
 #include <vector>
 
 #include "bench/bench_util.h"
-#include "common/stopwatch.h"
-#include "ml/linear_models.h"
-#include "ml/training_matrix.h"
 #include "testing/generator.h"
 #include "testing/scenario_builder.h"
 
-namespace {
-
 using namespace amalur;
 
-double RunSparseMaterialized(const metadata::DiMetadata& metadata,
-                             size_t iterations) {
-  Stopwatch watch;
-  la::DenseMatrix target = metadata.MaterializeTargetMatrix();
-  std::vector<size_t> feature_cols;
-  for (size_t j = 1; j < target.cols(); ++j) feature_cols.push_back(j);
-  ml::SparseMaterializedMatrix features =
-      ml::SparseMaterializedMatrix::FromDense(target.SelectColumns(feature_cols));
-  la::DenseMatrix labels = target.SelectColumns({0});
-  ml::GradientDescentOptions gd;
-  gd.iterations = iterations;
-  gd.learning_rate = 0.05;
-  ml::TrainLinearRegression(features, labels, gd);
-  return watch.ElapsedSeconds();
-}
-
-}  // namespace
-
 int main() {
-  const size_t kIterations = 20;
+  const bool smoke = bench::SmokeMode();
+  const size_t iterations = smoke ? 3 : 20;
+  const size_t rows = smoke ? 500 : 20000;
+  const size_t dimension_rows = smoke ? 100 : 4000;
 
   std::printf("=== Ablation 1: backend vs target NULL padding ===\n");
-  std::printf("(full outer join, 20k+20k rows, 20 features/side; the match\n");
+  std::printf("(full outer join, %zu+%zu rows, 20 features/side; the match\n",
+              rows, rows);
   std::printf("fraction controls how much of T is NULL padding)\n\n");
-  std::printf("%9s %10s %12s %12s %12s\n", "matched", "null frac", "dense (s)",
-              "sparse (s)", "factor. (s)");
+  std::printf("%9s %10s %12s %12s\n", "matched", "null frac", "dense (s)",
+              "factor. (s)");
   for (double match : {1.0, 0.5, 0.2, 0.05}) {
     rel::SiloPairSpec spec;
     spec.kind = rel::JoinKind::kFullOuterJoin;
-    spec.base_rows = 20000;
-    spec.other_rows = 20000;
+    spec.base_rows = rows;
+    spec.other_rows = rows;
     spec.base_features = 20;
     spec.other_features = 20;
     spec.match_fraction = match;
@@ -79,23 +60,23 @@ int main() {
         static_cast<double>(zeros) / static_cast<double>(target.size());
 
     const double dense = bench::TrainSeconds(
-        *metadata, core::ExecutionStrategy::kMaterialize, kIterations);
-    const double sparse = RunSparseMaterialized(*metadata, kIterations);
+        *metadata, core::ExecutionStrategy::kMaterialize, iterations);
     const double factorized = bench::TrainSeconds(
-        *metadata, core::ExecutionStrategy::kFactorize, kIterations);
-    std::printf("%8.0f%% %10.2f %12.3f %12.3f %12.3f\n", 100 * match,
-                null_fraction, dense, sparse, factorized);
+        *metadata, core::ExecutionStrategy::kFactorize, iterations);
+    std::printf("%8.0f%% %10.2f %12.3f %12.3f\n", 100 * match, null_fraction,
+                dense, factorized);
   }
 
   std::printf("\n=== Ablation 2: fan-out deduplication win ===\n");
-  std::printf("(left join, rS2=4000, 40 dimension features; fan-out = rS1/rS2)\n\n");
+  std::printf("(left join, rS2=%zu, 40 dimension features; fan-out = rS1/rS2)\n\n",
+              dimension_rows);
   std::printf("%8s %12s %12s %9s\n", "fan-out", "dense (s)", "factor. (s)",
               "speedup");
   for (size_t fanout : {1, 2, 5, 10, 20}) {
     rel::SiloPairSpec spec;
     spec.kind = rel::JoinKind::kLeftJoin;
-    spec.other_rows = 4000;
-    spec.base_rows = 4000 * fanout;
+    spec.other_rows = dimension_rows;
+    spec.base_rows = dimension_rows * fanout;
     spec.base_features = 2;
     spec.other_features = 40;
     spec.seed = 77 + fanout;
@@ -103,14 +84,13 @@ int main() {
     auto metadata = factorized::DerivePairMetadata(pair);
     AMALUR_CHECK(metadata.ok()) << metadata.status();
     const bench::StrategyTiming timing =
-        bench::MeasureTraining(*metadata, kIterations);
+        bench::MeasureTraining(*metadata, iterations, smoke ? 1 : 3);
     std::printf("%8zu %12.3f %12.3f %8.2fx\n", fanout,
                 timing.materialized_seconds, timing.factorized_seconds,
                 timing.Speedup());
   }
   std::printf(
       "\nExpected: the factorized advantage grows ~linearly with fan-out\n"
-      "(compute is per unique source row); sparse materialization closes\n"
-      "part of the gap only when the target is NULL-heavy.\n");
+      "(compute is per unique source row).\n");
   return 0;
 }

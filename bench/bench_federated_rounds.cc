@@ -116,9 +116,9 @@ Measurement RunHfl(size_t shards, bool secure, size_t rounds,
 }
 
 void PrintRow(const Measurement& m) {
-  std::printf("%5s %10s %6zu %7zu %12zu %9zu %9.3f %10.4f\n",
+  std::printf("%5s %10s %6zu %7zu %12zu %9zu %10.3f %10.4f\n",
               m.protocol.c_str(), m.wires.c_str(), m.silos, m.rounds, m.bytes,
-              m.messages, m.seconds, m.final_loss);
+              m.messages, 1e3 * m.seconds, m.final_loss);
 }
 
 }  // namespace
@@ -127,8 +127,8 @@ int main() {
   const bool smoke = bench::SmokeMode();
   std::printf("=== §V: federated rounds vs silo count ===%s\n\n",
               smoke ? " (SMOKE MODE — sizes scaled down)" : "");
-  std::printf("%5s %10s %6s %7s %12s %9s %9s %10s\n", "proto", "wires",
-              "silos", "rounds", "bytes", "msgs", "time(s)", "loss");
+  std::printf("%5s %10s %6s %7s %12s %9s %10s %10s\n", "proto", "wires",
+              "silos", "rounds", "bytes", "msgs", "time(ms)", "loss");
 
   std::vector<Measurement> measurements;
   const size_t kVflRounds = smoke ? 5 : 25;

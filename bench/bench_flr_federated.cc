@@ -5,9 +5,11 @@
 // protocol vs plaintext wires — the trade-off §V.B highlights ("encryption
 // often brings tremendous computation overhead ... it is unclear how much
 // overhead the encryption of DI metadata will bring").
+// AMALUR_BENCH_SMOKE=1 shrinks the rows and the rounds; every row stays.
 
 #include <cstdio>
 
+#include "bench/bench_util.h"
 #include "common/stopwatch.h"
 #include "federated/hfl.h"
 #include "federated/vfl.h"
@@ -58,11 +60,11 @@ void RunVflRow(size_t rows, size_t features_b, federated::VflPrivacy privacy,
   ml::LinearModel central =
       ml::TrainLinearRegression(central_features, alignment->labels, gd);
 
-  std::printf("%6zu %6zu %10s %9.3f %12.4f %12.4f %12zu %6zu\n", rows,
+  std::printf("%6zu %6zu %10s %10.3f %12.4f %12.4f %12zu %6zu\n", rows,
               3 + features_b,
               privacy == federated::VflPrivacy::kPaillier ? "paillier"
                                                           : "plaintext",
-              seconds, result->loss_history.back(),
+              1e3 * seconds, result->loss_history.back(),
               central.loss_history.back(), result->bytes_transferred,
               result->messages);
 }
@@ -70,23 +72,28 @@ void RunVflRow(size_t rows, size_t features_b, federated::VflPrivacy privacy,
 }  // namespace
 
 int main() {
-  std::printf("=== §V: vertical federated linear regression over silos ===\n\n");
-  std::printf("%6s %6s %10s %9s %12s %12s %12s %6s\n", "rows", "feats", "wires",
-              "time(s)", "fed loss", "central", "bytes", "msgs");
+  const bool smoke = bench::SmokeMode();
+  std::printf("=== §V: vertical federated linear regression over silos ===%s\n\n",
+              smoke ? " (SMOKE MODE — sizes scaled down)" : "");
+  std::printf("%6s %6s %10s %10s %12s %12s %12s %6s\n", "rows", "feats",
+              "wires", "time(ms)", "fed loss", "central", "bytes", "msgs");
 
-  const size_t kIterations = 25;
+  const size_t iterations = smoke ? 3 : 25;
+  const size_t row_scale = smoke ? 10 : 1;
   for (size_t rows : {200, 500, 1000}) {
-    RunVflRow(rows, 4, federated::VflPrivacy::kPlaintext, kIterations);
+    RunVflRow(rows / row_scale, 4, federated::VflPrivacy::kPlaintext,
+              iterations);
   }
   for (size_t rows : {200, 500, 1000}) {
-    RunVflRow(rows, 4, federated::VflPrivacy::kPaillier, kIterations);
+    RunVflRow(rows / row_scale, 4, federated::VflPrivacy::kPaillier,
+              iterations);
   }
 
   std::printf("\n=== Horizontal FedAvg (union scenario) ===\n\n");
   std::printf("%8s %8s %10s %12s %12s %12s\n", "parties", "rows/p",
               "aggregation", "loss first", "loss last", "bytes");
   for (bool secure : {false, true}) {
-    const size_t parties = 4, rows_each = 500, features = 6;
+    const size_t parties = 4, rows_each = 500 / row_scale, features = 6;
     Rng rng(99);
     la::DenseMatrix w_true = la::DenseMatrix::RandomGaussian(features, 1, &rng);
     std::vector<federated::HflPartition> partitions;
@@ -101,7 +108,7 @@ int main() {
       partitions.push_back(std::move(partition));
     }
     federated::HflOptions options;
-    options.rounds = 40;
+    options.rounds = smoke ? 5 : 40;
     options.local_epochs = 2;
     options.learning_rate = 0.2;
     options.secure_aggregation = secure;

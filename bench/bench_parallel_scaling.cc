@@ -8,6 +8,8 @@
 //
 // Note: speedup is bounded by the cores actually present — on a single-core
 // machine every thread count measures scheduling overhead, not scaling.
+// AMALUR_BENCH_SMOKE=1 shrinks the tables, iterations and repeats; every
+// row stays.
 
 #include <algorithm>
 #include <cstdio>
@@ -30,15 +32,16 @@ struct ScenarioRow {
   rel::SiloPairSpec spec;
 };
 
-/// The Table I relationships, at the bench_table1_scenarios sizes. The left
-/// join (fan-out 10) is the largest / the paper's headline factorized win.
-std::vector<ScenarioRow> MakeScenarios() {
+/// The Table I relationships, at the bench_table1_scenarios sizes (row
+/// counts divided by `row_scale`). The left join (fan-out 10) is the
+/// largest / the paper's headline factorized win.
+std::vector<ScenarioRow> MakeScenarios(size_t row_scale) {
   std::vector<ScenarioRow> rows;
   {
     rel::SiloPairSpec spec;
     spec.kind = rel::JoinKind::kFullOuterJoin;
-    spec.base_rows = 20000;
-    spec.other_rows = 8000;
+    spec.base_rows = 20000 / row_scale;
+    spec.other_rows = 8000 / row_scale;
     spec.base_features = 4;
     spec.other_features = 40;
     spec.shared_features = 2;
@@ -50,8 +53,8 @@ std::vector<ScenarioRow> MakeScenarios() {
   {
     rel::SiloPairSpec spec;
     spec.kind = rel::JoinKind::kInnerJoin;
-    spec.base_rows = 20000;
-    spec.other_rows = 20000;
+    spec.base_rows = 20000 / row_scale;
+    spec.other_rows = 20000 / row_scale;
     spec.base_features = 4;
     spec.other_features = 40;
     spec.match_fraction = 1.0;
@@ -62,8 +65,8 @@ std::vector<ScenarioRow> MakeScenarios() {
   {
     rel::SiloPairSpec spec;
     spec.kind = rel::JoinKind::kLeftJoin;
-    spec.base_rows = 40000;
-    spec.other_rows = 4000;  // fan-out 10
+    spec.base_rows = 40000 / row_scale;
+    spec.other_rows = 4000 / row_scale;  // fan-out 10
     spec.base_features = 2;
     spec.other_features = 60;
     spec.seed = 13;
@@ -72,8 +75,8 @@ std::vector<ScenarioRow> MakeScenarios() {
   {
     rel::SiloPairSpec spec;
     spec.kind = rel::JoinKind::kUnion;
-    spec.base_rows = 20000;
-    spec.other_rows = 20000;
+    spec.base_rows = 20000 / row_scale;
+    spec.other_rows = 20000 / row_scale;
     spec.base_features = 0;
     spec.other_features = 0;
     spec.shared_features = 30;
@@ -123,8 +126,9 @@ struct Measurement {
 }  // namespace
 
 int main() {
-  const size_t kIterations = 20;
-  const size_t kRepeats = 3;
+  const bool smoke = bench::SmokeMode();
+  const size_t kIterations = smoke ? 5 : 20;
+  const size_t kRepeats = smoke ? 1 : 3;
 
   // 1/2/4 plus the runtime default (env var or hardware), deduplicated.
   std::vector<size_t> thread_counts = {1, 2, 4};
@@ -134,7 +138,8 @@ int main() {
     thread_counts.push_back(default_threads);
   }
 
-  std::printf("=== Parallel runtime scaling: Table I scenarios ===\n");
+  std::printf("=== Parallel runtime scaling: Table I scenarios ===%s\n",
+              smoke ? " (SMOKE MODE — sizes scaled down)" : "");
   std::printf("(GD linear regression, %zu iterations, medians of %zu runs;\n"
               " speedups relative to the same strategy at 1 thread;\n"
               " hardware concurrency here: %zu)\n\n",
@@ -143,7 +148,7 @@ int main() {
               "fact (s)", "mat (s)", "fact spd", "mat spd");
 
   std::vector<Measurement> measurements;
-  for (const ScenarioRow& row : MakeScenarios()) {
+  for (const ScenarioRow& row : MakeScenarios(smoke ? 40 : 1)) {
     rel::SiloPair pair = rel::GenerateSiloPair(row.spec);
 
     core::AmalurOptions system_options;

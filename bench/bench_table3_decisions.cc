@@ -9,7 +9,8 @@
 //                          vs a 1:1 partial match (no fan-out),
 //   * source redundancy  = 50% duplicate rows appended inside S2 vs none.
 // Ground truth = measured end-to-end training time of both strategies; each
-// estimator's decision is scored against it.
+// estimator's decision is scored against it. AMALUR_BENCH_SMOKE=1 divides
+// rS1 by 20, shortens the horizons and measures once; every scenario stays.
 
 #include <cstdio>
 
@@ -29,13 +30,17 @@ struct QuadrantResult {
   int total = 0;
 };
 
-QuadrantResult RunQuadrant(bool source_redundancy, bool target_redundancy) {
+QuadrantResult RunQuadrant(bool source_redundancy, bool target_redundancy,
+                           bool smoke) {
   // Ten scenarios per quadrant: the rS1 sweep x two training horizons. The
   // horizon varies the amortization of the one-time materialization cost —
   // a workload parameter the Amalur cost model prices explicitly and the
   // fixed TR/FR thresholds of [27] cannot see.
-  const size_t sweep[] = {1000, 5000, 10000, 20000, 50000};
-  const size_t horizons[] = {5, 60};
+  const size_t row_scale = smoke ? 20 : 1;
+  const size_t sweep[] = {1000 / row_scale, 5000 / row_scale,
+                          10000 / row_scale, 20000 / row_scale,
+                          50000 / row_scale};
+  const size_t horizons[] = {smoke ? size_t{2} : 5, smoke ? size_t{10} : 60};
   cost::MorpheusHeuristic morpheus;
 
   QuadrantResult result;
@@ -76,7 +81,7 @@ QuadrantResult RunQuadrant(bool source_redundancy, bool target_redundancy) {
       cost::AmalurCostModel amalur_model(options);
 
       const bench::StrategyTiming timing =
-          bench::MeasureTraining(*metadata, iterations);
+          bench::MeasureTraining(*metadata, iterations, smoke ? 1 : 3);
       char cell_name[64];
       std::snprintf(cell_name, sizeof(cell_name),
                     "table3_rs1_%zu_it%zu_src%d_tgt%d", rs1, iterations,
@@ -100,18 +105,20 @@ void PrintCell(const char* label, const QuadrantResult& q) {
 }  // namespace
 
 int main() {
+  const bool smoke = bench::SmokeMode();
   std::printf(
-      "=== Table III: correct factorize/materialize decisions ===\n"
+      "=== Table III: correct factorize/materialize decisions ===%s\n"
       "Setting: cS1=1, cS2=100, rS1 in {1k..50k}, rS2=0.2*rS1; 10 scenarios\n"
       "per quadrant (size sweep x training horizons {5, 60} iterations).\n"
       "Ground truth = measured end-to-end training time of both strategies.\n"
       "Paper reports: src+tgt 70/70, src-only 70/70, tgt-only 20/80,\n"
-      "none 30/70 (Morpheus/Amalur).\n\n");
+      "none 30/70 (Morpheus/Amalur).\n\n",
+      smoke ? " (SMOKE MODE — sizes scaled down)" : "");
 
-  const QuadrantResult both = RunQuadrant(true, true);
-  const QuadrantResult source_only = RunQuadrant(true, false);
-  const QuadrantResult target_only = RunQuadrant(false, true);
-  const QuadrantResult neither = RunQuadrant(false, false);
+  const QuadrantResult both = RunQuadrant(true, true, smoke);
+  const QuadrantResult source_only = RunQuadrant(true, false, smoke);
+  const QuadrantResult target_only = RunQuadrant(false, true, smoke);
+  const QuadrantResult neither = RunQuadrant(false, false, smoke);
 
   std::printf("Redundancy in sources=yes, target=yes:\n");
   PrintCell("  ", both);

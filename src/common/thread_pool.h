@@ -12,8 +12,8 @@
 /// \file thread_pool.h
 /// The worker pool behind `ParallelFor` (see parallel_for.h for the
 /// dispatch primitives and the determinism contract). Every hot kernel
-/// (dense GEMM, CSR SpMM, the factorized rewrites, gradient descent through
-/// them) fans its work out over one lazily-initialized global pool.
+/// (dense GEMM, the factorized rewrites, gradient descent through them)
+/// fans its work out over one lazily-initialized global pool.
 
 namespace amalur {
 namespace common {

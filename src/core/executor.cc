@@ -74,7 +74,7 @@ Result<TrainOutcome> Executor::Run(const metadata::DiMetadata& metadata,
   TrainOutcome outcome;
   outcome.strategy_used = plan.strategy;
   // Scope the request's thread knob over the whole run: every kernel under
-  // this frame (dense, CSR, factorized, sigmoid) picks it up. Report the
+  // this frame (dense, factorized, sigmoid) picks it up. Report the
   // parallelism actually applied, not the request — a knob above the pool's
   // capacity still chunks for the requested count but executes narrower.
   common::ScopedNumThreads thread_scope(request.num_threads);

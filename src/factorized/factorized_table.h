@@ -111,12 +111,6 @@ class FactorizedTable {
   void TransposeLeftMultiplyInto(const la::DenseMatrix& x, la::DenseMatrix* out,
                                  std::vector<double>* scratch) const;
 
-  /// X · T for X (m × rT) — the RMM rewrite.
-  la::DenseMatrix RightMultiply(const la::DenseMatrix& x) const;
-
-  /// Row sums T·1 (rT × 1).
-  la::DenseMatrix RowSums() const;
-
   /// Column sums Tᵀ·1 as (1 × cT).
   la::DenseMatrix ColSums() const;
 
@@ -207,20 +201,9 @@ class MorpheusReference {
  public:
   explicit MorpheusReference(metadata::DiMetadata metadata);
 
-  size_t rows() const { return table_.rows(); }
-  size_t cols() const { return table_.cols(); }
-
   la::DenseMatrix LeftMultiply(const la::DenseMatrix& x) const {
     return table_.LeftMultiply(x);
   }
-  la::DenseMatrix TransposeLeftMultiply(const la::DenseMatrix& x) const {
-    return table_.TransposeLeftMultiply(x);
-  }
-  la::DenseMatrix RightMultiply(const la::DenseMatrix& x) const {
-    return table_.RightMultiply(x);
-  }
-  la::DenseMatrix RowSums() const { return table_.RowSums(); }
-  la::DenseMatrix ColSums() const { return table_.ColSums(); }
 
  private:
   FactorizedTable table_;  // with redundancy ignored in its plans

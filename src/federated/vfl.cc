@@ -18,6 +18,9 @@ constexpr uint64_t kProtocolSeed = 99;
 /// Paillier key size (prime bits) and fixed-point precision.
 constexpr int kPaillierPrimeBits = 30;
 constexpr int kFractionalBits = 12;
+/// A party masks its encrypted gradient with values drawn from
+/// (−kMaskBound, kMaskBound).
+constexpr double kMaskBound = 8.0;
 
 /// Homomorphic Xᵀ·[[d]]: for each column j, Π_i CipherScale([[d_i]], x_ij)
 /// with fixed-point-encoded scalars (negatives via the upper half-space).
@@ -57,6 +60,27 @@ double DecodeScaled(uint64_t message, uint64_t n, double scale_squared) {
 }
 
 std::string DefaultPartyName(size_t k) { return "P" + std::to_string(k); }
+
+/// Columns `columns` of silo k's contribution I_k D_k M_kᵀ, read straight
+/// from D_k: cell (i, p) is D_k[CI_k(i), CM_k(columns[p])], or 0 where
+/// CI_k(i) < 0. Every column must be mapped.
+la::DenseMatrix GatherColumns(const metadata::SourceMetadata& source,
+                              const std::vector<size_t>& columns) {
+  std::vector<size_t> dk_cols;
+  dk_cols.reserve(columns.size());
+  for (size_t c : columns) {
+    dk_cols.push_back(static_cast<size_t>(source.mapping.At(c)));
+  }
+  la::DenseMatrix out(source.indicator.target_rows(), columns.size());
+  for (size_t i = 0; i < out.rows(); ++i) {
+    const int64_t row = source.indicator.At(i);
+    if (row < 0) continue;
+    const double* d_row = source.data.RowPtr(static_cast<size_t>(row));
+    double* out_row = out.RowPtr(i);
+    for (size_t p = 0; p < dk_cols.size(); ++p) out_row[p] = d_row[dk_cols[p]];
+  }
+  return out;
+}
 
 /// The Paillier protocol's entry check: every feature and label value must
 /// lie inside the fixed-point range (`|v| < bound`, which NaN fails), or
@@ -105,6 +129,36 @@ Status CheckEncodable(const la::DenseMatrix& values, double bound,
         " at row ", i, " in round ", round + 1,
         ", outside the Paillier fixed-point range (magnitude below ", bound,
         "); lower the learning rate or check the inputs for NaN/Inf");
+  }
+  return Status::OK();
+}
+
+/// The Paillier protocol's gradient check, before a party's homomorphic
+/// product: by Cauchy–Schwarz |Σ_i x̂_ij·d̂_i| ≤ ‖x̂_j‖₂·‖d̂‖₂ for the
+/// fixed-point column x̂_j and residual d̂ (`residual_norm`), and the mask
+/// adds less than kMaskBound·scale². Once that reaches n/2, C would decrypt
+/// a sum wrapped modulo n.
+Status CheckGradientEncodable(const VflParty& party, const std::string& name,
+                              double scale, double residual_norm, uint64_t n,
+                              size_t round) {
+  const double half_n = static_cast<double>(n / 2);
+  for (size_t j = 0; j < party.x.cols(); ++j) {
+    double squares = 0.0;
+    for (size_t i = 0; i < party.x.rows(); ++i) {
+      const double fixed =
+          static_cast<double>(std::llround(party.x.At(i, j) * scale));
+      squares += fixed * fixed;
+    }
+    const double worst =
+        std::sqrt(squares) * residual_norm + kMaskBound * scale * scale;
+    if (worst < half_n) continue;
+    return Status::FailedPrecondition(
+        "federate training diverged: the masked gradient of party ", name,
+        " for feature column ", j < party.columns.size() ? party.columns[j] : j,
+        " could reach ", worst, " in round ", round + 1,
+        ", outside the Paillier fixed-point range (magnitude below ", half_n,
+        " at scale²); lower the learning rate or check the inputs for "
+        "NaN/Inf");
   }
   return Status::OK();
 }
@@ -175,6 +229,9 @@ Result<NaryVflResult> TrainVerticalFlrNary(const std::vector<VflParty>& parties,
   const uint64_t n_pub = paillier.public_key().n;
 
   const double bound = paillier.EncodableBound();
+  // The ring adds N encoded pieces (u_0 − y, u_1, …); each below bound/N
+  // keeps their sum inside the range.
+  const double piece_bound = bound / static_cast<double>(n_parties);
   if (options.privacy == VflPrivacy::kPaillier) {
     AMALUR_RETURN_NOT_OK(CheckInputsEncodable(parties, names, labels, bound));
   }
@@ -258,12 +315,13 @@ Result<NaryVflResult> TrainVerticalFlrNary(const std::vector<VflParty>& parties,
       parties[k].x.MultiplyInto(result.thetas[k], &u[k]);
     }
     la::DenseMatrix u0_minus_y = u[0].Subtract(labels);
-    AMALUR_RETURN_NOT_OK(CheckEncodable(u0_minus_y, bound,
+    AMALUR_RETURN_NOT_OK(CheckEncodable(u0_minus_y, piece_bound,
                                         "the residual start u_0 - y",
                                         names[0], it));
     for (size_t k = 1; k < n_parties; ++k) {
-      AMALUR_RETURN_NOT_OK(CheckEncodable(u[k], bound, "the partial prediction",
-                                          names[k], it));
+      AMALUR_RETURN_NOT_OK(CheckEncodable(u[k], piece_bound,
+                                          "the partial prediction", names[k],
+                                          it));
     }
     std::vector<PaillierCiphertext> enc_sum =
         paillier.EncryptMatrix(u0_minus_y, &rng);
@@ -299,6 +357,18 @@ Result<NaryVflResult> TrainVerticalFlrNary(const std::vector<VflParty>& parties,
     }
     enc_d_at[last] = enc_sum;
 
+    // Telemetry: C decrypts the residual to report the training loss. This
+    // is an observability concession of the harness (documented), not part
+    // of the privacy protocol. Decryption draws no randomness. The gradient
+    // check reads only ‖d̂‖₂, which the reported loss already gives away.
+    double loss = 0.0;
+    for (size_t i = 0; i < n_rows; ++i) {
+      const double di = paillier.DecryptDouble(enc_sum[i]);
+      loss += di * di;
+    }
+    result.loss_history.push_back(loss * inv_n);
+    const double residual_norm = scale * std::sqrt(loss);
+
     // Each party computes its masked encrypted gradient and routes it
     // through C for decryption; C only ever sees gradient + mask.
     auto masked_gradient =
@@ -308,10 +378,11 @@ Result<NaryVflResult> TrainVerticalFlrNary(const std::vector<VflParty>& parties,
       std::vector<PaillierCiphertext> enc_grad =
           HomomorphicTransposeDot(paillier, x, d_cipher, scale, &rng);
       la::DenseMatrix mask(x.cols(), 1);
-      for (size_t j = 0; j < x.cols(); ++j) mask.At(j, 0) = rng.NextDouble(-8, 8);
       for (size_t j = 0; j < x.cols(); ++j) {
-        // Mask enters at scale², matching the gradient's fixed-point scale;
-        // |mask| < 8 keeps it far inside the plaintext range.
+        mask.At(j, 0) = rng.NextDouble(-kMaskBound, kMaskBound);
+      }
+      for (size_t j = 0; j < x.cols(); ++j) {
+        // Mask enters at scale², matching the gradient's fixed-point scale.
         const int64_t fixed = std::llround(mask.At(j, 0) * scale_squared);
         const uint64_t message =
             fixed >= 0 ? static_cast<uint64_t>(fixed)
@@ -339,6 +410,8 @@ Result<NaryVflResult> TrainVerticalFlrNary(const std::vector<VflParty>& parties,
     };
 
     for (size_t k = 0; k < n_parties; ++k) {
+      AMALUR_RETURN_NOT_OK(CheckGradientEncodable(
+          parties[k], names[k], scale, residual_norm, n_pub, it));
       AMALUR_ASSIGN_OR_RETURN(
           la::DenseMatrix gradient,
           masked_gradient(parties[k].x, enc_d_at[k], names[k]));
@@ -348,16 +421,6 @@ Result<NaryVflResult> TrainVerticalFlrNary(const std::vector<VflParty>& parties,
       }
       result.thetas[k].AddScaled(gradient, -options.learning_rate);
     }
-
-    // Telemetry: C decrypts the residual to report the training loss. This
-    // is an observability concession of the harness (documented), not part
-    // of the privacy protocol.
-    double loss = 0.0;
-    for (size_t i = 0; i < n_rows; ++i) {
-      const double di = paillier.DecryptDouble(enc_sum[i]);
-      loss += di * di;
-    }
-    result.loss_history.push_back(loss * inv_n);
   }
 
   result.bytes_transferred = bus->TotalBytes();
@@ -405,23 +468,14 @@ Result<NaryVflAlignment> AlignForVflNary(const metadata::DiMetadata& metadata,
   // silo (earlier sources mask later copies everywhere); -1 = unclaimed.
   std::vector<int64_t> owner(metadata.target_cols(), -1);
   for (size_t k = 0; k < n_sources; ++k) {
+    const metadata::SourceMetadata& source = metadata.source(k);
     VflParty& party = alignment.parties[k];
     party.name = DefaultPartyName(k);
-    // Masked contribution: T_k ∘ R_k — built silo-locally from the silo's
-    // own (composed) indicator/mapping/redundancy triple.
-    la::DenseMatrix t_k = metadata.SourceContribution(k);
-    metadata.source(k).redundancy.ApplyInPlace(&t_k);
-    if (k == 0) {
-      alignment.labels = la::DenseMatrix(metadata.target_rows(), 1);
-      for (size_t i = 0; i < metadata.target_rows(); ++i) {
-        alignment.labels.At(i, 0) = t_k.At(i, label_column);
-      }
-    }
-    for (size_t c : metadata.source(k).mapping.MappedTargetColumns()) {
+    for (size_t c : source.mapping.MappedTargetColumns()) {
       if (c == label_column) continue;
       bool contributes = false;
       for (size_t i = 0; i < metadata.target_rows() && !contributes; ++i) {
-        contributes = !metadata.source(k).redundancy.IsRedundant(i, c);
+        contributes = !source.redundancy.IsRedundant(i, c);
       }
       if (!contributes) continue;  // fully redundant: provided upstream
       if (owner[c] != -1) {
@@ -434,8 +488,15 @@ Result<NaryVflAlignment> AlignForVflNary(const metadata::DiMetadata& metadata,
       owner[c] = static_cast<int64_t>(k);
       party.columns.push_back(c);
     }
-    party.x = t_k.SelectColumns(party.columns);
+    // The block is the silo's masked contribution T_k ∘ R_k on the columns
+    // it owns, built silo-locally from its own (composed) indicator and
+    // mapping. R_k is all ones there: it zeroes (i, c) only where an
+    // earlier silo maps c and covers row i, and under full coverage such a
+    // silo would mask c in every row, so k would not own it.
+    party.x = GatherColumns(source, party.columns);
   }
+  // R_0 is all ones.
+  alignment.labels = GatherColumns(metadata.source(0), {label_column});
   return alignment;
 }
 

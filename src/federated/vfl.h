@@ -102,10 +102,14 @@ struct NaryVflResult {
 ///
 /// Paillier mode rejects, with `kInvalidArgument` naming the party, column
 /// and row, a feature or label value outside the fixed-point range
-/// (`Paillier::EncodableBound()`, NaN and ±Inf included). A partial
-/// prediction or residual that leaves the range during training is
-/// divergence: `kFailedPrecondition`. A homomorphic gradient that wraps
-/// modulo n is not detected; no party sees it in the clear.
+/// (`Paillier::EncodableBound()`, NaN and ±Inf included). During training,
+/// divergence is `kFailedPrecondition`, naming the party and round: a
+/// partial prediction or residual start of magnitude at least
+/// EncodableBound()/N (the ring sum of N such pieces could wrap), or a
+/// homomorphic gradient that could wrap modulo n. The gradient check is
+/// the Cauchy–Schwarz bound ‖x̂_j‖₂·‖d̂‖₂ + 8·scale² ≥ n/2 on the
+/// fixed-point column and residual (the mask stays below 8), with ‖d̂‖₂
+/// read from the residual the coordinator already decrypts for the loss.
 Result<NaryVflResult> TrainVerticalFlrNary(const std::vector<VflParty>& parties,
                                            const la::DenseMatrix& labels,
                                            const VflOptions& options,

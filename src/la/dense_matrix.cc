@@ -136,13 +136,6 @@ DenseMatrix DenseMatrix::RandomGaussian(size_t rows, size_t cols, Rng* rng) {
   return out;
 }
 
-DenseMatrix DenseMatrix::RandomUniform(size_t rows, size_t cols, double lo,
-                                       double hi, Rng* rng) {
-  DenseMatrix out(rows, cols);
-  for (double& v : out.data_) v = rng->NextDouble(lo, hi);
-  return out;
-}
-
 DenseMatrix DenseMatrix::Multiply(const DenseMatrix& other) const {
   DenseMatrix out;
   MultiplyInto(other, &out);
@@ -228,8 +221,10 @@ DenseMatrix DenseMatrix::Subtract(const DenseMatrix& other) const {
 }
 
 DenseMatrix DenseMatrix::Hadamard(const DenseMatrix& other) const {
+  AMALUR_CHECK(rows_ == other.rows_ && cols_ == other.cols_)
+      << "hadamard shape mismatch";
   DenseMatrix out = *this;
-  out.HadamardInPlace(other);
+  for (size_t i = 0; i < data_.size(); ++i) out.data_[i] *= other.data_[i];
   return out;
 }
 
@@ -249,12 +244,6 @@ void DenseMatrix::SubtractInPlace(const DenseMatrix& other) {
   for (size_t i = 0; i < data_.size(); ++i) data_[i] -= other.data_[i];
 }
 
-void DenseMatrix::HadamardInPlace(const DenseMatrix& other) {
-  AMALUR_CHECK(rows_ == other.rows_ && cols_ == other.cols_)
-      << "hadamard shape mismatch";
-  for (size_t i = 0; i < data_.size(); ++i) data_[i] *= other.data_[i];
-}
-
 void DenseMatrix::ScaleInPlace(double factor) {
   for (double& v : data_) v *= factor;
 }
@@ -263,18 +252,6 @@ void DenseMatrix::AddScaled(const DenseMatrix& other, double factor) {
   AMALUR_CHECK(rows_ == other.rows_ && cols_ == other.cols_)
       << "axpy shape mismatch";
   for (size_t i = 0; i < data_.size(); ++i) data_[i] += factor * other.data_[i];
-}
-
-DenseMatrix DenseMatrix::Map(const std::function<double(double)>& f) const {
-  DenseMatrix out = *this;
-  out.MapInPlace(f);
-  return out;
-}
-
-void DenseMatrix::MapInPlace(const std::function<double(double)>& f) {
-  // Deliberately serial: callers may pass stateful functors (accumulating
-  // side channels), which the parallel TransformInPlace would race on.
-  for (double& v : data_) v = f(v);
 }
 
 DenseMatrix DenseMatrix::RowSums() const {
@@ -341,26 +318,6 @@ double DenseMatrix::Sum() const {
   return total;
 }
 
-double DenseMatrix::FrobeniusNorm() const {
-  const size_t num_chunks = common::ParallelChunkCount(data_.size(), kReduceGrain);
-  if (num_chunks <= 1) {
-    double acc = 0.0;
-    for (double v : data_) acc += v * v;
-    return std::sqrt(acc);
-  }
-  std::vector<double> partials(num_chunks, 0.0);
-  common::ParallelForChunks(
-      0, data_.size(), kReduceGrain,
-      [&](size_t chunk, size_t begin, size_t end) {
-        double acc = 0.0;
-        for (size_t i = begin; i < end; ++i) acc += data_[i] * data_[i];
-        partials[chunk] = acc;
-      });
-  double total = 0.0;
-  for (double partial : partials) total += partial;
-  return std::sqrt(total);
-}
-
 double DenseMatrix::MaxAbsDiff(const DenseMatrix& other) const {
   AMALUR_CHECK(rows_ == other.rows_ && cols_ == other.cols_)
       << "diff shape mismatch";
@@ -369,14 +326,6 @@ double DenseMatrix::MaxAbsDiff(const DenseMatrix& other) const {
     worst = std::max(worst, std::fabs(data_[i] - other.data_[i]));
   }
   return worst;
-}
-
-DenseMatrix DenseMatrix::SliceRows(size_t begin, size_t end) const {
-  AMALUR_CHECK(begin <= end && end <= rows_) << "bad row slice";
-  DenseMatrix out(end - begin, cols_);
-  std::copy(data_.begin() + begin * cols_, data_.begin() + end * cols_,
-            out.data_.begin());
-  return out;
 }
 
 DenseMatrix DenseMatrix::SelectColumns(const std::vector<size_t>& columns) const {
@@ -388,15 +337,6 @@ DenseMatrix DenseMatrix::SelectColumns(const std::vector<size_t>& columns) const
       AMALUR_CHECK_LT(columns[j], cols_) << "column index out of range";
       out_row[j] = row[columns[j]];
     }
-  }
-  return out;
-}
-
-DenseMatrix DenseMatrix::SelectRows(const std::vector<size_t>& rows) const {
-  DenseMatrix out(rows.size(), cols_);
-  for (size_t i = 0; i < rows.size(); ++i) {
-    AMALUR_CHECK_LT(rows[i], rows_) << "row index out of range";
-    std::copy(RowPtr(rows[i]), RowPtr(rows[i]) + cols_, out.RowPtr(i));
   }
   return out;
 }

@@ -1,7 +1,6 @@
 #pragma once
 
 #include <cstddef>
-#include <functional>
 #include <initializer_list>
 #include <string>
 #include <vector>
@@ -42,9 +41,6 @@ class DenseMatrix {
   static DenseMatrix Identity(size_t n);
   /// I.i.d. N(0,1) entries.
   static DenseMatrix RandomGaussian(size_t rows, size_t cols, Rng* rng);
-  /// I.i.d. U[lo, hi) entries.
-  static DenseMatrix RandomUniform(size_t rows, size_t cols, double lo, double hi,
-                                   Rng* rng);
 
   size_t rows() const { return rows_; }
   size_t cols() const { return cols_; }
@@ -61,8 +57,6 @@ class DenseMatrix {
         << "(" << i << "," << j << ") out of " << rows_ << "x" << cols_;
     return data_[i * cols_ + j];
   }
-  double& operator()(size_t i, size_t j) { return At(i, j); }
-  double operator()(size_t i, size_t j) const { return At(i, j); }
 
   /// Pointer to the start of row `i` (row-major contiguous).
   double* RowPtr(size_t i) { return data_.data() + i * cols_; }
@@ -101,22 +95,13 @@ class DenseMatrix {
 
   void AddInPlace(const DenseMatrix& other);
   void SubtractInPlace(const DenseMatrix& other);
-  void HadamardInPlace(const DenseMatrix& other);
   void ScaleInPlace(double factor);
   /// `this += factor * other` (axpy).
   void AddScaled(const DenseMatrix& other, double factor);
 
-  /// Applies `f` to every element, returning a new matrix. Serial, and `f`
-  /// may be stateful; hot paths with a pure `f` use `TransformInPlace`.
-  DenseMatrix Map(const std::function<double(double)>& f) const;
-  /// Applies `f` to every element in place. Serial, and `f` may be stateful.
-  void MapInPlace(const std::function<double(double)>& f);
-
-  /// Hot-path variant of `MapInPlace`: `f` is a functor/lambda inlined at
-  /// the call site (no `std::function` virtual-call per element) and the
-  /// loop runs parallel over disjoint element ranges — `f` must therefore be
-  /// pure (no shared mutable state). Cold or stateful callers keep using the
-  /// `std::function` API above.
+  /// Applies `f` to every element in place. `f` is a functor/lambda inlined
+  /// at the call site and the loop runs parallel over disjoint element
+  /// ranges, so `f` must be pure (no shared mutable state).
   template <typename F>
   void TransformInPlace(F f) {
     double* data = data_.data();
@@ -133,16 +118,11 @@ class DenseMatrix {
   /// Per-column sums as a 1xcols() row vector.
   DenseMatrix ColSums() const;
   double Sum() const;
-  double FrobeniusNorm() const;
   /// max_ij |this - other|; shapes must agree.
   double MaxAbsDiff(const DenseMatrix& other) const;
 
-  /// New matrix keeping rows [begin, end).
-  DenseMatrix SliceRows(size_t begin, size_t end) const;
   /// New matrix with the given columns, in the given order.
   DenseMatrix SelectColumns(const std::vector<size_t>& columns) const;
-  /// New matrix with the given rows, in the given order.
-  DenseMatrix SelectRows(const std::vector<size_t>& rows) const;
   /// Horizontal concatenation [this | other]; row counts must agree.
   DenseMatrix ConcatColumns(const DenseMatrix& other) const;
   /// Vertical concatenation [this ; other]; column counts must agree.

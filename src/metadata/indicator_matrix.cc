@@ -26,15 +26,13 @@ size_t CompressedIndicator::ContributedRows() const {
   return count;
 }
 
-la::SparseMatrix CompressedIndicator::ToMatrix() const {
-  std::vector<la::Triplet> triplets;
+la::DenseMatrix CompressedIndicator::ToDense() const {
+  la::DenseMatrix out(target_rows(), source_rows_);
   for (size_t i = 0; i < target_to_source_.size(); ++i) {
-    if (target_to_source_[i] >= 0) {
-      triplets.push_back({i, static_cast<size_t>(target_to_source_[i]), 1.0});
-    }
+    const int64_t j = target_to_source_[i];
+    if (j >= 0) out.At(i, static_cast<size_t>(j)) = 1.0;
   }
-  return la::SparseMatrix::FromTriplets(target_rows(), source_rows_,
-                                        std::move(triplets));
+  return out;
 }
 
 la::DenseMatrix CompressedIndicator::ExpandRows(const la::DenseMatrix& y) const {

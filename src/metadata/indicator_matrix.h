@@ -5,7 +5,6 @@
 #include <vector>
 
 #include "la/dense_matrix.h"
-#include "la/sparse_matrix.h"
 
 /// \file indicator_matrix.h
 /// The paper's indicator matrix and its compressed form (Definition III.3).
@@ -40,8 +39,9 @@ class CompressedIndicator {
   /// Number of target rows this source contributes to.
   size_t ContributedRows() const;
 
-  /// The full binary indicator matrix `I_k` (rT × rS_k), Definition III.3.
-  la::SparseMatrix ToMatrix() const;
+  /// The full binary indicator matrix `I_k` (rT × rS_k), Definition III.3
+  /// (tests / small inputs only).
+  la::DenseMatrix ToDense() const;
 
   /// `I_k · Y` for Y (rS × c): routes source-row values to target rows,
   /// zero rows where the source contributes nothing. O(rT · c).

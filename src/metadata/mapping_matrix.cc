@@ -33,15 +33,13 @@ std::vector<size_t> CompressedMapping::MappedTargetColumns() const {
   return cols;
 }
 
-la::SparseMatrix CompressedMapping::ToMatrix() const {
-  std::vector<la::Triplet> triplets;
+la::DenseMatrix CompressedMapping::ToDense() const {
+  la::DenseMatrix out(target_cols(), source_cols_);
   for (size_t i = 0; i < target_to_source_.size(); ++i) {
-    if (target_to_source_[i] >= 0) {
-      triplets.push_back({i, static_cast<size_t>(target_to_source_[i]), 1.0});
-    }
+    const int64_t j = target_to_source_[i];
+    if (j >= 0) out.At(i, static_cast<size_t>(j)) = 1.0;
   }
-  return la::SparseMatrix::FromTriplets(target_cols(), source_cols_,
-                                        std::move(triplets));
+  return out;
 }
 
 la::DenseMatrix CompressedMapping::ExpandColumns(const la::DenseMatrix& dk) const {

@@ -5,7 +5,6 @@
 #include <vector>
 
 #include "la/dense_matrix.h"
-#include "la/sparse_matrix.h"
 
 /// \file mapping_matrix.h
 /// The paper's mapping matrix (Definition III.1) and its compressed form
@@ -13,7 +12,7 @@
 /// M_k[i, j] = 1 iff column j of source k maps to target column i. The
 /// compressed form `CM_k` is a row vector of size cT with CM_k[i] = j (or -1).
 ///
-/// The class stores only the compressed form; the full sparse `M_k` is
+/// The class stores only the compressed form; the full `M_k` is
 /// materialized on demand. Column indices refer to the *processed* source
 /// matrix `D_k`, which holds only the mapped columns (§III.B).
 
@@ -43,8 +42,9 @@ class CompressedMapping {
   /// Target columns this source maps (ascending).
   std::vector<size_t> MappedTargetColumns() const;
 
-  /// The full binary mapping matrix `M_k` (cT × cS_k), Definition III.1.
-  la::SparseMatrix ToMatrix() const;
+  /// The full binary mapping matrix `M_k` (cT × cS_k), Definition III.1
+  /// (tests / small inputs only).
+  la::DenseMatrix ToDense() const;
 
   /// `D_k · M_kᵀ` (r × cT): places D_k's columns at their target positions,
   /// zero elsewhere. O(r · cS) — never materializes M_k.

@@ -64,8 +64,6 @@ double Sigmoid(double x) {
 }
 
 la::DenseMatrix Sigmoid(const la::DenseMatrix& x) {
-  // Statically-dispatched (and parallel) transform instead of Map's
-  // std::function-per-element.
   la::DenseMatrix out = x;
   out.TransformInPlace([](double v) { return Sigmoid(v); });
   return out;

@@ -34,23 +34,6 @@ la::DenseMatrix MaterializedMatrix::RowSquaredNorms() const {
   return out;
 }
 
-la::DenseMatrix SparseMaterializedMatrix::RowSquaredNorms() const {
-  la::DenseMatrix out(data_.rows(), 1);
-  const auto& offsets = data_.row_offsets();
-  const auto& values = data_.values();
-  common::ParallelFor(
-      0, data_.rows(), 256, [&](size_t row_begin, size_t row_end) {
-        for (size_t i = row_begin; i < row_end; ++i) {
-          double acc = 0.0;
-          for (size_t p = offsets[i]; p < offsets[i + 1]; ++p) {
-            acc += values[p] * values[p];
-          }
-          out.At(i, 0) = acc;
-        }
-      });
-  return out;
-}
-
 FactorizedFeatures::FactorizedFeatures(
     std::shared_ptr<const factorized::FactorizedTable> table, size_t label_column)
     : table_(std::move(table)), label_column_(label_column) {

@@ -6,7 +6,6 @@
 #include "common/status.h"
 #include "factorized/factorized_table.h"
 #include "la/dense_matrix.h"
-#include "la/sparse_matrix.h"
 
 /// \file training_matrix.h
 /// The abstraction that lets one ML implementation train over either backend:
@@ -88,37 +87,6 @@ class MaterializedMatrix : public TrainingMatrix {
 
  private:
   la::DenseMatrix data_;
-};
-
-/// Backend over a CSR sparse matrix: the middle ground between dense
-/// materialization and factorization for null-heavy targets (outer joins
-/// pad absent cells with zeros that a dense kernel multiplies through but
-/// CSR skips). Used by the backend ablation study.
-class SparseMaterializedMatrix : public TrainingMatrix {
- public:
-  explicit SparseMaterializedMatrix(la::SparseMatrix data)
-      : data_(std::move(data)) {}
-
-  /// Builds from a dense matrix, dropping exact zeros.
-  static SparseMaterializedMatrix FromDense(const la::DenseMatrix& dense) {
-    return SparseMaterializedMatrix(la::SparseMatrix::FromDense(dense));
-  }
-
-  size_t rows() const override { return data_.rows(); }
-  size_t cols() const override { return data_.cols(); }
-  la::DenseMatrix LeftMultiply(const la::DenseMatrix& x) const override {
-    return data_.Multiply(x);
-  }
-  la::DenseMatrix TransposeLeftMultiply(const la::DenseMatrix& x) const override {
-    return data_.TransposeMultiply(x);
-  }
-  la::DenseMatrix RowSquaredNorms() const override;
-  la::DenseMatrix ColSums() const override { return data_.ColSums(); }
-
-  const la::SparseMatrix& data() const { return data_; }
-
- private:
-  la::SparseMatrix data_;
 };
 
 /// Backend over a factorized target table (the pushed-down path). Operates

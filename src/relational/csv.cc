@@ -14,6 +14,9 @@ namespace rel {
 
 namespace {
 
+/// The field separator of every file read and written.
+constexpr char kDelimiter = ',';
+
 /// What a single text field could parse as.
 enum class FieldKind { kEmpty, kInt64, kDouble, kString };
 
@@ -57,8 +60,7 @@ Value ParseField(std::string_view field, DataType type) {
 
 }  // namespace
 
-Result<Table> ReadCsv(std::istream& input, const std::string& table_name,
-                      const CsvOptions& options) {
+Result<Table> ReadCsv(std::istream& input, const std::string& table_name) {
   std::vector<std::string> lines;
   std::string line;
   while (std::getline(input, line)) {
@@ -69,23 +71,16 @@ Result<Table> ReadCsv(std::istream& input, const std::string& table_name,
   while (!lines.empty() && lines.back().empty()) lines.pop_back();
   if (lines.empty()) return Status::InvalidArgument("empty CSV input");
 
-  std::vector<std::string> header;
-  size_t first_data_row = 0;
-  if (options.has_header) {
-    header = Split(lines[0], options.delimiter);
-    first_data_row = 1;
-  } else {
-    const size_t width = Split(lines[0], options.delimiter).size();
-    for (size_t i = 0; i < width; ++i) header.push_back("c" + std::to_string(i));
-  }
+  // The first line is the header.
+  const std::vector<std::string> header = Split(lines[0], kDelimiter);
   const size_t width = header.size();
 
   // Pass 1: tokenize and infer column types (int64 -> double -> string).
   std::vector<std::vector<std::string>> rows;
-  rows.reserve(lines.size() - first_data_row);
+  rows.reserve(lines.size() - 1);
   std::vector<FieldKind> column_kind(width, FieldKind::kEmpty);
-  for (size_t i = first_data_row; i < lines.size(); ++i) {
-    std::vector<std::string> fields = Split(lines[i], options.delimiter);
+  for (size_t i = 1; i < lines.size(); ++i) {
+    std::vector<std::string> fields = Split(lines[i], kDelimiter);
     if (fields.size() != width) {
       return Status::InvalidArgument("row ", i + 1, " has ", fields.size(),
                                      " fields, expected ", width);
@@ -126,7 +121,7 @@ Result<Table> ReadCsv(std::istream& input, const std::string& table_name,
   return table;
 }
 
-Result<Table> ReadCsvFile(const std::string& path, const CsvOptions& options) {
+Result<Table> ReadCsvFile(const std::string& path) {
   std::ifstream input(path);
   if (!input.is_open()) return Status::IOError("cannot open ", path);
   std::string basename = path;
@@ -134,20 +129,19 @@ Result<Table> ReadCsvFile(const std::string& path, const CsvOptions& options) {
   if (slash != std::string::npos) basename = basename.substr(slash + 1);
   const size_t dot = basename.find_last_of('.');
   if (dot != std::string::npos) basename = basename.substr(0, dot);
-  return ReadCsv(input, basename, options);
+  return ReadCsv(input, basename);
 }
 
-Status WriteCsv(const Table& table, std::ostream& output,
-                const CsvOptions& options) {
+Status WriteCsv(const Table& table, std::ostream& output) {
   const auto names = table.schema().Names();
   for (size_t j = 0; j < names.size(); ++j) {
-    if (j > 0) output << options.delimiter;
+    if (j > 0) output << kDelimiter;
     output << names[j];
   }
   output << "\n";
   for (size_t i = 0; i < table.NumRows(); ++i) {
     for (size_t j = 0; j < table.NumColumns(); ++j) {
-      if (j > 0) output << options.delimiter;
+      if (j > 0) output << kDelimiter;
       output << table.column(j).GetValue(i).ToString();
     }
     output << "\n";
@@ -156,11 +150,10 @@ Status WriteCsv(const Table& table, std::ostream& output,
   return Status::OK();
 }
 
-Status WriteCsvFile(const Table& table, const std::string& path,
-                    const CsvOptions& options) {
+Status WriteCsvFile(const Table& table, const std::string& path) {
   std::ofstream output(path);
   if (!output.is_open()) return Status::IOError("cannot open ", path);
-  return WriteCsv(table, output, options);
+  return WriteCsv(table, output);
 }
 
 }  // namespace rel

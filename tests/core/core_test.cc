@@ -439,6 +439,43 @@ TEST(AmalurTest, SecureFederatedTrainThatLeavesTheFixedPointRangeDiverges) {
   }
 }
 
+TEST(AmalurTest, SecureFederatedTrainWhoseGradientWouldWrapDiverges) {
+  // In-range inputs at a learning rate far too large: the plaintext run
+  // diverges at iteration 85. Under Paillier the homomorphic gradient
+  // Σ_i x_ij·d_i outgrows the plaintext range first; unchecked, it wraps
+  // modulo n, C decrypts garbage and training ends OK with a loss near
+  // 1e22. The gradient check must report divergence instead.
+  AmalurOptions options;
+  options.matcher.threshold = 0.75;
+  TrainRequest request;
+  request.label_column = "y";
+  request.gd.iterations = 200;
+  request.gd.learning_rate = 50;
+  for (federated::VflPrivacy privacy :
+       {federated::VflPrivacy::kPlaintext, federated::VflPrivacy::kPaillier}) {
+    SCOPED_TRACE(privacy == federated::VflPrivacy::kPaillier ? "paillier"
+                                                             : "plaintext");
+    request.privacy = privacy;
+    Amalur amalur(options);
+    auto integration = IntegrateSecretSilos(
+        &amalur, SiloCsv({"y", "x0", "x1"}, 60, 1), SiloCsv({"z0", "z1"}, 60, 2),
+        rel::JoinKind::kInnerJoin);
+    ASSERT_TRUE(integration.ok()) << integration.status();
+    auto model = amalur.Train(*integration, request);
+    ASSERT_FALSE(model.ok()) << "final loss "
+                             << model->outcome().loss_history.back();
+    EXPECT_TRUE(model.status().IsFailedPrecondition()) << model.status();
+    EXPECT_EQ(model.status().message().rfind("federate training diverged: ", 0),
+              0u)
+        << model.status();
+    if (privacy == federated::VflPrivacy::kPaillier) {
+      EXPECT_NE(model.status().message().find("fixed-point range"),
+                std::string::npos)
+          << model.status();
+    }
+  }
+}
+
 TEST(AmalurTest, EmptyTargetIsAnInvalidIntegrationForEveryStrategy) {
   // An inner join whose keys never match leaves no target rows. Every path
   // (the optimizer's choice, forced factorize and materialize, federated)

@@ -84,17 +84,8 @@ TEST_P(ParallelFactorizedTest, TransposeLeftMultiplyBitwiseEqualAcrossThreads) {
   ExpectBitwiseStable([&] { return table.TransposeLeftMultiply(x); });
 }
 
-TEST_P(ParallelFactorizedTest, RightMultiplyBitwiseEqualAcrossThreads) {
-  FactorizedTable table = MakeTable(GetParam(), 23);
-  Rng rng(3);
-  const la::DenseMatrix x =
-      la::DenseMatrix::RandomGaussian(4, table.rows(), &rng);
-  ExpectBitwiseStable([&] { return table.RightMultiply(x); });
-}
-
 TEST_P(ParallelFactorizedTest, AggregatesBitwiseEqualAcrossThreads) {
   FactorizedTable table = MakeTable(GetParam(), 24);
-  ExpectBitwiseStable([&] { return table.RowSums(); });
   ExpectBitwiseStable([&] { return table.ColSums(); });
   ExpectBitwiseStable([&] { return table.RowSquaredNorms(); });
 }

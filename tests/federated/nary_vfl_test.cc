@@ -7,6 +7,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <vector>
+
 #include "common/rng.h"
 #include "federated/vfl.h"
 #include "ml/linear_models.h"
@@ -295,6 +298,70 @@ TEST(NaryVflTest, ConformedDimensionSiloOwnsItsColumnsOnce) {
     }
   }
   EXPECT_LT(scattered.MaxAbsDiff(central), 1e-10);
+}
+
+/// Shape and every double's bits agree.
+bool SameBits(const la::DenseMatrix& a, const la::DenseMatrix& b) {
+  return a.rows() == b.rows() && a.cols() == b.cols() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
+}
+
+TEST(NaryVflTest, AlignmentGathersExactlyTheOwnedMaskedContributionColumns) {
+  // Each block is gathered from D_k through CI_k and CM_k, only for the
+  // columns the silo owns and without consulting R_k. It must equal, bit
+  // for bit, the definition: the silo's whole masked contribution
+  // T_k ∘ R_k = (I_k D_k M_kᵀ) ∘ R_k with the owned columns selected
+  // afterwards; the labels are party 0's label column of it. Every fixture
+  // covers the full sample space, as the alignment requires.
+  auto pair = [](rel::JoinKind kind, uint64_t seed) {
+    rel::SiloPairSpec spec;
+    spec.kind = kind;
+    spec.base_rows = 90;
+    spec.other_rows = kind == rel::JoinKind::kInnerJoin ? 90 : 30;
+    spec.base_features = 2;
+    spec.other_features = 3;
+    spec.shared_features = 1;  // the base masks the other silo's copy
+    spec.match_fraction = 1.0;
+    spec.row_overlap = 1.0;
+    spec.seed = seed;
+    return factorized::DerivePairMetadata(rel::GenerateSiloPair(spec));
+  };
+  rel::SnowflakeSpec snowflake;
+  snowflake.fact_rows = 120;
+  snowflake.level_rows = {30, 6};
+  snowflake.level_features = {2, 2};
+  snowflake.seed = 71;
+  rel::ConformedSnowflakeSpec conformed;
+  conformed.fact_rows = 120;
+  conformed.branch_rows = 24;
+  conformed.shared_rows = 6;
+  conformed.seed = 72;
+  std::vector<Result<metadata::DiMetadata>> scenarios;
+  scenarios.push_back(pair(rel::JoinKind::kInnerJoin, 73));
+  scenarios.push_back(pair(rel::JoinKind::kLeftJoin, 74));  // a 1-dim star
+  scenarios.push_back(
+      factorized::DeriveSnowflakeMetadata(rel::GenerateSnowflake(snowflake)));
+  scenarios.push_back(factorized::DeriveConformedSnowflakeMetadata(
+      rel::GenerateConformedSnowflake(conformed)));
+
+  std::vector<size_t> silo_counts;
+  for (const Result<metadata::DiMetadata>& metadata : scenarios) {
+    ASSERT_TRUE(metadata.ok()) << metadata.status();
+    auto alignment = AlignForVflNary(*metadata, 0);
+    ASSERT_TRUE(alignment.ok()) << alignment.status();
+    silo_counts.push_back(alignment->parties.size());
+    for (size_t k = 0; k < metadata->num_sources(); ++k) {
+      la::DenseMatrix t_k = metadata->SourceContribution(k);
+      metadata->source(k).redundancy.ApplyInPlace(&t_k);
+      if (k == 0) {
+        EXPECT_TRUE(SameBits(alignment->labels, t_k.SelectColumns({0})));
+      }
+      const VflParty& party = alignment->parties[k];
+      EXPECT_TRUE(SameBits(party.x, t_k.SelectColumns(party.columns)))
+          << "silo " << k << " of " << metadata->num_sources();
+    }
+  }
+  EXPECT_EQ(silo_counts, (std::vector<size_t>{2, 2, 3, 4}));
 }
 
 TEST(NaryVflTest, AlignmentRejectsPartialCoverage) {

@@ -18,7 +18,7 @@ TEST(DenseMatrixTest, ConstructionAndAccess) {
   EXPECT_DOUBLE_EQ(m.At(0, 0), 1);
   EXPECT_DOUBLE_EQ(m.At(1, 2), 6);
   m.At(1, 2) = 7;
-  EXPECT_DOUBLE_EQ(m(1, 2), 7);
+  EXPECT_DOUBLE_EQ(m.At(1, 2), 7);
 }
 
 TEST(DenseMatrixTest, FactoryConstructors) {
@@ -73,10 +73,10 @@ TEST(DenseMatrixTest, AddScaledAxpy) {
   EXPECT_TRUE(a.ApproxEquals(DenseMatrix({{0, -1}, {-2, -3}})));
 }
 
-TEST(DenseMatrixTest, MapAppliesFunction) {
+TEST(DenseMatrixTest, TransformInPlaceAppliesFunction) {
   DenseMatrix a({{0, 1}, {4, 9}});
-  auto sqrted = a.Map([](double v) { return std::sqrt(v); });
-  EXPECT_TRUE(sqrted.ApproxEquals(DenseMatrix({{0, 1}, {2, 3}})));
+  a.TransformInPlace([](double v) { return std::sqrt(v); });
+  EXPECT_TRUE(a.ApproxEquals(DenseMatrix({{0, 1}, {2, 3}})));
 }
 
 TEST(DenseMatrixTest, Reductions) {
@@ -84,18 +84,13 @@ TEST(DenseMatrixTest, Reductions) {
   EXPECT_TRUE(a.RowSums().ApproxEquals(DenseMatrix({{6}, {15}})));
   EXPECT_TRUE(a.ColSums().ApproxEquals(DenseMatrix({{5, 7, 9}})));
   EXPECT_DOUBLE_EQ(a.Sum(), 21.0);
-  EXPECT_DOUBLE_EQ(a.FrobeniusNorm(), std::sqrt(91.0));
 }
 
-TEST(DenseMatrixTest, SliceAndSelect) {
+TEST(DenseMatrixTest, SelectColumns) {
   DenseMatrix a({{1, 2, 3}, {4, 5, 6}, {7, 8, 9}});
-  EXPECT_TRUE(a.SliceRows(1, 3).ApproxEquals(DenseMatrix({{4, 5, 6}, {7, 8, 9}})));
   EXPECT_TRUE(a.SelectColumns({2, 0}).ApproxEquals(DenseMatrix({{3, 1},
                                                                 {6, 4},
                                                                 {9, 7}})));
-  EXPECT_TRUE(a.SelectRows({2, 2, 0}).ApproxEquals(DenseMatrix({{7, 8, 9},
-                                                                {7, 8, 9},
-                                                                {1, 2, 3}})));
 }
 
 TEST(DenseMatrixTest, Concatenation) {

@@ -27,8 +27,8 @@ TEST(CompressedIndicatorTest, Figure4bValues) {
   EXPECT_EQ(MakeCi2().ContributedRows(), 3u);
 }
 
-TEST(CompressedIndicatorTest, ToMatrixIsBinarySelector) {
-  la::DenseMatrix i2 = MakeCi2().ToMatrix().ToDense();
+TEST(CompressedIndicatorTest, ToDenseIsBinarySelector) {
+  la::DenseMatrix i2 = MakeCi2().ToDense();
   EXPECT_TRUE(i2.ApproxEquals(la::DenseMatrix({{0, 0, 1},
                                                {0, 0, 0},
                                                {0, 0, 0},
@@ -41,7 +41,7 @@ TEST(CompressedIndicatorTest, ExpandRowsEqualsExplicitProduct) {
   Rng rng(1);
   la::DenseMatrix y = la::DenseMatrix::RandomGaussian(3, 4, &rng);
   CompressedIndicator ci = MakeCi2();
-  EXPECT_TRUE(ci.ExpandRows(y).ApproxEquals(ci.ToMatrix().Multiply(y), 1e-12));
+  EXPECT_TRUE(ci.ExpandRows(y).ApproxEquals(ci.ToDense().Multiply(y), 1e-12));
 }
 
 TEST(CompressedIndicatorTest, ReduceRowsEqualsExplicitTransposeProduct) {
@@ -49,7 +49,7 @@ TEST(CompressedIndicatorTest, ReduceRowsEqualsExplicitTransposeProduct) {
   la::DenseMatrix x = la::DenseMatrix::RandomGaussian(6, 2, &rng);
   CompressedIndicator ci = MakeCi1();
   EXPECT_TRUE(
-      ci.ReduceRows(x).ApproxEquals(ci.ToMatrix().TransposeMultiply(x), 1e-12));
+      ci.ReduceRows(x).ApproxEquals(ci.ToDense().TransposeMultiply(x), 1e-12));
 }
 
 TEST(CompressedIndicatorTest, FanOutAccumulatesInReduce) {

@@ -20,15 +20,15 @@ TEST(CompressedMappingTest, Figure4aValues) {
   EXPECT_EQ(MakeCm1().source_cols(), 3u);
 }
 
-TEST(CompressedMappingTest, ToMatrixMatchesDefinitionIII1) {
+TEST(CompressedMappingTest, ToDenseMatchesDefinitionIII1) {
   // M1 is 4x3 with rows m,a,hr mapped, last row all zeros (paper: "the last
   // row of M1 has only zeros").
-  la::DenseMatrix m1 = MakeCm1().ToMatrix().ToDense();
+  la::DenseMatrix m1 = MakeCm1().ToDense();
   EXPECT_TRUE(m1.ApproxEquals(la::DenseMatrix({{1, 0, 0},
                                                {0, 1, 0},
                                                {0, 0, 1},
                                                {0, 0, 0}})));
-  la::DenseMatrix m2 = MakeCm2().ToMatrix().ToDense();
+  la::DenseMatrix m2 = MakeCm2().ToDense();
   EXPECT_TRUE(m2.ApproxEquals(la::DenseMatrix({{1, 0, 0},
                                                {0, 1, 0},
                                                {0, 0, 0},
@@ -44,7 +44,7 @@ TEST(CompressedMappingTest, ExpandColumnsEqualsExplicitProduct) {
   Rng rng(1);
   la::DenseMatrix dk = la::DenseMatrix::RandomGaussian(5, 3, &rng);
   CompressedMapping cm = MakeCm2();
-  la::DenseMatrix expected = cm.ToMatrix().LeftMultiplyTranspose(dk);  // D M^T
+  la::DenseMatrix expected = dk.Multiply(cm.ToDense().Transpose());  // D M^T
   EXPECT_TRUE(cm.ExpandColumns(dk).ApproxEquals(expected, 1e-12));
 }
 
@@ -52,7 +52,7 @@ TEST(CompressedMappingTest, GatherTargetRowsEqualsExplicitProduct) {
   Rng rng(2);
   la::DenseMatrix x = la::DenseMatrix::RandomGaussian(4, 6, &rng);
   CompressedMapping cm = MakeCm1();
-  la::DenseMatrix expected = cm.ToMatrix().TransposeMultiply(x);  // M^T X
+  la::DenseMatrix expected = cm.ToDense().TransposeMultiply(x);  // M^T X
   EXPECT_TRUE(cm.GatherTargetRows(x).ApproxEquals(expected, 1e-12));
 }
 

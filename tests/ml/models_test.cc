@@ -1,5 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <functional>
+#include <string>
+#include <vector>
+
 #include "common/rng.h"
 #include "ml/linear_models.h"
 #include "ml/metrics.h"
@@ -11,7 +16,7 @@ namespace ml {
 namespace {
 
 /// Builds both backends over the same scenario: factorized features+labels
-/// and the equivalent materialized slice.
+/// and the equivalent materialized slice. Target column 0 is the label.
 struct BothBackends {
   std::shared_ptr<const factorized::FactorizedTable> table;
   std::unique_ptr<FactorizedFeatures> factorized;
@@ -19,7 +24,22 @@ struct BothBackends {
   la::DenseMatrix labels;
 };
 
-BothBackends MakeBackends(rel::JoinKind kind, uint64_t seed) {
+BothBackends MakeBackends(Result<metadata::DiMetadata> metadata) {
+  AMALUR_CHECK(metadata.ok()) << metadata.status();
+  BothBackends both;
+  both.table = std::make_shared<factorized::FactorizedTable>(
+      std::move(metadata).ValueOrDie());
+  both.factorized = std::make_unique<FactorizedFeatures>(both.table, 0);
+  la::DenseMatrix t = both.table->Materialize();
+  std::vector<size_t> feature_cols;
+  for (size_t j = 1; j < t.cols(); ++j) feature_cols.push_back(j);
+  both.materialized =
+      std::make_unique<MaterializedMatrix>(t.SelectColumns(feature_cols));
+  both.labels = both.factorized->Labels();
+  return both;
+}
+
+Result<metadata::DiMetadata> PairMetadata(rel::JoinKind kind, uint64_t seed) {
   rel::SiloPairSpec spec;
   spec.kind = kind;
   spec.base_rows = 120;
@@ -35,34 +55,83 @@ BothBackends MakeBackends(rel::JoinKind kind, uint64_t seed) {
     spec.other_has_label = true;
   }
   spec.seed = seed;
-  rel::SiloPair pair = rel::GenerateSiloPair(spec);
-  auto metadata = factorized::DerivePairMetadata(pair);
-  AMALUR_CHECK(metadata.ok()) << metadata.status();
-
-  BothBackends both;
-  both.table = std::make_shared<factorized::FactorizedTable>(
-      std::move(metadata).ValueOrDie());
-  both.factorized = std::make_unique<FactorizedFeatures>(both.table, 0);
-  la::DenseMatrix t = both.table->Materialize();
-  std::vector<size_t> feature_cols;
-  for (size_t j = 1; j < t.cols(); ++j) feature_cols.push_back(j);
-  both.materialized =
-      std::make_unique<MaterializedMatrix>(t.SelectColumns(feature_cols));
-  both.labels = both.factorized->Labels();
-  return both;
+  return factorized::DerivePairMetadata(rel::GenerateSiloPair(spec));
 }
 
-class BackendEquivalenceTest : public ::testing::TestWithParam<rel::JoinKind> {};
+/// One integration the two backends must train identically on. The pair
+/// joins draw from the test's seed; the rest are fixed fixtures.
+struct Scenario {
+  std::string name;
+  std::function<Result<metadata::DiMetadata>(uint64_t seed)> derive;
+};
+
+std::vector<Scenario> Scenarios() {
+  std::vector<Scenario> scenarios;
+  for (rel::JoinKind kind :
+       {rel::JoinKind::kInnerJoin, rel::JoinKind::kLeftJoin,
+        rel::JoinKind::kFullOuterJoin, rel::JoinKind::kUnion}) {
+    std::string name = rel::JoinKindToString(kind);
+    std::replace(name.begin(), name.end(), ' ', '_');
+    scenarios.push_back(
+        {name, [kind](uint64_t seed) { return PairMetadata(kind, seed); }});
+  }
+  // A full outer join padded mostly with NULLs: few matched rows.
+  scenarios.push_back({"sparse_full_outer_join", [](uint64_t) {
+                         rel::SiloPairSpec spec;
+                         spec.kind = rel::JoinKind::kFullOuterJoin;
+                         spec.base_rows = 80;
+                         spec.other_rows = 80;
+                         spec.base_features = 3;
+                         spec.other_features = 3;
+                         spec.match_fraction = 0.2;
+                         spec.row_overlap = 0.2;
+                         spec.seed = 4;
+                         return factorized::DerivePairMetadata(
+                             rel::GenerateSiloPair(spec));
+                       }});
+  scenarios.push_back({"snowflake", [](uint64_t) {
+                         rel::SnowflakeSpec spec;
+                         spec.fact_rows = 90;
+                         spec.level_rows = {18, 6};
+                         spec.level_features = {2, 2};
+                         spec.seed = 23;
+                         return factorized::DeriveSnowflakeMetadata(
+                             rel::GenerateSnowflake(spec));
+                       }});
+  scenarios.push_back({"union_of_stars", [](uint64_t) {
+                         rel::UnionOfStarsSpec spec;
+                         spec.shards = 2;
+                         spec.fact_rows = 60;
+                         spec.dim_rows = 12;
+                         spec.dim_features = 2;
+                         spec.seed = 24;
+                         return factorized::DeriveUnionOfStarsMetadata(
+                             rel::GenerateUnionOfStars(spec));
+                       }});
+  scenarios.push_back({"conformed_snowflake", [](uint64_t) {
+                         rel::ConformedSnowflakeSpec spec;
+                         spec.fact_rows = 80;
+                         spec.branches = 2;
+                         spec.branch_rows = 16;
+                         spec.shared_rows = 4;
+                         spec.seed = 25;
+                         return factorized::DeriveConformedSnowflakeMetadata(
+                             rel::GenerateConformedSnowflake(spec));
+                       }});
+  return scenarios;
+}
+
+class BackendEquivalenceTest : public ::testing::TestWithParam<Scenario> {};
 
 TEST_P(BackendEquivalenceTest, LinearRegressionWeightsAgree) {
-  BothBackends both = MakeBackends(GetParam(), 100);
+  BothBackends both = MakeBackends(GetParam().derive(100));
   GradientDescentOptions options;
   options.iterations = 40;
   options.learning_rate = 0.05;
   LinearModel fact = TrainLinearRegression(*both.factorized, both.labels, options);
   LinearModel mat =
       TrainLinearRegression(*both.materialized, both.labels, options);
-  EXPECT_LT(fact.weights.MaxAbsDiff(mat.weights), 1e-8);
+  EXPECT_LT(fact.weights.MaxAbsDiff(mat.weights), 1e-9);
   ASSERT_EQ(fact.loss_history.size(), mat.loss_history.size());
   for (size_t i = 0; i < fact.loss_history.size(); ++i) {
     EXPECT_NEAR(fact.loss_history[i], mat.loss_history[i], 1e-8);
@@ -70,9 +139,10 @@ TEST_P(BackendEquivalenceTest, LinearRegressionWeightsAgree) {
 }
 
 TEST_P(BackendEquivalenceTest, LogisticRegressionWeightsAgree) {
-  BothBackends both = MakeBackends(GetParam(), 200);
+  BothBackends both = MakeBackends(GetParam().derive(200));
   // Binarize labels for logistic regression.
-  la::DenseMatrix binary = both.labels.Map([](double v) { return v > 0 ? 1.0 : 0.0; });
+  la::DenseMatrix binary = both.labels;
+  binary.TransformInPlace([](double v) { return v > 0 ? 1.0 : 0.0; });
   GradientDescentOptions options;
   options.iterations = 30;
   options.learning_rate = 0.2;
@@ -82,11 +152,11 @@ TEST_P(BackendEquivalenceTest, LogisticRegressionWeightsAgree) {
   EXPECT_LT(fact.weights.MaxAbsDiff(mat.weights), 1e-8);
 }
 
-INSTANTIATE_TEST_SUITE_P(AllScenarios, BackendEquivalenceTest,
-                         ::testing::Values(rel::JoinKind::kInnerJoin,
-                                           rel::JoinKind::kLeftJoin,
-                                           rel::JoinKind::kFullOuterJoin,
-                                           rel::JoinKind::kUnion));
+INSTANTIATE_TEST_SUITE_P(
+    AllScenarios, BackendEquivalenceTest, ::testing::ValuesIn(Scenarios()),
+    [](const ::testing::TestParamInfo<Scenario>& info) {
+      return info.param.name;
+    });
 
 TEST(LinearRegressionTest, RecoversPlantedWeightsOnDenseData) {
   // y = Xw* exactly; GD must drive MSE to ~0 and recover w*.

@@ -118,14 +118,12 @@ TEST_F(ParallelTrainingTest, LogisticSigmoidFastPathEqualAcrossThreads) {
 TEST_F(ParallelTrainingTest, SigmoidMatchesSerialMapFormulation) {
   Rng rng(34);
   const la::DenseMatrix x = la::DenseMatrix::RandomGaussian(5000, 1, &rng);
-  const la::DenseMatrix reference = x.Map([](double v) {
-    if (v >= 0) {
-      const double e = std::exp(-v);
-      return 1.0 / (1.0 + e);
-    }
-    const double e = std::exp(v);
-    return e / (1.0 + e);
-  });
+  la::DenseMatrix reference(x.rows(), 1);
+  for (size_t i = 0; i < x.rows(); ++i) {
+    const double v = x.At(i, 0);
+    const double e = std::exp(v >= 0 ? -v : v);
+    reference.At(i, 0) = v >= 0 ? 1.0 / (1.0 + e) : e / (1.0 + e);
+  }
   for (size_t threads : TestedThreadCounts()) {
     common::SetNumThreads(threads);
     EXPECT_TRUE(Sigmoid(x) == reference) << "thread count " << threads;

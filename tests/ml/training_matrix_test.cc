@@ -37,7 +37,7 @@ TEST(MaterializedMatrixTest, OpsMatchDense) {
   la::DenseMatrix y = la::DenseMatrix::RandomGaussian(6, 2, &rng);
   EXPECT_TRUE(
       m.TransposeLeftMultiply(y).ApproxEquals(d.TransposeMultiply(y), 1e-12));
-  la::DenseMatrix squared = d.Map([](double v) { return v * v; });
+  la::DenseMatrix squared = d.Hadamard(d);
   EXPECT_TRUE(m.RowSquaredNorms().ApproxEquals(squared.RowSums(), 1e-12));
   EXPECT_TRUE(m.ColSums().ApproxEquals(d.ColSums(), 1e-12));
 }
@@ -65,7 +65,7 @@ TEST(FactorizedFeaturesTest, OpsMatchMaterializedFeatureSlice) {
   EXPECT_LT(features.TransposeLeftMultiply(y).MaxAbsDiff(
                 f.TransposeMultiply(y)),
             1e-10);
-  la::DenseMatrix squared = f.Map([](double v) { return v * v; });
+  la::DenseMatrix squared = f.Hadamard(f);
   EXPECT_LT(features.RowSquaredNorms().MaxAbsDiff(squared.RowSums()), 1e-9);
   EXPECT_LT(features.ColSums().MaxAbsDiff(f.ColSums()), 1e-10);
 }

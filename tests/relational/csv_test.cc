@@ -46,16 +46,6 @@ TEST(CsvTest, StrayStringDemotesWholeColumn) {
   EXPECT_EQ(table->column(0).GetValue(0).str(), "1");
 }
 
-TEST(CsvTest, NoHeaderGeneratesNames) {
-  std::istringstream input("1,2\n3,4\n");
-  CsvOptions options;
-  options.has_header = false;
-  auto table = ReadCsv(input, "t", options);
-  ASSERT_TRUE(table.ok());
-  EXPECT_EQ(table->schema().Names(), (std::vector<std::string>{"c0", "c1"}));
-  EXPECT_EQ(table->NumRows(), 2u);
-}
-
 TEST(CsvTest, RaggedRowRejected) {
   std::istringstream input("a,b\n1\n");
   EXPECT_TRUE(ReadCsv(input, "t").status().IsInvalidArgument());
