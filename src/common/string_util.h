@@ -2,19 +2,12 @@
 
 #include <string>
 #include <string_view>
-#include <vector>
 
 /// \file string_util.h
 /// Small string helpers shared by the CSV reader, schema matcher and entity
 /// resolver. All functions are pure and allocation-conscious.
 
 namespace amalur {
-
-/// Splits `text` on `delimiter`, keeping empty fields ("a,,b" -> {"a","","b"}).
-std::vector<std::string> Split(std::string_view text, char delimiter);
-
-/// Joins `parts` with `separator`.
-std::string Join(const std::vector<std::string>& parts, std::string_view separator);
 
 /// Removes leading/trailing ASCII whitespace.
 std::string_view Trim(std::string_view text);

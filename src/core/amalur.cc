@@ -362,25 +362,6 @@ Result<ModelHandle> Amalur::Train(const IntegrationHandle& integration,
                         " rounds, " +
                         std::to_string(outcome.bytes_transferred) +
                         " bytes transferred";
-    // Reliability accounting: a run that survived faults says so — which
-    // silos were lost, how many rounds ran degraded, and what the wire
-    // faults cost in retransmissions and wasted bytes.
-    if (!outcome.silos_dropped.empty() || outcome.rounds_degraded > 0) {
-      std::string lost;
-      for (const std::string& silo : outcome.silos_dropped) {
-        if (!lost.empty()) lost += ", ";
-        lost += silo;
-      }
-      plan.explanation += "; degraded: " +
-                          std::to_string(outcome.rounds_degraded) +
-                          " rounds without {" + lost + "}";
-    }
-    if (outcome.retries > 0 || outcome.bytes_wasted > 0) {
-      plan.explanation += "; wire faults: " + std::to_string(outcome.retries) +
-                          " retransmissions, " +
-                          std::to_string(outcome.bytes_wasted) +
-                          " bytes wasted";
-    }
   }
 
   ModelHandle model;

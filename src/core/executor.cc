@@ -117,18 +117,8 @@ Result<TrainOutcome> Executor::Run(const metadata::DiMetadata& metadata,
       // partitioned scenarios (unions, union-of-stars) run FedAvg with one
       // participant per fact shard; vertically partitioned ones (pairwise
       // joins, stars, snowflakes — whose silos carry composed indicator
-      // blocks) run the n-ary vertical FLR with one party per silo. A
-      // request carrying a chaos schedule trains over the fault-injecting
-      // bus; the protocols are hardened either way (the reliability layer
-      // is byte-transparent on a healthy wire).
-      std::unique_ptr<federated::MessageBus> bus_storage;
-      if (request.fault_schedule != nullptr) {
-        bus_storage = std::make_unique<federated::FaultyMessageBus>(
-            *request.fault_schedule);
-      } else {
-        bus_storage = std::make_unique<federated::MessageBus>();
-      }
-      federated::MessageBus* bus = bus_storage.get();
+      // blocks) run the n-ary vertical FLR with one party per silo.
+      federated::MessageBus bus;
       if (metadata.IsHorizontallyPartitioned()) {
         AMALUR_ASSIGN_OR_RETURN(std::vector<federated::HflPartition> shards,
                                 federated::AlignForHfl(metadata, *label_index));
@@ -142,7 +132,7 @@ Result<TrainOutcome> Executor::Run(const metadata::DiMetadata& metadata,
         options.policy = request.federated_policy;
         AMALUR_ASSIGN_OR_RETURN(
             federated::HflResult result,
-            federated::TrainHorizontalFlr(shards, options, bus));
+            federated::TrainHorizontalFlr(shards, options, &bus));
         // AlignForHfl builds features as the target schema minus the label,
         // so the global model is already in target-feature order.
         outcome.weights = std::move(result.weights);
@@ -150,10 +140,6 @@ Result<TrainOutcome> Executor::Run(const metadata::DiMetadata& metadata,
         outcome.bytes_transferred = result.bytes_transferred;
         outcome.federated_silos = shards.size();
         outcome.federated_rounds = options.rounds;
-        outcome.silos_dropped = std::move(result.silos_dropped);
-        outcome.rounds_degraded = result.rounds_degraded;
-        outcome.retries = result.retries;
-        outcome.bytes_wasted = result.bytes_wasted;
         break;
       }
       AMALUR_ASSIGN_OR_RETURN(
@@ -168,7 +154,7 @@ Result<TrainOutcome> Executor::Run(const metadata::DiMetadata& metadata,
       AMALUR_ASSIGN_OR_RETURN(
           federated::NaryVflResult result,
           federated::TrainVerticalFlrNary(alignment.parties, alignment.labels,
-                                          options, bus));
+                                          options, &bus));
       // Re-assemble [θ_0; ...; θ_{N−1}] into target-feature order (feature
       // index = target column index minus the label offset).
       outcome.weights = la::DenseMatrix(metadata.target_cols() - 1, 1);
@@ -186,10 +172,6 @@ Result<TrainOutcome> Executor::Run(const metadata::DiMetadata& metadata,
       outcome.bytes_transferred = result.bytes_transferred;
       outcome.federated_silos = alignment.parties.size();
       outcome.federated_rounds = result.rounds;
-      outcome.silos_dropped = std::move(result.silos_dropped);
-      outcome.rounds_degraded = result.rounds_degraded;
-      outcome.retries = result.retries;
-      outcome.bytes_wasted = result.bytes_wasted;
       break;
     }
   }

@@ -8,7 +8,6 @@
 #include "common/status.h"
 #include "core/optimizer.h"
 #include "factorized/factorized_table.h"
-#include "federated/fault_injection.h"
 #include "federated/hfl.h"
 #include "federated/vfl.h"
 #include "metadata/di_metadata.h"
@@ -58,17 +57,12 @@ struct TrainRequest {
   /// forcing a data-moving strategy over a privacy-constrained integration
   /// is rejected with `kFailedPrecondition`.
   std::optional<ExecutionStrategy> force_strategy;
-  /// Reliability policy for federated plans: per-message retry/timeout
-  /// budgets, the minimum quorum, and whether losing a silo fails the run
-  /// or degrades it (HFL re-weights FedAvg over the survivors; VFL cannot
-  /// shed a feature-owning party and always fails). Ignored by
-  /// non-federated strategies.
+  /// Reliability policy handed to the federated protocols. Federated plans
+  /// train over the in-process bus, which never loses a message, so of its
+  /// fields only `min_quorum` can change a run: a quorum above a union's
+  /// non-empty fact shards is `kInvalidArgument`. The field is retired with
+  /// the next benchmark change. Ignored by non-federated strategies.
   federated::FederatedPolicy federated_policy;
-  /// Optional chaos schedule (testing/benchmarking): when set, federated
-  /// traffic runs over a `FaultyMessageBus` applying the schedule's seeded
-  /// drop/delay/duplicate/crash faults. Not owned; must outlive the call.
-  /// Null = healthy wire.
-  const federated::FaultSchedule* fault_schedule = nullptr;
 };
 
 /// The result of an executed plan.
@@ -88,14 +82,6 @@ struct TrainOutcome {
   /// protocol rounds executed. Zero for non-federated plans.
   size_t federated_silos = 0;
   size_t federated_rounds = 0;
-  /// Federated reliability telemetry (all zero / empty on a healthy wire):
-  /// silos declared lost (HFL degrade mode), rounds that ran under
-  /// strength, retransmissions performed, and bytes burnt on transmissions
-  /// that never arrived.
-  std::vector<std::string> silos_dropped;
-  size_t rounds_degraded = 0;
-  size_t retries = 0;
-  size_t bytes_wasted = 0;
   /// Parallelism the kernels actually ran with: the requested count (the
   /// request's `num_threads` when set, else the runtime default) capped by
   /// the pool's capacity. Chunk-geometry determinism follows the *requested*

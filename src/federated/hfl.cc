@@ -70,6 +70,11 @@ Result<HflResult> TrainHorizontalFlr(const std::vector<HflPartition>& parties,
     total_rows += parties[p].features.rows();
   }
   if (total_rows == 0) return Status::InvalidArgument("no training rows");
+  if (options.policy.min_quorum > parties.size()) {
+    return Status::InvalidArgument(
+        "min_quorum ", options.policy.min_quorum, " exceeds the ",
+        parties.size(), " parties: no round can reach quorum");
+  }
 
   AdditiveSecretSharing sharing;
   if (options.secure_aggregation) {

@@ -4,8 +4,8 @@
 #include <vector>
 
 #include "common/status.h"
-#include "federated/fault_injection.h"
 #include "federated/message_bus.h"
+#include "federated/reliable_transfer.h"
 #include "la/dense_matrix.h"
 #include "metadata/di_metadata.h"
 
@@ -45,7 +45,8 @@ struct HflOptions {
   /// survivors' rows, not the global total); a down party is probed once
   /// per round boundary and re-admitted when it answers again. Falling
   /// below `min_quorum` reachable participants is `kUnavailable` even when
-  /// degrading.
+  /// degrading; a `min_quorum` above the party count is `kInvalidArgument`
+  /// before anything is sent.
   FederatedPolicy policy;
 };
 
@@ -56,8 +57,9 @@ struct HflResult {
   std::vector<double> loss_history;
   size_t bytes_transferred = 0;
   size_t messages = 0;
-  /// Parties that were declared lost at least once (degrade mode only; a
-  /// silo appears once even if it later rejoined).
+  /// Reliability telemetry, all empty or 0 unless the bus loses or delays
+  /// messages. Parties that were declared lost at least once (degrade mode
+  /// only; a silo appears once even if it later rejoined).
   std::vector<std::string> silos_dropped;
   /// Rounds that ran with fewer participants than parties.
   size_t rounds_degraded = 0;

@@ -26,10 +26,10 @@
 /// test thread reading the stats while a protocol runs is clean under
 /// ThreadSanitizer by construction, not by call-site discipline.
 ///
-/// The transfer entry points are virtual so a fault layer
-/// (`federated::FaultyMessageBus`, fault_injection.h) can interpose
-/// drop/delay/duplicate/crash behavior without protocols knowing: they keep
-/// programming against `MessageBus*`.
+/// This bus never loses a message. The transfer entry points are virtual so
+/// a derived bus — the fault simulator in testing/faulty_message_bus.h —
+/// can interpose drop/delay/duplicate/crash behavior without protocols
+/// knowing: they keep programming against `MessageBus*`.
 
 namespace amalur {
 namespace federated {
@@ -99,10 +99,8 @@ class MessageBus {
 
   /// Bytes spent on transmissions that were never delivered (dropped,
   /// addressed to a crashed silo, or redundant retransmissions). Always 0 on
-  /// the plain bus; `FaultyMessageBus` overrides.
+  /// the plain bus; a fault-simulating bus overrides it.
   virtual size_t WastedBytes() const { return 0; }
-  /// Messages lost on the wire (subset of the waste). 0 on the plain bus.
-  virtual size_t MessagesDropped() const { return 0; }
 
   /// Round boundary notification. Protocols call this once per round so a
   /// fault layer can evaluate crash-at-round / rejoin-at-round schedules;

@@ -4,8 +4,8 @@
 #include <vector>
 
 #include "common/status.h"
-#include "federated/fault_injection.h"
 #include "federated/message_bus.h"
+#include "federated/reliable_transfer.h"
 #include "la/dense_matrix.h"
 #include "metadata/di_metadata.h"
 
@@ -74,12 +74,8 @@ struct NaryVflResult {
   size_t rounds = 0;
   size_t bytes_transferred = 0;
   size_t messages = 0;
-  /// Reliability telemetry. VFL cannot degrade, so `silos_dropped` is
-  /// always empty and `rounds_degraded` 0 on success — the fields exist so
-  /// the executor reports one shape for both federated strategies.
-  std::vector<std::string> silos_dropped;
-  size_t rounds_degraded = 0;
-  /// Retransmissions performed by the reliable-delivery layer.
+  /// Retransmissions performed by the reliable-delivery layer (0 unless
+  /// the bus loses or delays messages).
   size_t retries = 0;
   /// Bytes burnt on transmissions that never arrived (`MessageBus::WastedBytes`).
   size_t bytes_wasted = 0;

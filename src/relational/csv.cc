@@ -1,10 +1,17 @@
 #include "relational/csv.h"
 
+#include <algorithm>
+#include <cctype>
+#include <cerrno>
 #include <charconv>
+#include <cstdlib>
 #include <fstream>
 #include <istream>
+#include <iterator>
+#include <optional>
 #include <ostream>
-#include <sstream>
+#include <string_view>
+#include <vector>
 
 #include "common/status.h"
 #include "common/string_util.h"
@@ -16,106 +23,166 @@ namespace {
 
 /// The field separator of every file read and written.
 constexpr char kDelimiter = ',';
+/// Encloses a field that holds a delimiter, a quote, a line break or edge
+/// whitespace; a quote inside it is written twice.
+constexpr char kQuote = '"';
 
-/// What a single text field could parse as.
+/// A field as read: unquoted text trimmed, quoted text verbatim. An unquoted
+/// empty field is NULL (nullopt), a quoted one the empty string.
+using TextField = std::optional<std::string>;
+
+/// Splits `text` into records per RFC 4180 and notes the line each starts
+/// on. A record ends at "\n", "\r\n" or a '\r' that ends the input; a
+/// quote inside an unquoted field is literal text.
+Status ParseRecords(std::string_view text,
+                    std::vector<std::vector<TextField>>* records,
+                    std::vector<size_t>* lines) {
+  const auto at_line_end = [&](size_t pos) {
+    return pos == text.size() || text[pos] == '\n' ||
+           (text[pos] == '\r' &&
+            (pos + 1 == text.size() || text[pos + 1] == '\n'));
+  };
+  size_t line = 1;
+  for (size_t pos = 0; pos < text.size(); ++line) {
+    lines->push_back(line);
+    std::vector<TextField>& record = records->emplace_back();
+    while (true) {
+      std::string field;
+      const bool quoted = pos < text.size() && text[pos] == kQuote;
+      if (quoted) {
+        const size_t open_line = line;
+        for (++pos; pos < text.size(); ++pos) {
+          if (text[pos] == kQuote &&
+              (pos + 1 == text.size() || text[pos + 1] != kQuote)) {
+            break;
+          }
+          if (text[pos] == kQuote) ++pos;  // a doubled quote stands for one
+          if (text[pos] == '\n') ++line;
+          field += text[pos];
+        }
+        if (pos++ == text.size()) {
+          return Status::InvalidArgument(
+              "unterminated quoted field starting at line ", open_line);
+        }
+        if (!at_line_end(pos) && text[pos] != kDelimiter) {
+          return Status::InvalidArgument("text after a closing quote at line ",
+                                         line);
+        }
+      } else {
+        const size_t begin = pos;
+        while (!at_line_end(pos) && text[pos] != kDelimiter) ++pos;
+        field = Trim(text.substr(begin, pos - begin));
+      }
+      record.push_back(quoted || !field.empty() ? TextField(std::move(field))
+                                                : std::nullopt);
+      if (pos == text.size() || text[pos] != kDelimiter) break;
+      ++pos;
+    }
+    if (pos < text.size() && text[pos] == '\r') ++pos;
+    if (pos < text.size()) ++pos;  // the '\n'
+  }
+  return Status::OK();
+}
+
+/// What a single text field could parse as, and the column type each kind
+/// infers (an all-NULL column defaults to double).
 enum class FieldKind { kEmpty, kInt64, kDouble, kString };
+constexpr DataType kColumnType[] = {DataType::kDouble, DataType::kInt64,
+                                    DataType::kDouble, DataType::kString};
 
-FieldKind ClassifyField(std::string_view field) {
-  if (field.empty()) return FieldKind::kEmpty;
+FieldKind ClassifyField(const TextField& field) {
+  if (!field) return FieldKind::kEmpty;
+  const std::string& text = *field;
+  // strtod skips a leading blank, which only a quoted field keeps.
+  if (text.empty() || std::isspace(static_cast<unsigned char>(text[0]))) {
+    return FieldKind::kString;
+  }
   int64_t int_value;
   auto [int_end, int_err] =
-      std::from_chars(field.data(), field.data() + field.size(), int_value);
-  if (int_err == std::errc() && int_end == field.data() + field.size()) {
+      std::from_chars(text.data(), text.data() + text.size(), int_value);
+  // "-0" is negative zero, which only a double holds.
+  if (int_err == std::errc() && int_end == text.data() + text.size() &&
+      !(int_value == 0 && text[0] == '-')) {
     return FieldKind::kInt64;
   }
-  // std::from_chars<double> is not universally available on older stdlibs;
-  // strtod via a bounded copy is portable and exact enough here.
-  std::string buffer(field);
+  // std::from_chars<double> is not universally available on older stdlibs.
   char* end = nullptr;
   errno = 0;
-  (void)std::strtod(buffer.c_str(), &end);
-  if (errno == 0 && end == buffer.c_str() + buffer.size()) {
+  (void)std::strtod(text.c_str(), &end);
+  if (errno == 0 && end == text.c_str() + text.size()) {
     return FieldKind::kDouble;
   }
   return FieldKind::kString;
 }
 
-Value ParseField(std::string_view field, DataType type) {
-  if (field.empty()) return Value::Null();
-  switch (type) {
-    case DataType::kInt64: {
-      int64_t v = 0;
-      std::from_chars(field.data(), field.data() + field.size(), v);
-      return Value(v);
-    }
-    case DataType::kDouble: {
-      std::string buffer(field);
-      return Value(std::strtod(buffer.c_str(), nullptr));
-    }
-    case DataType::kString:
-      return Value(std::string(field));
+Value ParseField(const TextField& field, DataType type) {
+  if (!field) return Value::Null();
+  if (type == DataType::kString) return Value(*field);
+  if (type == DataType::kDouble) {
+    return Value(std::strtod(field->c_str(), nullptr));
   }
-  return Value::Null();
+  int64_t v = 0;
+  std::from_chars(field->data(), field->data() + field->size(), v);
+  return Value(v);
+}
+
+/// Writes one field, quoted when reading it back unquoted would change it:
+/// it is empty, holds a delimiter, quote or line break, or has edge blanks.
+void WriteField(const std::string& text, std::ostream& output) {
+  if (!text.empty() && text.find_first_of(",\"\r\n") == std::string::npos &&
+      Trim(text).size() == text.size()) {
+    output << text;
+    return;
+  }
+  output << kQuote;
+  for (char c : text) {
+    if (c == kQuote) output << kQuote;
+    output << c;
+  }
+  output << kQuote;
 }
 
 }  // namespace
 
 Result<Table> ReadCsv(std::istream& input, const std::string& table_name) {
-  std::vector<std::string> lines;
-  std::string line;
-  while (std::getline(input, line)) {
-    if (!line.empty() && line.back() == '\r') line.pop_back();
-    lines.push_back(line);
+  const std::string text((std::istreambuf_iterator<char>(input)),
+                         std::istreambuf_iterator<char>());
+  std::vector<std::vector<TextField>> records;
+  std::vector<size_t> lines;
+  AMALUR_RETURN_NOT_OK(ParseRecords(text, &records, &lines));
+  // Trailing blank lines are a file artifact, not empty records.
+  while (!records.empty() && records.back().size() == 1 && !records.back()[0]) {
+    records.pop_back();
   }
-  // A trailing blank line is a file artifact, not an empty record.
-  while (!lines.empty() && lines.back().empty()) lines.pop_back();
-  if (lines.empty()) return Status::InvalidArgument("empty CSV input");
+  if (records.empty()) return Status::InvalidArgument("empty CSV input");
 
-  // The first line is the header.
-  const std::vector<std::string> header = Split(lines[0], kDelimiter);
-  const size_t width = header.size();
-
-  // Pass 1: tokenize and infer column types (int64 -> double -> string).
-  std::vector<std::vector<std::string>> rows;
-  rows.reserve(lines.size() - 1);
+  // The first record is the header. Pass 1: infer column types
+  // (int64 -> double -> string).
+  const size_t width = records[0].size();
   std::vector<FieldKind> column_kind(width, FieldKind::kEmpty);
-  for (size_t i = 1; i < lines.size(); ++i) {
-    std::vector<std::string> fields = Split(lines[i], kDelimiter);
-    if (fields.size() != width) {
-      return Status::InvalidArgument("row ", i + 1, " has ", fields.size(),
-                                     " fields, expected ", width);
+  for (size_t i = 1; i < records.size(); ++i) {
+    if (records[i].size() != width) {
+      return Status::InvalidArgument("the row at line ", lines[i], " has ",
+                                     records[i].size(), " fields, expected ",
+                                     width);
     }
     for (size_t j = 0; j < width; ++j) {
-      const FieldKind kind = ClassifyField(std::string_view(Trim(fields[j])));
-      if (static_cast<int>(kind) > static_cast<int>(column_kind[j])) {
-        column_kind[j] = kind;
-      }
-      fields[j] = std::string(Trim(fields[j]));
+      column_kind[j] = std::max(column_kind[j], ClassifyField(records[i][j]));
     }
-    rows.push_back(std::move(fields));
   }
 
   Table table(table_name);
   std::vector<DataType> types(width);
   for (size_t j = 0; j < width; ++j) {
-    switch (column_kind[j]) {
-      case FieldKind::kInt64:
-        types[j] = DataType::kInt64;
-        break;
-      case FieldKind::kEmpty:  // all-null column defaults to double
-      case FieldKind::kDouble:
-        types[j] = DataType::kDouble;
-        break;
-      case FieldKind::kString:
-        types[j] = DataType::kString;
-        break;
-    }
+    types[j] = kColumnType[static_cast<size_t>(column_kind[j])];
     AMALUR_RETURN_NOT_OK(
-        table.AddColumn(Column(std::string(Trim(header[j])), types[j])));
+        table.AddColumn(Column(records[0][j].value_or(""), types[j])));
   }
-  for (const auto& fields : rows) {
-    std::vector<Value> row(width);
-    for (size_t j = 0; j < width; ++j) row[j] = ParseField(fields[j], types[j]);
+  std::vector<Value> row(width);
+  for (size_t i = 1; i < records.size(); ++i) {
+    for (size_t j = 0; j < width; ++j) {
+      row[j] = ParseField(records[i][j], types[j]);
+    }
     AMALUR_RETURN_NOT_OK(table.AppendRow(row));
   }
   return table;
@@ -136,13 +203,14 @@ Status WriteCsv(const Table& table, std::ostream& output) {
   const auto names = table.schema().Names();
   for (size_t j = 0; j < names.size(); ++j) {
     if (j > 0) output << kDelimiter;
-    output << names[j];
+    WriteField(names[j], output);
   }
   output << "\n";
   for (size_t i = 0; i < table.NumRows(); ++i) {
     for (size_t j = 0; j < table.NumColumns(); ++j) {
       if (j > 0) output << kDelimiter;
-      output << table.column(j).GetValue(i).ToString();
+      const Value value = table.column(j).GetValue(i);
+      if (!value.is_null()) WriteField(value.ToString(), output);
     }
     output << "\n";
   }

@@ -13,20 +13,6 @@
 namespace amalur {
 namespace {
 
-TEST(SplitTest, KeepsEmptyFields) {
-  EXPECT_EQ(Split("a,,b", ','), (std::vector<std::string>{"a", "", "b"}));
-  EXPECT_EQ(Split("", ','), (std::vector<std::string>{""}));
-  EXPECT_EQ(Split("x", ','), (std::vector<std::string>{"x"}));
-  EXPECT_EQ(Split(",", ','), (std::vector<std::string>{"", ""}));
-}
-
-TEST(JoinTest, RoundTripsWithSplit) {
-  std::vector<std::string> parts{"m", "a", "hr", "o"};
-  EXPECT_EQ(Join(parts, ","), "m,a,hr,o");
-  EXPECT_EQ(Split(Join(parts, ","), ','), parts);
-  EXPECT_EQ(Join({}, ","), "");
-}
-
 TEST(TrimTest, RemovesAsciiWhitespace) {
   EXPECT_EQ(Trim("  resting HR \t\n"), "resting HR");
   EXPECT_EQ(Trim(""), "");

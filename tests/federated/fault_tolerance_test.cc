@@ -16,12 +16,11 @@
 
 #include "common/rng.h"
 #include "common/thread_pool.h"
-#include "core/amalur.h"
-#include "federated/fault_injection.h"
 #include "federated/hfl.h"
+#include "federated/message_bus.h"
+#include "federated/reliable_transfer.h"
 #include "federated/vfl.h"
-#include "testing/generator.h"
-#include "testing/scenario_builder.h"
+#include "testing/faulty_message_bus.h"
 
 namespace amalur {
 namespace federated {
@@ -504,6 +503,25 @@ TEST_F(FaultToleranceTest, QuorumLossReturnsUnavailable) {
       << got.status();
 }
 
+TEST_F(FaultToleranceTest, QuorumAboveThePartyCountFailsBeforeAnySend) {
+  // No round of three parties can reach a quorum of four, whatever the
+  // wire does: the run must be rejected at entry, not after round 0's
+  // broadcasts.
+  std::vector<HflPartition> parties = MakeHflPartitions(3, 40);
+  HflOptions options;
+  options.policy.min_quorum = 4;
+  MessageBus bus;
+  auto got = TrainHorizontalFlr(parties, options, &bus);
+  ASSERT_FALSE(got.ok());
+  EXPECT_TRUE(got.status().IsInvalidArgument()) << got.status();
+  EXPECT_NE(got.status().message().find("min_quorum 4"), std::string::npos)
+      << got.status();
+  EXPECT_NE(got.status().message().find("3 parties"), std::string::npos)
+      << got.status();
+  EXPECT_EQ(bus.TotalBytes(), 0u);
+  EXPECT_EQ(bus.TotalMessages(), 0u);
+}
+
 TEST_F(FaultToleranceTest, HealthyWireIsByteIdenticalToThePlainBus) {
   // An all-zero schedule must be perfectly transparent: the reliability
   // layer adds no traffic, no retries, no waste, and the weights are
@@ -608,72 +626,6 @@ TEST_F(FaultToleranceTest, ChaosMatrixIsDeterministicAcrossThreadCounts) {
     EXPECT_EQ(parallel.vfl_wasted, serial.vfl_wasted);
     EXPECT_EQ(parallel.vfl_retries, serial.vfl_retries);
   }
-}
-
-// ------------------------------------------------------------------ facade
-
-TEST_F(FaultToleranceTest, FacadeChaosTrainReportsDegradationInThePlan) {
-  // Through Amalur::Train: a privacy-constrained union-of-stars routes to
-  // per-shard FedAvg; a chaos schedule crashing one shard's party under a
-  // degrade policy must surface in the outcome and the executed plan.
-  rel::UnionOfStarsSpec spec;
-  spec.shards = 2;
-  spec.fact_rows = 80;
-  spec.fact_features = 2;
-  spec.dim_rows = 10;
-  spec.dim_features = 2;
-  spec.seed = 46;
-  rel::UnionOfStars scenario = rel::GenerateUnionOfStars(spec);
-
-  core::AmalurOptions options;
-  options.matcher.threshold = 0.75;
-  core::Amalur system(options);
-  for (const rel::Table& table : scenario.tables) {
-    ASSERT_TRUE(system.catalog()
-                    ->RegisterSource({table.name(), table, "silo", true})
-                    .ok());
-  }
-  core::IntegrationSpec integration_spec;
-  integration_spec.edges = {{"fact0", "dim0", rel::JoinKind::kLeftJoin},
-                            {"fact0", "fact1", rel::JoinKind::kUnion},
-                            {"fact1", "dim1", rel::JoinKind::kLeftJoin}};
-  auto integration = system.Integrate(integration_spec);
-  ASSERT_TRUE(integration.ok()) << integration.status();
-
-  FaultSchedule schedule(47);
-  SiloFaultProfile mortal;
-  mortal.crash_at_round = 2;
-  schedule.Set("P1", mortal);
-
-  core::TrainRequest request;
-  request.label_column = "y";
-  request.gd.iterations = 6;
-  request.gd.learning_rate = 0.05;
-  request.federated_policy.on_silo_loss = SiloLossAction::kDegrade;
-  request.fault_schedule = &schedule;
-  auto model = system.Train(*integration, request);
-  ASSERT_TRUE(model.ok()) << model.status();
-  EXPECT_EQ(model->outcome().strategy_used, core::ExecutionStrategy::kFederate);
-  EXPECT_EQ(model->outcome().silos_dropped, std::vector<std::string>{"P1"});
-  EXPECT_EQ(model->outcome().rounds_degraded, 4u);
-  EXPECT_NE(model->plan().explanation.find("degraded: 4 rounds without {P1}"),
-            std::string::npos)
-      << model->plan().explanation;
-
-  // Same request without the schedule: clean run, no degradation clause.
-  request.fault_schedule = nullptr;
-  auto clean = system.Train(*integration, request);
-  ASSERT_TRUE(clean.ok()) << clean.status();
-  EXPECT_TRUE(clean->outcome().silos_dropped.empty());
-  EXPECT_EQ(clean->plan().explanation.find("degraded"), std::string::npos)
-      << clean->plan().explanation;
-
-  // The facade's kFail default surfaces the loss as a training error.
-  request.fault_schedule = &schedule;
-  request.federated_policy.on_silo_loss = SiloLossAction::kFail;
-  auto failed = system.Train(*integration, request);
-  ASSERT_FALSE(failed.ok());
-  EXPECT_TRUE(failed.status().IsUnavailable()) << failed.status();
 }
 
 }  // namespace

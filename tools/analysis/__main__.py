@@ -12,8 +12,9 @@ does):
                testing/.
                Also renders deps.json + deps.dot reports (--report-dir).
   lock-order   builds the acquired-while-held graph across every
-               common::Mutex/SharedMutex site and fails on cycles (static
-               deadlock detection) and on pool dispatch under a lock.
+               common::Mutex/SharedMutex site in src/ and testing/, prints
+               its edges, and fails on cycles (static deadlock detection)
+               and on pool dispatch under a lock.
   hygiene      #pragma once in every header, include-what-you-use for the
                curated house types, no .cc includes, owned std headers
                (<mutex>, <random>, <chrono>, ...) only in their owners.
@@ -41,12 +42,13 @@ from findings import github_mode, report
 
 
 def run(root, report_dir=None):
+    """Returns (findings, lock-order edges {(held, acquired): site})."""
     sources = load_tree(root)
     findings = []
     layering.check(root, sources, findings, report_dir=report_dir)
-    lock_order.analyze(sources, findings)
+    edges = lock_order.analyze(sources, findings)
     hygiene.check(sources, findings)
-    return findings
+    return findings, edges
 
 
 def self_test():
@@ -76,7 +78,7 @@ def self_test():
                     continue
                 rule, count = line.split()
                 expected[rule] = int(count)
-        findings = run(case_root)
+        findings, _ = run(case_root)
         got = {}
         for finding in findings:
             got[finding.rule] = got.get(finding.rule, 0) + 1
@@ -111,7 +113,11 @@ def main():
 
     root = args.root or os.path.dirname(os.path.dirname(
         os.path.dirname(os.path.abspath(__file__))))
-    findings = run(root, report_dir=args.report_dir)
+    findings, edges = run(root, report_dir=args.report_dir)
+    # The acquired-while-held edges, so a pass that stops seeing a lock
+    # shows it in the output rather than staying silently clean.
+    for (held, acquired), (rel, line, _) in sorted(edges.items()):
+        print(f"lock-order edge: {held} -> {acquired} at {rel}:{line}")
     report(findings, github_mode(args.github))
     if findings:
         print(f"amalur_analysis: {len(findings)} finding(s)")

@@ -35,7 +35,7 @@ line.
 import bisect
 import re
 
-from cpp_source import nolint_rules
+from cpp_source import LIBRARY_TREES, nolint_rules
 from findings import Finding
 from include_graph import find_cycle
 
@@ -213,7 +213,8 @@ def _resolve_lock_expr(expr, class_name, members, member_owners):
 
 def analyze(sources, findings):
     sources = [s for s in sources
-               if s.rel.startswith("src/") and s.rel not in EXEMPT_FILES]
+               if s.rel.startswith(tuple(t + "/" for t in LIBRARY_TREES))
+               and s.rel not in EXEMPT_FILES]
 
     members = {}        # (class, member) -> kind
     member_owners = {}  # member -> [class...]
