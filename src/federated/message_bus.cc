@@ -7,17 +7,14 @@
 namespace amalur {
 namespace federated {
 
-void MessageBus::AccountLocked(const Channel& channel, size_t payload_bytes) {
-  TransferStats& stats = stats_[channel];
-  stats.messages += 1;
-  stats.bytes += payload_bytes + kEnvelopeBytes;
+void MessageBus::AccountLocked(size_t payload_bytes) {
   total_bytes_ += payload_bytes + kEnvelopeBytes;
   total_messages_ += 1;
 }
 
-void MessageBus::MeterTransfer(const Channel& channel, size_t payload_bytes) {
+void MessageBus::MeterTransfer(size_t payload_bytes) {
   common::MutexLock lock(mu_);
-  AccountLocked(channel, payload_bytes);
+  AccountLocked(payload_bytes);
 }
 
 void MessageBus::EnqueueDense(const Channel& channel, la::DenseMatrix payload) {
@@ -35,7 +32,7 @@ void MessageBus::Send(const std::string& from, const std::string& to,
                       la::DenseMatrix payload) {
   const Channel channel{from, to};
   common::MutexLock lock(mu_);
-  AccountLocked(channel, DensePayloadBytes(payload));
+  AccountLocked(DensePayloadBytes(payload));
   dense_queues_[channel].push_back(std::move(payload));
 }
 
@@ -43,7 +40,7 @@ void MessageBus::SendBytes(const std::string& from, const std::string& to,
                            std::vector<uint64_t> payload) {
   const Channel channel{from, to};
   common::MutexLock lock(mu_);
-  AccountLocked(channel, WordPayloadBytes(payload));
+  AccountLocked(WordPayloadBytes(payload));
   byte_queues_[channel].push_back(std::move(payload));
 }
 
@@ -54,7 +51,7 @@ void MessageBus::SendCiphertextWords(const std::string& from,
       << "ciphertext payloads are (lo, hi) word pairs";
   const Channel channel{from, to};
   common::MutexLock lock(mu_);
-  AccountLocked(channel, CiphertextPayloadBytes(packed));
+  AccountLocked(CiphertextPayloadBytes(packed));
   byte_queues_[channel].push_back(std::move(packed));
 }
 
@@ -82,13 +79,6 @@ Result<std::vector<uint64_t>> MessageBus::ReceiveBytes(const std::string& from,
   return payload;
 }
 
-TransferStats MessageBus::ChannelStats(const std::string& from,
-                                       const std::string& to) const {
-  common::MutexLock lock(mu_);
-  auto it = stats_.find({from, to});
-  return it == stats_.end() ? TransferStats{} : it->second;
-}
-
 size_t MessageBus::TotalBytes() const {
   common::MutexLock lock(mu_);
   return total_bytes_;
@@ -103,7 +93,6 @@ void MessageBus::Reset() {
   common::MutexLock lock(mu_);
   dense_queues_.clear();
   byte_queues_.clear();
-  stats_.clear();
   total_bytes_ = 0;
   total_messages_ = 0;
 }

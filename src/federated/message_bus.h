@@ -14,7 +14,7 @@
 /// \file message_bus.h
 /// In-process network simulation for the federated runtime. Parties never
 /// touch each other's memory: every exchanged tensor goes through the bus,
-/// which meters exact transfer volumes per channel — the quantity the §V
+/// which meters exact transfer volumes — the quantity the §V
 /// discussion (and the communication-cost analysis) needs. Latency is not
 /// simulated; cost models multiply bytes by a configurable cost-per-byte.
 ///
@@ -33,12 +33,6 @@
 
 namespace amalur {
 namespace federated {
-
-/// One directed transfer record.
-struct TransferStats {
-  size_t messages = 0;
-  size_t bytes = 0;
-};
 
 /// Synchronous in-process message bus with byte accounting.
 class MessageBus {
@@ -87,10 +81,6 @@ class MessageBus {
   virtual Result<std::vector<uint64_t>> ReceiveBytes(const std::string& from,
                                                      const std::string& to);
 
-  /// Stats of one directed channel.
-  TransferStats ChannelStats(const std::string& from,
-                             const std::string& to) const;
-
   /// Total bytes successfully *delivered* over all channels. Bytes burnt on
   /// transmissions that never arrived are reported by `WastedBytes()`.
   size_t TotalBytes() const;
@@ -128,22 +118,19 @@ class MessageBus {
   /// Fault-layer hooks: metering and delivery are split so a derived bus
   /// can meter a payload at send time yet deliver it later (delay faults),
   /// or deliver without re-metering. Each takes the lock itself.
-  void MeterTransfer(const Channel& channel, size_t payload_bytes)
-      EXCLUDES(mu_);
+  void MeterTransfer(size_t payload_bytes) EXCLUDES(mu_);
   void EnqueueDense(const Channel& channel, la::DenseMatrix payload)
       EXCLUDES(mu_);
   void EnqueueWords(const Channel& channel, std::vector<uint64_t> payload)
       EXCLUDES(mu_);
 
  private:
-  void AccountLocked(const Channel& channel, size_t payload_bytes)
-      REQUIRES(mu_);
+  void AccountLocked(size_t payload_bytes) REQUIRES(mu_);
 
   mutable common::Mutex mu_;
   std::map<Channel, std::deque<la::DenseMatrix>> dense_queues_ GUARDED_BY(mu_);
   std::map<Channel, std::deque<std::vector<uint64_t>>> byte_queues_
       GUARDED_BY(mu_);
-  std::map<Channel, TransferStats> stats_ GUARDED_BY(mu_);
   size_t total_bytes_ GUARDED_BY(mu_) = 0;
   size_t total_messages_ GUARDED_BY(mu_) = 0;
 };

@@ -12,8 +12,9 @@
 /// Entity resolution (record linkage): finds rows of two silos that describe
 /// the same real-world entity. The output row matching is the raw material of
 /// the paper's indicator matrices (§II: "row matching from entity
-/// resolution"). Classic blocking + pairwise-similarity + greedy 1:1
-/// assignment pipeline.
+/// resolution"). A complete candidate filter (Pass-Join segments for string
+/// columns, ratio windows for numeric ones), exact pairwise similarity, then
+/// greedy 1:1 assignment.
 
 namespace amalur {
 namespace integration {
@@ -22,8 +23,9 @@ namespace integration {
 struct EntityResolverOptions {
   /// Minimum mean per-column similarity to accept a pair.
   double threshold = 0.85;
-  /// Use blocking (first character / rounded numeric of the best matched
-  /// column). Disable to compare all pairs (exact but quadratic).
+  /// No effect: both values give the exhaustive definition's pairs. Kept
+  /// only because the facade benchmark prints it; it goes with the next
+  /// change to that benchmark.
   bool use_blocking = true;
 };
 
@@ -42,11 +44,18 @@ struct EntityMatch {
 /// descending score). Returns a `RowMatching` with the same contract as
 /// key-equality matching.
 ///
-/// The search is pruned, the scores are not: a candidate whose bounded
-/// score (length and character-histogram lower bounds on each edit
-/// distance) misses the threshold is skipped, survivors get a banded edit
-/// distance, and every accepted score equals the exhaustive definition's bit
-/// for bit.
+/// The search is pruned, the result is not: it equals the all-pairs
+/// definition's pairs and scores bit for bit. In a pair that reaches
+/// threshold t over m matched columns, each column's similarity is at least
+/// the floor t·m − (m − 1). Candidates are every pair whose filter column can
+/// reach that floor: a Pass-Join segment index finds them on the first pair
+/// of two string columns while the floor exceeds 0.65, else a sorted ratio
+/// window on the first pair of two numeric columns while it exceeds 0.45, and
+/// a NULL pairs only with a NULL. Below those floors a filter passes most
+/// pairs and costs more than it saves, so every pair is a candidate. A
+/// candidate whose bounded score (length and character-histogram lower
+/// bounds on each edit distance) misses the threshold is skipped; survivors
+/// get a banded edit distance.
 Result<rel::RowMatching> ResolveEntities(
     const rel::Table& left, const rel::Table& right,
     const std::vector<ColumnMatch>& column_matches,

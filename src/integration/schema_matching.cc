@@ -18,15 +18,20 @@ constexpr double kTypeWeight = 0.15;
 constexpr double kInstanceWeight = 0.35;
 /// Seed of the instance samples, drawn once per table and call.
 constexpr uint64_t kSampleSeed = 0xA3A1;
+/// Shortest canonical name the containment signal counts.
+constexpr size_t kMinContainedLength = 3;
 
 double NameSimilarity(const std::string& a, const std::string& b) {
   const std::string ca = CanonicalizeIdentifier(a);
   const std::string cb = CanonicalizeIdentifier(b);
   if (ca.empty() || cb.empty()) return 0.0;
   if (ca == cb) return 1.0;
-  // Abbreviation heuristic: "hr" vs "heartrate" — prefix/containment counts.
+  // Abbreviation heuristic: "resting" vs "restinghr" — containment counts
+  // once the shorter name has kMinContainedLength characters, so a one- or
+  // two-letter label ("y") does not pair with every name holding its letters.
   double containment = 0.0;
-  if (ca.find(cb) != std::string::npos || cb.find(ca) != std::string::npos) {
+  if (std::min(ca.size(), cb.size()) >= kMinContainedLength &&
+      (ca.find(cb) != std::string::npos || cb.find(ca) != std::string::npos)) {
     containment = 0.8;
   }
   return std::max({EditSimilarity(ca, cb), TrigramJaccard(ca, cb), containment});

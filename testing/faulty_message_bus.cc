@@ -64,11 +64,6 @@ bool FaultyMessageBus::IsDown(const std::string& silo) const {
   return schedule_.IsDownAt(silo, round_);
 }
 
-size_t FaultyMessageBus::current_round() const {
-  common::MutexLock lock(fault_mu_);
-  return round_;
-}
-
 FaultyMessageBus::Outcome FaultyMessageBus::ClassifyLocked(
     const std::string& from, const std::string& to, size_t* delay_attempts) {
   if (schedule_.IsDownAt(from, round_)) return Outcome::kSuppress;
@@ -135,7 +130,7 @@ void FaultyMessageBus::ApplySendFaults(
   }
   // The message will arrive (now or after the delay), so it is metered as
   // delivered traffic — `TotalBytes()` stays the honest transfer volume.
-  MeterTransfer(channel, payload_bytes);
+  MeterTransfer(payload_bytes);
   if (outcome != Outcome::kDelay) {
     (this->*enqueue)(channel, std::move(payload));
   }

@@ -134,7 +134,6 @@ class FaultyMessageBus : public MessageBus {
 
   /// Whether `silo` is crashed at the current round.
   bool IsDown(const std::string& silo) const;
-  size_t current_round() const;
 
  private:
   enum class Outcome { kDeliver, kDrop, kDelay, kDuplicate, kSuppress };

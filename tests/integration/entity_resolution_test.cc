@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstddef>
 #include <cstring>
 #include <map>
 #include <string>
@@ -58,8 +59,6 @@ TEST(EntityResolutionTest, TypoToleratedBelowStrictThreshold) {
 
   EntityResolverOptions tolerant;
   tolerant.threshold = 0.7;
-  tolerant.use_blocking = false;  // the typo breaks first-char blocking? no —
-                                  // J matches; disabled to test pure scoring
   auto matching = ResolveEntities(
       left, right, {{0, 0, 1.0}, {1, 1, 1.0}}, tolerant);
   ASSERT_TRUE(matching.ok());
@@ -170,44 +169,31 @@ double ReferenceCellSimilarity(const rel::Column& a, size_t row_a,
   return std::max(0.0, 1.0 - std::fabs(va - vb) / (scale > 0 ? scale : 1.0));
 }
 
-std::string ReferenceBlockKey(const rel::Column& col, size_t row) {
-  if (col.IsNull(row)) return "";
-  if (col.type() == rel::DataType::kString) {
-    return ToLower(col.GetValue(row).ToString()).substr(0, 1);
-  }
-  return std::to_string(static_cast<int64_t>(std::llround(col.GetDouble(row))));
-}
-
-/// Every pair in the same block (blocks stay far below the per-block cap
-/// here) scored exactly, then the greedy 1:1 assignment.
-std::vector<EntityMatch> ReferencePairs(const rel::Table& left,
-                                        const rel::Table& right,
-                                        const std::vector<ColumnMatch>& matches,
-                                        const EntityResolverOptions& options) {
-  size_t blocking = 0;
-  while (blocking < matches.size() &&
-         left.column(matches[blocking].left_column).type() !=
-             rel::DataType::kString) {
-    ++blocking;
-  }
-  if (blocking == matches.size()) blocking = 0;
-  std::vector<EntityMatch> scored;
+/// Every pair of rows with its exact score.
+std::vector<EntityMatch> ReferenceScores(
+    const rel::Table& left, const rel::Table& right,
+    const std::vector<ColumnMatch>& matches) {
+  std::vector<EntityMatch> all;
   for (size_t l = 0; l < left.NumRows(); ++l) {
     for (size_t r = 0; r < right.NumRows(); ++r) {
-      if (options.use_blocking &&
-          ReferenceBlockKey(left.column(matches[blocking].left_column), l) !=
-              ReferenceBlockKey(right.column(matches[blocking].right_column),
-                                r)) {
-        continue;
-      }
       double sum = 0.0;
       for (const ColumnMatch& m : matches) {
         sum += ReferenceCellSimilarity(left.column(m.left_column), l,
                                        right.column(m.right_column), r);
       }
-      const double score = sum / static_cast<double>(matches.size());
-      if (score >= options.threshold) scored.push_back({l, r, score});
+      all.push_back({l, r, sum / static_cast<double>(matches.size())});
     }
+  }
+  return all;
+}
+
+/// The pairs of `all` that reach `threshold`, assigned greedily 1:1.
+std::vector<EntityMatch> ReferencePairs(const std::vector<EntityMatch>& all,
+                                        size_t left_rows, size_t right_rows,
+                                        double threshold) {
+  std::vector<EntityMatch> scored;
+  for (const EntityMatch& m : all) {
+    if (m.score >= threshold) scored.push_back(m);
   }
   std::sort(scored.begin(), scored.end(),
             [](const EntityMatch& a, const EntityMatch& b) {
@@ -215,8 +201,8 @@ std::vector<EntityMatch> ReferencePairs(const rel::Table& left,
               if (a.left_row != b.left_row) return a.left_row < b.left_row;
               return a.right_row < b.right_row;
             });
-  std::vector<uint8_t> left_used(left.NumRows(), 0);
-  std::vector<uint8_t> right_used(right.NumRows(), 0);
+  std::vector<uint8_t> left_used(left_rows, 0);
+  std::vector<uint8_t> right_used(right_rows, 0);
   std::vector<EntityMatch> accepted;
   for (const EntityMatch& m : scored) {
     if (left_used[m.left_row] || right_used[m.right_row]) continue;
@@ -231,10 +217,12 @@ std::vector<EntityMatch> ReferencePairs(const rel::Table& left,
   return accepted;
 }
 
-/// Random names over a small mixed-case alphabet; `typos` of them are near
-/// copies of `like` (case flips and up to three edits), so high thresholds
-/// still accept pairs.
-rel::Column RandomNames(const std::string& name, size_t rows, Rng* rng,
+/// Random names of `min_length` to `max_length` characters over a small
+/// mixed-case alphabet, with NULL and "" cells among them. With `like`, two
+/// in three rows are near copies of its row: up to three substitutions,
+/// deletions or insertions, half of them at the first or last position.
+rel::Column RandomNames(const std::string& name, size_t rows,
+                        size_t min_length, size_t max_length, Rng* rng,
                         const rel::Column* like = nullptr) {
   const std::string alphabet = "abcdeABC ";
   rel::Column col(name, rel::DataType::kString);
@@ -248,18 +236,22 @@ rel::Column RandomNames(const std::string& name, size_t rows, Rng* rng,
         rng->NextUint64(3) != 0) {
       s = like->string_data()[r];
       for (uint64_t edits = rng->NextUint64(4); edits > 0; --edits) {
-        const size_t at = rng->NextUint64(s.size() + 1);
+        const uint64_t where = rng->NextUint64(4);
+        const size_t at = where == 0   ? 0
+                          : where == 1 ? s.size()
+                                       : rng->NextUint64(s.size() + 1);
         const char c = alphabet[rng->NextUint64(alphabet.size())];
-        if (at == s.size()) {
-          s.push_back(c);
-        } else if (rng->NextUint64(2) == 0) {
+        const uint64_t op = at == s.size() ? 2 : rng->NextUint64(3);
+        if (op == 0) {
           s[at] = c;
-        } else {
+        } else if (op == 1) {
           s.erase(at, 1);
+        } else {
+          s.insert(s.begin() + static_cast<std::ptrdiff_t>(at), c);
         }
       }
-    } else {
-      s.resize(rng->NextUint64(13));
+    } else if (rng->NextUint64(10) != 0) {
+      s.resize(min_length + rng->NextUint64(max_length - min_length + 1));
       for (char& c : s) c = alphabet[rng->NextUint64(alphabet.size())];
     }
     col.AppendString(std::move(s));
@@ -267,23 +259,31 @@ rel::Column RandomNames(const std::string& name, size_t rows, Rng* rng,
   return col;
 }
 
+/// Small integers of both signs, or halves of them with signed zeros,
+/// infinities, NaN and the smallest subnormals among them.
 rel::Column RandomNumbers(const std::string& name, rel::DataType type,
                           size_t rows, Rng* rng) {
+  const double kOdd[] = {-0.0, 5e-324, -5e-324, HUGE_VAL, -HUGE_VAL, NAN};
   rel::Column col(name, type);
   for (size_t r = 0; r < rows; ++r) {
     if (rng->NextUint64(8) == 0) {
       col.AppendNull();
     } else if (type == rel::DataType::kInt64) {
-      col.AppendInt64(static_cast<int64_t>(rng->NextUint64(4)));
+      col.AppendInt64(rng->NextInt64(-3, 3));
+    } else if (rng->NextUint64(10) == 0) {
+      col.AppendDouble(kOdd[rng->NextUint64(6)]);
     } else {
-      col.AppendDouble(static_cast<double>(rng->NextUint64(6)) * 0.5);
+      col.AppendDouble(static_cast<double>(rng->NextInt64(-5, 5)) * 0.5);
     }
   }
   return col;
 }
 
 TEST(EntityResolutionTest, PrunedScoringMatchesExhaustiveReference) {
-  // Columns: 0 name, 1 alias (strings), 2 double, 3 int64.
+  // Columns: 0 name, 1 alias (strings), 2 double, 3 int64. The sets reach
+  // the string filter (column floors above 0.65), the numeric filter
+  // (floors in (0.45, 0.65] with a string pair, above 0.45 without one)
+  // and the all-pairs path.
   const std::vector<std::vector<ColumnMatch>> column_sets = {
       {{0, 0, 1.0}},
       {{0, 0, 1.0}, {2, 2, 1.0}},
@@ -292,19 +292,27 @@ TEST(EntityResolutionTest, PrunedScoringMatchesExhaustiveReference) {
       {{0, 0, 1.0}, {3, 2, 1.0}, {1, 1, 1.0}},
       {{0, 1, 1.0}, {2, 3, 1.0}},
       {{3, 3, 1.0}, {0, 2, 1.0}, {1, 0, 1.0}},
+      {{2, 2, 1.0}},
+      {{3, 3, 1.0}},
+      {{2, 3, 1.0}, {3, 2, 1.0}},
+      {{0, 2, 1.0}},
   };
   Rng rng(4242);
   size_t accepted = 0;
-  for (int trial = 0; trial < 60; ++trial) {
+  for (int trial = 0; trial < 80; ++trial) {
+    // Odd trials use names of 10-25 characters, even ones of 0-12.
+    const size_t min_length = trial % 2 == 1 ? 10 : 0;
+    const size_t max_length = trial % 2 == 1 ? 25 : 12;
     const size_t rows = 1 + rng.NextUint64(40);
     rel::Table left("L");
     rel::Table right("R");
-    AMALUR_CHECK_OK(left.AddColumn(RandomNames("name", rows, &rng)));
-    AMALUR_CHECK_OK(left.AddColumn(RandomNames("alias", rows, &rng)));
-    AMALUR_CHECK_OK(right.AddColumn(
-        RandomNames("name", rows, &rng, &left.column(0))));
-    AMALUR_CHECK_OK(right.AddColumn(
-        RandomNames("alias", rows, &rng, &left.column(1))));
+    for (const char* name : {"name", "alias"}) {
+      AMALUR_CHECK_OK(left.AddColumn(
+          RandomNames(name, rows, min_length, max_length, &rng)));
+      AMALUR_CHECK_OK(right.AddColumn(
+          RandomNames(name, rows, min_length, max_length, &rng,
+                      &left.column(left.NumColumns() - 1))));
+    }
     for (rel::Table* t : {&left, &right}) {
       AMALUR_CHECK_OK(t->AddColumn(
           RandomNumbers("x", rel::DataType::kDouble, rows, &rng)));
@@ -312,15 +320,17 @@ TEST(EntityResolutionTest, PrunedScoringMatchesExhaustiveReference) {
           RandomNumbers("k", rel::DataType::kInt64, rows, &rng)));
     }
     for (const std::vector<ColumnMatch>& matches : column_sets) {
-      for (double threshold : {0.5, 0.7, 0.85, 0.9, 1.0}) {
+      const std::vector<EntityMatch> all =
+          ReferenceScores(left, right, matches);
+      for (double threshold : {0.0, 0.3, 0.5, 0.6, 0.7, 0.85, 0.9, 1.0}) {
+        const std::vector<EntityMatch> expected =
+            ReferencePairs(all, rows, rows, threshold);
         for (bool use_blocking : {true, false}) {
           EntityResolverOptions options;
           options.threshold = threshold;
           options.use_blocking = use_blocking;
           auto pairs = ResolveEntityPairs(left, right, matches, options);
           ASSERT_TRUE(pairs.ok()) << pairs.status();
-          const std::vector<EntityMatch> expected =
-              ReferencePairs(left, right, matches, options);
           ASSERT_EQ(pairs->size(), expected.size())
               << "trial " << trial << " threshold " << threshold;
           for (size_t i = 0; i < expected.size(); ++i) {
@@ -328,8 +338,8 @@ TEST(EntityResolutionTest, PrunedScoringMatchesExhaustiveReference) {
             ASSERT_EQ((*pairs)[i].right_row, expected[i].right_row);
             ASSERT_EQ(Bits((*pairs)[i].score), Bits(expected[i].score));
           }
-          accepted += expected.size();
         }
+        accepted += expected.size();
       }
     }
   }

@@ -5,6 +5,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cctype>
+#include <set>
+#include <string>
+#include <vector>
+
 #include "common/rng.h"
 #include "common/string_util.h"
 #include "integration/entity_resolution.h"
@@ -57,6 +62,58 @@ NoisyPair MakeNoisyPair(size_t entities, double subset, double typo_rate,
   }
   AMALUR_CHECK_OK(pair.right.AddColumn(std::move(r_names)));
   AMALUR_CHECK_OK(pair.right.AddColumn(std::move(r_ages)));
+  return pair;
+}
+
+/// er-vfl's shape on one name column: `entities` distinct "Word Word" names
+/// of random syllables on the left, a `subset` of them on the right, and
+/// `typo_rate` of those with one letter substituted at a uniformly drawn
+/// position, the first included.
+NoisyPair MakeSyllableNamePair(size_t entities, double subset,
+                               double typo_rate, uint64_t seed) {
+  static const char* const kSyllables[] = {
+      "ka", "lo", "mi", "re", "tha", "vo", "ne", "su", "da", "ri", "po",
+      "el", "an", "gu", "fe", "zo", "bi", "ta", "mo", "ly", "ce", "ra",
+      "no", "vi", "sha", "ku", "de", "or", "pa", "li", "ju", "we"};
+  Rng rng(seed);
+  auto word = [&](size_t syllables) {
+    std::string w;
+    for (size_t s = 0; s < syllables; ++s) w += kSyllables[rng.NextUint64(32)];
+    w[0] = static_cast<char>(w[0] - 'a' + 'A');
+    return w;
+  };
+  std::set<std::string> used;
+  std::vector<std::string> names(entities);
+  for (std::string& name : names) {
+    do {
+      name = word(2) + " " + word(3);
+    } while (!used.insert(name).second);
+  }
+  NoisyPair pair;
+  pair.left = rel::Table("L");
+  AMALUR_CHECK_OK(pair.left.AddColumn(rel::Column::FromStrings("name", names)));
+  std::vector<std::string> right_names;
+  for (size_t e = 0; e < entities; ++e) {
+    if (!rng.NextBernoulli(subset)) continue;
+    std::string name = names[e];
+    if (rng.NextBernoulli(typo_rate)) {
+      // Matching lower-cases names, so the new letter must differ from the
+      // old one's lower case: 'K' -> 'k' would be no edit at all.
+      const size_t at = rng.NextUint64(name.size());
+      const char old_letter = static_cast<char>(
+          std::tolower(static_cast<unsigned char>(name[at])));
+      char letter = old_letter;
+      while (letter == old_letter || letter == ' ') {
+        letter = static_cast<char>('a' + rng.NextUint64(26));
+      }
+      name[at] = letter;
+    }
+    pair.truth.emplace_back(e, right_names.size());
+    right_names.push_back(std::move(name));
+  }
+  pair.right = rel::Table("R");
+  AMALUR_CHECK_OK(
+      pair.right.AddColumn(rel::Column::FromStrings("name", right_names)));
   return pair;
 }
 
@@ -131,6 +188,24 @@ TEST(ErQualityTest, StricterThresholdTradesRecallForPrecision) {
   Quality qs = Evaluate(*strict_match, pair.truth);
   EXPECT_GE(qs.precision, ql.precision);
   EXPECT_GE(ql.recall, qs.recall);
+}
+
+TEST(ErQualityTest, TyposAnywhereInTheNameMatchAtErVflSettings) {
+  // Threshold 0.85 on one name column, 10% of names misspelled at any
+  // position; a pair whose typo hits the first letter counts like any other.
+  size_t hits = 0, accepted = 0, truth = 0;
+  for (uint64_t seed : {1, 2, 3}) {
+    NoisyPair pair = MakeSyllableNamePair(1000, 0.8, 0.1, seed);
+    auto matching = ResolveEntities(pair.left, pair.right, {{0, 0, 1.0}});
+    ASSERT_TRUE(matching.ok());
+    std::set<std::pair<size_t, size_t>> truth_set(pair.truth.begin(),
+                                                  pair.truth.end());
+    for (const auto& m : matching->matched) hits += truth_set.count(m);
+    accepted += matching->matched.size();
+    truth += pair.truth.size();
+  }
+  EXPECT_GE(static_cast<double>(hits) / static_cast<double>(accepted), 0.999);
+  EXPECT_GE(static_cast<double>(hits) / static_cast<double>(truth), 0.999);
 }
 
 }  // namespace

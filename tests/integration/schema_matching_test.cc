@@ -4,7 +4,9 @@
 
 #include <algorithm>
 #include <cstring>
+#include <vector>
 
+#include "common/rng.h"
 #include "testing/generator.h"
 #include "testing/running_example.h"
 
@@ -77,6 +79,21 @@ TEST(SchemaMatchingTest, AbbreviationHeuristic) {
   rel::Column b = rel::Column::FromDoubles("resting", {61, 57, 64});
   SchemaMatcherOptions options;
   EXPECT_GT(ScoreColumnPair(a, b, options), options.threshold);
+}
+
+TEST(SchemaMatchingTest, OneLetterLabelIsNotContainedInLongerNames) {
+  // A Gaussian label `y` against a Gaussian feature whose name holds a `y`:
+  // containment of a one-letter name is no evidence of a match.
+  Rng rng(9);
+  std::vector<double> label(200), feature(200);
+  for (size_t i = 0; i < label.size(); ++i) {
+    label[i] = rng.NextGaussian();
+    feature[i] = rng.NextGaussian();
+  }
+  rel::Column y = rel::Column::FromDoubles("y", label);
+  rel::Column loyalty = rel::Column::FromDoubles("loyalty_09", feature);
+  SchemaMatcherOptions options;
+  EXPECT_LT(ScoreColumnPair(y, loyalty, options), options.threshold);
 }
 
 TEST(SchemaMatchingTest, DisjointRangesLowerInstanceScore) {
