@@ -28,6 +28,9 @@ constexpr size_t kUnknowns = 4;
 /// small is rank deficiency, not conditioning jitter.
 constexpr double kPivotEpsilon = 1e-9;
 
+/// 2^53: every integer up to it is a double, and it fits a size_t.
+constexpr double kMaxExactCount = 9007199254740992.0;
+
 /// An observation is usable when every regressor and both measurements are
 /// strictly meaningful: a zero or negative wall-clock cannot be weighted
 /// (and indicates a broken measurement), a zero iteration count prices
@@ -260,8 +263,16 @@ Result<Calibration> LoadCalibrationFile(const std::string& path,
         "calibration file '", path,
         "': constants must be positive (row overhead >= 0)");
   }
-  double used = 0.0;
-  if (FindNumber(text, "observations_used", &used) && used >= 0) {
+  // Optional; when present it must be a finite number and a count a double
+  // holds exactly, so the conversion below is defined.
+  if (text.find("\"observations_used\"") != std::string::npos) {
+    double used = 0.0;
+    if (!FindNumber(text, "observations_used", &used) ||
+        !(used >= 0 && used <= kMaxExactCount && used == std::floor(used))) {
+      return Status::InvalidArgument("calibration file '", path,
+                                     "': 'observations_used' must be an "
+                                     "integer in [0, 2^53]");
+    }
     calibration.observations_used = static_cast<size_t>(used);
   }
   std::string file_source;

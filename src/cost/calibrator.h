@@ -86,7 +86,8 @@ Status WriteCalibrationFile(const std::string& path,
 
 /// Reads a fitted-constants file. Constants come from the file; the
 /// training horizon comes from `defaults`. `kNotFound` / `kInvalidArgument`
-/// on a missing or malformed file.
+/// on a missing or malformed file; an `observations_used` that is not an
+/// integer in [0, 2^53] is malformed.
 Result<Calibration> LoadCalibrationFile(const std::string& path,
                                         const AmalurCostModelOptions& defaults = {});
 

@@ -1,7 +1,6 @@
 #include "factorized/factorized_table.h"
 
 #include <algorithm>
-#include <limits>
 
 #include "common/parallel_for.h"
 
@@ -9,21 +8,20 @@ namespace amalur {
 namespace factorized {
 
 namespace {
-// ParallelFor grains for the rewrite kernels. Plans are processed serially
-// (different plans may touch the same target rows/columns); within a plan
-// every parallel loop partitions disjoint output, so results are
-// bitwise-equal to the serial kernels at any thread count.
-constexpr size_t kUniqueGrain = 32;  // unique-source-row loops
-constexpr size_t kExpandGrain = 512; // target-row fan-out loops
+// ParallelFor grains for the rewrite kernels. Within a kernel every parallel
+// loop partitions disjoint output and keeps each element's accumulation
+// order, so results are bitwise-equal to the serial kernels at any thread
+// count.
+constexpr size_t kUniqueGrain = 32;  // slot loops
+constexpr size_t kExpandGrain = 512; // target-row loops
 constexpr size_t kColumnGrain = 8;   // target-column band loops
-
-constexpr metadata::RowId kNoSlot =
-    std::numeric_limits<metadata::RowId>::max();
+/// Source rows per pass of the transpose products: 256 rows of a wide
+/// D_k stay in a core's cache while every column of a band reads them.
+constexpr size_t kRowTile = 256;
 
 /// Σ_p d_row[dk_cols[p]] · X[t_cols[p], c] over a class's allowed column
-/// pairs, p ascending, skipping exact-zero cells; X is row-major with n
-/// columns. Every LMM-shaped kernel (the LMM in both of its paths, the
-/// partial scores) forms its sums here, so they agree bit for bit.
+/// pairs, p ascending from +0.0, skipping exact-zero cells; X is row-major
+/// with n columns.
 double PairDot(const double* d_row, const std::vector<size_t>& dk_cols,
                const std::vector<size_t>& t_cols, const double* x, size_t n,
                size_t c) {
@@ -43,14 +41,18 @@ FactorizedTable::FactorizedTable(metadata::DiMetadata metadata)
 }
 
 void FactorizedTable::BuildPlans(bool ignore_redundancy) {
+  const size_t num_sources = metadata_.num_sources();
   plans_.clear();
-  plans_.resize(metadata_.num_sources());
-  max_fanout_unique_rows_ = 0;
-  std::vector<metadata::RowId> slot;    // D_k row -> unique index in class
-  std::vector<metadata::RowId> cursor;  // fan-out fill positions
-  for (size_t k = 0; k < metadata_.num_sources(); ++k) {
+  plans_.resize(num_sources);
+  slots_.assign(rows() * num_sources, kNoSlot);
+  total_slots_ = 0;
+  first_source_in_place_ = false;
+  std::vector<metadata::RowId> seen;  // D_k row -> its slot in the class
+  for (size_t k = 0; k < num_sources; ++k) {
     const metadata::SourceMetadata& source = metadata_.source(k);
     const std::vector<int64_t>& indicator = source.indicator.values();
+    SourcePlan& plan = plans_[k];
+    plan.first_slot = total_slots_;
 
     // Mapped (D_k column, target column) pairs in D_k order.
     std::vector<size_t> all_dk_cols;
@@ -63,13 +65,14 @@ void FactorizedTable::BuildPlans(bool ignore_redundancy) {
       }
     }
 
-    std::vector<std::vector<metadata::RowId>> classes =
+    const std::vector<std::vector<metadata::RowId>> classes =
         metadata::RowClassTargets(source, ignore_redundancy);
-    slot.assign(source.data.rows(), kNoSlot);
-    plans_[k].reserve(classes.size());
+    seen.assign(source.data.rows(), kNoSlot);
+    size_t covered_rows = 0;
     for (size_t c = 0; c < classes.size(); ++c) {
       if (classes[c].empty()) continue;
-      RowClassPlan plan;
+      RowClassPlan cls;
+      cls.first_slot = plan.num_slots;
       // Allowed column pairs: the full set minus the class's masked columns.
       const std::vector<size_t>* masked =
           c == 0 ? nullptr : &source.redundancy.column_sets()[c - 1];
@@ -77,229 +80,248 @@ void FactorizedTable::BuildPlans(bool ignore_redundancy) {
         if (masked == nullptr || !std::binary_search(masked->begin(),
                                                      masked->end(),
                                                      all_t_cols[p])) {
-          plan.dk_cols.push_back(all_dk_cols[p]);
-          plan.t_cols.push_back(all_t_cols[p]);
+          cls.dk_cols.push_back(all_dk_cols[p]);
+          cls.t_cols.push_back(all_t_cols[p]);
         }
       }
-      if (plan.dk_cols.empty()) continue;
-
-      // Deduplicate source rows in order of first appearance: `slot` is
-      // kNoSlot outside the class being built.
-      plan.target_rows = std::move(classes[c]);
-      const size_t num_targets = plan.target_rows.size();
-      plan.target_to_unique.resize(num_targets);
-      metadata::RowId num_unique = 0;
-      for (size_t r = 0; r < num_targets; ++r) {
-        const auto row = static_cast<size_t>(indicator[plan.target_rows[r]]);
-        metadata::RowId& u = slot[row];
-        if (u == kNoSlot) u = num_unique++;
-        plan.target_to_unique[r] = u;
+      // Slots in order of first appearance: `seen` is kNoSlot outside the
+      // class being built.
+      cls.unique_source_rows.reserve(
+          std::min(classes[c].size(), source.data.rows()));
+      for (metadata::RowId i : classes[c]) {
+        const auto row = static_cast<metadata::RowId>(indicator[i]);
+        metadata::RowId& slot = seen[row];
+        if (slot == kNoSlot) {
+          slot = static_cast<metadata::RowId>(plan.num_slots++);
+          cls.unique_source_rows.push_back(row);
+        }
+        slots_[i * num_sources + k] =
+            static_cast<metadata::RowId>(plan.first_slot + slot);
       }
-      plan.unique_source_rows.resize(num_unique);
-      for (size_t r = 0; r < num_targets; ++r) {
-        plan.unique_source_rows[plan.target_to_unique[r]] =
-            static_cast<metadata::RowId>(indicator[plan.target_rows[r]]);
-      }
-      for (metadata::RowId row : plan.unique_source_rows) slot[row] = kNoSlot;
-
-      // Reverse fan-out index (unique row -> its target rows, class order).
-      plan.fanout_offsets.assign(num_unique + 1, 0);
-      for (metadata::RowId u : plan.target_to_unique) {
-        ++plan.fanout_offsets[u + 1];
-      }
-      for (size_t u = 0; u < num_unique; ++u) {
-        plan.fanout_offsets[u + 1] += plan.fanout_offsets[u];
-      }
-      plan.fanout_targets.resize(num_targets);
-      cursor.assign(plan.fanout_offsets.begin(), plan.fanout_offsets.end() - 1);
-      for (size_t r = 0; r < num_targets; ++r) {
-        plan.fanout_targets[cursor[plan.target_to_unique[r]]++] =
-            plan.target_rows[r];
-      }
-      if (!plan.NoFanout()) {
-        max_fanout_unique_rows_ =
-            std::max(max_fanout_unique_rows_, size_t{num_unique});
-      }
-      plans_[k].push_back(std::move(plan));
+      for (metadata::RowId row : cls.unique_source_rows) seen[row] = kNoSlot;
+      covered_rows += classes[c].size();
+      plan.classes.push_back(std::move(cls));
+    }
+    total_slots_ += plan.num_slots;
+    AMALUR_CHECK(total_slots_ < kNoSlot) << "slots are numbered with 32 bits";
+    if (k == 0) {
+      first_source_in_place_ =
+          plan.classes.size() == 1 && plan.num_slots == covered_rows;
     }
   }
 }
 
-void FactorizedTable::ReserveScratch(size_t n,
-                                     std::vector<double>* scratch) const {
-  if (scratch->size() < max_fanout_unique_rows_ * n) {
-    scratch->resize(max_fanout_unique_rows_ * n);
+template <size_t kCols>
+void FactorizedTable::SlotProducts(size_t k, const double* x, size_t n,
+                                   double* products) const {
+  if (kCols != 0) n = kCols;
+  const la::DenseMatrix& dk = metadata_.source(k).data;
+  for (const RowClassPlan& cls : plans_[k].classes) {
+    // Parallel over slots — each chunk writes disjoint product rows.
+    common::ParallelFor(
+        0, cls.unique_source_rows.size(), kUniqueGrain,
+        [&](size_t u_begin, size_t u_end) {
+          for (size_t u = u_begin; u < u_end; ++u) {
+            const double* d_row = dk.RowPtr(cls.unique_source_rows[u]);
+            double* product = products + (cls.first_slot + u) * n;
+            for (size_t c = 0; c < n; ++c) {
+              product[c] = PairDot(d_row, cls.dk_cols, cls.t_cols, x, n, c);
+            }
+          }
+        });
+  }
+}
+
+template <size_t kCols>
+void FactorizedTable::AddTransposeProducts(size_t k, const double* sums,
+                                           size_t n,
+                                           la::DenseMatrix* out) const {
+  if (kCols != 0) n = kCols;
+  const double* d = metadata_.source(k).data.data();
+  const size_t stride = metadata_.source(k).data.cols();
+  double* out_data = out->data();
+  for (const RowClassPlan& cls : plans_[k].classes) {
+    const metadata::RowId* unique = cls.unique_source_rows.data();
+    const size_t num_unique = cls.unique_source_rows.size();
+    const double* class_sums = sums + cls.first_slot * n;
+    // Parallel over target-column bands: disjoint `out` rows, u ascending
+    // per element in every band. Each element's running sum stays in a
+    // register over a tile of rows that stays in cache while the band's
+    // columns pass over it.
+    common::ParallelFor(
+        0, cls.dk_cols.size(), kColumnGrain,
+        [&](size_t p_begin, size_t p_end) {
+          for (size_t u_begin = 0; u_begin < num_unique;
+               u_begin += kRowTile) {
+            const size_t u_end = std::min(num_unique, u_begin + kRowTile);
+            for (size_t p = p_begin; p < p_end; ++p) {
+              const size_t col = cls.dk_cols[p];
+              double* out_row = out_data + cls.t_cols[p] * n;
+              for (size_t c = 0; c < n; ++c) {
+                double acc = out_row[c];
+                for (size_t u = u_begin; u < u_end; ++u) {
+                  const double v = d[unique[u] * stride + col];
+                  if (v != 0.0) acc += v * class_sums[u * n + c];
+                }
+                out_row[c] = acc;
+              }
+            }
+          }
+        });
   }
 }
 
 la::DenseMatrix FactorizedTable::LeftMultiply(const la::DenseMatrix& x) const {
-  la::DenseMatrix out(rows(), x.cols());
-  std::vector<double> scratch;
-  LeftMultiplyInto(x, &out, &scratch);
-  return out;
-}
-
-void FactorizedTable::LeftMultiplyInto(const la::DenseMatrix& x,
-                                       la::DenseMatrix* out,
-                                       std::vector<double>* scratch) const {
   AMALUR_CHECK_EQ(x.rows(), cols()) << "LMM: X must have cT rows";
-  AMALUR_CHECK(out->rows() == rows() && out->cols() == x.cols())
-      << "LMM: out must be rT x n";
-  ReserveScratch(x.cols(), scratch);
+  la::DenseMatrix out(rows(), x.cols());
+  std::vector<double> products(total_slots_ * x.cols());
   if (x.cols() == 1) {
-    LeftMultiplyKernel<1>(x, out, scratch->data());
+    LeftMultiplyKernel<1>(x, &out, products.data());
   } else {
-    LeftMultiplyKernel<0>(x, out, scratch->data());
+    LeftMultiplyKernel<0>(x, &out, products.data());
   }
+  return out;
 }
 
 template <size_t kCols>
 void FactorizedTable::LeftMultiplyKernel(const la::DenseMatrix& x,
                                          la::DenseMatrix* out,
-                                         double* unique) const {
+                                         double* products) const {
   const size_t n = kCols != 0 ? kCols : x.cols();
-  const double* xd = x.data();
-  std::fill(out->data(), out->data() + out->size(), 0.0);
-  for (size_t k = 0; k < metadata_.num_sources(); ++k) {
-    const la::DenseMatrix& dk = metadata_.source(k).data;
-    for (const RowClassPlan& plan : plans_[k]) {
-      const size_t num_unique = plan.unique_source_rows.size();
-      if (plan.NoFanout()) {
-        // Target row r is unique row r: add each product straight into out.
-        // Parallel over unique rows — disjoint `out` rows.
-        common::ParallelFor(
-            0, num_unique, kUniqueGrain, [&](size_t u_begin, size_t u_end) {
-              for (size_t u = u_begin; u < u_end; ++u) {
-                const double* d_row = dk.RowPtr(plan.unique_source_rows[u]);
-                double* out_row = out->RowPtr(plan.target_rows[u]);
-                for (size_t c = 0; c < n; ++c) {
-                  out_row[c] +=
-                      PairDot(d_row, plan.dk_cols, plan.t_cols, xd, n, c);
-                }
-              }
-            });
-        continue;
-      }
-      // Compute once per unique source row: U = D_k[rows, cols] · X[t_cols].
-      // Parallel over unique rows — each chunk writes disjoint `unique` rows.
-      common::ParallelFor(
-          0, num_unique, kUniqueGrain, [&](size_t u_begin, size_t u_end) {
-            for (size_t u = u_begin; u < u_end; ++u) {
-              const double* d_row = dk.RowPtr(plan.unique_source_rows[u]);
-              for (size_t c = 0; c < n; ++c) {
-                unique[u * n + c] =
-                    PairDot(d_row, plan.dk_cols, plan.t_cols, xd, n, c);
-              }
-            }
-          });
-      // Expand through the indicator (fan-out rows share one computation).
-      // A class's target rows are distinct, so chunks write disjoint rows.
-      common::ParallelFor(
-          0, plan.target_rows.size(), kExpandGrain,
-          [&](size_t r_begin, size_t r_end) {
-            for (size_t r = r_begin; r < r_end; ++r) {
-              const double* u_row = unique + plan.target_to_unique[r] * n;
-              double* out_row = out->RowPtr(plan.target_rows[r]);
-              for (size_t c = 0; c < n; ++c) out_row[c] += u_row[c];
-            }
-          });
-    }
+  const size_t num_sources = plans_.size();
+  for (size_t k = 0; k < num_sources; ++k) {
+    SlotProducts<kCols>(k, x.data(), n, products + plans_[k].first_slot * n);
   }
+  // Expand through the slot index: each row adds its slots' products,
+  // sources ascending. Parallel over row chunks — disjoint `out` rows.
+  common::ParallelFor(
+      0, rows(), kExpandGrain, [&](size_t r_begin, size_t r_end) {
+        for (size_t i = r_begin; i < r_end; ++i) {
+          const metadata::RowId* row_slots = slots_.data() + i * num_sources;
+          double* out_row = out->RowPtr(i);
+          for (size_t k = 0; k < num_sources; ++k) {
+            if (row_slots[k] == kNoSlot) continue;
+            const double* product = products + row_slots[k] * n;
+            for (size_t c = 0; c < n; ++c) out_row[c] += product[c];
+          }
+        }
+      });
 }
 
 la::DenseMatrix FactorizedTable::TransposeLeftMultiply(
     const la::DenseMatrix& x) const {
-  la::DenseMatrix out(cols(), x.cols());
-  std::vector<double> scratch;
-  TransposeLeftMultiplyInto(x, &out, &scratch);
-  return out;
-}
-
-void FactorizedTable::TransposeLeftMultiplyInto(
-    const la::DenseMatrix& x, la::DenseMatrix* out,
-    std::vector<double>* scratch) const {
   AMALUR_CHECK_EQ(x.rows(), rows()) << "TᵀX: X must have rT rows";
-  AMALUR_CHECK(out->rows() == cols() && out->cols() == x.cols())
-      << "TᵀX: out must be cT x n";
-  ReserveScratch(x.cols(), scratch);
+  la::DenseMatrix out(cols(), x.cols());
+  std::vector<double> sums(total_slots_ * x.cols(), 0.0);
   if (x.cols() == 1) {
-    TransposeLeftMultiplyKernel<1>(x, out, scratch->data());
+    TransposeLeftMultiplyKernel<1>(x, &out, sums.data());
   } else {
-    TransposeLeftMultiplyKernel<0>(x, out, scratch->data());
+    TransposeLeftMultiplyKernel<0>(x, &out, sums.data());
   }
+  return out;
 }
 
 template <size_t kCols>
 void FactorizedTable::TransposeLeftMultiplyKernel(const la::DenseMatrix& x,
                                                   la::DenseMatrix* out,
-                                                  double* reduced) const {
+                                                  double* sums) const {
   const size_t n = kCols != 0 ? kCols : x.cols();
-  const double* xd = x.data();
-  std::fill(out->data(), out->data() + out->size(), 0.0);
-  for (size_t k = 0; k < metadata_.num_sources(); ++k) {
-    const la::DenseMatrix& dk = metadata_.source(k).data;
-    for (const RowClassPlan& plan : plans_[k]) {
-      // Reduce X over fan-out first: one accumulated row per unique source
-      // row (the Iᵀ step), then the D_kᵀ multiply-add pass. The reduce runs
-      // parallel over unique rows via the reverse fan-out index (disjoint
-      // `reduced` rows, same ascending accumulation order as the serial
-      // walk); the multiply-add runs parallel over target-column bands
-      // (disjoint `out` rows, u ascending per element in both orders). A
-      // class without fan-out has nothing to reduce: its unique row u is X's
-      // row target_rows[u], read in place.
-      const bool no_fanout = plan.NoFanout();
-      if (!no_fanout) {
-        common::ParallelFor(
-            0, plan.unique_source_rows.size(), kUniqueGrain,
-            [&](size_t u_begin, size_t u_end) {
-              for (size_t u = u_begin; u < u_end; ++u) {
-                for (size_t c = 0; c < n; ++c) {
-                  double acc = 0.0;
-                  for (size_t q = plan.fanout_offsets[u];
-                       q < plan.fanout_offsets[u + 1]; ++q) {
-                    acc += xd[plan.fanout_targets[q] * n + c];
-                  }
-                  reduced[u * n + c] = acc;
-                }
-              }
-            });
-      }
-      common::ParallelFor(
-          0, plan.dk_cols.size(), kColumnGrain,
-          [&](size_t p_begin, size_t p_end) {
-            for (size_t u = 0; u < plan.unique_source_rows.size(); ++u) {
-              const double* d_row = dk.RowPtr(plan.unique_source_rows[u]);
-              const double* acc = no_fanout ? xd + plan.target_rows[u] * n
-                                            : reduced + u * n;
-              for (size_t p = p_begin; p < p_end; ++p) {
-                const double v = d_row[plan.dk_cols[p]];
-                if (v == 0.0) continue;
-                double* out_row = out->RowPtr(plan.t_cols[p]);
-                for (size_t c = 0; c < n; ++c) out_row[c] += v * acc[c];
-              }
-            }
-          });
+  const size_t num_sources = plans_.size();
+  // Reduce X over fan-out first (the Iᵀ step): every slot's sum adds its
+  // rows ascending from +0.0. Serial, so the order holds at any thread
+  // count.
+  for (size_t i = 0; i < rows(); ++i) {
+    const metadata::RowId* row_slots = slots_.data() + i * num_sources;
+    const double* x_row = x.RowPtr(i);
+    for (size_t k = 0; k < num_sources; ++k) {
+      if (row_slots[k] == kNoSlot) continue;
+      double* sum = sums + row_slots[k] * n;
+      for (size_t c = 0; c < n; ++c) sum[c] += x_row[c];
     }
+  }
+  for (size_t k = 0; k < num_sources; ++k) {
+    AddTransposeProducts<kCols>(k, sums + plans_[k].first_slot * n, n, out);
+  }
+}
+
+FactorizedTable::StepWalk FactorizedTable::BeginStep(
+    const la::DenseMatrix& w, la::DenseMatrix* out,
+    StepScratch* scratch) const {
+  AMALUR_CHECK(w.rows() == cols() && w.cols() == 1) << "step: w is cT x 1";
+  AMALUR_CHECK(out->rows() == cols() && out->cols() == 1)
+      << "step: out must be cT x 1";
+  StepWalk walk;
+  StepScratch& s = *scratch;
+  const size_t first_walked = first_source_in_place_ ? 1 : 0;
+  walk.first_slot = first_source_in_place_ ? plans_[0].num_slots : 0;
+  s.partials.resize(total_slots_ - walk.first_slot);
+  s.sums.assign(total_slots_ - walk.first_slot, 0.0);
+  for (size_t k = first_walked; k < plans_.size(); ++k) {
+    SlotProducts<1>(k, w.data(), 1,
+                    s.partials.data() + plans_[k].first_slot - walk.first_slot);
+  }
+  walk.slots = slots_.data() + first_walked;
+  walk.slot_stride = plans_.size();
+  walk.num_walked = plans_.size() - first_walked;
+  walk.partials = s.partials.data();
+  walk.sums = s.sums.data();
+  std::fill(out->data(), out->data() + out->size(), 0.0);
+
+  if (first_source_in_place_) {
+    const RowClassPlan& cls = plans_[0].classes[0];
+    s.weights.resize(cls.t_cols.size());
+    s.gradient.assign(cls.t_cols.size(), 0.0);
+    for (size_t p = 0; p < cls.t_cols.size(); ++p) {
+      s.weights[p] = w.data()[cls.t_cols[p]];
+    }
+    const la::DenseMatrix& d0 = metadata_.source(0).data;
+    walk.rows = metadata_.source(0).indicator.values().data();
+    walk.data = d0.data();
+    walk.stride = d0.cols();
+    walk.dk_cols = cls.dk_cols.data();
+    walk.pairs = cls.dk_cols.size();
+    walk.weights = s.weights.data();
+    walk.gradient = s.gradient.data();
+  }
+  return walk;
+}
+
+void FactorizedTable::FinishStep(const StepWalk& walk,
+                                 la::DenseMatrix* out) const {
+  // `out` is +0.0 everywhere, so source 0's accumulators are its sums.
+  const size_t first_walked = first_source_in_place_ ? 1 : 0;
+  if (first_source_in_place_) {
+    const RowClassPlan& cls = plans_[0].classes[0];
+    for (size_t p = 0; p < cls.t_cols.size(); ++p) {
+      out->data()[cls.t_cols[p]] = walk.gradient[p];
+    }
+  }
+  for (size_t k = first_walked; k < plans_.size(); ++k) {
+    AddTransposeProducts<1>(
+        k, walk.sums + plans_[k].first_slot - walk.first_slot, 1, out);
   }
 }
 
 la::DenseMatrix FactorizedTable::ColSums() const {
   la::DenseMatrix out(1, cols());
-  for (size_t k = 0; k < metadata_.num_sources(); ++k) {
+  // Fan-out multiplies each slot's contribution by its target rows.
+  std::vector<double> counts(total_slots_, 0.0);
+  for (metadata::RowId slot : slots_) {
+    if (slot != kNoSlot) counts[slot] += 1.0;
+  }
+  for (size_t k = 0; k < plans_.size(); ++k) {
     const la::DenseMatrix& dk = metadata_.source(k).data;
-    for (const RowClassPlan& plan : plans_[k]) {
-      // Fan-out multiplies each unique source row's contribution; the
-      // multiplicity comes straight off the reverse fan-out index. Parallel
-      // over target-column bands (disjoint `out` cells within a plan).
+    const double* source_counts = counts.data() + plans_[k].first_slot;
+    for (const RowClassPlan& cls : plans_[k].classes) {
+      // Parallel over target-column bands (disjoint `out` cells).
       common::ParallelFor(
-          0, plan.dk_cols.size(), kColumnGrain,
+          0, cls.dk_cols.size(), kColumnGrain,
           [&](size_t p_begin, size_t p_end) {
-            for (size_t u = 0; u < plan.unique_source_rows.size(); ++u) {
-              const double* d_row = dk.RowPtr(plan.unique_source_rows[u]);
-              const double count = static_cast<double>(
-                  plan.fanout_offsets[u + 1] - plan.fanout_offsets[u]);
+            for (size_t u = 0; u < cls.unique_source_rows.size(); ++u) {
+              const double* d_row = dk.RowPtr(cls.unique_source_rows[u]);
+              const double count = source_counts[cls.first_slot + u];
               for (size_t p = p_begin; p < p_end; ++p) {
-                out.At(0, plan.t_cols[p]) += count * d_row[plan.dk_cols[p]];
+                out.At(0, cls.t_cols[p]) += count * d_row[cls.dk_cols[p]];
               }
             }
           });
@@ -309,28 +331,34 @@ la::DenseMatrix FactorizedTable::ColSums() const {
 }
 
 la::DenseMatrix FactorizedTable::RowSquaredNorms() const {
-  la::DenseMatrix out(rows(), 1);
-  for (size_t k = 0; k < metadata_.num_sources(); ++k) {
+  std::vector<double> norms(total_slots_, 0.0);
+  for (size_t k = 0; k < plans_.size(); ++k) {
     const la::DenseMatrix& dk = metadata_.source(k).data;
-    for (const RowClassPlan& plan : plans_[k]) {
-      std::vector<double> sums(plan.unique_source_rows.size(), 0.0);
+    double* source_norms = norms.data() + plans_[k].first_slot;
+    for (const RowClassPlan& cls : plans_[k].classes) {
       common::ParallelFor(
-          0, plan.unique_source_rows.size(), kUniqueGrain,
+          0, cls.unique_source_rows.size(), kUniqueGrain,
           [&](size_t u_begin, size_t u_end) {
             for (size_t u = u_begin; u < u_end; ++u) {
-              const double* d_row = dk.RowPtr(plan.unique_source_rows[u]);
-              for (size_t j : plan.dk_cols) sums[u] += d_row[j] * d_row[j];
-            }
-          });
-      common::ParallelFor(
-          0, plan.target_rows.size(), kExpandGrain,
-          [&](size_t r_begin, size_t r_end) {
-            for (size_t r = r_begin; r < r_end; ++r) {
-              out.At(plan.target_rows[r], 0) += sums[plan.target_to_unique[r]];
+              const double* d_row = dk.RowPtr(cls.unique_source_rows[u]);
+              double& norm = source_norms[cls.first_slot + u];
+              for (size_t j : cls.dk_cols) norm += d_row[j] * d_row[j];
             }
           });
     }
   }
+  // Each row adds its slots' norms, sources ascending.
+  la::DenseMatrix out(rows(), 1);
+  const size_t num_sources = plans_.size();
+  common::ParallelFor(
+      0, rows(), kExpandGrain, [&](size_t r_begin, size_t r_end) {
+        for (size_t i = r_begin; i < r_end; ++i) {
+          const metadata::RowId* row_slots = slots_.data() + i * num_sources;
+          for (size_t k = 0; k < num_sources; ++k) {
+            if (row_slots[k] != kNoSlot) out.At(i, 0) += norms[row_slots[k]];
+          }
+        }
+      });
   return out;
 }
 
@@ -339,59 +367,13 @@ PartialScores FactorizedTable::ExtractPartialScores(
   AMALUR_CHECK(target_weights.rows() == cols() && target_weights.cols() == 1)
       << "partial scores: weights must be cT x 1";
   PartialScores out;
-  out.metadata_ = &metadata_;
-  out.by_set_.resize(metadata_.num_sources());
-  for (size_t k = 0; k < metadata_.num_sources(); ++k) {
-    const metadata::SourceMetadata& source = metadata_.source(k);
-    const la::DenseMatrix& dk = source.data;
-
-    // Mapped (D_k column, target column) pairs in D_k order — the same
-    // construction (and therefore the same accumulation order) as
-    // BuildPlans, which is what makes ScoreRow bitwise-equal to the LMM.
-    std::vector<size_t> all_dk_cols;
-    std::vector<size_t> all_t_cols;
-    for (size_t c = 0; c < source.mapping.target_cols(); ++c) {
-      const int64_t j = source.mapping.At(c);
-      if (j >= 0) {
-        all_dk_cols.push_back(static_cast<size_t>(j));
-        all_t_cols.push_back(c);
-      }
-    }
-
-    // One partial vector per masked-column set (index 0 = the all-ones
-    // "nothing redundant" rows), covering every D_k row. The interned set
-    // family is small, so an unreferenced (set, row) combination costs
-    // little and keeps lookups branch-free.
-    const std::vector<std::vector<size_t>>& sets =
-        source.redundancy.column_sets();
-    out.by_set_[k].resize(sets.size() + 1);
-    for (size_t si = 0; si <= sets.size(); ++si) {
-      std::vector<size_t> dk_cols;
-      std::vector<size_t> t_cols;
-      if (si == 0) {
-        dk_cols = all_dk_cols;
-        t_cols = all_t_cols;
-      } else {
-        const std::vector<size_t>& masked = sets[si - 1];
-        for (size_t p = 0; p < all_dk_cols.size(); ++p) {
-          if (!std::binary_search(masked.begin(), masked.end(),
-                                  all_t_cols[p])) {
-            dk_cols.push_back(all_dk_cols[p]);
-            t_cols.push_back(all_t_cols[p]);
-          }
-        }
-      }
-      std::vector<double>& partial = out.by_set_[k][si];
-      partial.assign(dk.rows(), 0.0);
-      out.cached_values_ += dk.rows();
-      common::ParallelFor(
-          0, dk.rows(), kUniqueGrain, [&](size_t r_begin, size_t r_end) {
-            for (size_t r = r_begin; r < r_end; ++r) {
-              partial[r] = PairDot(dk.RowPtr(r), dk_cols, t_cols,
-                                   target_weights.data(), 1, 0);
-            }
-          });
-    }
+  out.rows_ = rows();
+  out.num_sources_ = plans_.size();
+  out.slots_ = slots_.data();
+  out.partials_.resize(total_slots_);
+  for (size_t k = 0; k < plans_.size(); ++k) {
+    SlotProducts<1>(k, target_weights.data(), 1,
+                    out.partials_.data() + plans_[k].first_slot);
   }
   return out;
 }

@@ -80,39 +80,37 @@ double FactorizedFeatures::GradientStep(const la::DenseMatrix& w,
   StepBuffers& b = step_;
   if (b.padded_weights.rows() != table_->cols()) {  // this view's first step
     b.padded_weights = la::DenseMatrix(table_->cols(), 1);
-    b.predictions = la::DenseMatrix(rows(), 1);
     b.target_gradient = la::DenseMatrix(table_->cols(), 1);
   }
   if (gradient->rows() != cols() || gradient->cols() != 1) {
     *gradient = la::DenseMatrix(cols(), 1);
   }
   PadInto(w, &b.padded_weights);
-  table_->LeftMultiplyInto(b.padded_weights, &b.predictions, &b.scratch);
 
-  // Residuals in place, loss summed rows ascending — the order and the
-  // per-row terms of MeanSquaredError / LogLoss and Subtract.
-  double* residual = b.predictions.data();
+  // Each row's residual and loss term, as MeanSquaredError / LogLoss and
+  // Subtract form them; the walk sums the terms rows ascending.
   const double* labels = y.data();
-  const size_t n = rows();
-  double acc = 0.0;
-  if (loss == Loss::kLogistic) {
-    for (size_t i = 0; i < n; ++i) {
-      const double p = Sigmoid(residual[i]);
-      acc -= LogLossTerm(p, labels[i]);
-      residual[i] = p - labels[i];
-    }
-  } else {
-    for (size_t i = 0; i < n; ++i) {
-      const double d = residual[i] - labels[i];
-      acc += d * d;
-      residual[i] = d;
-    }
-  }
-
-  table_->TransposeLeftMultiplyInto(b.predictions, &b.target_gradient,
-                                    &b.scratch);
+  const double total =
+      loss == Loss::kLogistic
+          ? table_->GradientStepInto(
+                b.padded_weights,
+                [labels](size_t i, double prediction, double* acc) {
+                  const double p = Sigmoid(prediction);
+                  *acc -= LogLossTerm(p, labels[i]);
+                  return p - labels[i];
+                },
+                &b.target_gradient, &b.walk)
+          : table_->GradientStepInto(
+                b.padded_weights,
+                [labels](size_t i, double prediction, double* acc) {
+                  const double d = prediction - labels[i];
+                  *acc += d * d;
+                  return d;
+                },
+                &b.target_gradient, &b.walk);
   DropLabelRowInto(b.target_gradient, gradient);
-  return n == 0 ? 0.0 : acc / static_cast<double>(n);
+  const size_t n = rows();
+  return n == 0 ? 0.0 : total / static_cast<double>(n);
 }
 
 la::DenseMatrix FactorizedFeatures::RowSquaredNorms() const {

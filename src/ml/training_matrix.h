@@ -108,11 +108,16 @@ class FactorizedFeatures : public TrainingMatrix {
   la::DenseMatrix RowSquaredNorms() const override;
   la::DenseMatrix ColSums() const override;
 
-  /// The default step's arithmetic in one pass over reused buffers: pad `w`
-  /// to target space, run the LMM kernel into the prediction buffer, turn
-  /// predictions into residuals while summing the loss (rows ascending, as
-  /// the metrics do), run the transpose kernel, drop the label row. Sized on
-  /// the first call; no allocation of the view's size after it.
+  /// The default step's arithmetic in one serial walk over the target rows
+  /// (`FactorizedTable::GradientStepInto`): pad `w` to target space; per
+  /// row, form the prediction from the sources' partial scores, the
+  /// residual and the loss term (rows ascending, as the metrics sum them),
+  /// and add the residual into each source's per-slot sums; then multiply
+  /// the sums out and drop the label row. One pass instead of an LMM, a
+  /// residual pass and a TLMM: the fact rows are read once per step. The
+  /// walk is serial at any thread count because its accumulators fix the
+  /// order that makes it bitwise-equal to the default step. Sized on the
+  /// first call; no allocation of the view's size after it.
   double GradientStep(const la::DenseMatrix& w, const la::DenseMatrix& y,
                       Loss loss, la::DenseMatrix* gradient) const override;
 
@@ -134,9 +139,9 @@ class FactorizedFeatures : public TrainingMatrix {
   /// `GradientStep`'s reused buffers.
   struct StepBuffers {
     la::DenseMatrix padded_weights;   // cT × 1, label row 0
-    la::DenseMatrix predictions;      // rT × 1, then the residuals
     la::DenseMatrix target_gradient;  // cT × 1
-    std::vector<double> scratch;      // the kernels' unique-row products
+    /// The walk's partial scores, per-slot sums and accumulators.
+    factorized::FactorizedTable::StepScratch walk;
   };
 
   std::shared_ptr<const factorized::FactorizedTable> table_;

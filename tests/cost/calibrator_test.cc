@@ -11,6 +11,7 @@
 #include <cstdlib>
 #include <fstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "cost/calibrator.h"
@@ -243,6 +244,41 @@ TEST(CalibratorTest, LoadRejectsMissingAndMalformedFiles) {
   }
   EXPECT_EQ(LoadCalibrationFile(incomplete).status().code(),
             StatusCode::kInvalidArgument);
+}
+
+TEST(CalibratorTest, ObservationsUsedMustBeAnExactCount) {
+  const std::string path = TempPath("observations_used_calibration.json");
+  const auto write = [&](const char* used) {
+    std::ofstream out(path, std::ios::trunc);
+    out << "{\"flop_cost\": 1e-9, \"factorized_cell_cost\": 1.0, "
+           "\"materialize_cell_cost\": 1e-8, \"factorized_row_overhead\": 0, "
+           "\"observations_used\": "
+        << used << "}\n";
+  };
+  for (const char* used : {"1e300", "1e20", "2.5", "-3", "9007199254740994",
+                           "1e400", "-1e400", "\"14\""}) {
+    SCOPED_TRACE(used);
+    write(used);
+    const Result<Calibration> loaded = LoadCalibrationFile(path);
+    EXPECT_EQ(loaded.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(loaded.status().ToString().find("observations_used"),
+              std::string::npos)
+        << loaded.status();
+    // Planning falls back to the defaults and says why.
+    const Calibration resolved = ResolveCalibration({}, path);
+    EXPECT_FALSE(resolved.calibrated);
+    EXPECT_NE(resolved.source.find("observations_used"), std::string::npos)
+        << resolved.source;
+  }
+  for (const auto& [used, count] :
+       {std::pair<const char*, size_t>{"0", 0}, {"14", 14},
+        {"9007199254740992", size_t{1} << 53}}) {
+    SCOPED_TRACE(used);
+    write(used);
+    const Result<Calibration> loaded = LoadCalibrationFile(path);
+    ASSERT_TRUE(loaded.ok()) << loaded.status();
+    EXPECT_EQ(loaded->observations_used, count);
+  }
 }
 
 TEST(CalibratorTest, ResolveCalibrationPrecedence) {

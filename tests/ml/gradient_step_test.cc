@@ -1,7 +1,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstring>
+#include <limits>
 #include <map>
 #include <memory>
 #include <set>
@@ -30,10 +32,12 @@
 /// fixtures: pairs of every Table I relationship (with shared columns, so
 /// some rows carry masked redundancy sets, and with duplicated keys, so the
 /// base fans out), one-to-one pairs, snowflakes, conformed snowflakes whose
-/// inner edge drops fact rows, unions of stars, and one target without rows. Between them
-/// they give classes with and without fan-out. The same integrations check
-/// the kernels against expand-and-gather reference arithmetic and the cost
-/// model's `compute_cells` against a map-of-sets count.
+/// inner edge drops fact rows, unions of stars, one target without rows,
+/// and pairs whose cells hold zeros of both signs, subnormals, ±inf and
+/// NaN. Between them they give classes with and without fan-out. The same
+/// integrations check the kernels against expand-and-gather reference
+/// arithmetic and the cost model's `compute_cells` against a map-of-sets
+/// count.
 
 namespace amalur {
 namespace ml {
@@ -160,6 +164,109 @@ bool HasRowInTwoClasses(const metadata::SourceMetadata& source,
 
 constexpr char kSharedColumnStar[] = "star, two dimensions share a column";
 
+/// The NaN the hardware makes for 0 · inf, computed at run time so that no
+/// constant folding picks another bit pattern.
+double HardwareNaN() {
+  volatile double zero = 0.0;
+  return zero * std::numeric_limits<double>::infinity();
+}
+
+/// A left-joined pair whose cells hold exact zeros of both signs,
+/// subnormals, ±inf and NaN, and whose label column holds a −0.0 (row 1).
+/// Base rows 0 and 2, and the other silo's row they reference, hold only
+/// ±0.0 cells. Every other base row carries one feature: x0 (even rows, and
+/// every row that references the other silo's row of +inf) or x1 (odd
+/// rows), the other cell being ±0.0. The non-finite cells sit on x0 rows
+/// only, so at finite weights they make residuals, and then training,
+/// diverge while x1's gradient stays finite; at an infinite x0 weight the
+/// x1 rows' predictions stay finite. Both are where skipping zero cells
+/// decides a result: 0 · inf is NaN, a skipped cell adds nothing. With
+/// `one_to_one` every base row matches its own other row, so the second
+/// source's class has no fan-out; otherwise base rows share other rows.
+///
+/// A NaN cell holds the NaN that 0 · inf and inf − inf produce, so every NaN
+/// a step meets has one bit pattern. Which payload a sum of two different
+/// NaNs keeps is left open by IEEE 754 and decided by the operand order the
+/// compiler emits, which C++ lets it swap; with one pattern the bitwise
+/// comparisons test the arithmetic, not that choice.
+metadata::DiMetadata SpecialValuePair(Rng* rng, bool one_to_one) {
+  const size_t base_rows = Draw(rng, 20, 60);
+  const size_t other_rows = one_to_one ? base_rows : Draw(rng, 4, 12);
+  const double inf = std::numeric_limits<double>::infinity();
+  const double subnormal = std::numeric_limits<double>::denorm_min();
+  const size_t zero_row = 0;              // the other silo's ±0.0 row
+  const size_t inf_row = other_rows - 1;  // its row holding +inf
+  std::vector<int64_t> base_keys(base_rows), other_keys(other_rows);
+  for (size_t i = 0; i < base_rows; ++i) {
+    base_keys[i] = static_cast<int64_t>(
+        one_to_one ? i : Draw(rng, 0, other_rows - 1));
+  }
+  if (!one_to_one) base_keys[0] = base_keys[2] = zero_row;
+  for (size_t r = 0; r < other_rows; ++r) {
+    other_keys[r] = static_cast<int64_t>(r);
+  }
+
+  std::vector<double> y(base_rows), x0(base_rows), x1(base_rows);
+  size_t last_x1_row = 0;
+  for (size_t i = 0; i < base_rows; ++i) {
+    y[i] = rng->NextGaussian();
+    const double zero = i % 4 < 2 ? 0.0 : -0.0;
+    const bool x1_row =
+        i % 2 == 1 && static_cast<size_t>(base_keys[i]) != inf_row;
+    x0[i] = x1_row ? zero : rng->NextGaussian();
+    x1[i] = x1_row ? rng->NextGaussian() : -zero;
+    if (x1_row) last_x1_row = i;
+  }
+  y[1] = -0.0;
+  for (size_t i : {size_t{0}, size_t{2}}) {
+    x0[i] = 0.0;
+    x1[i] = -0.0;
+  }
+  x0[4] = inf;
+  x0[6] = -inf;
+  x0[8] = HardwareNaN();
+  x0[10] = -2.5e-310;
+  if (last_x1_row != 0) x1[last_x1_row] = subnormal;
+
+  std::vector<double> a0(other_rows), a1(other_rows);
+  for (size_t r = 0; r < other_rows; ++r) {
+    a0[r] = rng->NextGaussian();
+    a1[r] = rng->NextGaussian();
+  }
+  a0[zero_row] = -0.0;
+  a1[zero_row] = 0.0;
+  if (one_to_one) {
+    a0[2] = 0.0;
+    a1[2] = -0.0;
+  }
+  a0[inf_row] = subnormal;
+  a1[inf_row] = inf;
+
+  rel::Table base("base"), other("other");
+  AMALUR_CHECK_OK(base.AddColumn(rel::Column::FromInt64s("k", base_keys)));
+  AMALUR_CHECK_OK(base.AddColumn(rel::Column::FromDoubles("y", y)));
+  AMALUR_CHECK_OK(base.AddColumn(rel::Column::FromDoubles("x0", x0)));
+  AMALUR_CHECK_OK(base.AddColumn(rel::Column::FromDoubles("x1", x1)));
+  AMALUR_CHECK_OK(other.AddColumn(rel::Column::FromInt64s("k", other_keys)));
+  AMALUR_CHECK_OK(other.AddColumn(rel::Column::FromDoubles("a0", a0)));
+  AMALUR_CHECK_OK(other.AddColumn(rel::Column::FromDoubles("a1", a1)));
+  auto mapping = integration::SchemaMapping::Create(
+      rel::JoinKind::kLeftJoin,
+      {{"base", base.schema(), {{"y", "y"}, {"x0", "x0"}, {"x1", "x1"}}},
+       {"other", other.schema(), {{"a0", "a0"}, {"a1", "a1"}}}},
+      rel::Schema::AllDouble({"y", "x0", "x1", "a0", "a1"}),
+      {{0, "k", 1, "k"}});
+  AMALUR_CHECK(mapping.ok()) << mapping.status();
+  auto matching = rel::MatchRowsOnKeys(base, other, {"k"}, {"k"});
+  AMALUR_CHECK(matching.ok()) << matching.status();
+  return Unwrap(metadata::DiMetadata::DeriveGraph(
+      *mapping, {&base, &other}, {{0, 1, rel::JoinKind::kLeftJoin}},
+      {*matching}));
+}
+
+constexpr char kSpecialValuePair[] = "pair of special values";
+constexpr char kSpecialValueOneToOne[] = "one-to-one pair of special values";
+
 /// Random integrations of every fixture shape, `draws` of each.
 std::vector<Integration> DrawIntegrations(uint64_t seed, size_t draws) {
   Rng rng(seed);
@@ -256,6 +363,10 @@ std::vector<Integration> DrawIntegrations(uint64_t seed, size_t draws) {
   out.push_back({"pair inner join, no key matches",
                  Unwrap(factorized::DerivePairMetadata(
                      rel::GenerateSiloPair(empty)))});
+  for (size_t d = 0; d < draws; ++d) {
+    out.push_back({kSpecialValuePair, SpecialValuePair(&rng, false)});
+    out.push_back({kSpecialValueOneToOne, SpecialValuePair(&rng, true)});
+  }
   return out;
 }
 
@@ -344,8 +455,8 @@ TEST(GradientStepTest, StepAtRandomWeightsIsBitwiseTheDefaultStep) {
 /// Reference arithmetic of the rewrite kernels: per redundancy class (set id
 /// ascending), one product row per unique source row (first appearance),
 /// expanded to the class's target rows (LMM); X's rows gathered per unique
-/// source row, then multiply-added into the target columns (TLMM). Classes
-/// the kernels read in place must give these bits.
+/// source row, then multiply-added into the target columns (TLMM). The
+/// kernels' per-slot products and sums must give these bits.
 struct ReferenceClass {
   std::vector<size_t> unique_rows;
   std::vector<size_t> target_rows;
@@ -443,9 +554,10 @@ la::DenseMatrix ReferenceTransposeLeftMultiply(
 }
 
 TEST(GradientStepTest, KernelsMatchTheExpandAndGatherReference) {
-  // Both kernels read a class without fan-out in place; the sums must stay
-  // the ones the unique-row buffers produced, for vectors (the step's n = 1)
-  // and for wider X, with zeros of both signs among the inputs.
+  // Both kernels go through per-slot products and sums (0.0 + x for a class
+  // without fan-out); the sums must equal the expand-and-gather reference,
+  // for vectors (the step's n = 1) and for wider X, with zeros of both signs
+  // among the inputs.
   Rng rng(1805);
   for (const Integration& integration : DrawIntegrations(1806, 2)) {
     SCOPED_TRACE(integration.name);
@@ -511,6 +623,100 @@ TEST(GradientStepTest, SharedColumnStarPutsASourceRowInTwoClasses) {
       EXPECT_TRUE(HasRowInTwoClasses(integration.metadata.source(2),
                                      integration.metadata.target_rows()))
           << "seed " << seed;
+    }
+  }
+}
+
+/// The special-value fixtures of the draws the tests above use.
+std::vector<Integration> SpecialValuePairs() {
+  std::vector<Integration> out;
+  for (const auto& [seed, draws] :
+       {std::pair<uint64_t, size_t>{1801, 2}, {1803, 1}}) {
+    for (Integration& integration : DrawIntegrations(seed, draws)) {
+      if (integration.name == kSpecialValuePair ||
+          integration.name == kSpecialValueOneToOne) {
+        out.push_back(std::move(integration));
+      }
+    }
+  }
+  return out;
+}
+
+TEST(GradientStepTest, SpecialValuePairsDivergeAndHoldZeroRows) {
+  // The fixtures guard the zero-cell skips and the signed-zero argument of
+  // the fused step only while they hold a −0.0 label cell and rows of only
+  // ±0.0 feature cells, diverge at random weights with x1's gradient still
+  // finite, and (one to one) give the second source a class without
+  // fan-out.
+  Rng rng(1807);
+  for (const Integration& integration : SpecialValuePairs()) {
+    SCOPED_TRACE(integration.name);
+    const metadata::DiMetadata& metadata = integration.metadata;
+    const size_t label = LabelColumn(metadata);
+    const int64_t label_cell = metadata.source(0).mapping.At(label);
+    ASSERT_GE(label_cell, 0);
+    const double y1 =
+        metadata.source(0).data.At(1, static_cast<size_t>(label_cell));
+    EXPECT_TRUE(std::signbit(y1) && y1 == 0.0) << "label cell " << y1;
+
+    auto table = std::make_shared<factorized::FactorizedTable>(metadata);
+    const la::DenseMatrix dense = table->Materialize();
+    bool zero_row = false;
+    for (size_t i = 0; i < dense.rows() && !zero_row; ++i) {
+      zero_row = true;
+      for (size_t j = 0; j < dense.cols(); ++j) {
+        if (j != label && dense.At(i, j) != 0.0) zero_row = false;
+      }
+    }
+    EXPECT_TRUE(zero_row) << "no row of only ±0.0 feature cells";
+
+    const FactorizedFeatures features(table, label);
+    const la::DenseMatrix w =
+        la::DenseMatrix::RandomGaussian(features.cols(), 1, &rng);
+    la::DenseMatrix gradient;
+    features.GradientStep(w, features.Labels(), Loss::kSquared, &gradient);
+    bool diverged = false;
+    for (size_t j = 0; j < gradient.rows(); ++j) {
+      diverged = diverged || !std::isfinite(gradient.At(j, 0));
+    }
+    EXPECT_TRUE(diverged) << "the step's gradient stayed finite";
+    const auto x1 = metadata.target_schema().IndexOf("x1");
+    ASSERT_TRUE(x1.has_value());
+    EXPECT_TRUE(std::isfinite(gradient.At(*x1 - (*x1 > label ? 1 : 0), 0)))
+        << "x1's gradient";
+    if (integration.name == kSpecialValueOneToOne) {
+      EXPECT_EQ(metadata.source(1).data.rows(), metadata.target_rows());
+    }
+  }
+}
+
+TEST(GradientStepTest, StepAtAnInfiniteWeightIsBitwiseTheDefaultStep) {
+  // A non-finite weight is the other case where skipping a zero cell
+  // decides a prediction: the x1 rows, whose x0 cell is ±0.0, keep finite
+  // predictions, and x1's gradient reads only them.
+  Rng rng(1808);
+  for (const Integration& integration : SpecialValuePairs()) {
+    SCOPED_TRACE(integration.name);
+    const metadata::DiMetadata& metadata = integration.metadata;
+    const size_t label = LabelColumn(metadata);
+    auto table = std::make_shared<factorized::FactorizedTable>(metadata);
+    const FactorizedFeatures features(table, label);
+    const Forwarding reference(features);
+    const la::DenseMatrix labels = features.Labels();
+    const size_t x0 = *metadata.target_schema().IndexOf("x0");
+    for (double weight : {std::numeric_limits<double>::infinity(),
+                          -std::numeric_limits<double>::infinity()}) {
+      la::DenseMatrix w =
+          la::DenseMatrix::RandomGaussian(features.cols(), 1, &rng);
+      w.At(x0 - (x0 > label ? 1 : 0), 0) = weight;
+      la::DenseMatrix fused, unfused;
+      const double fused_loss =
+          features.GradientStep(w, labels, Loss::kSquared, &fused);
+      const double unfused_loss =
+          reference.GradientStep(w, labels, Loss::kSquared, &unfused);
+      EXPECT_TRUE(BitEqual({fused_loss}, {unfused_loss}))
+          << fused_loss << " vs " << unfused_loss;
+      EXPECT_TRUE(BitEqual(fused, unfused)) << "x0 weight " << weight;
     }
   }
 }
