@@ -2,7 +2,6 @@
 
 #include <memory>
 #include <set>
-#include <unordered_set>
 
 #include "common/status.h"
 #include "common/string_util.h"
@@ -11,6 +10,7 @@
 #include "ml/linear_models.h"
 #include "ml/metrics.h"
 #include "ml/training_matrix.h"
+#include "relational/row_index.h"
 
 namespace amalur {
 namespace core {
@@ -21,16 +21,16 @@ bool IsNumeric(const rel::Column& column) {
   return column.type() != rel::DataType::kString;
 }
 
+/// Stops at the first repeat; the index grows with the rows it has seen.
 bool AllValuesDistinct(const rel::Column& column) {
-  auto hash = [&column](size_t row) { return column.CellHash(row); };
-  auto equal = [&column](size_t a, size_t b) {
-    return column.CellsEqual(a, b);
-  };
-  std::unordered_set<size_t, decltype(hash), decltype(equal)> seen(
-      column.size(), hash, equal);
+  rel::RowIndex seen;
   for (size_t i = 0; i < column.size(); ++i) {
     if (column.IsNull(i)) continue;
-    if (!seen.insert(i).second) return false;
+    const size_t first = seen.FindOrInsert(
+        column.CellHash(i), i,
+        [&column](size_t row) { return column.CellHash(row); },
+        [&](size_t row) { return column.CellsEqual(row, i); });
+    if (first != i) return false;
   }
   return true;
 }

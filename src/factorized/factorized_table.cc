@@ -302,6 +302,36 @@ void FactorizedTable::FinishStep(const StepWalk& walk,
   }
 }
 
+la::DenseMatrix FactorizedTable::TargetColumn(size_t j) const {
+  AMALUR_CHECK_LT(j, cols()) << "target column";
+  // Per slot whose class keeps column j: its D_k cell.
+  std::vector<const double*> cells(total_slots_, nullptr);
+  for (size_t k = 0; k < plans_.size(); ++k) {
+    const la::DenseMatrix& dk = metadata_.source(k).data;
+    for (const RowClassPlan& cls : plans_[k].classes) {
+      const auto pair = std::find(cls.t_cols.begin(), cls.t_cols.end(), j);
+      if (pair == cls.t_cols.end()) continue;
+      const size_t col = cls.dk_cols[pair - cls.t_cols.begin()];
+      const size_t first = plans_[k].first_slot + cls.first_slot;
+      for (size_t u = 0; u < cls.unique_source_rows.size(); ++u) {
+        cells[first + u] = dk.RowPtr(cls.unique_source_rows[u]) + col;
+      }
+    }
+  }
+  la::DenseMatrix out(rows(), 1);
+  const size_t num_sources = plans_.size();
+  for (size_t i = 0; i < rows(); ++i) {
+    const metadata::RowId* row_slots = slots_.data() + i * num_sources;
+    for (size_t k = 0; k < num_sources; ++k) {
+      if (row_slots[k] != kNoSlot && cells[row_slots[k]] != nullptr) {
+        out.At(i, 0) = *cells[row_slots[k]];
+        break;
+      }
+    }
+  }
+  return out;
+}
+
 la::DenseMatrix FactorizedTable::ColSums() const {
   la::DenseMatrix out(1, cols());
   // Fan-out multiplies each slot's contribution by its target rows.

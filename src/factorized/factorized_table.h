@@ -168,6 +168,13 @@ class FactorizedTable {
   double GradientStepInto(const la::DenseMatrix& w, RowLoss row_loss,
                           la::DenseMatrix* out, StepScratch* scratch) const;
 
+  /// Target column `j` (rT × 1), gathered through the slot index: row i
+  /// holds the D_k cell of the one source whose class at row i keeps column
+  /// j, bit for bit, or +0.0 where no source does. Unlike an LMM against a
+  /// one-hot selector, no other cell is multiplied, so a row's ±inf or NaN
+  /// cells elsewhere leave it alone, and a −0.0 cell stays −0.0.
+  la::DenseMatrix TargetColumn(size_t j) const;
+
   /// Column sums Tᵀ·1 as (1 × cT).
   la::DenseMatrix ColSums() const;
 

@@ -6,11 +6,11 @@
 #include <cstdint>
 #include <cstdlib>
 #include <string_view>
-#include <unordered_set>
 #include <utility>
 
 #include "common/status.h"
 #include "common/string_util.h"
+#include "relational/row_index.h"
 
 namespace amalur {
 namespace integration {
@@ -487,8 +487,14 @@ Result<rel::RowMatching> ResolveEntities(
   return matching;
 }
 
-std::vector<size_t> DeduplicateRows(const rel::Table& table,
-                                    const std::vector<size_t>& columns) {
+namespace {
+
+/// Calls `visit(row, first)` for every row, rows ascending, where `first` is
+/// the lowest row with cells equal to `row`'s in every column (`row` itself
+/// when it is NULL in all of them).
+template <typename Visit>
+void ForEachFirstEqualRow(const rel::Table& table,
+                          const std::vector<size_t>& columns, Visit visit) {
   const size_t rows = table.NumRows();
   std::vector<uint64_t> row_hash(rows, 0);
   std::vector<uint8_t> all_null(rows, 1);
@@ -499,34 +505,42 @@ std::vector<size_t> DeduplicateRows(const rel::Table& table,
       all_null[row] &= column.IsNull(row) ? 1 : 0;
     }
   }
-  auto hash = [&row_hash](size_t row) { return row_hash[row]; };
-  auto equal = [&](size_t a, size_t b) {
-    for (size_t c : columns) {
-      if (!table.column(c).CellsEqual(a, b)) return false;
-    }
-    return true;
-  };
-  std::unordered_set<size_t, decltype(hash), decltype(equal)> first_seen(
-      rows, hash, equal);
-  std::vector<size_t> cluster(rows);
+  rel::RowIndex first_seen(rows);
+  const auto hash_of = [&row_hash](size_t row) { return row_hash[row]; };
   for (size_t row = 0; row < rows; ++row) {
     if (all_null[row]) {
-      cluster[row] = row;  // no evidence of duplication
+      visit(row, row);  // no evidence of duplication
       continue;
     }
-    cluster[row] = *first_seen.insert(row).first;
+    visit(row, first_seen.FindOrInsert(
+                   row_hash[row], row, hash_of, [&](size_t seen) {
+                     for (size_t c : columns) {
+                       if (!table.column(c).CellsEqual(seen, row)) {
+                         return false;
+                       }
+                     }
+                     return true;
+                   }));
   }
+}
+
+}  // namespace
+
+std::vector<size_t> DeduplicateRows(const rel::Table& table,
+                                    const std::vector<size_t>& columns) {
+  std::vector<size_t> cluster(table.NumRows());
+  ForEachFirstEqualRow(table, columns,
+                       [&](size_t row, size_t first) { cluster[row] = first; });
   return cluster;
 }
 
 double DuplicateRatio(const rel::Table& table,
                       const std::vector<size_t>& columns) {
   if (table.NumRows() == 0) return 0.0;
-  const std::vector<size_t> clusters = DeduplicateRows(table, columns);
   size_t duplicates = 0;
-  for (size_t row = 0; row < clusters.size(); ++row) {
-    duplicates += clusters[row] != row ? 1 : 0;
-  }
+  ForEachFirstEqualRow(table, columns, [&](size_t row, size_t first) {
+    duplicates += first != row ? 1 : 0;
+  });
   return static_cast<double>(duplicates) / static_cast<double>(table.NumRows());
 }
 

@@ -50,7 +50,7 @@ Status BuildColumns(const integration::SchemaMapping& mapping, size_t k,
 /// ones), so callers must list the retained/base sources first.
 Status FillSources(const integration::SchemaMapping& mapping,
                    const std::vector<const rel::Table*>& tables,
-                   const std::vector<std::vector<int64_t>>& ci,
+                   std::vector<std::vector<int64_t>> ci,
                    std::vector<SourceMetadata>* sources) {
   const size_t n_sources = tables.size();
   std::vector<CompressedMapping> mappings;
@@ -63,20 +63,25 @@ Status FillSources(const integration::SchemaMapping& mapping,
     AMALUR_RETURN_NOT_OK(BuildColumns(mapping, k, *tables[k], &data[k],
                                       &names[k], &cm, &schema_cols[k]));
     mappings.emplace_back(std::move(cm), data[k].cols());
-    indicators.emplace_back(ci[k], data[k].rows());
+    indicators.emplace_back(std::move(ci[k]), data[k].rows());
+  }
+  std::vector<RedundancyMask> masks;
+  masks.reserve(n_sources);
+  for (size_t k = 0; k < n_sources; ++k) {
+    masks.push_back(RedundancyMask::Derive(k, indicators, mappings));
   }
   for (size_t k = 0; k < n_sources; ++k) {
-    SourceMetadata source{
+    const rel::Table& table = *tables[k];
+    sources->push_back({
         mapping.source(k).name,
         std::move(data[k]),
         std::move(names[k]),
-        mappings[k],
-        indicators[k],
-        RedundancyMask::Derive(k, indicators, mappings),
-        tables[k]->Project(schema_cols[k]).NullRatio(),
-        integration::DuplicateRatio(*tables[k], schema_cols[k]),
-    };
-    sources->push_back(std::move(source));
+        std::move(mappings[k]),
+        std::move(indicators[k]),
+        std::move(masks[k]),
+        table.NullRatio(schema_cols[k]),
+        integration::DuplicateRatio(table, schema_cols[k]),
+    });
   }
   return Status::OK();
 }
@@ -307,7 +312,8 @@ Result<DiMetadata> DiMetadata::DeriveGraph(
       if (edge.kind == rel::JoinKind::kUnion) continue;
       const size_t parent_rows = tables[edge.parent]->NumRows();
       const size_t child_rows = tables[c]->NumRows();
-      // Child rows per parent row, in matching order (CSR layout).
+      // Child rows per parent row, in matching order (CSR layout): count
+      // into first[r + 1], sum, fill with first[r] as the cursor, shift back.
       std::vector<size_t> first(parent_rows + 1, 0);
       for (const auto& [parent_row, child_row] : matchings[e].matched) {
         if (parent_row >= parent_rows || child_row >= child_rows) {
@@ -317,10 +323,11 @@ Result<DiMetadata> DiMetadata::DeriveGraph(
       }
       for (size_t r = 0; r < parent_rows; ++r) first[r + 1] += first[r];
       std::vector<int64_t> children(first.back());
-      std::vector<size_t> cursor(first.begin(), first.end() - 1);
       for (const auto& [parent_row, child_row] : matchings[e].matched) {
-        children[cursor[parent_row]++] = static_cast<int64_t>(child_row);
+        children[first[parent_row]++] = static_cast<int64_t>(child_row);
       }
+      for (size_t r = parent_rows; r > 0; --r) first[r] = first[r - 1];
+      first[0] = 0;
       // `matched_by[r]`: the last parent row matching child row r.
       std::vector<size_t> matched_by(child_rows, parent_rows);
       bool fans_out = false;
@@ -423,7 +430,8 @@ Result<DiMetadata> DiMetadata::DeriveGraph(
   }
   metadata.shard_offsets_ = offsets;
 
-  AMALUR_RETURN_NOT_OK(FillSources(mapping, tables, ci, &metadata.sources_));
+  AMALUR_RETURN_NOT_OK(
+      FillSources(mapping, tables, std::move(ci), &metadata.sources_));
   return metadata;
 }
 

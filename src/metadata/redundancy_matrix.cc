@@ -9,8 +9,7 @@ namespace amalur {
 namespace metadata {
 
 RedundancyMask RedundancyMask::AllOnes(size_t target_rows, size_t target_cols) {
-  return RedundancyMask(target_cols,
-                        std::vector<int32_t>(target_rows, -1), {});
+  return RedundancyMask(target_rows, target_cols, {}, {});
 }
 
 RedundancyMask RedundancyMask::Derive(
@@ -28,11 +27,15 @@ RedundancyMask RedundancyMask::Derive(
 
   // Per earlier source: its mapped target columns intersected with ours.
   std::vector<std::vector<size_t>> earlier_overlap(k);
+  bool overlaps = false;
   for (size_t e = 0; e < k; ++e) {
     for (size_t col : mappings[e].MappedTargetColumns()) {
       if (mine[col]) earlier_overlap[e].push_back(col);
     }
+    overlaps |= !earlier_overlap[e].empty();
   }
+  // No shared target column: no row has anything masked.
+  if (!overlaps) return AllOnes(target_rows, target_cols);
 
   // Per target row: union of overlapping columns over the earlier sources
   // that contribute to the row; interned.
@@ -53,13 +56,13 @@ RedundancyMask RedundancyMask::Derive(
     if (inserted) column_sets.push_back(key);
     row_set_id[i] = it->second;
   }
-  return RedundancyMask(target_cols, std::move(row_set_id),
+  return RedundancyMask(target_rows, target_cols, std::move(row_set_id),
                         std::move(column_sets));
 }
 
 bool RedundancyMask::IsRedundant(size_t i, size_t j) const {
-  AMALUR_CHECK(i < row_set_id_.size() && j < target_cols_) << "R index";
-  const int32_t set_id = row_set_id_[i];
+  AMALUR_CHECK(i < target_rows_ && j < target_cols_) << "R index";
+  const int32_t set_id = row_set(i);
   if (set_id < 0) return false;
   const auto& cols = column_sets_[static_cast<size_t>(set_id)];
   return std::binary_search(cols.begin(), cols.end(), j);

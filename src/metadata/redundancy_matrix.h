@@ -17,7 +17,8 @@
 ///
 /// The matrix is never stored densely: per target row we keep an id into a
 /// small interned family of "masked target column" sets (the overlap between
-/// this source's mapped columns and the union of earlier covering sources).
+/// this source's mapped columns and the union of earlier covering sources);
+/// an all-ones mask, such as the base table's, keeps no per-row ids at all.
 /// The factorized rewrites group rows by this id to apply the Hadamard step
 /// without materializing T_k.
 
@@ -36,7 +37,7 @@ class RedundancyMask {
                                const std::vector<CompressedIndicator>& indicators,
                                const std::vector<CompressedMapping>& mappings);
 
-  size_t target_rows() const { return row_set_id_.size(); }
+  size_t target_rows() const { return target_rows_; }
   size_t target_cols() const { return target_cols_; }
 
   /// True iff R_k[i, j] == 0.
@@ -51,8 +52,8 @@ class RedundancyMask {
   /// Id of the masked-column set of target row i, or -1 when row i is all
   /// ones (nothing redundant in it).
   int32_t row_set(size_t i) const {
-    AMALUR_CHECK_LT(i, row_set_id_.size()) << "row index";
-    return row_set_id_[i];
+    AMALUR_CHECK_LT(i, target_rows_) << "row index";
+    return row_set_id_.empty() ? -1 : row_set_id_[i];
   }
 
   /// The interned masked-column sets (sorted target column indices). A row
@@ -70,14 +71,18 @@ class RedundancyMask {
   std::string ToString() const;
 
  private:
-  RedundancyMask(size_t target_cols, std::vector<int32_t> row_set_id,
+  RedundancyMask(size_t target_rows, size_t target_cols,
+                 std::vector<int32_t> row_set_id,
                  std::vector<std::vector<size_t>> column_sets)
-      : target_cols_(target_cols),
+      : target_rows_(target_rows),
+        target_cols_(target_cols),
         row_set_id_(std::move(row_set_id)),
         column_sets_(std::move(column_sets)) {}
 
+  size_t target_rows_ = 0;
   size_t target_cols_ = 0;
-  /// Per target row: index into column_sets_, or -1 for an all-ones row.
+  /// Per target row: index into column_sets_, or -1 for an all-ones row;
+  /// empty when every row is all ones.
   std::vector<int32_t> row_set_id_;
   /// Interned masked-column sets (sorted target column indices, non-empty).
   std::vector<std::vector<size_t>> column_sets_;

@@ -134,9 +134,7 @@ la::DenseMatrix FactorizedFeatures::ColSums() const {
 }
 
 la::DenseMatrix FactorizedFeatures::Labels() const {
-  la::DenseMatrix selector(table_->cols(), 1);
-  selector.At(label_column_, 0) = 1.0;
-  return table_->LeftMultiply(selector);
+  return table_->TargetColumn(label_column_);
 }
 
 }  // namespace ml

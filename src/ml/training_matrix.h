@@ -121,7 +121,8 @@ class FactorizedFeatures : public TrainingMatrix {
   double GradientStep(const la::DenseMatrix& w, const la::DenseMatrix& y,
                       Loss loss, la::DenseMatrix* gradient) const override;
 
-  /// The label column as a dense rows×1 vector (one cheap factorized LMM).
+  /// The label column as a dense rows×1 vector: each row's label cell,
+  /// gathered through the table's slot index (`TargetColumn`).
   la::DenseMatrix Labels() const;
 
   const factorized::FactorizedTable& table() const { return *table_; }

@@ -1,8 +1,11 @@
 #include "relational/column.h"
 
+#include <charconv>
 #include <cmath>
+#include <cstdio>
 #include <cstring>
 #include <functional>
+#include <system_error>
 
 namespace amalur {
 namespace rel {
@@ -22,16 +25,56 @@ uint64_t RenderedBits(double v) {
 /// Hash of a NULL int64 or double cell.
 constexpr uint64_t kNullHash = 0x9E3779B97F4A7C15ULL;
 
-/// splitmix64 finalizer: spreads int64 and double bits over the hash.
-uint64_t Mix(uint64_t x) {
-  x ^= x >> 30;
-  x *= 0xBF58476D1CE4E5B9ULL;
-  x ^= x >> 27;
-  x *= 0x94D049BB133111EBULL;
-  return x ^ (x >> 31);
+/// Whether `s` is `std::to_string` of an int64: an optional '-', then
+/// digits without a leading zero ("0" alone, never "-0").
+bool ParseIntegerRendering(std::string_view s, int64_t* v) {
+  const size_t sign = !s.empty() && s[0] == '-' ? 1 : 0;
+  if (s.size() == sign || (s[sign] == '0' && s.size() > 1)) return false;
+  const char* end = s.data() + s.size();
+  const auto [ptr, ec] = std::from_chars(s.data(), end, *v);
+  return ec == std::errc() && ptr == end;
+}
+
+/// Whether `s` is `%.17g` of a double: parsed, then printed again.
+bool ParseDoubleRendering(std::string_view s, double* v) {
+  char printed[32];  // a rendering takes at most 24 characters
+  if (s.empty() || s.size() >= sizeof(printed)) return false;
+  const char first = s[0] == '-' && s.size() > 1 ? s[1] : s[0];
+  if (!(first >= '0' && first <= '9') && first != 'i' && first != 'n') {
+    return false;
+  }
+  const char* end = s.data() + s.size();
+  const auto [ptr, ec] = std::from_chars(s.data(), end, *v);
+  if (ec != std::errc() || ptr != end) return false;
+  std::snprintf(printed, sizeof(printed), "%.17g", *v);
+  return s == printed;
 }
 
 }  // namespace
+
+/// `%.17g` prints an integral double below 1e17 in magnitude without an
+/// exponent, digit for digit as `std::to_string` prints the int64 of its
+/// value; −0.0 prints "-0", which no int64 does. Every other double prints
+/// as no int64 and as no other double, NaNs of one sign aside.
+CellKey Column::DoubleKey(double v) {
+  if (std::fabs(v) < 1e17 && std::trunc(v) == v &&
+      !(v == 0.0 && std::signbit(v))) {
+    return {CellKey::Kind::kInteger,
+            static_cast<uint64_t>(static_cast<int64_t>(v)), {}};
+  }
+  return {CellKey::Kind::kDouble, RenderedBits(v), {}};
+}
+
+/// A string is the key of the number it renders exactly, else its bytes.
+CellKey Column::StringKey(std::string_view s) {
+  int64_t integer = 0;
+  if (ParseIntegerRendering(s, &integer)) {
+    return {CellKey::Kind::kInteger, static_cast<uint64_t>(integer), {}};
+  }
+  double number = 0.0;
+  if (ParseDoubleRendering(s, &number)) return DoubleKey(number);
+  return {CellKey::Kind::kString, 0, s};
+}
 
 Column Column::Nulls(std::string name, DataType type, size_t rows) {
   Column col(std::move(name), type);
@@ -172,8 +215,8 @@ size_t Column::CellHash(size_t row) const {
     return std::hash<std::string_view>{}(RenderedString(row));
   }
   if (validity_[row] == 0) return kNullHash;
-  return Mix(type_ == DataType::kInt64 ? static_cast<uint64_t>(ints_[row])
-                                       : RenderedBits(doubles_[row]));
+  return MixBits(type_ == DataType::kInt64 ? static_cast<uint64_t>(ints_[row])
+                                           : RenderedBits(doubles_[row]));
 }
 
 bool Column::CellsEqual(size_t row, size_t other_row) const {
@@ -187,6 +230,23 @@ bool Column::CellsEqual(size_t row, size_t other_row) const {
   if (!present || !other_present) return present == other_present;
   if (type_ == DataType::kInt64) return ints_[row] == ints_[other_row];
   return RenderedBits(doubles_[row]) == RenderedBits(doubles_[other_row]);
+}
+
+void Column::CopyDoubles(double null_substitute, double* out,
+                         size_t stride) const {
+  AMALUR_CHECK(type_ != DataType::kString)
+      << "CopyDoubles on string column " << name_;
+  const size_t rows = size();
+  if (type_ == DataType::kInt64) {
+    for (size_t i = 0; i < rows; ++i) {
+      out[i * stride] =
+          validity_[i] != 0 ? static_cast<double>(ints_[i]) : null_substitute;
+    }
+  } else {
+    for (size_t i = 0; i < rows; ++i) {
+      out[i * stride] = validity_[i] != 0 ? doubles_[i] : null_substitute;
+    }
+  }
 }
 
 Column Column::Gather(const std::vector<size_t>& rows) const {

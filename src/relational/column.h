@@ -1,6 +1,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -11,10 +12,44 @@
 /// \file column.h
 /// Typed columnar storage. One vector of the physical type plus a validity
 /// byte-vector (1 = present). Cell-level `Value` boxing only happens at API
-/// boundaries; bulk paths (`ToMatrix`, joins) read the typed vectors directly.
+/// boundaries; the bulk paths read the typed vectors directly:
+/// `Table::ToMatrix` (through `CopyDoubles`), `MatchRowsOnKeys` (through
+/// `Key`), and `DeduplicateRows` and the facade's key discovery (through
+/// `CellHash`/`CellsEqual`).
 
 namespace amalur {
 namespace rel {
+
+/// splitmix64's finalizer: spreads int64 and double bits over a hash.
+inline uint64_t MixBits(uint64_t x) {
+  x ^= x >> 30;
+  x *= 0xBF58476D1CE4E5B9ULL;
+  x ^= x >> 27;
+  x *= 0x94D049BB133111EBULL;
+  return x ^ (x >> 31);
+}
+
+/// A cell as a join key: one canonical form per `Value::ToString()`
+/// rendering, so two cells of any types are equal keys exactly when they
+/// render equally (see `Column::Key`).
+struct CellKey {
+  enum class Kind : uint8_t { kNull, kInteger, kDouble, kString };
+  Kind kind = Kind::kNull;
+  /// kInteger: the int64 value; kDouble: the bits, with one NaN per sign.
+  uint64_t bits = 0;
+  /// kString: the cell's bytes (a view into its column).
+  std::string_view text;
+
+  bool operator==(const CellKey& other) const {
+    return kind == other.kind &&
+           (kind == Kind::kString ? text == other.text : bits == other.bits);
+  }
+  /// Equal keys hash equally.
+  uint64_t Hash() const {
+    return kind == Kind::kString ? std::hash<std::string_view>{}(text)
+                                 : MixBits(bits);
+  }
+};
 
 /// A single named, typed, nullable column.
 class Column {
@@ -80,6 +115,29 @@ class Column {
   size_t CellHash(size_t row) const;
   bool CellsEqual(size_t row, size_t other_row) const;
 
+  /// The cell's join key, comparable across columns of any types. Keys are
+  /// equal exactly when the renderings are, and a NULL is a `kNull` key
+  /// (which no caller matches):
+  ///  - an int64 n is the integer key n, and so is a double equal to n that
+  ///    is integral, below 1e17 in magnitude (what `%.17g` prints without an
+  ///    exponent) and not −0.0;
+  ///  - any other double is a double key of its bits, NaNs of one sign equal;
+  ///  - a string is the key of the number it renders exactly ("1", "2.5",
+  ///    "-0", "1e+17", "nan"), else a string key of its bytes ("01", "1.0").
+  CellKey Key(size_t row) const {
+    AMALUR_CHECK_LT(row, size()) << "Key out of range";
+    if (validity_[row] == 0) return {};
+    if (type_ == DataType::kInt64) {
+      return {CellKey::Kind::kInteger, static_cast<uint64_t>(ints_[row]), {}};
+    }
+    return type_ == DataType::kDouble ? DoubleKey(doubles_[row])
+                                      : StringKey(strings_[row]);
+  }
+
+  /// Writes the cells as doubles to out[i · stride], NULL as
+  /// `null_substitute`; only valid for int64/double columns.
+  void CopyDoubles(double null_substitute, double* out, size_t stride) const;
+
   /// New column with the given rows, in the given order; `kNullRow` emits NULL.
   static constexpr size_t kNullRow = static_cast<size_t>(-1);
   Column Gather(const std::vector<size_t>& rows) const;
@@ -91,6 +149,10 @@ class Column {
     return validity_[row] != 0 ? std::string_view(strings_[row])
                                : std::string_view();
   }
+
+  /// `Key` of a present double or string cell.
+  static CellKey DoubleKey(double v);
+  static CellKey StringKey(std::string_view s);
 
   std::string name_;
   DataType type_;

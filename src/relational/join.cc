@@ -1,9 +1,7 @@
 #include "relational/join.h"
 
-#include <cstring>
-#include <unordered_map>
-
 #include "common/status.h"
+#include "relational/row_index.h"
 
 namespace amalur {
 namespace rel {
@@ -24,29 +22,34 @@ const char* JoinKindToString(JoinKind kind) {
 
 namespace {
 
-/// Key of one row over the key columns; empty optional when any key cell is
-/// NULL (SQL semantics: NULL keys never match). Cells compare by their
-/// `Value::ToString()` renderings, so an int64 1 and a double 1.0 (both "1")
-/// match. A one-column key is the rendering itself; a composite key puts
-/// each rendering behind its byte length, so no two cell sequences share a
-/// key, whatever bytes the cells hold.
-std::optional<std::string> RowKey(const Table& table,
-                                  const std::vector<size_t>& key_columns,
-                                  size_t row) {
-  std::string key;
-  for (size_t c : key_columns) {
-    const Value v = table.column(c).GetValue(row);
-    if (v.is_null()) return std::nullopt;
-    std::string cell = v.ToString();
-    if (key_columns.size() == 1) return cell;
-    const size_t length = cell.size();
-    char prefix[sizeof(length)];
-    std::memcpy(prefix, &length, sizeof(length));
-    key.append(prefix, sizeof(prefix));
-    key += cell;
+/// One side's key columns.
+struct KeyColumns {
+  std::vector<const Column*> columns;
+
+  /// The 64-bit hash of row `row`'s key cells; false when a key cell is
+  /// NULL (SQL semantics: NULL keys never match).
+  bool Hash(size_t row, uint64_t* hash) const {
+    uint64_t h = 0;
+    for (const Column* column : columns) {
+      const CellKey key = column->Key(row);
+      if (key.kind == CellKey::Kind::kNull) return false;
+      h = h * 0x100000001B3ULL + key.Hash();
+    }
+    *hash = h;
+    return true;
   }
-  return key;
-}
+
+  /// Whether row `row` here and row `other_row` of `other` have equal keys.
+  /// Keys are recomputed rather than stored: a key costs a load or two.
+  bool Equal(size_t row, const KeyColumns& other, size_t other_row) const {
+    for (size_t c = 0; c < columns.size(); ++c) {
+      if (!(columns[c]->Key(row) == other.columns[c]->Key(other_row))) {
+        return false;
+      }
+    }
+    return true;
+  }
+};
 
 Result<std::vector<size_t>> ResolveColumns(const Table& table,
                                            const std::vector<std::string>& names) {
@@ -72,28 +75,49 @@ Result<RowMatching> MatchRowsOnKeys(const Table& left, const Table& right,
   AMALUR_ASSIGN_OR_RETURN(std::vector<size_t> right_cols,
                           ResolveColumns(right, right_keys));
 
-  std::unordered_map<std::string, std::vector<size_t>> right_index;
-  right_index.reserve(right.NumRows());
-  for (size_t r = 0; r < right.NumRows(); ++r) {
-    auto key = RowKey(right, right_cols, r);
-    if (key.has_value()) right_index[*key].push_back(r);
+  KeyColumns left_key, right_key;
+  for (size_t c : left_cols) left_key.columns.push_back(&left.column(c));
+  for (size_t c : right_cols) right_key.columns.push_back(&right.column(c));
+
+  // The right rows by key; rows of one key chain in ascending order from
+  // the first, which the index holds.
+  const size_t right_rows = right.NumRows();
+  RowIndex index(right_rows);
+  std::vector<uint64_t> right_hash(right_rows);
+  std::vector<size_t> next(right_rows, RowIndex::kNone);
+  std::vector<size_t> last(right_rows);  // a chain's last row, at its first
+  const auto hash_of = [&right_hash](size_t r) { return right_hash[r]; };
+  for (size_t r = 0; r < right_rows; ++r) {
+    if (!right_key.Hash(r, &right_hash[r])) continue;
+    const size_t first =
+        index.FindOrInsert(right_hash[r], r, hash_of, [&](size_t seen) {
+          return right_key.Equal(r, right_key, seen);
+        });
+    if (first != r) next[last[first]] = r;
+    last[first] = r;
   }
 
   RowMatching matching;
-  std::vector<uint8_t> right_hit(right.NumRows(), 0);
+  matching.matched.reserve(left.NumRows());
+  std::vector<uint8_t> right_hit(right_rows, 0);
+  uint64_t hash = 0;
   for (size_t l = 0; l < left.NumRows(); ++l) {
-    auto key = RowKey(left, left_cols, l);
-    auto it = key.has_value() ? right_index.find(*key) : right_index.end();
-    if (it == right_index.end()) {
+    size_t r = left_key.Hash(l, &hash)
+                   ? index.Find(hash, hash_of,
+                                [&](size_t seen) {
+                                  return left_key.Equal(l, right_key, seen);
+                                })
+                   : RowIndex::kNone;
+    if (r == RowIndex::kNone) {
       matching.left_only.push_back(l);
       continue;
     }
-    for (size_t r : it->second) {
+    for (; r != RowIndex::kNone; r = next[r]) {
       matching.matched.emplace_back(l, r);
       right_hit[r] = 1;
     }
   }
-  for (size_t r = 0; r < right.NumRows(); ++r) {
+  for (size_t r = 0; r < right_rows; ++r) {
     if (!right_hit[r]) matching.right_only.push_back(r);
   }
   return matching;

@@ -42,9 +42,24 @@ struct RowMatching {
   std::vector<size_t> right_only;
 };
 
-/// Matches rows whose key columns are equal (NULL keys never match).
-/// Duplicate keys produce the full cross product of the matching groups,
-/// i.e. standard join semantics.
+/// Matches rows whose key columns are equal. Duplicate keys produce the full
+/// cross product of the matching groups, i.e. standard join semantics:
+/// pairs by left row ascending, right rows ascending within a key;
+/// `left_only` and `right_only` ascending.
+///
+/// The key rule: two key cells are equal exactly when their
+/// `Value::ToString()` renderings are, and a NULL never matches, not even
+/// another NULL. Cells are compared as typed keys (`Column::Key`), never as
+/// rendered strings:
+///  - an int64 n matches an int64 n, and a double equal to n that is
+///    integral, below 1e17 in magnitude (what `%.17g` prints without an
+///    exponent) and not −0.0; so an int64 1 matches a double 1.0;
+///  - any other double matches only a double with the same bits, NaNs of
+///    one sign counting as equal (so 0.0 and −0.0 do not match);
+///  - a string matches a string with the same bytes, and a number only when
+///    it is exactly that number's rendering ("1" matches 1, "01" and "1.0"
+///    match no number).
+/// A composite key matches when every column does.
 Result<RowMatching> MatchRowsOnKeys(const Table& left, const Table& right,
                                     const std::vector<std::string>& left_keys,
                                     const std::vector<std::string>& right_keys);

@@ -96,11 +96,11 @@ Table Table::GatherRows(const std::vector<size_t>& rows) const {
   return Table(name_, std::move(gathered));
 }
 
-double Table::NullRatio() const {
-  const size_t cells = NumRows() * NumColumns();
+double Table::NullRatio(const std::vector<size_t>& column_indices) const {
+  const size_t cells = NumRows() * column_indices.size();
   if (cells == 0) return 0.0;
   size_t nulls = 0;
-  for (const Column& col : columns_) nulls += col.NullCount();
+  for (size_t c : column_indices) nulls += column(c).NullCount();
   return static_cast<double>(nulls) / static_cast<double>(cells);
 }
 
@@ -117,8 +117,8 @@ Result<la::DenseMatrix> Table::ToMatrix(const std::vector<size_t>& column_indice
       return Status::InvalidArgument("column '", col.name(),
                                      "' is a string column; encode it first");
     }
-    for (size_t i = 0; i < col.size(); ++i) {
-      out.At(i, j) = col.GetDouble(i, null_substitute);
+    if (out.rows() > 0) {
+      col.CopyDoubles(null_substitute, out.data() + j, out.cols());
     }
   }
   return out;

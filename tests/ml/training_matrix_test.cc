@@ -2,7 +2,16 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstdint>
+#include <cstring>
+#include <limits>
+#include <vector>
+
 #include "common/rng.h"
+#include "integration/schema_mapping.h"
+#include "metadata/di_metadata.h"
+#include "relational/join.h"
 #include "testing/scenario_builder.h"
 
 namespace amalur {
@@ -78,6 +87,77 @@ TEST(FactorizedFeaturesTest, LabelsMatchTargetColumn) {
   ASSERT_EQ(labels.rows(), t.rows());
   for (size_t i = 0; i < t.rows(); ++i) {
     EXPECT_DOUBLE_EQ(labels.At(i, 0), t.At(i, 0));
+  }
+}
+
+uint64_t Bits(double v) {
+  uint64_t bits = 0;
+  std::memcpy(&bits, &v, sizeof(bits));
+  return bits;
+}
+
+const double kInf = std::numeric_limits<double>::infinity();
+const double kNaN = std::numeric_limits<double>::quiet_NaN();
+/// The label column y of `LabeledPairWithNonFiniteCells`.
+const std::vector<double> kLabelCells = {1.5, -0.0, 2.0, -3.25, 0.0, 4.0, -0.5};
+
+/// A left-joined pair whose target is (y, x, a, b): the base holds the label
+/// y (with a −0.0 cell) and x, the other silo a and b; ±inf and NaN cells
+/// sit in x and in the other rows that base rows 0–2 and 4–5 reference, and
+/// base row 6 references no row.
+std::shared_ptr<const factorized::FactorizedTable>
+LabeledPairWithNonFiniteCells() {
+  rel::Table base("base"), other("other");
+  AMALUR_CHECK_OK(base.AddColumn(
+      rel::Column::FromInt64s("k", {0, 1, 2, 3, 0, 1, 9})));
+  AMALUR_CHECK_OK(base.AddColumn(rel::Column::FromDoubles("y", kLabelCells)));
+  AMALUR_CHECK_OK(base.AddColumn(rel::Column::FromDoubles(
+      "x", {0.5, 1.0, -2.0, 0.0, 3.0, kInf, kNaN})));
+  AMALUR_CHECK_OK(other.AddColumn(rel::Column::FromInt64s("k", {0, 1, 2, 3})));
+  AMALUR_CHECK_OK(other.AddColumn(
+      rel::Column::FromDoubles("a", {kInf, -kInf, kNaN, 1.0})));
+  AMALUR_CHECK_OK(
+      other.AddColumn(rel::Column::FromDoubles("b", {kNaN, 2.0, 0.0, -0.0})));
+  auto mapping = integration::SchemaMapping::Create(
+      rel::JoinKind::kLeftJoin,
+      {{"base", base.schema(), {{"y", "y"}, {"x", "x"}}},
+       {"other", other.schema(), {{"a", "a"}, {"b", "b"}}}},
+      rel::Schema::AllDouble({"y", "x", "a", "b"}), {{0, "k", 1, "k"}});
+  AMALUR_CHECK(mapping.ok()) << mapping.status();
+  auto matching = rel::MatchRowsOnKeys(base, other, {"k"}, {"k"});
+  AMALUR_CHECK(matching.ok()) << matching.status();
+  auto metadata = metadata::DiMetadata::DeriveGraph(
+      *mapping, {&base, &other}, {{0, 1, rel::JoinKind::kLeftJoin}},
+      {*matching});
+  AMALUR_CHECK(metadata.ok()) << metadata.status();
+  return std::make_shared<factorized::FactorizedTable>(
+      std::move(metadata).ValueOrDie());
+}
+
+TEST(FactorizedFeaturesTest, LabelsAreTheLabelCellsBitForBit) {
+  // Each row's label is its label cell. Non-finite feature cells on the row,
+  // in the base or in the row it references, must not reach it (a product
+  // with a one-hot selector makes NaN of 0 · inf), and a −0.0 label cell
+  // reads −0.0, not +0.0.
+  const la::DenseMatrix labels =
+      FactorizedFeatures(LabeledPairWithNonFiniteCells(), 0).Labels();
+  ASSERT_EQ(labels.rows(), kLabelCells.size());
+  for (size_t i = 0; i < kLabelCells.size(); ++i) {
+    EXPECT_EQ(Bits(labels.At(i, 0)), Bits(kLabelCells[i]))
+        << "row " << i << ": label " << labels.At(i, 0) << ", cell "
+        << kLabelCells[i];
+  }
+}
+
+TEST(FactorizedFeaturesTest, TargetColumnGathersCellsThroughTheSlots) {
+  // A column only the other silo holds reads its cells bit for bit, and
+  // +0.0 on the row whose key dangles.
+  const la::DenseMatrix a = LabeledPairWithNonFiniteCells()->TargetColumn(2);
+  const std::vector<double> expected = {kInf, -kInf, kNaN, 1.0,
+                                        kInf, -kInf, 0.0};
+  ASSERT_EQ(a.rows(), expected.size());
+  for (size_t i = 0; i < expected.size(); ++i) {
+    EXPECT_EQ(Bits(a.At(i, 0)), Bits(expected[i])) << "row " << i;
   }
 }
 

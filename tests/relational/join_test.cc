@@ -3,6 +3,17 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
+#include <cstdint>
+#include <cstring>
+#include <iterator>
+#include <limits>
+#include <map>
+#include <optional>
+#include <string>
+#include <vector>
+
+#include "common/rng.h"
 
 namespace amalur {
 namespace rel {
@@ -124,6 +135,144 @@ TEST(MatchRowsTest, KeysStillCompareByRendering) {
             (std::vector<std::pair<size_t, size_t>>{{0, 0}}));
   EXPECT_EQ(matching->left_only, (std::vector<size_t>{1, 2}));
   EXPECT_EQ(matching->right_only, (std::vector<size_t>{1, 2}));
+}
+
+/// `MatchRowsOnKeys` as it was defined before keys were typed: each key cell
+/// rendered through `Value::ToString()`, a composite key as each rendering
+/// behind its byte length, NULL never matching, and the right rows indexed
+/// by the rendered key.
+RowMatching RenderedReference(const Table& left, const Table& right,
+                              const std::vector<size_t>& left_cols,
+                              const std::vector<size_t>& right_cols) {
+  const auto row_key = [](const Table& table, const std::vector<size_t>& cols,
+                          size_t row) -> std::optional<std::string> {
+    std::string key;
+    for (size_t c : cols) {
+      const Value v = table.column(c).GetValue(row);
+      if (v.is_null()) return std::nullopt;
+      std::string cell = v.ToString();
+      if (cols.size() == 1) return cell;
+      const size_t length = cell.size();
+      char prefix[sizeof(length)];
+      std::memcpy(prefix, &length, sizeof(length));
+      key.append(prefix, sizeof(prefix));
+      key += cell;
+    }
+    return key;
+  };
+  std::map<std::string, std::vector<size_t>> right_index;
+  for (size_t r = 0; r < right.NumRows(); ++r) {
+    auto key = row_key(right, right_cols, r);
+    if (key.has_value()) right_index[*key].push_back(r);
+  }
+  RowMatching matching;
+  std::vector<uint8_t> right_hit(right.NumRows(), 0);
+  for (size_t l = 0; l < left.NumRows(); ++l) {
+    auto key = row_key(left, left_cols, l);
+    auto it = key.has_value() ? right_index.find(*key) : right_index.end();
+    if (it == right_index.end()) {
+      matching.left_only.push_back(l);
+      continue;
+    }
+    for (size_t r : it->second) {
+      matching.matched.emplace_back(l, r);
+      right_hit[r] = 1;
+    }
+  }
+  for (size_t r = 0; r < right.NumRows(); ++r) {
+    if (!right_hit[r]) matching.right_only.push_back(r);
+  }
+  return matching;
+}
+
+/// A random key column of `type` whose cells come from small pools that
+/// meet at the rendering rule's edges: NULLs, zeros of both signs, NaNs of
+/// both signs, ±inf, subnormals, integral doubles at and around 2^53 and
+/// ±1e17, the int64 extremes, and strings that look like numbers.
+Column RandomKeyColumn(const std::string& name, DataType type, size_t rows,
+                       Rng* rng) {
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double two53 = 9007199254740992.0;
+  static const int64_t kInts[] = {
+      0, 1, -1, 2, 7, 12345,
+      std::numeric_limits<int64_t>::min(), std::numeric_limits<int64_t>::max(),
+      9007199254740992, 9007199254740993, 9007199254740991,
+      99999999999999984, 99999999999999999, 100000000000000000,
+      -100000000000000000, -99999999999999984};
+  const double kDoubles[] = {
+      0.0, -0.0, nan, -nan, inf, -inf,
+      std::numeric_limits<double>::denorm_min(),
+      -std::numeric_limits<double>::denorm_min(),
+      1.0, -1.0, 2.0, 2.5, 7.0, 12345.0, 0.1,
+      two53, two53 + 2.0, two53 - 1.0, 1e16,
+      1e17, std::nextafter(1e17, 0.0), std::nextafter(1e17, inf),
+      -1e17, std::nextafter(-1e17, 0.0),
+      9223372036854775808.0, -9223372036854775808.0};
+  static const char* const kStrings[] = {
+      "1", "01", "-0", "0", "-1", "2", "1.0", "2.5", "7", "12345", "0.1",
+      "0.10000000000000001", "1e+17", "1e17", "100000000000000000",
+      "99999999999999984", "9007199254740993", "9007199254740992",
+      "nan", "-nan", "inf", "-inf", "4.9406564584124654e-324",
+      "9223372036854775807", "-9223372036854775808", "9223372036854775808",
+      "1e+16", "10000000000000000", "abc", "", " 1"};
+  Column column(name, type);
+  for (size_t i = 0; i < rows; ++i) {
+    if (rng->NextUint64(8) == 0) {
+      column.AppendNull();
+      continue;
+    }
+    switch (type) {
+      case DataType::kInt64:
+        column.AppendInt64(kInts[rng->NextUint64(std::size(kInts))]);
+        break;
+      case DataType::kDouble:
+        column.AppendDouble(kDoubles[rng->NextUint64(std::size(kDoubles))]);
+        break;
+      case DataType::kString:
+        column.AppendString(kStrings[rng->NextUint64(std::size(kStrings))]);
+        break;
+    }
+  }
+  return column;
+}
+
+TEST(MatchRowsTest, TypedKeysMatchRenderedKeysOnRandomTables) {
+  const DataType kTypes[] = {DataType::kInt64, DataType::kDouble,
+                             DataType::kString};
+  Rng rng(2525);
+  size_t pairs = 0;
+  size_t cross_type_pairs = 0;
+  for (int trial = 0; trial < 3000; ++trial) {
+    const size_t width = 1 + rng.NextUint64(2);
+    const size_t left_rows = 1 + rng.NextUint64(30);
+    const size_t right_rows = 1 + rng.NextUint64(30);
+    Table left("L"), right("R");
+    std::vector<std::string> names;
+    std::vector<size_t> cols;
+    bool cross_type = false;
+    for (size_t c = 0; c < width; ++c) {
+      names.push_back("k" + std::to_string(c));
+      cols.push_back(c);
+      const DataType left_type = kTypes[rng.NextUint64(3)];
+      const DataType right_type = kTypes[rng.NextUint64(3)];
+      cross_type |= left_type != right_type;
+      AMALUR_CHECK_OK(left.AddColumn(
+          RandomKeyColumn(names.back(), left_type, left_rows, &rng)));
+      AMALUR_CHECK_OK(right.AddColumn(
+          RandomKeyColumn(names.back(), right_type, right_rows, &rng)));
+    }
+    auto matching = MatchRowsOnKeys(left, right, names, names);
+    ASSERT_TRUE(matching.ok()) << matching.status();
+    const RowMatching expected = RenderedReference(left, right, cols, cols);
+    ASSERT_EQ(matching->matched, expected.matched) << "trial " << trial;
+    ASSERT_EQ(matching->left_only, expected.left_only) << "trial " << trial;
+    ASSERT_EQ(matching->right_only, expected.right_only) << "trial " << trial;
+    pairs += expected.matched.size();
+    cross_type_pairs += cross_type ? expected.matched.size() : 0;
+  }
+  EXPECT_GT(pairs, 5000u);  // the comparison is not vacuous
+  EXPECT_GT(cross_type_pairs, 1000u);
 }
 
 TEST(MatchRowsTest, RejectsBadKeyLists) {

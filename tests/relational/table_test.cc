@@ -212,7 +212,9 @@ TEST(TableTest, NullRatio) {
   b.AppendNull();
   b.AppendNull();
   AMALUR_CHECK_OK(t.AddColumn(std::move(b)));
-  EXPECT_DOUBLE_EQ(t.NullRatio(), 0.75);
+  EXPECT_DOUBLE_EQ(t.NullRatio({0, 1}), 0.75);
+  EXPECT_DOUBLE_EQ(t.NullRatio({1}), 1.0);
+  EXPECT_DOUBLE_EQ(t.NullRatio({}), 0.0);
 }
 
 }  // namespace

@@ -21,10 +21,14 @@ the reason is mandatory — a bare NOLINT is itself a finding):
                        nondeterministic benchmark cannot feed the cost-model
                        calibration.
   unordered-iteration  Kernel hot paths (src/la, src/factorized, src/ml,
-                       src/metadata) must not iterate unordered containers:
-                       iteration order is unspecified, so a reduction fed by
-                       it breaks the bitwise-determinism contract. Lookups
-                       are fine; iterate a sorted structure instead.
+                       src/metadata) and the integrate path (src/relational,
+                       src/integration) must not iterate unordered
+                       containers: iteration order is unspecified, so a
+                       reduction or an output list fed by it breaks the
+                       bitwise-determinism contract (every row matching,
+                       cluster and entity pair feeds the facade replay's
+                       bitwise check). Lookups are fine; iterate a sorted
+                       structure instead.
   test-registration    Every .cc under tests/ must be named *_test.cc and
                        live exactly at tests/<suite>/<file>.cc — the CMake
                        suite glob is one level deep and non-recursive, so a
@@ -60,7 +64,8 @@ from cpp_source import nolint_rules as shared_nolint_rules
 from cpp_source import strip_comments  # noqa: F401  (re-exported for tests)
 from findings import Finding, github_mode, report
 
-KERNEL_DIRS = ("src/la", "src/factorized", "src/ml", "src/metadata")
+KERNEL_DIRS = ("src/la", "src/factorized", "src/ml", "src/metadata",
+               "src/relational", "src/integration")
 RAW_MUTEX_EXEMPT = ("src/common/thread_annotations.h",)
 # Trees scanned for source rules: tests/ is exempt (tests may exercise raw
 # primitives to race the wrappers themselves), everything else is not.
@@ -133,9 +138,10 @@ def lint_source_file(root, rel, findings):
                 findings.append(Finding(
                     "unordered-iteration", rel, lineno,
                     f"iterating unordered container '{m.group(1)}' in a "
-                    "kernel hot path: iteration order is unspecified, so "
-                    "any reduction fed by it breaks bitwise determinism; "
-                    "iterate a sorted structure instead"))
+                    "kernel or integrate path: iteration order is "
+                    "unspecified, so any reduction or output fed by it "
+                    "breaks bitwise determinism; iterate a sorted structure "
+                    "instead"))
 
 
 def lint_tests_tree(root, findings):
