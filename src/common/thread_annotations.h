@@ -3,6 +3,7 @@
 #include <condition_variable>
 #include <mutex>
 #include <shared_mutex>
+#include <utility>
 
 /// \file thread_annotations.h
 /// Clang thread-safety annotations (Abseil style) plus the capability-
@@ -200,6 +201,25 @@ class CondVar {
 
  private:
   std::condition_variable cv_;
+};
+
+/// Runs a function at most once however many threads race to `Run`
+/// (`std::call_once`): every caller returns after that one run finished and
+/// sees what it wrote, so state built under it and read-only afterwards
+/// needs no lock.
+class Once {
+ public:
+  Once() = default;
+  Once(const Once&) = delete;
+  Once& operator=(const Once&) = delete;
+
+  template <typename Fn>
+  void Run(Fn&& fn) {
+    std::call_once(flag_, std::forward<Fn>(fn));
+  }
+
+ private:
+  std::once_flag flag_;
 };
 
 }  // namespace common

@@ -374,18 +374,13 @@ Result<ModelHandle> Amalur::Train(const IntegrationHandle& integration,
   model.source_names_ = integration.source_names;
   model.plan_ = plan;
   model.outcome_ = std::move(outcome);
-  // In-sample serving state: factorized plans reuse the exact view training
-  // ran over; other plans keep a metadata copy (the handle must outlive the
-  // integration) and build the view on demand — no row-class plans are
-  // built for them. The label position was validated by the executor.
+  // In-sample serving state: the integration's metadata, whose copies share
+  // one state (the handle must outlive the integration). The label
+  // position was validated by the executor.
   model.label_index_ =
       *integration.metadata.target_schema().IndexOf(request.label_column);
-  if (model.outcome_.factorized_table != nullptr) {
-    model.factorized_table_ = model.outcome_.factorized_table;
-  } else {
-    model.metadata_ =
-        std::make_shared<const metadata::DiMetadata>(integration.metadata);
-  }
+  model.metadata_ =
+      std::make_shared<const metadata::DiMetadata>(integration.metadata);
 
   if (!model_name.empty()) {
     ModelEntry entry;
@@ -454,15 +449,20 @@ la::DenseMatrix ModelHandle::PredictOver(
              : ml::PredictLinear(features, outcome_.weights);
 }
 
+std::shared_ptr<const factorized::FactorizedTable>
+ModelHandle::factorized_table() const {
+  if (metadata_ == nullptr) return nullptr;
+  return std::make_shared<const factorized::FactorizedTable>(*metadata_);
+}
+
 Result<std::shared_ptr<const factorized::FactorizedTable>>
 ModelHandle::InSampleView() const {
-  if (factorized_table_ != nullptr) return factorized_table_;
   if (metadata_ == nullptr) {
     return Status::FailedPrecondition(
         "this model handle carries no integration data; train it through "
         "Amalur::Train first");
   }
-  return std::make_shared<const factorized::FactorizedTable>(*metadata_);
+  return factorized_table();
 }
 
 Result<la::DenseMatrix> ModelHandle::Predict() const {
@@ -509,7 +509,7 @@ Result<EvaluationReport> ModelHandle::Evaluate(const rel::Table& data) const {
 Result<EvaluationReport> ModelHandle::Evaluate() const {
   AMALUR_ASSIGN_OR_RETURN(auto table, InSampleView());
   const ml::FactorizedFeatures features(std::move(table), label_index_);
-  // One cheap factorized LMM extracts the label column from the silos.
+  // The label column is gathered from the silos through the slot index.
   return MakeEvaluationReport(task_, PredictOver(features), features.Labels());
 }
 

@@ -51,13 +51,15 @@
 ///     core::Plan plan = amalur.Explain(*model);   // strategy + shape + cost
 ///
 /// Handle lifetime: `IntegrationHandle` and `ModelHandle` are self-contained
-/// value objects — they copy everything they need (derived metadata,
-/// weights, the training-time factorized view), so they remain valid across
-/// catalog mutations and even after the `Amalur` instance is destroyed.
-/// Handles stored in the catalog under a name (`IntegrationSpec::name`, the
-/// `model_name` argument of `Train`) are copies too;
-/// `Catalog::GetIntegration`/`GetModel` pointers stay valid until the
-/// catalog itself is destroyed.
+/// value objects, so they remain valid across catalog mutations and even
+/// after the `Amalur` instance is destroyed. They share one immutable copy
+/// of the derived metadata instead of copying it: every handle of one
+/// integration, and every model trained on it, holds the same
+/// `DiMetadata` state, row-slot index included, which lives as long as the
+/// last of them. Handles stored in the catalog under a name
+/// (`IntegrationSpec::name`, the `model_name` argument of `Train`) are
+/// copies too; `Catalog::GetIntegration`/`GetModel` pointers stay valid
+/// until the catalog itself is destroyed.
 
 namespace amalur {
 
@@ -179,11 +181,10 @@ class ModelHandle {
 
   /// Scores the integration's own target rows (in-sample serving, rT x 1)
   /// with the factorized LMM straight over the silo matrices, whatever plan
-  /// trained the model: factorized plans reuse the view training ran over,
-  /// materialized and federated plans build one from the metadata copy. The
-  /// target table is never built, so a privacy-constrained integration
-  /// scores too, and every row equals `serving::DeployedModel::PredictBatch`
-  /// for the same row bit for bit.
+  /// trained the model, through a view over the integration's row-slot
+  /// index. The target table is never built, so a privacy-constrained
+  /// integration scores too, and every row equals
+  /// `serving::DeployedModel::PredictBatch` for the same row bit for bit.
   Result<la::DenseMatrix> Predict() const;
 
   /// Predicts over `data` and scores against its label column (which must
@@ -207,23 +208,22 @@ class ModelHandle {
   Result<std::shared_ptr<const serving::DeployedModel>> Deploy(
       serving::ModelRegistry* registry, const std::string& name = "") const;
 
-  /// Deploy-time snapshot state, read by the serving tier: the factorized
-  /// view training ran over (factorized plans) or the derived-metadata copy
-  /// (other plans) — `Train` sets exactly one — plus the label's
-  /// target-schema position.
-  const std::shared_ptr<const factorized::FactorizedTable>& factorized_table()
-      const {
-    return factorized_table_;
-  }
+  /// Deploy-time snapshot state, read by the serving tier: the metadata of
+  /// the integration the model was trained on (shared with it, null for a
+  /// default-constructed handle), a factorized view over it, and the
+  /// label's target-schema position.
   const std::shared_ptr<const metadata::DiMetadata>& metadata() const {
     return metadata_;
   }
+  /// A view over `metadata()` and its row-slot index, whatever plan trained
+  /// the model (null for a default-constructed handle). Builds nothing
+  /// once the integration's index exists.
+  std::shared_ptr<const factorized::FactorizedTable> factorized_table() const;
   size_t label_index() const { return label_index_; }
 
   /// The factorized view that `Predict()`, `Evaluate()` and every
-  /// deployment score over: `factorized_table()`, or a view built from
-  /// `metadata()` for plans that did not train factorized. A handle that
-  /// carries neither (default-constructed) is `kFailedPrecondition`.
+  /// deployment score over: `factorized_table()`, or `kFailedPrecondition`
+  /// for a default-constructed handle.
   Result<std::shared_ptr<const factorized::FactorizedTable>> InSampleView()
       const;
 
@@ -240,11 +240,7 @@ class ModelHandle {
   std::vector<std::string> source_names_;
   Plan plan_;
   TrainOutcome outcome_;
-  /// In-sample serving state: factorized-plan models share the exact view
-  /// the executor trained over; other plans keep one copy of the derived
-  /// metadata (no row-class plans built) and build the view on demand.
-  /// Exactly one of the two is set by `Train`.
-  std::shared_ptr<const factorized::FactorizedTable> factorized_table_;
+  /// In-sample serving state: the integration's metadata, shared with it.
   std::shared_ptr<const metadata::DiMetadata> metadata_;
   size_t label_index_ = 0;
 };

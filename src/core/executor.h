@@ -1,13 +1,11 @@
 #pragma once
 
-#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
 
 #include "common/status.h"
 #include "core/optimizer.h"
-#include "factorized/factorized_table.h"
 #include "federated/hfl.h"
 #include "federated/vfl.h"
 #include "metadata/di_metadata.h"
@@ -73,7 +71,10 @@ struct TrainOutcome {
   /// model (horizontal) are re-ordered to target columns.
   la::DenseMatrix weights;
   std::vector<double> loss_history;
-  /// Wall-clock of the training run (excludes metadata derivation).
+  /// Wall-clock of the training run. It excludes metadata derivation and
+  /// the integration's one-time row-slot index build, which a factorized
+  /// run does before the clock starts unless the cost estimate already
+  /// did.
   double seconds = 0.0;
   /// Bytes moved between parties (federated runs only).
   size_t bytes_transferred = 0;
@@ -87,11 +88,6 @@ struct TrainOutcome {
   /// the pool's capacity. Chunk-geometry determinism follows the *requested*
   /// count; this field reports the execution width.
   size_t threads_used = 1;
-  /// The factorized view the training run executed over (factorized plans
-  /// only; null otherwise). `Amalur::Train` hands it to the model handle so
-  /// in-sample serving reuses the silo-pushdown path instead of
-  /// materializing features densely.
-  std::shared_ptr<const factorized::FactorizedTable> factorized_table;
 };
 
 /// Executes plans against derived metadata.

@@ -1,5 +1,6 @@
 #include "cost/calibrator.h"
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -190,10 +191,17 @@ Calibration Calibrator::CalibrateFromLog(const std::string& log_path) const {
   }
   calibration.options = *fitted;
   calibration.calibrated = true;
-  calibration.observations_used = contents->observations.size();
+  // Count what `Fit` consumed: it drops unusable observations.
+  const std::vector<Observation>& read = contents->observations;
+  calibration.observations_used =
+      static_cast<size_t>(std::count_if(read.begin(), read.end(), Usable));
+  const size_t dropped = read.size() - calibration.observations_used;
   std::ostringstream source;
   source << "fitted from " << calibration.observations_used
          << " observations in '" << log_path << "'";
+  if (dropped > 0) {
+    source << " (" << dropped << " unusable observations dropped)";
+  }
   if (calibration.observations_skipped > 0) {
     source << " (" << calibration.observations_skipped
            << " corrupt lines skipped)";

@@ -44,8 +44,10 @@ struct Calibration {
   size_t observations_used = 0;
   /// Corrupt log lines skipped while reading (diagnostics only).
   size_t observations_skipped = 0;
-  /// Human-readable provenance: "fitted from N observations in '<path>'" or
-  /// "analytic defaults (<why the fit fell back>)".
+  /// Human-readable provenance: "fitted from N observations in '<path>'"
+  /// (plus how many unusable observations the fit dropped and corrupt lines
+  /// the read skipped, if any) or "analytic defaults (<why the fit fell
+  /// back>)".
   std::string source = "analytic defaults";
 };
 

@@ -25,35 +25,21 @@ CostFeatures CostFeatures::FromMetadata(const metadata::DiMetadata& metadata) {
   features.shared_dimensions = metadata.num_shared_dimensions();
   features.target_rows = metadata.target_rows();
   features.target_cols = metadata.target_cols();
+  const metadata::RowSlotIndex& index = metadata.slot_index();
   for (size_t k = 0; k < metadata.num_sources(); ++k) {
     const metadata::SourceMetadata& s = metadata.source(k);
+    const metadata::SourceSlots& slots = index.sources[k];
     SourceFeatures sf;
     sf.rows = s.data.rows();
     sf.cols = s.data.cols();
-    sf.contributed_rows = s.indicator.ContributedRows();
+    sf.contributed_rows = slots.covered_rows;
     sf.redundant_cells = s.redundancy.RedundantCellCount();
     sf.null_ratio = s.null_ratio;
     sf.duplicate_ratio = s.duplicate_ratio;
-    // Group rows as the factorized planner does and count each class's
-    // distinct source rows (the fan-out-deduplicated compute cells): a
-    // source row is new to class c while its stamp is not c + 1.
-    const size_t mapped_cols = s.mapping.MappedTargetColumns().size();
-    const std::vector<int64_t>& indicator = s.indicator.values();
-    const std::vector<std::vector<metadata::RowId>> classes =
-        metadata::RowClassTargets(s);
-    std::vector<size_t> stamp(s.data.rows(), 0);
-    for (size_t c = 0; c < classes.size(); ++c) {
-      size_t unique_rows = 0;
-      for (metadata::RowId i : classes[c]) {
-        size_t& row_stamp = stamp[static_cast<size_t>(indicator[i])];
-        if (row_stamp != c + 1) {
-          row_stamp = c + 1;
-          ++unique_rows;
-        }
-      }
-      const size_t masked =
-          c == 0 ? 0 : s.redundancy.column_sets()[c - 1].size();
-      sf.compute_cells += unique_rows * (mapped_cols - masked);
+    // The fan-out-deduplicated compute cells: per row class of the
+    // integration's row-slot index, distinct source rows × allowed pairs.
+    for (const metadata::SlotClass& cls : slots.classes) {
+      sf.compute_cells += cls.unique_source_rows.size() * cls.dk_cols.size();
     }
     features.sources.push_back(sf);
   }

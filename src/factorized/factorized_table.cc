@@ -36,79 +36,22 @@ double PairDot(const double* d_row, const std::vector<size_t>& dk_cols,
 }  // namespace
 
 FactorizedTable::FactorizedTable(metadata::DiMetadata metadata)
+    : FactorizedTable(std::move(metadata), /*ignore_redundancy=*/false) {}
+
+FactorizedTable::FactorizedTable(metadata::DiMetadata metadata,
+                                 bool ignore_redundancy)
     : metadata_(std::move(metadata)) {
-  BuildPlans(/*ignore_redundancy=*/false);
-}
-
-void FactorizedTable::BuildPlans(bool ignore_redundancy) {
-  const size_t num_sources = metadata_.num_sources();
-  plans_.clear();
-  plans_.resize(num_sources);
-  slots_.assign(rows() * num_sources, kNoSlot);
-  total_slots_ = 0;
-  first_source_in_place_ = false;
-  std::vector<metadata::RowId> seen;  // D_k row -> its slot in the class
-  for (size_t k = 0; k < num_sources; ++k) {
-    const metadata::SourceMetadata& source = metadata_.source(k);
-    const std::vector<int64_t>& indicator = source.indicator.values();
-    SourcePlan& plan = plans_[k];
-    plan.first_slot = total_slots_;
-
-    // Mapped (D_k column, target column) pairs in D_k order.
-    std::vector<size_t> all_dk_cols;
-    std::vector<size_t> all_t_cols;
-    for (size_t c = 0; c < source.mapping.target_cols(); ++c) {
-      const int64_t j = source.mapping.At(c);
-      if (j >= 0) {
-        all_dk_cols.push_back(static_cast<size_t>(j));
-        all_t_cols.push_back(c);
-      }
-    }
-
-    const std::vector<std::vector<metadata::RowId>> classes =
-        metadata::RowClassTargets(source, ignore_redundancy);
-    seen.assign(source.data.rows(), kNoSlot);
-    size_t covered_rows = 0;
-    for (size_t c = 0; c < classes.size(); ++c) {
-      if (classes[c].empty()) continue;
-      RowClassPlan cls;
-      cls.first_slot = plan.num_slots;
-      // Allowed column pairs: the full set minus the class's masked columns.
-      const std::vector<size_t>* masked =
-          c == 0 ? nullptr : &source.redundancy.column_sets()[c - 1];
-      for (size_t p = 0; p < all_dk_cols.size(); ++p) {
-        if (masked == nullptr || !std::binary_search(masked->begin(),
-                                                     masked->end(),
-                                                     all_t_cols[p])) {
-          cls.dk_cols.push_back(all_dk_cols[p]);
-          cls.t_cols.push_back(all_t_cols[p]);
-        }
-      }
-      // Slots in order of first appearance: `seen` is kNoSlot outside the
-      // class being built.
-      cls.unique_source_rows.reserve(
-          std::min(classes[c].size(), source.data.rows()));
-      for (metadata::RowId i : classes[c]) {
-        const auto row = static_cast<metadata::RowId>(indicator[i]);
-        metadata::RowId& slot = seen[row];
-        if (slot == kNoSlot) {
-          slot = static_cast<metadata::RowId>(plan.num_slots++);
-          cls.unique_source_rows.push_back(row);
-        }
-        slots_[i * num_sources + k] =
-            static_cast<metadata::RowId>(plan.first_slot + slot);
-      }
-      for (metadata::RowId row : cls.unique_source_rows) seen[row] = kNoSlot;
-      covered_rows += classes[c].size();
-      plan.classes.push_back(std::move(cls));
-    }
-    total_slots_ += plan.num_slots;
-    AMALUR_CHECK(total_slots_ < kNoSlot) << "slots are numbered with 32 bits";
-    if (k == 0) {
-      first_source_in_place_ =
-          plan.classes.size() == 1 && plan.num_slots == covered_rows;
-    }
+  if (ignore_redundancy) {
+    own_index_ = std::make_shared<const metadata::RowSlotIndex>(
+        metadata::BuildRowSlotIndex(metadata_, /*ignore_redundancy=*/true));
+    index_ = own_index_.get();
+  } else {
+    index_ = &metadata_.slot_index();
   }
+  const std::vector<metadata::SourceSlots>& sources = index_->sources;
+  first_source_in_place_ = !sources.empty() &&
+                           sources[0].classes.size() == 1 &&
+                           sources[0].num_slots == sources[0].covered_rows;
 }
 
 template <size_t kCols>
@@ -116,7 +59,7 @@ void FactorizedTable::SlotProducts(size_t k, const double* x, size_t n,
                                    double* products) const {
   if (kCols != 0) n = kCols;
   const la::DenseMatrix& dk = metadata_.source(k).data;
-  for (const RowClassPlan& cls : plans_[k].classes) {
+  for (const metadata::SlotClass& cls : plans()[k].classes) {
     // Parallel over slots — each chunk writes disjoint product rows.
     common::ParallelFor(
         0, cls.unique_source_rows.size(), kUniqueGrain,
@@ -140,7 +83,7 @@ void FactorizedTable::AddTransposeProducts(size_t k, const double* sums,
   const double* d = metadata_.source(k).data.data();
   const size_t stride = metadata_.source(k).data.cols();
   double* out_data = out->data();
-  for (const RowClassPlan& cls : plans_[k].classes) {
+  for (const metadata::SlotClass& cls : plans()[k].classes) {
     const metadata::RowId* unique = cls.unique_source_rows.data();
     const size_t num_unique = cls.unique_source_rows.size();
     const double* class_sums = sums + cls.first_slot * n;
@@ -174,7 +117,7 @@ void FactorizedTable::AddTransposeProducts(size_t k, const double* sums,
 la::DenseMatrix FactorizedTable::LeftMultiply(const la::DenseMatrix& x) const {
   AMALUR_CHECK_EQ(x.rows(), cols()) << "LMM: X must have cT rows";
   la::DenseMatrix out(rows(), x.cols());
-  std::vector<double> products(total_slots_ * x.cols());
+  std::vector<double> products(index_->total_slots * x.cols());
   if (x.cols() == 1) {
     LeftMultiplyKernel<1>(x, &out, products.data());
   } else {
@@ -188,16 +131,17 @@ void FactorizedTable::LeftMultiplyKernel(const la::DenseMatrix& x,
                                          la::DenseMatrix* out,
                                          double* products) const {
   const size_t n = kCols != 0 ? kCols : x.cols();
-  const size_t num_sources = plans_.size();
+  const size_t num_sources = plans().size();
   for (size_t k = 0; k < num_sources; ++k) {
-    SlotProducts<kCols>(k, x.data(), n, products + plans_[k].first_slot * n);
+    SlotProducts<kCols>(k, x.data(), n, products + plans()[k].first_slot * n);
   }
   // Expand through the slot index: each row adds its slots' products,
   // sources ascending. Parallel over row chunks — disjoint `out` rows.
   common::ParallelFor(
       0, rows(), kExpandGrain, [&](size_t r_begin, size_t r_end) {
         for (size_t i = r_begin; i < r_end; ++i) {
-          const metadata::RowId* row_slots = slots_.data() + i * num_sources;
+          const metadata::RowId* row_slots =
+              index_->slots.data() + i * num_sources;
           double* out_row = out->RowPtr(i);
           for (size_t k = 0; k < num_sources; ++k) {
             if (row_slots[k] == kNoSlot) continue;
@@ -212,7 +156,7 @@ la::DenseMatrix FactorizedTable::TransposeLeftMultiply(
     const la::DenseMatrix& x) const {
   AMALUR_CHECK_EQ(x.rows(), rows()) << "TᵀX: X must have rT rows";
   la::DenseMatrix out(cols(), x.cols());
-  std::vector<double> sums(total_slots_ * x.cols(), 0.0);
+  std::vector<double> sums(index_->total_slots * x.cols(), 0.0);
   if (x.cols() == 1) {
     TransposeLeftMultiplyKernel<1>(x, &out, sums.data());
   } else {
@@ -226,12 +170,12 @@ void FactorizedTable::TransposeLeftMultiplyKernel(const la::DenseMatrix& x,
                                                   la::DenseMatrix* out,
                                                   double* sums) const {
   const size_t n = kCols != 0 ? kCols : x.cols();
-  const size_t num_sources = plans_.size();
+  const size_t num_sources = plans().size();
   // Reduce X over fan-out first (the Iᵀ step): every slot's sum adds its
   // rows ascending from +0.0. Serial, so the order holds at any thread
   // count.
   for (size_t i = 0; i < rows(); ++i) {
-    const metadata::RowId* row_slots = slots_.data() + i * num_sources;
+    const metadata::RowId* row_slots = index_->slots.data() + i * num_sources;
     const double* x_row = x.RowPtr(i);
     for (size_t k = 0; k < num_sources; ++k) {
       if (row_slots[k] == kNoSlot) continue;
@@ -240,7 +184,7 @@ void FactorizedTable::TransposeLeftMultiplyKernel(const la::DenseMatrix& x,
     }
   }
   for (size_t k = 0; k < num_sources; ++k) {
-    AddTransposeProducts<kCols>(k, sums + plans_[k].first_slot * n, n, out);
+    AddTransposeProducts<kCols>(k, sums + plans()[k].first_slot * n, n, out);
   }
 }
 
@@ -253,31 +197,34 @@ FactorizedTable::StepWalk FactorizedTable::BeginStep(
   StepWalk walk;
   StepScratch& s = *scratch;
   const size_t first_walked = first_source_in_place_ ? 1 : 0;
-  walk.first_slot = first_source_in_place_ ? plans_[0].num_slots : 0;
-  s.partials.resize(total_slots_ - walk.first_slot);
-  s.sums.assign(total_slots_ - walk.first_slot, 0.0);
-  for (size_t k = first_walked; k < plans_.size(); ++k) {
-    SlotProducts<1>(k, w.data(), 1,
-                    s.partials.data() + plans_[k].first_slot - walk.first_slot);
+  walk.first_slot = first_source_in_place_ ? plans()[0].num_slots : 0;
+  s.partials.resize(index_->total_slots - walk.first_slot);
+  s.sums.assign(index_->total_slots - walk.first_slot, 0.0);
+  for (size_t k = first_walked; k < plans().size(); ++k) {
+    SlotProducts<1>(
+        k, w.data(), 1,
+        s.partials.data() + plans()[k].first_slot - walk.first_slot);
   }
-  walk.slots = slots_.data() + first_walked;
-  walk.slot_stride = plans_.size();
-  walk.num_walked = plans_.size() - first_walked;
+  walk.slots = index_->slots.data() + first_walked;
+  walk.slot_stride = plans().size();
+  walk.num_walked = plans().size() - first_walked;
   walk.partials = s.partials.data();
   walk.sums = s.sums.data();
   std::fill(out->data(), out->data() + out->size(), 0.0);
 
   if (first_source_in_place_) {
-    const RowClassPlan& cls = plans_[0].classes[0];
+    const metadata::SlotClass& cls = plans()[0].classes[0];
     s.weights.resize(cls.t_cols.size());
     s.gradient.assign(cls.t_cols.size(), 0.0);
     for (size_t p = 0; p < cls.t_cols.size(); ++p) {
       s.weights[p] = w.data()[cls.t_cols[p]];
     }
     const la::DenseMatrix& d0 = metadata_.source(0).data;
+    s.zero_row.assign(d0.cols(), 0.0);
     walk.rows = metadata_.source(0).indicator.values().data();
     walk.data = d0.data();
     walk.stride = d0.cols();
+    walk.zero_row = s.zero_row.data();
     walk.dk_cols = cls.dk_cols.data();
     walk.pairs = cls.dk_cols.size();
     walk.weights = s.weights.data();
@@ -291,37 +238,37 @@ void FactorizedTable::FinishStep(const StepWalk& walk,
   // `out` is +0.0 everywhere, so source 0's accumulators are its sums.
   const size_t first_walked = first_source_in_place_ ? 1 : 0;
   if (first_source_in_place_) {
-    const RowClassPlan& cls = plans_[0].classes[0];
+    const metadata::SlotClass& cls = plans()[0].classes[0];
     for (size_t p = 0; p < cls.t_cols.size(); ++p) {
       out->data()[cls.t_cols[p]] = walk.gradient[p];
     }
   }
-  for (size_t k = first_walked; k < plans_.size(); ++k) {
+  for (size_t k = first_walked; k < plans().size(); ++k) {
     AddTransposeProducts<1>(
-        k, walk.sums + plans_[k].first_slot - walk.first_slot, 1, out);
+        k, walk.sums + plans()[k].first_slot - walk.first_slot, 1, out);
   }
 }
 
 la::DenseMatrix FactorizedTable::TargetColumn(size_t j) const {
   AMALUR_CHECK_LT(j, cols()) << "target column";
   // Per slot whose class keeps column j: its D_k cell.
-  std::vector<const double*> cells(total_slots_, nullptr);
-  for (size_t k = 0; k < plans_.size(); ++k) {
+  std::vector<const double*> cells(index_->total_slots, nullptr);
+  for (size_t k = 0; k < plans().size(); ++k) {
     const la::DenseMatrix& dk = metadata_.source(k).data;
-    for (const RowClassPlan& cls : plans_[k].classes) {
+    for (const metadata::SlotClass& cls : plans()[k].classes) {
       const auto pair = std::find(cls.t_cols.begin(), cls.t_cols.end(), j);
       if (pair == cls.t_cols.end()) continue;
       const size_t col = cls.dk_cols[pair - cls.t_cols.begin()];
-      const size_t first = plans_[k].first_slot + cls.first_slot;
+      const size_t first = plans()[k].first_slot + cls.first_slot;
       for (size_t u = 0; u < cls.unique_source_rows.size(); ++u) {
         cells[first + u] = dk.RowPtr(cls.unique_source_rows[u]) + col;
       }
     }
   }
   la::DenseMatrix out(rows(), 1);
-  const size_t num_sources = plans_.size();
+  const size_t num_sources = plans().size();
   for (size_t i = 0; i < rows(); ++i) {
-    const metadata::RowId* row_slots = slots_.data() + i * num_sources;
+    const metadata::RowId* row_slots = index_->slots.data() + i * num_sources;
     for (size_t k = 0; k < num_sources; ++k) {
       if (row_slots[k] != kNoSlot && cells[row_slots[k]] != nullptr) {
         out.At(i, 0) = *cells[row_slots[k]];
@@ -335,14 +282,14 @@ la::DenseMatrix FactorizedTable::TargetColumn(size_t j) const {
 la::DenseMatrix FactorizedTable::ColSums() const {
   la::DenseMatrix out(1, cols());
   // Fan-out multiplies each slot's contribution by its target rows.
-  std::vector<double> counts(total_slots_, 0.0);
-  for (metadata::RowId slot : slots_) {
+  std::vector<double> counts(index_->total_slots, 0.0);
+  for (metadata::RowId slot : index_->slots) {
     if (slot != kNoSlot) counts[slot] += 1.0;
   }
-  for (size_t k = 0; k < plans_.size(); ++k) {
+  for (size_t k = 0; k < plans().size(); ++k) {
     const la::DenseMatrix& dk = metadata_.source(k).data;
-    const double* source_counts = counts.data() + plans_[k].first_slot;
-    for (const RowClassPlan& cls : plans_[k].classes) {
+    const double* source_counts = counts.data() + plans()[k].first_slot;
+    for (const metadata::SlotClass& cls : plans()[k].classes) {
       // Parallel over target-column bands (disjoint `out` cells).
       common::ParallelFor(
           0, cls.dk_cols.size(), kColumnGrain,
@@ -361,11 +308,11 @@ la::DenseMatrix FactorizedTable::ColSums() const {
 }
 
 la::DenseMatrix FactorizedTable::RowSquaredNorms() const {
-  std::vector<double> norms(total_slots_, 0.0);
-  for (size_t k = 0; k < plans_.size(); ++k) {
+  std::vector<double> norms(index_->total_slots, 0.0);
+  for (size_t k = 0; k < plans().size(); ++k) {
     const la::DenseMatrix& dk = metadata_.source(k).data;
-    double* source_norms = norms.data() + plans_[k].first_slot;
-    for (const RowClassPlan& cls : plans_[k].classes) {
+    double* source_norms = norms.data() + plans()[k].first_slot;
+    for (const metadata::SlotClass& cls : plans()[k].classes) {
       common::ParallelFor(
           0, cls.unique_source_rows.size(), kUniqueGrain,
           [&](size_t u_begin, size_t u_end) {
@@ -379,11 +326,12 @@ la::DenseMatrix FactorizedTable::RowSquaredNorms() const {
   }
   // Each row adds its slots' norms, sources ascending.
   la::DenseMatrix out(rows(), 1);
-  const size_t num_sources = plans_.size();
+  const size_t num_sources = plans().size();
   common::ParallelFor(
       0, rows(), kExpandGrain, [&](size_t r_begin, size_t r_end) {
         for (size_t i = r_begin; i < r_end; ++i) {
-          const metadata::RowId* row_slots = slots_.data() + i * num_sources;
+          const metadata::RowId* row_slots =
+              index_->slots.data() + i * num_sources;
           for (size_t k = 0; k < num_sources; ++k) {
             if (row_slots[k] != kNoSlot) out.At(i, 0) += norms[row_slots[k]];
           }
@@ -398,20 +346,18 @@ PartialScores FactorizedTable::ExtractPartialScores(
       << "partial scores: weights must be cT x 1";
   PartialScores out;
   out.rows_ = rows();
-  out.num_sources_ = plans_.size();
-  out.slots_ = slots_.data();
-  out.partials_.resize(total_slots_);
-  for (size_t k = 0; k < plans_.size(); ++k) {
+  out.num_sources_ = plans().size();
+  out.slots_ = index_->slots.data();
+  out.partials_.resize(index_->total_slots);
+  for (size_t k = 0; k < plans().size(); ++k) {
     SlotProducts<1>(k, target_weights.data(), 1,
-                    out.partials_.data() + plans_[k].first_slot);
+                    out.partials_.data() + plans()[k].first_slot);
   }
   return out;
 }
 
 MorpheusReference::MorpheusReference(metadata::DiMetadata metadata)
-    : table_(std::move(metadata)) {
-  table_.BuildPlans(/*ignore_redundancy=*/true);
-}
+    : table_(std::move(metadata), /*ignore_redundancy=*/true) {}
 
 }  // namespace factorized
 }  // namespace amalur

@@ -1,7 +1,7 @@
 #pragma once
 
 #include <cstdint>
-#include <limits>
+#include <memory>
 #include <vector>
 
 #include "la/dense_matrix.h"
@@ -20,17 +20,10 @@
 /// to Σ_k nnz-contributions, which is what makes factorized learning faster
 /// than materialization when the target is redundant.
 ///
-/// **The row-slot index.** Each source k numbers the distinct D_k rows of
-/// its classes with *slots*, and the index keeps one slot per target row
-/// and source: slot_k(i) is the slot of the D_k row that target row i reads
-/// in its class, or `kNoSlot` where CI_k(i) = −1. Slots are class-major
-/// (class c's follow class c−1's, classes in masked-set order) and, inside
-/// a class, follow each D_k row's first appearance in ascending target
-/// rows; source k's slots follow source k−1's, so one per-slot buffer holds
-/// every source. A D_k row that sits in two classes has one slot in each.
-/// The index is row-major (target row i's slots, sources ascending, are
-/// adjacent), so a pass over the target rows reads it in order. Every
-/// kernel reads this one index, and only it:
+/// **The row-slot index.** Every kernel reads the integration's row-slot
+/// index (`metadata::RowSlotIndex`, see di_metadata.h), and only it: each
+/// source numbers the distinct D_k rows of its redundancy classes with
+/// slots, and the index keeps slot_k(i) per target row i and source k.
 ///   - LMM: one product per slot, then one pass over the target rows that
 ///     adds, sources ascending, the product of each row's slot;
 ///   - TLMM: one serial pass that adds each X row into its slots' sums, rows
@@ -41,12 +34,15 @@
 /// A class whose column pairs are all masked still gets slots: its products
 /// are 0.0. Adding +0.0 changes no sum here, because every sum starts at
 /// +0.0 and a sum that starts at +0.0 never holds −0.0.
+///
+/// A table is a view: it shares its `DiMetadata` with every copy of the
+/// integration, and the metadata builds the index once, on first use, for
+/// all of them.
 
 namespace amalur {
 namespace factorized {
 
-/// slot_k(i) of a target row that source k does not contribute to.
-constexpr metadata::RowId kNoSlot = std::numeric_limits<metadata::RowId>::max();
+using metadata::kNoSlot;
 
 /// Per-source partial scores of one fixed weight vector w (cT × 1),
 /// extracted once from the factorized view by
@@ -68,7 +64,7 @@ constexpr metadata::RowId kNoSlot = std::numeric_limits<metadata::RowId>::max();
 ///
 /// Non-owning: holds pointers into the extracting table's slot index, so
 /// the `FactorizedTable` must outlive the `PartialScores` (the serving
-/// snapshot keeps both behind one shared_ptr).
+/// snapshot keeps both).
 class PartialScores {
  public:
   PartialScores() = default;
@@ -101,7 +97,9 @@ class PartialScores {
 /// A linear-algebra view over an integration scenario's target table.
 class FactorizedTable {
  public:
-  /// Takes ownership of the derived metadata.
+  /// A view over `metadata` and its row-slot index, which the metadata
+  /// builds on the first view (or cost-feature read) of any of its copies;
+  /// every later view copies and builds nothing.
   explicit FactorizedTable(metadata::DiMetadata metadata);
 
   /// Target shape (rT × cT).
@@ -126,6 +124,8 @@ class FactorizedTable {
     /// Per column pair of the source read in place:
     std::vector<double> weights;   // w
     std::vector<double> gradient;  // Σ D·r
+    /// A D_0 row of +0.0 cells, read by rows source 0 does not reach.
+    std::vector<double> zero_row;
   };
 
   /// The data pass of one gradient step at padded weights `w` (cT × 1), in
@@ -142,12 +142,19 @@ class FactorizedTable {
   ///      (a star or snowflake fact under left joins): the walk forms its
   ///      dot product from D_0's row and adds its gradient into one
   ///      accumulator per column pair.
-  ///   2. Per target row i, ascending: the prediction adds the sources in
-  ///      ascending order from +0.0, as the LMM's row does (source 0's dot
-  ///      product accumulates straight into it: the LMM adds it to +0.0,
-  ///      which leaves a sum that started at +0.0 unchanged); then r_i goes
-  ///      into source 0's accumulators (skipping D_0 cells == 0.0, as the
-  ///      TLMM does) and into sum[slot_k(i)] of every other source.
+  ///   2. Target rows go in blocks of `kStepRows`, ascending; the rows after
+  ///      the last full block go one at a time. Within a block each row
+  ///      keeps its own prediction, which adds the sources in ascending
+  ///      order from +0.0, as the LMM's row does (source 0's dot product
+  ///      accumulates straight into it: the LMM adds it to +0.0, which
+  ///      leaves a sum that started at +0.0 unchanged). Then `row_loss` runs
+  ///      on the block's rows in row order, and each accumulator adds the
+  ///      block's terms in row order: every column pair of source 0 adds
+  ///      D_0 · r_i (skipping D_0 cells == 0.0, as the TLMM does), and
+  ///      sum[slot_k(i)] of every other source adds r_i. A block's rows
+  ///      interleave only across different accumulators, and slots of
+  ///      different sources never alias, so every accumulator sees the
+  ///      row-at-a-time walk's operations in its order.
   ///   3. Per source read through slots, class by class in slot order:
   ///      out[c] += D_k[u, d] · sum[u], skipping cells == 0.0.
   ///
@@ -193,25 +200,9 @@ class FactorizedTable {
  private:
   friend class MorpheusReference;
 
-  /// One redundancy row class of one source: its target rows share the
-  /// same allowed (non-redundant) columns. Join fan-out is factored out:
-  /// compute happens once per slot (distinct source row) of the class.
-  struct RowClassPlan {
-    /// The class's distinct D_k rows, in slot order.
-    std::vector<metadata::RowId> unique_source_rows;
-    /// Allowed (D_k column, target column) pairs, in D_k column order.
-    std::vector<size_t> dk_cols;
-    std::vector<size_t> t_cols;  // parallel to dk_cols
-    /// Slot of unique_source_rows[0], counted from the source's first slot.
-    size_t first_slot = 0;
-  };
-
-  /// One source's classes and slot range.
-  struct SourcePlan {
-    std::vector<RowClassPlan> classes;  // masked-set order
-    size_t first_slot = 0;              // in the all-source slot numbering
-    size_t num_slots = 0;
-  };
+  /// Target rows per block of the gradient walk: four independent
+  /// prediction chains keep the core busy while each waits on its adds.
+  static constexpr size_t kStepRows = 4;
 
   /// The hoisted pointers of the gradient walk.
   struct StepWalk {
@@ -219,6 +210,7 @@ class FactorizedTable {
     const int64_t* rows = nullptr;  // CI_0 per target row
     const double* data = nullptr;   // D_0, row-major
     size_t stride = 0;
+    const double* zero_row = nullptr;  // read where CI_0 = −1
     const size_t* dk_cols = nullptr;
     size_t pairs = 0;
     const double* weights = nullptr;
@@ -234,8 +226,13 @@ class FactorizedTable {
     double* sums = nullptr;
   };
 
-  /// Builds the slot index of every source; called once at construction.
-  void BuildPlans(bool ignore_redundancy);
+  /// A view with its own index, built with `ignore_redundancy`
+  /// (`MorpheusReference`); the metadata's cached index is left alone.
+  FactorizedTable(metadata::DiMetadata metadata, bool ignore_redundancy);
+
+  const std::vector<metadata::SourceSlots>& plans() const {
+    return index_->sources;
+  }
 
   /// The kernels behind the operators. `kCols` fixes X's column count at
   /// compile time (1: vectors) or is 0 to read it at run time; both
@@ -266,14 +263,16 @@ class FactorizedTable {
   StepWalk BeginStep(const la::DenseMatrix& w, la::DenseMatrix* out,
                      StepScratch* scratch) const;
   void FinishStep(const StepWalk& walk, la::DenseMatrix* out) const;
+  /// Step 2 on target rows [first, first + kRows).
+  template <size_t kRows, typename RowLoss>
+  static void StepRows(const StepWalk& walk, size_t first, RowLoss& row_loss,
+                       double* loss);
 
   metadata::DiMetadata metadata_;
-  std::vector<SourcePlan> plans_;  // [source]
-  /// The row-slot index, rT × num_sources row-major: slot_k(i) in the
-  /// all-source numbering at [i * num_sources + k].
-  std::vector<metadata::RowId> slots_;
-  /// Σ_k num_slots: the kernels' per-slot buffers hold every source's slots.
-  size_t total_slots_ = 0;
+  /// `MorpheusReference`'s own index; null for a view over the metadata's.
+  std::shared_ptr<const metadata::RowSlotIndex> own_index_;
+  /// The index every kernel reads: the metadata's, or `own_index_`.
+  const metadata::RowSlotIndex* index_ = nullptr;
   /// Source 0 is one class without fan-out, so the step reads it in place.
   bool first_source_in_place_ = false;
 };
@@ -285,37 +284,69 @@ double FactorizedTable::GradientStepInto(const la::DenseMatrix& w,
   const StepWalk walk = BeginStep(w, out, scratch);
   const size_t num_rows = rows();
   double loss = 0.0;
-  for (size_t i = 0; i < num_rows; ++i) {
-    double prediction = 0.0;
-    const double* d_row = nullptr;
-    if (walk.rows != nullptr && walk.rows[i] >= 0) {
-      d_row = walk.data + static_cast<size_t>(walk.rows[i]) * walk.stride;
-      for (size_t p = 0; p < walk.pairs; ++p) {
-        const double v = d_row[walk.dk_cols[p]];
-        if (v == 0.0) continue;
-        prediction += v * walk.weights[p];
-      }
-    }
-    const metadata::RowId* row_slots = walk.slots + i * walk.slot_stride;
-    for (size_t k = 0; k < walk.num_walked; ++k) {
-      const metadata::RowId slot = row_slots[k];
-      if (slot != kNoSlot) prediction += walk.partials[slot - walk.first_slot];
-    }
-    const double residual = row_loss(i, prediction, &loss);
-    if (d_row != nullptr) {
-      for (size_t p = 0; p < walk.pairs; ++p) {
-        const double v = d_row[walk.dk_cols[p]];
-        if (v == 0.0) continue;
-        walk.gradient[p] += v * residual;
-      }
-    }
-    for (size_t k = 0; k < walk.num_walked; ++k) {
-      const metadata::RowId slot = row_slots[k];
-      if (slot != kNoSlot) walk.sums[slot - walk.first_slot] += residual;
-    }
+  size_t i = 0;
+  for (; i + kStepRows <= num_rows; i += kStepRows) {
+    StepRows<kStepRows>(walk, i, row_loss, &loss);
   }
+  for (; i < num_rows; ++i) StepRows<1>(walk, i, row_loss, &loss);
   FinishStep(walk, out);
   return loss;
+}
+
+template <size_t kRows, typename RowLoss>
+void FactorizedTable::StepRows(const StepWalk& walk, size_t first,
+                               RowLoss& row_loss, double* loss) {
+  double prediction[kRows];
+  const double* d_rows[kRows];
+  const metadata::RowId* row_slots[kRows];
+  for (size_t b = 0; b < kRows; ++b) {
+    const size_t i = first + b;
+    prediction[b] = 0.0;
+    // A row source 0 does not reach reads +0.0 cells, which every loop
+    // below skips: it adds nothing, as if the row had no D_0 row.
+    d_rows[b] =
+        walk.rows == nullptr ? nullptr
+        : walk.rows[i] >= 0
+            ? walk.data + static_cast<size_t>(walk.rows[i]) * walk.stride
+            : walk.zero_row;
+    row_slots[b] = walk.slots + i * walk.slot_stride;
+  }
+  const size_t pairs = walk.rows == nullptr ? 0 : walk.pairs;
+  for (size_t p = 0; p < pairs; ++p) {
+    const size_t col = walk.dk_cols[p];
+    const double weight = walk.weights[p];
+    for (size_t b = 0; b < kRows; ++b) {
+      const double v = d_rows[b][col];
+      if (v != 0.0) prediction[b] += v * weight;
+    }
+  }
+  for (size_t k = 0; k < walk.num_walked; ++k) {
+    for (size_t b = 0; b < kRows; ++b) {
+      const metadata::RowId slot = row_slots[b][k];
+      if (slot != kNoSlot) {
+        prediction[b] += walk.partials[slot - walk.first_slot];
+      }
+    }
+  }
+  double residual[kRows];
+  for (size_t b = 0; b < kRows; ++b) {
+    residual[b] = row_loss(first + b, prediction[b], loss);
+  }
+  for (size_t p = 0; p < pairs; ++p) {
+    const size_t col = walk.dk_cols[p];
+    double gradient = walk.gradient[p];
+    for (size_t b = 0; b < kRows; ++b) {
+      const double v = d_rows[b][col];
+      if (v != 0.0) gradient += v * residual[b];
+    }
+    walk.gradient[p] = gradient;
+  }
+  for (size_t k = 0; k < walk.num_walked; ++k) {
+    for (size_t b = 0; b < kRows; ++b) {
+      const metadata::RowId slot = row_slots[b][k];
+      if (slot != kNoSlot) walk.sums[slot - walk.first_slot] += residual[b];
+    }
+  }
 }
 
 /// The Morpheus-style baseline (rewrite rule (1) of §IV.A, after [27]):
@@ -333,7 +364,7 @@ class MorpheusReference {
   }
 
  private:
-  FactorizedTable table_;  // with redundancy ignored in its plans
+  FactorizedTable table_;  // over its own index, redundancy ignored
 };
 
 }  // namespace factorized

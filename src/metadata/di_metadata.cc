@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <limits>
+#include <memory>
 #include <set>
 #include <sstream>
 #include <utility>
@@ -95,6 +96,69 @@ std::vector<int64_t> Gather(const std::vector<int64_t>& column,
     if (from[i] < column.size()) out[i] = column[from[i]];
   }
   return out;
+}
+
+/// `*child_of` becomes the child row each parent row matches (−1: none)
+/// when `matching` gives every parent row at most one child row and every
+/// pair is in range; false otherwise.
+bool SingleChildOf(const rel::RowMatching& matching, size_t parent_rows,
+                   size_t child_rows, std::vector<int64_t>* child_of) {
+  child_of->assign(parent_rows, -1);
+  for (const auto& [parent_row, child_row] : matching.matched) {
+    if (parent_row >= parent_rows || child_row >= child_rows ||
+        (*child_of)[parent_row] >= 0) {
+      return false;
+    }
+    (*child_of)[parent_row] = static_cast<int64_t>(child_row);
+  }
+  return true;
+}
+
+/// Whether an inner edge keeps every target row: every row of a shard the
+/// parent reaches has a parent row (`up`) with a child row.
+bool KeepsEveryRow(const std::vector<int64_t>& up,
+                   const std::vector<int64_t>& child_of,
+                   const std::vector<size_t>& offsets,
+                   const std::set<size_t>& reached) {
+  for (size_t s = 0; s + 1 < offsets.size(); ++s) {
+    if (reached.count(s) == 0) continue;
+    for (size_t i = offsets[s]; i < offsets[s + 1]; ++i) {
+      if (up[i] < 0 || child_of[static_cast<size_t>(up[i])] < 0) return false;
+    }
+  }
+  return true;
+}
+
+/// The target rows `source` contributes to (CI_k != -1), grouped into
+/// redundancy row classes: entry c lists, ascending, the rows whose
+/// `redundancy.row_set` is c − 1 (entry 0: the rows with nothing masked).
+/// With `ignore_redundancy` there is one class holding every contributed
+/// row. Two passes over the target rows; each list is allocated at its
+/// exact size.
+std::vector<std::vector<RowId>> RowClassTargets(const SourceMetadata& source,
+                                                bool ignore_redundancy) {
+  const std::vector<int64_t>& indicator = source.indicator.values();
+  AMALUR_CHECK(indicator.size() < std::numeric_limits<RowId>::max() &&
+               source.data.rows() < std::numeric_limits<RowId>::max())
+      << "row classes index rows with 32 bits";
+  // Without masked sets every row is in class 0.
+  const size_t num_classes =
+      ignore_redundancy ? 1 : source.redundancy.column_sets().size() + 1;
+  const auto class_of = [&](size_t i) {
+    return num_classes == 1
+               ? size_t{0}
+               : static_cast<size_t>(source.redundancy.row_set(i) + 1);
+  };
+  std::vector<size_t> counts(num_classes, 0);
+  for (size_t i = 0; i < indicator.size(); ++i) {
+    if (indicator[i] >= 0) ++counts[class_of(i)];
+  }
+  std::vector<std::vector<RowId>> classes(num_classes);
+  for (size_t c = 0; c < num_classes; ++c) classes[c].reserve(counts[c]);
+  for (size_t i = 0; i < indicator.size(); ++i) {
+    if (indicator[i] >= 0) classes[class_of(i)].push_back(static_cast<RowId>(i));
+  }
+  return classes;
 }
 
 }  // namespace
@@ -247,20 +311,20 @@ Result<DiMetadata> DiMetadata::DeriveGraph(
     if (parents.size() > 1) ++shared_dimensions;
   }
 
-  DiMetadata metadata;
-  metadata.kind_ = mapping.kind();
-  metadata.target_schema_ = mapping.target_schema();
-  metadata.target_cols_ = metadata.target_schema_.num_fields();
-  metadata.shape_ = edges.size() == 1 ? IntegrationShape::kPairwise
+  auto state = std::make_shared<State>();
+  state->kind = mapping.kind();
+  state->target_schema = mapping.target_schema();
+  state->target_cols = state->target_schema.num_fields();
+  state->shape = edges.size() == 1 ? IntegrationShape::kPairwise
                     : fact_of_shard.size() > 1
                         ? IntegrationShape::kUnionOfStars
                     : shared_dimensions > 0
                         ? IntegrationShape::kConformedSnowflake
                     : max_depth > 1 ? IntegrationShape::kSnowflake
                                     : IntegrationShape::kStar;
-  metadata.num_shards_ = fact_of_shard.size();
-  metadata.join_depth_ = max_depth;
-  metadata.num_shared_dimensions_ = shared_dimensions;
+  state->num_shards = fact_of_shard.size();
+  state->join_depth = max_depth;
+  state->num_shared_dimensions = shared_dimensions;
   const rel::JoinKind expected_kind = GraphMappingKind(edges);
   if (mapping.kind() != expected_kind) {
     return Status::InvalidArgument(
@@ -294,6 +358,21 @@ Result<DiMetadata> DiMetadata::DeriveGraph(
   std::vector<ChainConflict> conflicts;
   std::vector<int64_t> conflict_of(offsets.back(), -1);
 
+  // Writes the child's row `down` on target row i into CI_c, recording a
+  // disagreement with an earlier chain instead of overwriting it.
+  const auto merge = [&](size_t c, size_t e, size_t i, int64_t down) {
+    int64_t& mine = ci[c][i];
+    if (mine >= 0 && mine != down) {
+      if (conflict_of[i] < 0) {
+        conflict_of[i] = static_cast<int64_t>(conflicts.size());
+        conflicts.push_back({c, e, mine, down});
+      }
+      return;  // keep the first chain's value; judged below
+    }
+    mine = down;
+  };
+  std::vector<int64_t> child_of;  // the in-place step's parent row -> child row
+
   // ---- One step per join edge, children in source order (every parent's
   // CI is final by then). The edge maps each target row to one row per
   // child row its parent row matched — a fan-out repeats the row — keeps a
@@ -312,6 +391,27 @@ Result<DiMetadata> DiMetadata::DeriveGraph(
       if (edge.kind == rel::JoinKind::kUnion) continue;
       const size_t parent_rows = tables[edge.parent]->NumRows();
       const size_t child_rows = tables[c]->NumRows();
+      const std::vector<int64_t>& up = ci[edge.parent];
+      // In place: a left or inner edge that matches every parent row to at
+      // most one child row and keeps every target row leaves the rows where
+      // they are, so CI_c(i) = child_of(CI_parent(i)) with no CSR and no
+      // gather. Anything else (fan-out, a dropped or appended row, a bad
+      // pair) takes the general step below.
+      if (edge.kind != rel::JoinKind::kFullOuterJoin &&
+          SingleChildOf(matchings[e], parent_rows, child_rows, &child_of) &&
+          (edge.kind != rel::JoinKind::kInnerJoin ||
+           KeepsEveryRow(up, child_of, offsets,
+                         shards_reaching[edge.parent]))) {
+        for (size_t s = 0; s + 1 < offsets.size(); ++s) {
+          if (shards_reaching[edge.parent].count(s) == 0) continue;
+          for (size_t i = offsets[s]; i < offsets[s + 1]; ++i) {
+            if (up[i] < 0) continue;
+            const int64_t down = child_of[static_cast<size_t>(up[i])];
+            if (down >= 0) merge(c, e, i, down);
+          }
+        }
+        continue;
+      }
       // Child rows per parent row, in matching order (CSR layout): count
       // into first[r + 1], sum, fill with first[r] as the cursor, shift back.
       std::vector<size_t> first(parent_rows + 1, 0);
@@ -354,7 +454,6 @@ Result<DiMetadata> DiMetadata::DeriveGraph(
 
       // The row gather: new row -> current row (past the end: appended).
       const bool inner = edge.kind == rel::JoinKind::kInnerJoin;
-      const std::vector<int64_t>& up = ci[edge.parent];
       std::vector<size_t> from;
       std::vector<int64_t> down;  // the child's row on each new row
       std::vector<size_t> next_offsets{0};
@@ -392,18 +491,8 @@ Result<DiMetadata> DiMetadata::DeriveGraph(
         conflict_of = Gather(conflict_of, from);
         offsets = std::move(next_offsets);
       }
-
-      std::vector<int64_t>& mine = ci[c];
       for (size_t i = 0; i < down.size(); ++i) {
-        if (down[i] < 0) continue;
-        if (mine[i] >= 0 && mine[i] != down[i]) {
-          if (conflict_of[i] < 0) {
-            conflict_of[i] = static_cast<int64_t>(conflicts.size());
-            conflicts.push_back({c, e, mine[i], down[i]});
-          }
-          continue;  // keep the first chain's value; judged below
-        }
-        mine[i] = down[i];
+        if (down[i] >= 0) merge(c, e, i, down[i]);
       }
     }
   }
@@ -422,43 +511,100 @@ Result<DiMetadata> DiMetadata::DeriveGraph(
         "; conformed-dimension chains must agree");
   }
 
-  metadata.target_rows_ = offsets.back();
-  metadata.source_shards_.reserve(n_sources);
+  state->target_rows = offsets.back();
+  state->source_shards.reserve(n_sources);
   for (size_t k = 0; k < n_sources; ++k) {
-    metadata.source_shards_.emplace_back(shards_reaching[k].begin(),
-                                         shards_reaching[k].end());
+    state->source_shards.emplace_back(shards_reaching[k].begin(),
+                                      shards_reaching[k].end());
   }
-  metadata.shard_offsets_ = offsets;
+  state->shard_offsets = offsets;
 
   AMALUR_RETURN_NOT_OK(
-      FillSources(mapping, tables, std::move(ci), &metadata.sources_));
+      FillSources(mapping, tables, std::move(ci), &state->sources));
+  DiMetadata metadata;
+  metadata.state_ = std::move(state);
   return metadata;
 }
 
-std::vector<std::vector<RowId>> RowClassTargets(const SourceMetadata& source,
-                                                bool ignore_redundancy) {
-  const std::vector<int64_t>& indicator = source.indicator.values();
-  AMALUR_CHECK(indicator.size() < std::numeric_limits<RowId>::max() &&
-               source.data.rows() < std::numeric_limits<RowId>::max())
-      << "row classes index rows with 32 bits";
-  // Without masked sets every row is in class 0.
-  const size_t num_classes =
-      ignore_redundancy ? 1 : source.redundancy.column_sets().size() + 1;
-  const auto class_of = [&](size_t i) {
-    return num_classes == 1
-               ? size_t{0}
-               : static_cast<size_t>(source.redundancy.row_set(i) + 1);
-  };
-  std::vector<size_t> counts(num_classes, 0);
-  for (size_t i = 0; i < indicator.size(); ++i) {
-    if (indicator[i] >= 0) ++counts[class_of(i)];
+DiMetadata::DiMetadata() {
+  // Every empty DiMetadata shares one state.
+  static const std::shared_ptr<const State> empty = std::make_shared<State>();
+  state_ = empty;
+}
+
+const RowSlotIndex& DiMetadata::slot_index() const {
+  const State& state = *state_;
+  state.index_once.Run([&] {
+    state.index = BuildRowSlotIndex(*this, /*ignore_redundancy=*/false);
+  });
+  return state.index;
+}
+
+RowSlotIndex BuildRowSlotIndex(const DiMetadata& metadata,
+                               bool ignore_redundancy) {
+  const size_t num_sources = metadata.num_sources();
+  RowSlotIndex index;
+  index.sources.resize(num_sources);
+  index.slots.assign(metadata.target_rows() * num_sources, kNoSlot);
+  std::vector<RowId> seen;  // D_k row -> its slot in the class
+  for (size_t k = 0; k < num_sources; ++k) {
+    const SourceMetadata& source = metadata.source(k);
+    const std::vector<int64_t>& indicator = source.indicator.values();
+    SourceSlots& plan = index.sources[k];
+    plan.first_slot = index.total_slots;
+
+    // Mapped (D_k column, target column) pairs in D_k order.
+    std::vector<size_t> all_dk_cols;
+    std::vector<size_t> all_t_cols;
+    for (size_t c = 0; c < source.mapping.target_cols(); ++c) {
+      const int64_t j = source.mapping.At(c);
+      if (j >= 0) {
+        all_dk_cols.push_back(static_cast<size_t>(j));
+        all_t_cols.push_back(c);
+      }
+    }
+
+    const std::vector<std::vector<RowId>> classes =
+        RowClassTargets(source, ignore_redundancy);
+    seen.assign(source.data.rows(), kNoSlot);
+    for (size_t c = 0; c < classes.size(); ++c) {
+      if (classes[c].empty()) continue;
+      SlotClass cls;
+      cls.first_slot = plan.num_slots;
+      // Allowed column pairs: the full set minus the class's masked columns.
+      const std::vector<size_t>* masked =
+          c == 0 ? nullptr : &source.redundancy.column_sets()[c - 1];
+      for (size_t p = 0; p < all_dk_cols.size(); ++p) {
+        if (masked == nullptr || !std::binary_search(masked->begin(),
+                                                     masked->end(),
+                                                     all_t_cols[p])) {
+          cls.dk_cols.push_back(all_dk_cols[p]);
+          cls.t_cols.push_back(all_t_cols[p]);
+        }
+      }
+      // Slots in order of first appearance: `seen` is kNoSlot outside the
+      // class being built.
+      cls.unique_source_rows.reserve(
+          std::min(classes[c].size(), source.data.rows()));
+      for (RowId i : classes[c]) {
+        const auto row = static_cast<RowId>(indicator[i]);
+        RowId& slot = seen[row];
+        if (slot == kNoSlot) {
+          slot = static_cast<RowId>(plan.num_slots++);
+          cls.unique_source_rows.push_back(row);
+        }
+        index.slots[i * num_sources + k] =
+            static_cast<RowId>(plan.first_slot + slot);
+      }
+      for (RowId row : cls.unique_source_rows) seen[row] = kNoSlot;
+      plan.covered_rows += classes[c].size();
+      plan.classes.push_back(std::move(cls));
+    }
+    index.total_slots += plan.num_slots;
+    AMALUR_CHECK(index.total_slots < kNoSlot)
+        << "slots are numbered with 32 bits";
   }
-  std::vector<std::vector<RowId>> classes(num_classes);
-  for (size_t c = 0; c < num_classes; ++c) classes[c].reserve(counts[c]);
-  for (size_t i = 0; i < indicator.size(); ++i) {
-    if (indicator[i] >= 0) classes[class_of(i)].push_back(static_cast<RowId>(i));
-  }
-  return classes;
+  return index;
 }
 
 la::DenseMatrix DiMetadata::SourceContribution(size_t k) const {
@@ -468,10 +614,10 @@ la::DenseMatrix DiMetadata::SourceContribution(size_t k) const {
 }
 
 la::DenseMatrix DiMetadata::MaterializeTargetMatrix() const {
-  la::DenseMatrix target(target_rows_, target_cols_);
-  for (size_t k = 0; k < sources_.size(); ++k) {
+  la::DenseMatrix target(target_rows(), target_cols());
+  for (size_t k = 0; k < num_sources(); ++k) {
     la::DenseMatrix contribution = SourceContribution(k);
-    sources_[k].redundancy.ApplyInPlace(&contribution);
+    source(k).redundancy.ApplyInPlace(&contribution);
     target.AddInPlace(contribution);
   }
   return target;
@@ -481,7 +627,7 @@ double DiMetadata::TupleRatio(size_t k) const {
   const SourceMetadata& s = source(k);
   return s.data.rows() == 0
              ? 0.0
-             : static_cast<double>(target_rows_) /
+             : static_cast<double>(target_rows()) /
                    static_cast<double>(s.data.rows());
 }
 
@@ -489,17 +635,17 @@ double DiMetadata::FeatureRatio(size_t k) const {
   const SourceMetadata& s = source(k);
   return s.data.cols() == 0
              ? 0.0
-             : static_cast<double>(target_cols_) /
+             : static_cast<double>(target_cols()) /
                    static_cast<double>(s.data.cols());
 }
 
 std::string DiMetadata::ToString() const {
   std::ostringstream out;
-  out << "DiMetadata[" << rel::JoinKindToString(kind_) << ", "
-      << IntegrationShapeToString(shape_) << ", T " << target_rows_ << "x"
-      << target_cols_ << "]\n";
-  for (size_t k = 0; k < sources_.size(); ++k) {
-    const SourceMetadata& s = sources_[k];
+  out << "DiMetadata[" << rel::JoinKindToString(kind()) << ", "
+      << IntegrationShapeToString(shape()) << ", T " << target_rows() << "x"
+      << target_cols() << "]\n";
+  for (size_t k = 0; k < num_sources(); ++k) {
+    const SourceMetadata& s = source(k);
     out << "  " << s.name << ": D " << s.data.rows() << "x" << s.data.cols()
         << ", " << s.mapping.ToString() << ", TR=" << TupleRatio(k)
         << ", FR=" << FeatureRatio(k) << ", null=" << s.null_ratio

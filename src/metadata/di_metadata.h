@@ -1,10 +1,13 @@
 #pragma once
 
 #include <cstdint>
+#include <limits>
+#include <memory>
 #include <string>
 #include <vector>
 
 #include "common/status.h"
+#include "common/thread_annotations.h"
 #include "integration/schema_mapping.h"
 #include "metadata/indicator_matrix.h"
 #include "metadata/mapping_matrix.h"
@@ -88,26 +91,76 @@ struct SourceMetadata {
   double duplicate_ratio = 0.0;
 };
 
-/// A row index in the per-class row lists below and in the factorized
-/// plans built from them: 32 bits halve the memory the kernels stream, and
-/// targets and sources stay below 2^32 rows.
+/// A row index in the row-slot index below and in the kernels that read it:
+/// 32 bits halve the memory the kernels stream, and targets and sources
+/// stay below 2^32 rows.
 using RowId = uint32_t;
 
-/// The target rows `source` contributes to (CI_k != -1), grouped into
-/// redundancy row classes: entry c lists, ascending, the rows whose
-/// `redundancy.row_set` is c − 1 (entry 0: the rows with nothing masked).
-/// With `ignore_redundancy` there is one class holding every contributed
-/// row. The factorized planner builds one plan per class and the cost model
-/// counts each class's distinct source rows, so both group rows alike.
-/// Two passes over the target rows; each list is allocated at its exact size.
-std::vector<std::vector<RowId>> RowClassTargets(const SourceMetadata& source,
-                                                bool ignore_redundancy = false);
+/// slot_k(i) of a target row that source k does not contribute to.
+constexpr RowId kNoSlot = std::numeric_limits<RowId>::max();
 
-/// Derived DI metadata for a full integration scenario.
+/// One redundancy row class of one source: its target rows share the same
+/// allowed (non-redundant) columns. Join fan-out is factored out: each
+/// distinct D_k row of the class has one slot.
+struct SlotClass {
+  /// The class's distinct D_k rows, in slot order.
+  std::vector<RowId> unique_source_rows;
+  /// Allowed (D_k column, target column) pairs, in D_k column order.
+  std::vector<size_t> dk_cols;
+  std::vector<size_t> t_cols;  // parallel to dk_cols
+  /// Slot of unique_source_rows[0], counted from the source's first slot.
+  size_t first_slot = 0;
+};
+
+/// One source's non-empty classes and slot range.
+struct SourceSlots {
+  std::vector<SlotClass> classes;  // masked-set order
+  size_t first_slot = 0;           // in the all-source slot numbering
+  size_t num_slots = 0;
+  size_t covered_rows = 0;  // target rows with CI_k != -1
+};
+
+/// **The row-slot index** of an integration, derived from CI_k, CM_k and
+/// R_k alone. Each source k groups the target rows it contributes to into
+/// redundancy row classes (class 0: nothing masked; class c: the rows whose
+/// `redundancy.row_set` is c − 1) and numbers the distinct D_k rows of each
+/// class with *slots*; the index keeps one slot per target row and source:
+/// slot_k(i) is the slot of the D_k row that target row i reads in its
+/// class, or `kNoSlot` where CI_k(i) = −1. Slots are class-major (class c's
+/// follow class c−1's) and, inside a class, follow each D_k row's first
+/// appearance in ascending target rows; source k's slots follow source
+/// k−1's, so one per-slot buffer holds every source. A D_k row that sits in
+/// two classes has one slot in each. The slot array is row-major (target
+/// row i's slots, sources ascending, are adjacent), so a pass over the
+/// target rows reads it in order. The factorized kernels and serving read
+/// this index, and the cost model counts its cells.
+struct RowSlotIndex {
+  std::vector<SourceSlots> sources;
+  /// rT × num_sources, row-major: slot_k(i) at [i * num_sources + k].
+  std::vector<RowId> slots;
+  /// Σ_k num_slots.
+  size_t total_slots = 0;
+};
+
+class DiMetadata;
+
+/// Builds the row-slot index of `metadata`, uncached. With
+/// `ignore_redundancy` every source has one class holding every row it
+/// contributes to (the Morpheus baseline's grouping).
+RowSlotIndex BuildRowSlotIndex(const DiMetadata& metadata,
+                               bool ignore_redundancy);
+
+/// Derived DI metadata for a full integration scenario. Immutable once
+/// derived: copies share one state behind a shared pointer, so copying a
+/// `DiMetadata` copies no matrix, and every copy reads the one row-slot
+/// index that `slot_index()` builds on first use. A move copies too, so a
+/// moved-from `DiMetadata` stays valid.
 class DiMetadata {
  public:
   /// Empty metadata (no sources); fill via `DeriveGraph`.
-  DiMetadata() = default;
+  DiMetadata();
+  DiMetadata(const DiMetadata&) = default;
+  DiMetadata& operator=(const DiMetadata&) = default;
 
   /// A two-source scenario: `DeriveGraph` over the one edge
   /// `tables[0] -> tables[1]` of the mapping's kind, matched by `matching`
@@ -170,38 +223,41 @@ class DiMetadata {
       const std::vector<MetadataEdge>& edges,
       const std::vector<rel::RowMatching>& matchings);
 
-  size_t num_sources() const { return sources_.size(); }
+  size_t num_sources() const { return state_->sources.size(); }
   const SourceMetadata& source(size_t k) const {
-    AMALUR_CHECK_LT(k, sources_.size()) << "source index";
-    return sources_[k];
+    AMALUR_CHECK_LT(k, state_->sources.size()) << "source index";
+    return state_->sources[k];
   }
-  size_t target_rows() const { return target_rows_; }
-  size_t target_cols() const { return target_cols_; }
-  const rel::Schema& target_schema() const { return target_schema_; }
-  rel::JoinKind kind() const { return kind_; }
+  size_t target_rows() const { return state_->target_rows; }
+  size_t target_cols() const { return state_->target_cols; }
+  const rel::Schema& target_schema() const { return state_->target_schema; }
+  rel::JoinKind kind() const { return state_->kind; }
   /// Structural shape of the scenario's source graph (cost-model input and
   /// `Explain` payload).
-  IntegrationShape shape() const { return shape_; }
+  IntegrationShape shape() const { return state_->shape; }
   /// Number of horizontally stacked fact shards (1 unless union-of-stars).
-  size_t num_shards() const { return num_shards_; }
+  size_t num_shards() const { return state_->num_shards; }
   /// Shards with a non-empty target-row block — the ones that can actually
   /// participate in per-shard execution (an empty fact silo, or a shard
   /// fully dropped by an inner-join edge, contributes no rows). The single
   /// source of truth behind `AlignForHfl`'s participant set and the
   /// optimizer's FedAvg explanation.
   size_t num_active_shards() const {
+    const std::vector<size_t>& offsets = state_->shard_offsets;
     size_t active = 0;
-    for (size_t s = 0; s + 1 < shard_offsets_.size(); ++s) {
-      if (shard_offsets_[s] < shard_offsets_[s + 1]) ++active;
+    for (size_t s = 0; s + 1 < offsets.size(); ++s) {
+      if (offsets[s] < offsets[s + 1]) ++active;
     }
     return active;
   }
   /// Longest key-join chain from a fact to a leaf dimension (1 for stars
   /// and pairwise joins, >= 2 for snowflakes, 0 for pure unions).
-  size_t join_depth() const { return join_depth_; }
+  size_t join_depth() const { return state_->join_depth; }
   /// Number of conformed (shared) dimensions: sources referenced by several
   /// join-edge parents (0 for trees).
-  size_t num_shared_dimensions() const { return num_shared_dimensions_; }
+  size_t num_shared_dimensions() const {
+    return state_->num_shared_dimensions;
+  }
 
   /// Whether the scenario is horizontally partitioned (a pairwise union or
   /// a union-of-stars). The single source of truth for the federated
@@ -209,8 +265,8 @@ class DiMetadata {
   /// vertical ones by silo (n-ary vertical FLR) — optimizer explanations
   /// and executor dispatch must agree through this predicate.
   bool IsHorizontallyPartitioned() const {
-    return shape_ == IntegrationShape::kUnionOfStars ||
-           kind_ == rel::JoinKind::kUnion;
+    return state_->shape == IntegrationShape::kUnionOfStars ||
+           state_->kind == rel::JoinKind::kUnion;
   }
 
   /// Every shard whose row block source k's indicator can reach, ascending
@@ -220,19 +276,23 @@ class DiMetadata {
   /// Consumers assembling per-shard data iterate exactly these blocks (CI_k
   /// is -1 everywhere else).
   const std::vector<size_t>& shards_reaching(size_t k) const {
-    AMALUR_CHECK_LT(k, source_shards_.size()) << "source index";
-    return source_shards_[k];
+    AMALUR_CHECK_LT(k, state_->source_shards.size()) << "source index";
+    return state_->source_shards[k];
   }
   /// Target-row block of shard s: rows [ShardRowBegin(s), ShardRowEnd(s)).
   /// Shard blocks are contiguous and stacked in shard order.
   size_t ShardRowBegin(size_t s) const {
-    AMALUR_CHECK_LT(s + 1, shard_offsets_.size()) << "shard index";
-    return shard_offsets_[s];
+    AMALUR_CHECK_LT(s + 1, state_->shard_offsets.size()) << "shard index";
+    return state_->shard_offsets[s];
   }
   size_t ShardRowEnd(size_t s) const {
-    AMALUR_CHECK_LT(s + 1, shard_offsets_.size()) << "shard index";
-    return shard_offsets_[s + 1];
+    AMALUR_CHECK_LT(s + 1, state_->shard_offsets.size()) << "shard index";
+    return state_->shard_offsets[s + 1];
   }
+
+  /// The integration's row-slot index (`RowSlotIndex`), built on the first
+  /// call by any copy and shared by every copy after it. Thread-safe.
+  const RowSlotIndex& slot_index() const;
 
   /// T_k = I_k D_k M_kᵀ — the source's (unmasked) contribution (Figure 4c).
   la::DenseMatrix SourceContribution(size_t k) const;
@@ -249,20 +309,29 @@ class DiMetadata {
   std::string ToString() const;
 
  private:
-  std::vector<SourceMetadata> sources_;
-  size_t target_rows_ = 0;
-  size_t target_cols_ = 0;
-  rel::Schema target_schema_;
-  rel::JoinKind kind_ = rel::JoinKind::kInnerJoin;
-  IntegrationShape shape_ = IntegrationShape::kPairwise;
-  size_t num_shards_ = 1;
-  size_t join_depth_ = 1;
-  size_t num_shared_dimensions_ = 0;
-  /// Per-source reachable shards, ascending (parallel to `sources_`;
-  /// singleton except for cross-shard conformed dimensions).
-  std::vector<std::vector<size_t>> source_shards_;
-  /// Shard target-row block boundaries (size num_shards_ + 1).
-  std::vector<size_t> shard_offsets_;
+  /// Everything `DeriveGraph` derives, plus the row-slot index cache.
+  struct State {
+    std::vector<SourceMetadata> sources;
+    size_t target_rows = 0;
+    size_t target_cols = 0;
+    rel::Schema target_schema;
+    rel::JoinKind kind = rel::JoinKind::kInnerJoin;
+    IntegrationShape shape = IntegrationShape::kPairwise;
+    size_t num_shards = 1;
+    size_t join_depth = 1;
+    size_t num_shared_dimensions = 0;
+    /// Per-source reachable shards, ascending (parallel to `sources`;
+    /// singleton except for cross-shard conformed dimensions).
+    std::vector<std::vector<size_t>> source_shards;
+    /// Shard target-row block boundaries (size num_shards + 1).
+    std::vector<size_t> shard_offsets;
+    /// `slot_index()`'s cache: written once under `index_once`, read-only
+    /// after it.
+    mutable common::Once index_once;
+    mutable RowSlotIndex index;
+  };
+
+  std::shared_ptr<const State> state_;
 };
 
 }  // namespace metadata

@@ -22,9 +22,9 @@ constexpr size_t kBatchGrain = 64;
 Result<std::shared_ptr<DeployedModel>> DeployedModel::Create(
     const std::string& name, const core::ModelHandle& model) {
   if (name.empty()) return Status::InvalidArgument("empty deployment name");
-  // The view in-sample scoring runs over, built once at deploy time for
-  // plans that did not train factorized, so every deployment serves through
-  // the partial-score cache and agrees with `ModelHandle::Predict()`.
+  // The view in-sample scoring runs over, whatever plan trained the model,
+  // so every deployment serves through the partial-score cache and agrees
+  // with `ModelHandle::Predict()`.
   AMALUR_ASSIGN_OR_RETURN(
       std::shared_ptr<const factorized::FactorizedTable> table,
       model.InSampleView());

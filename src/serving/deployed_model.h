@@ -16,8 +16,9 @@
 /// The serving tier's unit of deployment: an immutable snapshot of a trained
 /// model, captured once at deploy time and shared read-only (behind a
 /// `shared_ptr`) by any number of concurrent scoring threads. The snapshot
-/// copies everything serving needs — weights, training schema, the
-/// factorized view, and a per-dimension partial-score cache
+/// holds everything serving needs — copies of the weights and training
+/// schema, a factorized view over the integration's immutable metadata, and
+/// a per-dimension partial-score cache
 /// (`factorized::PartialScores`) — so fact rows are scored by indicator
 /// lookup instead of re-multiplying the dimension blocks, and no request
 /// ever touches live catalog or registry storage.
@@ -115,8 +116,8 @@ class DeployedModel {
   std::vector<std::string> feature_names_;
   std::vector<std::string> source_names_;
 
-  /// The factorized view the snapshot scores through (owns the metadata the
-  /// partial-score cache points into).
+  /// The factorized view the snapshot scores through (shares ownership of
+  /// the metadata and index the partial-score cache points into).
   std::shared_ptr<const factorized::FactorizedTable> table_;
   /// Deploy-time partial scores of the padded weight vector (label weight
   /// 0) — the factorized serving fast path.

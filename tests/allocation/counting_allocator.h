@@ -18,6 +18,8 @@ constexpr size_t kLargeBlock = 1024;
 struct Counts {
   size_t blocks = 0;
   size_t large_blocks = 0;
+  /// Bytes of the largest block.
+  size_t largest = 0;
 };
 
 /// Zeroes the counters and starts counting.

@@ -12,12 +12,17 @@ namespace {
 std::atomic<bool> g_counting{false};
 std::atomic<size_t> g_large_blocks{0};
 std::atomic<size_t> g_blocks{0};
+std::atomic<size_t> g_largest{0};
 
 void* CountedAllocate(size_t size) {
   if (g_counting.load(std::memory_order_relaxed)) {
     g_blocks.fetch_add(1, std::memory_order_relaxed);
     if (size >= amalur::allocation::kLargeBlock) {
       g_large_blocks.fetch_add(1, std::memory_order_relaxed);
+    }
+    size_t largest = g_largest.load(std::memory_order_relaxed);
+    while (size > largest && !g_largest.compare_exchange_weak(
+                                 largest, size, std::memory_order_relaxed)) {
     }
   }
   return std::malloc(size == 0 ? 1 : size);
@@ -54,12 +59,13 @@ namespace allocation {
 void StartCounting() {
   g_blocks = 0;
   g_large_blocks = 0;
+  g_largest = 0;
   g_counting = true;
 }
 
 Counts StopCounting() {
   g_counting = false;
-  return {g_blocks.load(), g_large_blocks.load()};
+  return {g_blocks.load(), g_large_blocks.load(), g_largest.load()};
 }
 
 namespace {
@@ -74,6 +80,7 @@ TEST(CountingAllocatorTest, CountsEveryBlockAndTheLargeOnes) {
   });
   EXPECT_EQ(counts.blocks, 2u);
   EXPECT_EQ(counts.large_blocks, 1u);
+  EXPECT_EQ(counts.largest, kLargeBlock);
 }
 
 }  // namespace

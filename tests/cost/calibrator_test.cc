@@ -200,6 +200,46 @@ TEST(CalibratorTest, CalibrateFromLogFitsAndCountsCorruptLines) {
                          "materialize_cell_cost");
 }
 
+TEST(CalibratorTest, CalibrateFromLogCountsOnlyWhatTheFitConsumed) {
+  // Six usable lines and three the fit must drop: zero wall-clocks and zero
+  // iterations. The count and the persisted source name the six.
+  const std::string path = TempPath("calibrate_with_unusable.jsonl");
+  {
+    std::ofstream out(path, std::ios::trunc);
+    for (const Observation& o : SyntheticLog(TrueConstants())) {
+      out << o.ToJsonLine() << "\n";
+    }
+    Observation broken =
+        Synthetic("broken", 20, 4e5, 3e4, 1e6, TrueConstants());
+    broken.factorized_seconds = 0.0;
+    out << broken.ToJsonLine() << "\n";
+    broken.materialized_seconds = 0.0;
+    out << broken.ToJsonLine() << "\n";
+    Observation idle = Synthetic("idle", 20, 4e5, 3e4, 1e6, TrueConstants());
+    idle.training_iterations = 0.0;
+    out << idle.ToJsonLine() << "\n";
+  }
+  const Calibration calibration = Calibrator().CalibrateFromLog(path);
+  ASSERT_TRUE(calibration.calibrated) << calibration.source;
+  EXPECT_EQ(calibration.observations_used, 6u);
+  EXPECT_EQ(calibration.observations_skipped, 0u);
+  EXPECT_NE(calibration.source.find("fitted from 6 observations"),
+            std::string::npos)
+      << calibration.source;
+  EXPECT_NE(calibration.source.find("3 unusable observations dropped"),
+            std::string::npos)
+      << calibration.source;
+
+  const std::string file = TempPath("calibrate_with_unusable.json");
+  ASSERT_TRUE(WriteCalibrationFile(file, calibration).ok());
+  auto loaded = LoadCalibrationFile(file);
+  ASSERT_TRUE(loaded.ok()) << loaded.status();
+  EXPECT_EQ(loaded->observations_used, 6u);
+  EXPECT_EQ(loaded->source, calibration.source);
+  std::remove(path.c_str());
+  std::remove(file.c_str());
+}
+
 TEST(CalibratorTest, CalibrationFileRoundTrips) {
   const std::string path = TempPath("calibration_roundtrip.json");
   Calibration fitted;

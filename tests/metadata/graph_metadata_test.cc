@@ -389,6 +389,64 @@ TEST(GraphMetadataTest, InnerJoinEdgeRestrictsRowsLikeRelationalJoin) {
   EXPECT_EQ(inner->ShardRowEnd(0), inner->target_rows());
 }
 
+TEST(GraphMetadataTest, InPlaceAndGatheredEdgesMatchRelationalJoins) {
+  // An edge that matches every parent row to at most one child row and
+  // keeps every target row composes CI in place; an inner edge with
+  // dangling references takes the general step, which gathers the rows.
+  // Both must give the relational join chain's target, and both run here:
+  // left edges and fully matched inner edges in place, partly matched inner
+  // edges through the gather, with the conformed dimension merging the
+  // branch chains behind them.
+  Rng rng(41);
+  for (size_t draw = 0; draw < 4; ++draw) {
+    for (double match_fraction : {1.0, 0.7}) {
+      for (size_t inner_branches : {0, 1, 2}) {
+        rel::ConformedSnowflakeSpec spec;
+        spec.fact_rows = 30 + 20 * draw;
+        spec.fact_features = 1;
+        spec.branch_rows = 6 + draw;
+        spec.branch_features = 1;
+        spec.shared_rows = 3 + draw;
+        spec.shared_features = 1;
+        spec.match_fraction = match_fraction;
+        spec.seed = rng.Next();
+        SCOPED_TRACE("draw " + std::to_string(draw) + ", match " +
+                     std::to_string(match_fraction) + ", inner branches " +
+                     std::to_string(inner_branches));
+        const rel::ConformedSnowflake scenario =
+            rel::GenerateConformedSnowflake(spec);
+        auto derived =
+            factorized::DeriveConformedSnowflakeMetadata(scenario,
+                                                         inner_branches);
+        ASSERT_TRUE(derived.ok()) << derived.status();
+
+        rel::Table joined = scenario.tables[0];
+        for (size_t b = 0; b < spec.branches; ++b) {
+          auto step = rel::HashJoin(
+              joined, scenario.tables[1 + b], {scenario.branch_keys[b]},
+              {scenario.branch_keys[b]},
+              b < inner_branches ? rel::JoinKind::kInnerJoin
+                                 : rel::JoinKind::kLeftJoin);
+          ASSERT_TRUE(step.ok()) << step.status();
+          joined = std::move(step->table);
+        }
+        auto last = rel::HashJoin(joined, scenario.tables.back(),
+                                  {scenario.shared_key}, {scenario.shared_key},
+                                  rel::JoinKind::kLeftJoin);
+        ASSERT_TRUE(last.ok()) << last.status();
+        EXPECT_EQ(derived->target_rows(), last->table.NumRows());
+        auto projected =
+            last->table.ProjectNames(derived->target_schema().Names());
+        ASSERT_TRUE(projected.ok()) << projected.status();
+        auto expected = projected->ToMatrix();
+        ASSERT_TRUE(expected.ok());
+        EXPECT_TRUE(
+            derived->MaterializeTargetMatrix().ApproxEquals(*expected, 1e-12));
+      }
+    }
+  }
+}
+
 TEST(GraphMetadataTest, InnerEdgeIntoConformedDimensionChecksItsOwnChain) {
   // Regression: an inner edge whose CHILD is a conformed dimension must
   // test its own chain, not the merged indicator — a row whose inner-edge

@@ -721,6 +721,141 @@ TEST(GradientStepTest, StepAtAnInfiniteWeightIsBitwiseTheDefaultStep) {
   }
 }
 
+/// A pair whose target has exactly `rows` rows (1–9 covers every residue of
+/// the walk's four-row blocks and targets shorter than one block), with
+/// `special` in the last base row's x0 cell and two more of `specials` in
+/// the last rows' x1 and a1 cells. A left join keeps one target row per base
+/// row; a full outer join (rows >= 2) ends the target with a row that only
+/// the other silo reaches, so the walk reads it with no D_0 row. With
+/// `one_to_one` every base row has its own other row; otherwise they share
+/// at most two.
+metadata::DiMetadata ShortPair(Rng* rng, size_t rows, rel::JoinKind kind,
+                               bool one_to_one,
+                               const std::vector<double>& specials,
+                               size_t special) {
+  const bool outer = kind == rel::JoinKind::kFullOuterJoin;
+  const size_t base_rows = outer ? rows - 1 : rows;
+  const size_t matched_rows =
+      one_to_one ? base_rows : std::min(base_rows, size_t{2});
+  const size_t other_rows = matched_rows + (outer ? 1 : 0);
+  std::vector<int64_t> base_keys(base_rows), other_keys(other_rows);
+  std::vector<double> y(base_rows), x0(base_rows), x1(base_rows);
+  for (size_t i = 0; i < base_rows; ++i) {
+    // Every other row up to `matched_rows` is referenced, so none of them
+    // adds an outer-join row.
+    base_keys[i] = static_cast<int64_t>(
+        i < matched_rows ? i : Draw(rng, 0, matched_rows - 1));
+    y[i] = rng->NextGaussian();
+    x0[i] = rng->NextGaussian();
+    x1[i] = rng->NextGaussian();
+  }
+  std::vector<double> a0(other_rows), a1(other_rows);
+  for (size_t r = 0; r < other_rows; ++r) {
+    other_keys[r] = static_cast<int64_t>(r);
+    a0[r] = rng->NextGaussian();
+    a1[r] = rng->NextGaussian();
+  }
+  const size_t n = specials.size();
+  x0[base_rows - 1] = specials[special];
+  x1[base_rows - 1 - (base_rows > 1 ? 1 : 0)] = specials[(special + 3) % n];
+  a1[other_rows - 1] = specials[(special + 5) % n];
+  if (special % 2 == 1) y[base_rows - 1] = -0.0;
+
+  rel::Table base("base"), other("other");
+  AMALUR_CHECK_OK(base.AddColumn(rel::Column::FromInt64s("k", base_keys)));
+  AMALUR_CHECK_OK(base.AddColumn(rel::Column::FromDoubles("y", y)));
+  AMALUR_CHECK_OK(base.AddColumn(rel::Column::FromDoubles("x0", x0)));
+  AMALUR_CHECK_OK(base.AddColumn(rel::Column::FromDoubles("x1", x1)));
+  AMALUR_CHECK_OK(other.AddColumn(rel::Column::FromInt64s("k", other_keys)));
+  AMALUR_CHECK_OK(other.AddColumn(rel::Column::FromDoubles("a0", a0)));
+  AMALUR_CHECK_OK(other.AddColumn(rel::Column::FromDoubles("a1", a1)));
+  auto mapping = integration::SchemaMapping::Create(
+      kind,
+      {{"base", base.schema(), {{"y", "y"}, {"x0", "x0"}, {"x1", "x1"}}},
+       {"other", other.schema(), {{"a0", "a0"}, {"a1", "a1"}}}},
+      rel::Schema::AllDouble({"y", "x0", "x1", "a0", "a1"}),
+      {{0, "k", 1, "k"}});
+  AMALUR_CHECK(mapping.ok()) << mapping.status();
+  auto matching = rel::MatchRowsOnKeys(base, other, {"k"}, {"k"});
+  AMALUR_CHECK(matching.ok()) << matching.status();
+  return Unwrap(metadata::DiMetadata::DeriveGraph(
+      *mapping, {&base, &other}, {{0, 1, kind}}, {*matching}));
+}
+
+TEST(GradientStepTest, BlockTailIsBitwiseTheDefaultStep) {
+  // The walk takes target rows four at a time and the rest one at a time;
+  // special values in the last rows make a row the tail skips, or a block
+  // that reads past the last row, change the step's bits.
+  const std::vector<double> specials = {
+      0.0,
+      -0.0,
+      std::numeric_limits<double>::denorm_min(),
+      -2.5e-310,
+      std::numeric_limits<double>::infinity(),
+      -std::numeric_limits<double>::infinity(),
+      HardwareNaN()};
+  Rng rng(1809);
+  for (size_t rows = 1; rows <= 9; ++rows) {
+    for (rel::JoinKind kind :
+         {rel::JoinKind::kLeftJoin, rel::JoinKind::kFullOuterJoin}) {
+      if (kind == rel::JoinKind::kFullOuterJoin && rows < 2) continue;
+      for (bool one_to_one : {true, false}) {
+        for (size_t special = 0; special < specials.size(); ++special) {
+          SCOPED_TRACE(std::to_string(rows) + " rows, " +
+                       rel::JoinKindToString(kind) +
+                       (one_to_one ? ", one to one" : ", fan-out") +
+                       ", special " + std::to_string(special));
+          const metadata::DiMetadata metadata =
+              ShortPair(&rng, rows, kind, one_to_one, specials, special);
+          ASSERT_EQ(metadata.target_rows(), rows);
+          const FactorizedFeatures features(
+              std::make_shared<factorized::FactorizedTable>(metadata),
+              LabelColumn(metadata));
+          const Forwarding reference(features);
+          const la::DenseMatrix labels = features.Labels();
+          la::DenseMatrix binary = labels;
+          binary.TransformInPlace([](double v) { return v > 0.0 ? 1.0 : 0.0; });
+          const la::DenseMatrix w =
+              la::DenseMatrix::RandomGaussian(features.cols(), 1, &rng);
+          for (size_t threads : {1, 4}) {
+            common::ScopedNumThreads scope(threads);
+            for (Loss loss : {Loss::kSquared, Loss::kLogistic}) {
+              const la::DenseMatrix& y =
+                  loss == Loss::kSquared ? labels : binary;
+              la::DenseMatrix fused, unfused;
+              const double fused_loss =
+                  features.GradientStep(w, y, loss, &fused);
+              const double unfused_loss =
+                  reference.GradientStep(w, y, loss, &unfused);
+              EXPECT_TRUE(BitEqual({fused_loss}, {unfused_loss}))
+                  << fused_loss << " vs " << unfused_loss;
+              EXPECT_TRUE(BitEqual(fused, unfused))
+                  << "threads " << threads << ", logistic "
+                  << (loss == Loss::kLogistic);
+            }
+            GradientDescentOptions gd;
+            gd.iterations = 6;
+            gd.learning_rate = 0.05;
+            const LinearModel linear =
+                TrainLinearRegression(features, labels, gd);
+            const LinearModel linear_ref =
+                TrainLinearRegression(reference, labels, gd);
+            EXPECT_TRUE(BitEqual(linear.weights, linear_ref.weights));
+            EXPECT_TRUE(BitEqual(linear.loss_history, linear_ref.loss_history));
+            const LinearModel logistic =
+                TrainLogisticRegression(features, binary, gd);
+            const LinearModel logistic_ref =
+                TrainLogisticRegression(reference, binary, gd);
+            EXPECT_TRUE(BitEqual(logistic.weights, logistic_ref.weights));
+            EXPECT_TRUE(
+                BitEqual(logistic.loss_history, logistic_ref.loss_history));
+          }
+        }
+      }
+    }
+  }
+}
+
 TEST(GradientStepTest, ComputeCellsMatchTheMapOfSetsCount) {
   for (const Integration& integration : DrawIntegrations(1804, 3)) {
     SCOPED_TRACE(integration.name);

@@ -188,7 +188,7 @@ TEST(DeployedModelTest, MaterializedPlanModelsDeployThroughTheSameCache) {
   TrainedFixture mat =
       TrainLeftJoinModel(core::ExecutionStrategy::kMaterialize);
   ASSERT_EQ(fact.model.factorized_table() == nullptr, false);
-  ASSERT_EQ(mat.model.factorized_table(), nullptr);
+  ASSERT_NE(mat.model.factorized_table(), nullptr);
   ASSERT_NE(mat.model.metadata(), nullptr);
 
   ModelRegistry registry;
