@@ -1,10 +1,12 @@
 #include "core/amalur.h"
 
+#include <algorithm>
 #include <memory>
 #include <set>
 
 #include "common/status.h"
 #include "common/string_util.h"
+#include "common/thread_annotations.h"
 #include "core/integration_graph.h"
 #include "factorized/factorized_table.h"
 #include "ml/linear_models.h"
@@ -117,27 +119,31 @@ Result<IntegrationGraphPlan> NormalizeSpec(const IntegrationSpec& spec) {
   }
 }
 
-}  // namespace
-
-Result<IntegrationHandle> Amalur::Integrate(const std::string& base_name,
-                                            const std::string& other_name,
-                                            rel::JoinKind kind) {
-  IntegrationSpec spec;
-  spec.sources = {base_name, other_name};
-  spec.relationships = {kind};
-  return Integrate(spec);
+/// True when `handle` integrated the graph `plan` describes: the same
+/// sources in the same order and the same edges.
+bool SameGraph(const IntegrationHandle& handle,
+               const IntegrationGraphPlan& plan) {
+  return handle.source_names == plan.sources &&
+         std::equal(handle.edges.begin(), handle.edges.end(),
+                    plan.edges.begin(), plan.edges.end(),
+                    [](const IntegrationEdge& a, const IntegrationEdge& b) {
+                      return a.left == b.left && a.right == b.right &&
+                             a.kind == b.kind;
+                    });
 }
 
-Result<IntegrationHandle> Amalur::Integrate(const IntegrationSpec& spec) {
-  AMALUR_ASSIGN_OR_RETURN(const IntegrationGraphPlan plan, NormalizeSpec(spec));
+/// The integration pipeline of `Amalur::Integrate` over a planned graph:
+/// everything but the name and the catalog registration.
+Result<IntegrationHandle> RunPipeline(const IntegrationGraphPlan& plan,
+                                      const Catalog& catalog,
+                                      const AmalurOptions& options) {
   const size_t n_sources = plan.sources.size();
   std::vector<const SourceEntry*> entries(n_sources);
   for (size_t k = 0; k < n_sources; ++k) {
-    AMALUR_ASSIGN_OR_RETURN(entries[k], catalog_.GetSource(plan.sources[k]));
+    AMALUR_ASSIGN_OR_RETURN(entries[k], catalog.GetSource(plan.sources[k]));
   }
 
   IntegrationHandle handle;
-  handle.name = spec.name;
   handle.source_names = plan.sources;
   handle.edges = plan.edges;
   for (const SourceEntry* entry : entries) {
@@ -165,7 +171,7 @@ Result<IntegrationHandle> Amalur::Integrate(const IntegrationSpec& spec) {
     const rel::Table& parent = entries[edge.parent]->table;
     const rel::Table& child = entries[edge.child]->table;
     std::vector<integration::ColumnMatch> matches =
-        integration::MatchSchemas(parent, child, options_.matcher);
+        integration::MatchSchemas(parent, child, options.matcher);
     if (matches.empty()) {
       if (edge.kind == rel::JoinKind::kUnion) {
         return Status::FailedPrecondition(
@@ -289,7 +295,7 @@ Result<IntegrationHandle> Amalur::Integrate(const IntegrationSpec& spec) {
         AMALUR_ASSIGN_OR_RETURN(
             matching,
             integration::ResolveEntities(parent, child, handle.edge_matches[e],
-                                         options_.resolver));
+                                         options.resolver));
       }
     }
     handle.matchings.push_back(std::move(matching));
@@ -304,8 +310,42 @@ Result<IntegrationHandle> Amalur::Integrate(const IntegrationSpec& spec) {
       metadata::DiMetadata::DeriveGraph(handle.mapping, tables,
                                         plan.metadata_edges, handle.matchings));
   handle.shape = handle.metadata.shape();
+  return handle;
+}
+
+}  // namespace
+
+Result<IntegrationHandle> Amalur::Integrate(const std::string& base_name,
+                                            const std::string& other_name,
+                                            rel::JoinKind kind) {
+  IntegrationSpec spec;
+  spec.sources = {base_name, other_name};
+  spec.relationships = {kind};
+  return Integrate(spec);
+}
+
+Result<IntegrationHandle> Amalur::Integrate(const IntegrationSpec& spec) {
+  AMALUR_ASSIGN_OR_RETURN(const IntegrationGraphPlan plan, NormalizeSpec(spec));
+  std::shared_ptr<const IntegrationHandle> last;
+  {
+    common::MutexLock lock(last_integration_mu_);
+    last = last_integration_;
+  }
+  const bool hit = last != nullptr && SameGraph(*last, plan);
+  if (!hit) {
+    AMALUR_ASSIGN_OR_RETURN(IntegrationHandle derived,
+                            RunPipeline(plan, catalog_, options_));
+    last = std::make_shared<const IntegrationHandle>(std::move(derived));
+  }
+  IntegrationHandle handle = *last;
+  handle.name = spec.name;
   if (!handle.name.empty()) {
     AMALUR_RETURN_NOT_OK(catalog_.RegisterIntegration(handle));
+  }
+  if (!hit) {
+    // The replaced integration is released after the lock, on return.
+    common::MutexLock lock(last_integration_mu_);
+    last_integration_.swap(last);
   }
   return handle;
 }

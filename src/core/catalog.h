@@ -76,8 +76,10 @@ struct SourceEntry {
 /// automatic pipeline derived. Handles are self-contained and can outlive
 /// catalog mutations: copies share one immutable `DiMetadata` state (D_k,
 /// CI_k, R_k and the row-slot index built on first use) instead of copying
-/// it. Named handles are additionally stored in the catalog as first-class
-/// reusable objects.
+/// it. `Amalur::Integrate` hands back a copy of its last integration when
+/// the planned graph repeats, so the handles of repeated calls share that
+/// state too. Named handles are additionally stored in the catalog as
+/// first-class reusable objects.
 struct IntegrationHandle {
   /// Catalog registration name; empty for ad-hoc (unregistered) handles.
   std::string name;

@@ -16,7 +16,10 @@
 /// copies share one `DiMetadata` state, so the threads race to build its
 /// row-slot index, which must happen once. Every model must equal a serial
 /// `Train` of the same request bit for bit, and every model's view must
-/// read the one index. CI runs this suite under ThreadSanitizer.
+/// read the one index. Concurrent `Integrate`s on one `Amalur` race on its
+/// remembered integration: whatever each thread gets, a hit or a fresh
+/// run, must train to the serial model bit for bit. CI runs this suite
+/// under ThreadSanitizer.
 
 namespace amalur {
 namespace core {
@@ -39,13 +42,12 @@ rel::Table Dimension(const std::string& name, const std::string& key,
   return table;
 }
 
-/// Registers a fact table referencing two keyed dimensions and integrates
-/// them under left joins; the same seed gives the same integration.
-IntegrationHandle IntegrateStar(Amalur* amalur) {
+/// Registers a fact table referencing two keyed dimensions; the same seed
+/// gives the same tables.
+void RegisterStar(Amalur* amalur) {
   Rng rng(2603);
   const size_t fact_rows = 600;
   rel::Table fact("visits");
-  std::vector<std::string> sources = {"visits"};
   for (const auto& [name, rows] :
        std::vector<std::pair<std::string, size_t>>{{"patients", 50},
                                                    {"clinics", 12}}) {
@@ -55,7 +57,6 @@ IntegrationHandle IntegrateStar(Amalur* amalur) {
     std::vector<int64_t> refs(fact_rows);
     for (int64_t& ref : refs) ref = static_cast<int64_t>(rng.NextUint64(rows));
     AMALUR_CHECK_OK(fact.AddColumn(rel::Column::FromInt64s(key, refs)));
-    sources.push_back(name);
   }
   std::vector<double> visits(fact_rows), charge(fact_rows);
   for (size_t i = 0; i < fact_rows; ++i) {
@@ -66,10 +67,21 @@ IntegrationHandle IntegrateStar(Amalur* amalur) {
   AMALUR_CHECK_OK(fact.AddColumn(rel::Column::FromDoubles("charge", charge)));
   AMALUR_CHECK_OK(
       amalur->catalog()->RegisterSource({"visits", fact, "", false}));
+}
+
+/// Left joins from `visits` to each of `dimensions`.
+IntegrationSpec StarSpec(
+    const std::vector<std::string>& dimensions = {"patients", "clinics"}) {
   IntegrationSpec spec;
-  spec.sources = sources;
+  spec.sources = {"visits"};
+  spec.sources.insert(spec.sources.end(), dimensions.begin(), dimensions.end());
   spec.relationships = {rel::JoinKind::kLeftJoin};
-  auto integration = amalur->Integrate(spec);
+  return spec;
+}
+
+IntegrationHandle IntegrateStar(Amalur* amalur) {
+  RegisterStar(amalur);
+  auto integration = amalur->Integrate(StarSpec());
   AMALUR_CHECK(integration.ok()) << integration.status();
   return *std::move(integration);
 }
@@ -142,6 +154,66 @@ TEST(ConcurrentTrainTest, RacingTrainsBuildOneIndexAndMatchSerialTrains) {
     EXPECT_EQ(&model.factorized_table()->metadata().slot_index(), index);
     EXPECT_EQ(&copies[t].metadata.slot_index(), index);
   }
+}
+
+/// Each of four threads integrates `specs[(t + round) % specs.size()]` on
+/// one `Amalur` and trains request t on it, `kRounds` times. Every model
+/// must equal a serial `Train` over a fresh `Amalur`'s integration.
+void RaceIntegrates(const std::vector<IntegrationSpec>& specs) {
+  constexpr size_t kRounds = 3;
+  const std::vector<TrainRequest> requests = Requests();
+  std::vector<std::vector<ModelHandle>> serial(specs.size());
+  for (size_t s = 0; s < specs.size(); ++s) {
+    Amalur amalur;
+    RegisterStar(&amalur);
+    auto integration = amalur.Integrate(specs[s]);
+    ASSERT_TRUE(integration.ok()) << integration.status();
+    for (const TrainRequest& request : requests) {
+      auto model = amalur.Train(*integration, request);
+      ASSERT_TRUE(model.ok()) << model.status();
+      serial[s].push_back(*std::move(model));
+    }
+  }
+
+  Amalur amalur;
+  RegisterStar(&amalur);
+  std::vector<std::vector<Result<ModelHandle>>> models(kThreads);
+  std::atomic<bool> start{false};
+  std::vector<std::thread> threads;
+  for (size_t t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      while (!start.load(std::memory_order_acquire)) std::this_thread::yield();
+      for (size_t round = 0; round < kRounds; ++round) {
+        auto integration = amalur.Integrate(specs[(t + round) % specs.size()]);
+        models[t].push_back(integration.ok()
+                                ? amalur.Train(*integration, requests[t])
+                                : Result<ModelHandle>(integration.status()));
+      }
+    });
+  }
+  start.store(true, std::memory_order_release);
+  for (std::thread& thread : threads) thread.join();
+
+  for (size_t t = 0; t < kThreads; ++t) {
+    for (size_t round = 0; round < kRounds; ++round) {
+      SCOPED_TRACE("thread " + std::to_string(t) + " round " +
+                   std::to_string(round));
+      const Result<ModelHandle>& model = models[t][round];
+      ASSERT_TRUE(model.ok()) << model.status();
+      const ModelHandle& reference = serial[(t + round) % specs.size()][t];
+      EXPECT_TRUE(BitEqual(model->weights(), reference.weights()));
+      EXPECT_TRUE(BitEqual(model->outcome().loss_history,
+                           reference.outcome().loss_history));
+    }
+  }
+}
+
+TEST(ConcurrentTrainTest, RacingIntegratesOfOneGraphTrainLikeSerialOnes) {
+  RaceIntegrates({StarSpec()});
+}
+
+TEST(ConcurrentTrainTest, RacingIntegratesOfTwoGraphsTrainLikeSerialOnes) {
+  RaceIntegrates({StarSpec(), StarSpec({"patients"})});
 }
 
 }  // namespace

@@ -181,13 +181,14 @@ TEST(DeployedModelTest, BatchScoresMatchTrainingPredictionsBitForBit) {
 }
 
 TEST(DeployedModelTest, MaterializedPlanModelsDeployThroughTheSameCache) {
-  // Models whose executed plan materialized keep only the metadata copy;
-  // deploy builds the factorized view from it, and both strategies' models
-  // must serve identical scores (same weights to 1e-8, same view).
+  // Whatever plan trained it, a model holds the integration's shared
+  // metadata, and every deploy builds a view over its one row-slot index.
+  // So both strategies' models must serve identical scores (same weights to
+  // 1e-8, same view).
   TrainedFixture fact = TrainLeftJoinModel(core::ExecutionStrategy::kFactorize);
   TrainedFixture mat =
       TrainLeftJoinModel(core::ExecutionStrategy::kMaterialize);
-  ASSERT_EQ(fact.model.factorized_table() == nullptr, false);
+  ASSERT_NE(fact.model.factorized_table(), nullptr);
   ASSERT_NE(mat.model.factorized_table(), nullptr);
   ASSERT_NE(mat.model.metadata(), nullptr);
 
