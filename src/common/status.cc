@@ -22,8 +22,6 @@ const char* StatusCodeToString(StatusCode code) {
       return "IO error";
     case StatusCode::kInternal:
       return "Internal";
-    case StatusCode::kUnavailable:
-      return "Unavailable";
   }
   return "Unknown";
 }

@@ -25,10 +25,6 @@ enum class StatusCode : int8_t {
   kUnimplemented = 6,
   kIOError = 7,
   kInternal = 8,
-  /// A required participant (e.g. a federated silo) is unreachable. Unlike
-  /// `kFailedPrecondition` the condition is environmental and may clear on
-  /// its own — callers may retry the whole operation later.
-  kUnavailable = 9,
 };
 
 /// Returns the canonical lower-case name of a status code, e.g. "invalid argument".
@@ -88,10 +84,6 @@ class [[nodiscard]] Status {
   static Status Internal(Args&&... args) {
     return Make(StatusCode::kInternal, std::forward<Args>(args)...);
   }
-  template <typename... Args>
-  static Status Unavailable(Args&&... args) {
-    return Make(StatusCode::kUnavailable, std::forward<Args>(args)...);
-  }
 
   bool ok() const { return code_ == StatusCode::kOk; }
   StatusCode code() const { return code_; }
@@ -107,7 +99,6 @@ class [[nodiscard]] Status {
   bool IsUnimplemented() const { return code_ == StatusCode::kUnimplemented; }
   bool IsIOError() const { return code_ == StatusCode::kIOError; }
   bool IsInternal() const { return code_ == StatusCode::kInternal; }
-  bool IsUnavailable() const { return code_ == StatusCode::kUnavailable; }
 
   /// "OK" or "<code name>: <message>".
   std::string ToString() const;

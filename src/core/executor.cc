@@ -132,7 +132,6 @@ Result<TrainOutcome> Executor::Run(const metadata::DiMetadata& metadata,
         options.l2 = request.gd.l2;
         options.secure_aggregation =
             request.privacy != federated::VflPrivacy::kPlaintext;
-        options.policy = request.federated_policy;
         AMALUR_ASSIGN_OR_RETURN(
             federated::HflResult result,
             federated::TrainHorizontalFlr(shards, options, &bus));
@@ -153,7 +152,6 @@ Result<TrainOutcome> Executor::Run(const metadata::DiMetadata& metadata,
       options.learning_rate = request.gd.learning_rate;
       options.l2 = request.gd.l2;
       options.privacy = request.privacy;
-      options.policy = request.federated_policy;
       AMALUR_ASSIGN_OR_RETURN(
           federated::NaryVflResult result,
           federated::TrainVerticalFlrNary(alignment.parties, alignment.labels,

@@ -55,11 +55,9 @@ struct TrainRequest {
   /// forcing a data-moving strategy over a privacy-constrained integration
   /// is rejected with `kFailedPrecondition`.
   std::optional<ExecutionStrategy> force_strategy;
-  /// Reliability policy handed to the federated protocols. Federated plans
-  /// train over the in-process bus, which never loses a message, so of its
-  /// fields only `min_quorum` can change a run: a quorum above a union's
-  /// non-empty fact shards is `kInvalidArgument`. The field is retired with
-  /// the next benchmark change. Ignored by non-federated strategies.
+  /// Inert: nothing reads it. The facade benchmark's replay still copies
+  /// it, so it goes with `federated::FederatedPolicy` at the next change to
+  /// that benchmark.
   federated::FederatedPolicy federated_policy;
 };
 

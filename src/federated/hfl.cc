@@ -70,11 +70,6 @@ Result<HflResult> TrainHorizontalFlr(const std::vector<HflPartition>& parties,
     total_rows += parties[p].features.rows();
   }
   if (total_rows == 0) return Status::InvalidArgument("no training rows");
-  if (options.policy.min_quorum > parties.size()) {
-    return Status::InvalidArgument(
-        "min_quorum ", options.policy.min_quorum, " exceeds the ",
-        parties.size(), " parties: no round can reach quorum");
-  }
 
   AdditiveSecretSharing sharing;
   if (options.secure_aggregation) {
@@ -86,78 +81,24 @@ Result<HflResult> TrainHorizontalFlr(const std::vector<HflPartition>& parties,
   HflResult result;
   result.weights = la::DenseMatrix(d, 1);
 
-  const FederatedPolicy& policy = options.policy;
-  const size_t quorum = std::max<size_t>(policy.min_quorum, 1);
-  // Liveness per party. A live party's broadcast gets the full retry
-  // budget; once declared lost (degrade mode) it receives a single cheap
-  // probe per round boundary and is re-admitted the first round it answers
-  // again — by then it resumes from the *current* global model, exactly as
-  // a FedAvg straggler rejoining would.
-  std::vector<bool> live(parties.size(), true);
-  std::vector<la::DenseMatrix> local_models(parties.size());
-  WireTelemetry wire;
-
+  const size_t m = parties.size();
+  std::vector<la::DenseMatrix> local_models(m);
   for (size_t round = 0; round < options.rounds; ++round) {
-    bus->BeginRound(round);
-    wire.round_ms = 0;
-
-    // Server broadcasts the global model; delivery doubles as the round's
-    // health check. On a healthy wire each transfer is exactly one send +
-    // one receive per channel — byte-identical to the unhardened protocol,
-    // and the protocol RNG is only consumed for the participants' shares,
-    // so a full-strength round is bitwise-identical to the pre-policy code.
-    std::vector<size_t> participants;
-    participants.reserve(parties.size());
-    for (size_t p = 0; p < parties.size(); ++p) {
-      FederatedPolicy attempt = policy;
-      if (!live[p]) attempt.max_retries = 0;  // single rejoin probe
-      auto delivered = TransferDense(bus, attempt, "server", PartyName(p),
-                                     PartyName(p), result.weights, &wire);
-      if (delivered.ok()) {
-        local_models[p] = std::move(delivered).ValueOrDie();
-        live[p] = true;
-        participants.push_back(p);
-        continue;
-      }
-      if (!live[p]) continue;  // still down; probe again next round
-      if (policy.on_silo_loss == SiloLossAction::kFail) {
-        return Status::Unavailable("silo ", PartyName(p), " lost at round ",
-                                   round, ": ", delivered.status().message());
-      }
-      live[p] = false;
-      if (std::find(result.silos_dropped.begin(), result.silos_dropped.end(),
-                    PartyName(p)) == result.silos_dropped.end()) {
-        result.silos_dropped.push_back(PartyName(p));
-      }
-    }
-    if (participants.size() < quorum) {
-      return Status::Unavailable(
-          "quorum lost at round ", round, ": ", participants.size(),
-          " reachable participants < min_quorum ", quorum, " (",
-          parties.size() - participants.size(), " silo(s) down)");
-    }
-    const size_t m = participants.size();
-    if (m < parties.size()) result.rounds_degraded += 1;
-    size_t round_rows = 0;
-    for (size_t p : participants) round_rows += parties[p].features.rows();
-    if (round_rows == 0) {
-      // Every reachable participant is an empty partition: no evidence
-      // this round, the global model simply carries over.
-      result.loss_history.push_back(result.loss_history.empty()
-                                        ? 0.0
-                                        : result.loss_history.back());
-      continue;
+    // Server broadcasts the global model.
+    for (size_t p = 0; p < m; ++p) {
+      bus->Send("server", PartyName(p), result.weights);
+      AMALUR_ASSIGN_OR_RETURN(local_models[p],
+                              bus->Receive("server", PartyName(p)));
     }
 
-    // Each participant: local GD epochs from the broadcast model, then
-    // submit the row-weighted model n_p·w_p (so the server average is
-    // weighted). Bus transfers are serial; the per-party epochs —
-    // independent by construction — fan out over the shared pool, one
-    // participant per slot (fixed-order merge), so rounds are
-    // bitwise-reproducible at any thread count.
+    // Each party: local GD epochs from the broadcast model, then submit the
+    // row-weighted model n_p·w_p (so the server average is weighted). Bus
+    // transfers are serial; the per-party epochs — independent by
+    // construction — fan out over the shared pool, one party per slot
+    // (fixed-order merge), so rounds are bitwise-reproducible at any thread
+    // count.
     common::ParallelForChunks(0, m, 1, [&](size_t, size_t begin, size_t end) {
-      for (size_t idx = begin; idx < end; ++idx) {
-        const size_t p = participants[idx];
+      for (size_t p = begin; p < end; ++p) {
         la::DenseMatrix& local = local_models[p];
         const la::DenseMatrix& x = parties[p].features;
         const la::DenseMatrix& y = parties[p].labels;
@@ -180,26 +121,22 @@ Result<HflResult> TrainHorizontalFlr(const std::vector<HflPartition>& parties,
       }
     });
 
-    // Aggregation over the round's participants. Degraded rounds re-weight:
-    // the average divides by the survivors' rows, so the global model stays
-    // an unbiased FedAvg over the data that actually participated.
     la::DenseMatrix aggregate(d, 1);
-    if (options.secure_aggregation && m >= 2) {
-      // Each participant splits its weighted model into one share per
-      // participant and routes share q to participant q; every participant
-      // forwards only the *sum* of the shares it received; the server
-      // reconstructs the global sum and learns nothing about any
-      // individual model.
+    if (options.secure_aggregation) {
+      // Each party splits its weighted model into one share per party and
+      // routes share q to party q; every party forwards only the *sum* of
+      // the shares it received; the server reconstructs the global sum and
+      // learns nothing about any individual model.
       std::vector<std::vector<ShareMatrix>> outgoing(m);
       for (size_t i = 0; i < m; ++i) {
-        const la::DenseMatrix& model = local_models[participants[i]];
+        const la::DenseMatrix& model = local_models[i];
         for (size_t j = 0; j < model.size(); ++j) {
           const double v = model.data()[j];
           if (std::fabs(v) < sharing.EncodableBound()) continue;
           return Status::FailedPrecondition(
-              "federate training diverged: weight ", j,
-              " of party ", PartyName(participants[i]),
-              "'s row-weighted local model is ", v, " in round ", round + 1,
+              "federate training diverged: weight ", j, " of party ",
+              PartyName(i), "'s row-weighted local model is ", v, " in round ",
+              round + 1,
               ", outside the secret-sharing fixed-point range (magnitude "
               "below ",
               sharing.EncodableBound(),
@@ -212,13 +149,11 @@ Result<HflResult> TrainHorizontalFlr(const std::vector<HflPartition>& parties,
         ShareMatrix sum = outgoing[q][q];  // own share stays local
         for (size_t i = 0; i < m; ++i) {
           if (i == q) continue;
-          // Ship the share as raw 64-bit words (reliable transfer).
+          // Ship the share as raw 64-bit words.
+          bus->SendBytes(PartyName(i), PartyName(q), outgoing[i][q].data);
           AMALUR_ASSIGN_OR_RETURN(
               std::vector<uint64_t> words,
-              TransferWords(bus, policy, PartyName(participants[i]),
-                            PartyName(participants[q]),
-                            PartyName(participants[q]), outgoing[i][q].data,
-                            &wire));
+              bus->ReceiveBytes(PartyName(i), PartyName(q)));
           ShareMatrix received{sum.rows, sum.cols, std::move(words)};
           sum = AdditiveSecretSharing::AddShares(sum, received);
         }
@@ -227,47 +162,40 @@ Result<HflResult> TrainHorizontalFlr(const std::vector<HflPartition>& parties,
       std::vector<ShareMatrix> at_server;
       at_server.reserve(m);
       for (size_t q = 0; q < m; ++q) {
-        AMALUR_ASSIGN_OR_RETURN(
-            std::vector<uint64_t> words,
-            TransferWords(bus, policy, PartyName(participants[q]), "server",
-                          PartyName(participants[q]), share_sums[q].data,
-                          &wire));
+        bus->SendBytes(PartyName(q), "server", share_sums[q].data);
+        AMALUR_ASSIGN_OR_RETURN(std::vector<uint64_t> words,
+                                bus->ReceiveBytes(PartyName(q), "server"));
         at_server.push_back(ShareMatrix{d, 1, std::move(words)});
       }
       aggregate = sharing.Reconstruct(at_server);
     } else {
-      // Plaintext (or a lone survivor, where sharing protects nothing):
-      // each participant uploads its weighted model directly.
-      for (size_t p : participants) {
-        AMALUR_ASSIGN_OR_RETURN(
-            la::DenseMatrix at_server,
-            TransferDense(bus, policy, PartyName(p), "server", PartyName(p),
-                          local_models[p], &wire));
+      // Plaintext: each party uploads its weighted model directly.
+      for (size_t p = 0; p < m; ++p) {
+        bus->Send(PartyName(p), "server", local_models[p]);
+        AMALUR_ASSIGN_OR_RETURN(la::DenseMatrix at_server,
+                                bus->Receive(PartyName(p), "server"));
         aggregate.AddInPlace(at_server);
       }
     }
-    aggregate.ScaleInPlace(1.0 / static_cast<double>(round_rows));
+    aggregate.ScaleInPlace(1.0 / static_cast<double>(total_rows));
     result.weights = std::move(aggregate);
 
-    // Telemetry: MSE over the round's participants under the fresh model
-    // (plaintext scalars, as in standard FedAvg evaluation).
+    // Telemetry: MSE over every party under the fresh model (plaintext
+    // scalars, as in standard FedAvg evaluation).
     double squared_error = 0.0;
-    for (size_t p : participants) {
+    for (const HflPartition& party : parties) {
       la::DenseMatrix residual =
-          parties[p].features.Multiply(result.weights).Subtract(
-              parties[p].labels);
+          party.features.Multiply(result.weights).Subtract(party.labels);
       for (size_t i = 0; i < residual.rows(); ++i) {
         squared_error += residual.At(i, 0) * residual.At(i, 0);
       }
     }
     result.loss_history.push_back(squared_error /
-                                  static_cast<double>(round_rows));
+                                  static_cast<double>(total_rows));
   }
 
   result.bytes_transferred = bus->TotalBytes();
   result.messages = bus->TotalMessages();
-  result.retries = wire.retries;
-  result.bytes_wasted = bus->WastedBytes();
   return result;
 }
 

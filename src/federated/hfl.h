@@ -1,11 +1,9 @@
 #pragma once
 
-#include <string>
 #include <vector>
 
 #include "common/status.h"
 #include "federated/message_bus.h"
-#include "federated/reliable_transfer.h"
 #include "la/dense_matrix.h"
 #include "metadata/di_metadata.h"
 
@@ -39,37 +37,25 @@ struct HflOptions {
   double l2 = 0.0;
   /// Aggregate updates via additive secret sharing instead of plaintext.
   bool secure_aggregation = true;
-  /// Reliability policy. Under `on_silo_loss = kDegrade` a party whose
-  /// round broadcast exhausts its retry budget is marked down and FedAvg
-  /// re-weights over the surviving shards (the round average divides by the
-  /// survivors' rows, not the global total); a down party is probed once
-  /// per round boundary and re-admitted when it answers again. Falling
-  /// below `min_quorum` reachable participants is `kUnavailable` even when
-  /// degrading; a `min_quorum` above the party count is `kInvalidArgument`
-  /// before anything is sent.
-  FederatedPolicy policy;
 };
 
 /// A trained global model plus communication accounting.
 struct HflResult {
   la::DenseMatrix weights;  // d × 1
-  /// Global training MSE after each round (over the round's participants).
+  /// Global training MSE after each round.
   std::vector<double> loss_history;
   size_t bytes_transferred = 0;
   size_t messages = 0;
-  /// Reliability telemetry, all empty or 0 unless the bus loses or delays
-  /// messages. Parties that were declared lost at least once (degrade mode
-  /// only; a silo appears once even if it later rejoined).
-  std::vector<std::string> silos_dropped;
-  /// Rounds that ran with fewer participants than parties.
-  size_t rounds_degraded = 0;
-  /// Retransmissions performed by the reliable-delivery layer.
-  size_t retries = 0;
-  /// Bytes burnt on transmissions that never arrived (`MessageBus::WastedBytes`).
-  size_t bytes_wasted = 0;
 };
 
-/// Runs FedAvg linear regression over the partitions. With secure
+/// Runs FedAvg linear regression over the partitions, every party in every
+/// round. Per round the server sends each of the N parties the global model
+/// and gets its row-weighted local model back (2N messages); secure
+/// aggregation replaces the uploads with N(N − 1) shares between parties
+/// and N share sums to the server. The call starts with `bus->Reset()`,
+/// which drops whatever the caller queued on the bus and zeroes its
+/// counters, so `bytes_transferred` and `messages` count this run alone. A
+/// receive that finds no message ends the run with its status. With secure
 /// aggregation, a feature or label value outside the secret-sharing
 /// fixed-point range (`AdditiveSecretSharing::EncodableBound()`, NaN and
 /// ±Inf included) is `kInvalidArgument` naming the party, column and row,

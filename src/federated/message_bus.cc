@@ -12,22 +12,6 @@ void MessageBus::AccountLocked(size_t payload_bytes) {
   total_messages_ += 1;
 }
 
-void MessageBus::MeterTransfer(size_t payload_bytes) {
-  common::MutexLock lock(mu_);
-  AccountLocked(payload_bytes);
-}
-
-void MessageBus::EnqueueDense(const Channel& channel, la::DenseMatrix payload) {
-  common::MutexLock lock(mu_);
-  dense_queues_[channel].push_back(std::move(payload));
-}
-
-void MessageBus::EnqueueWords(const Channel& channel,
-                              std::vector<uint64_t> payload) {
-  common::MutexLock lock(mu_);
-  byte_queues_[channel].push_back(std::move(payload));
-}
-
 void MessageBus::Send(const std::string& from, const std::string& to,
                       la::DenseMatrix payload) {
   const Channel channel{from, to};

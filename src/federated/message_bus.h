@@ -16,7 +16,7 @@
 /// touch each other's memory: every exchanged tensor goes through the bus,
 /// which meters exact transfer volumes — the quantity the §V
 /// discussion (and the communication-cost analysis) needs. Latency is not
-/// simulated; cost models multiply bytes by a configurable cost-per-byte.
+/// simulated.
 ///
 /// **Threading contract.** The protocols drive the bus exclusively from the
 /// round-loop thread — the `ParallelForChunks` regions inside `vfl.cc` /
@@ -26,10 +26,10 @@
 /// test thread reading the stats while a protocol runs is clean under
 /// ThreadSanitizer by construction, not by call-site discipline.
 ///
-/// This bus never loses a message. The transfer entry points are virtual so
-/// a derived bus — the fault simulator in testing/faulty_message_bus.h —
-/// can interpose drop/delay/duplicate/crash behavior without protocols
-/// knowing: they keep programming against `MessageBus*`.
+/// This bus never loses a message. The transfer calls stay virtual so that
+/// a derived bus can wrap them, as the facade benchmark's `TimedMessageBus`
+/// (facadebench/cpp/replay.h) does to time each transfer; the protocols
+/// keep programming against `MessageBus*`.
 
 namespace amalur {
 namespace federated {
@@ -81,26 +81,16 @@ class MessageBus {
   virtual Result<std::vector<uint64_t>> ReceiveBytes(const std::string& from,
                                                      const std::string& to);
 
-  /// Total bytes successfully *delivered* over all channels. Bytes burnt on
-  /// transmissions that never arrived are reported by `WastedBytes()`.
+  /// Total bytes sent over all channels, envelopes included.
   size_t TotalBytes() const;
-  /// Total messages delivered over all channels.
+  /// Total messages sent over all channels.
   size_t TotalMessages() const;
 
-  /// Bytes spent on transmissions that were never delivered (dropped,
-  /// addressed to a crashed silo, or redundant retransmissions). Always 0 on
-  /// the plain bus; a fault-simulating bus overrides it.
-  virtual size_t WastedBytes() const { return 0; }
+  /// Clears queues and statistics. `TrainVerticalFlrNary` and
+  /// `TrainHorizontalFlr` call it on entry.
+  void Reset();
 
-  /// Round boundary notification. Protocols call this once per round so a
-  /// fault layer can evaluate crash-at-round / rejoin-at-round schedules;
-  /// the plain bus ignores it.
-  virtual void BeginRound(size_t round) { (void)round; }
-
-  /// Clears queues and statistics.
-  virtual void Reset();
-
- protected:
+ private:
   static constexpr size_t kEnvelopeBytes = 32;
 
   using Channel = std::pair<std::string, std::string>;
@@ -115,16 +105,6 @@ class MessageBus {
     return (packed.size() / 2) * kCiphertextWireBytes;
   }
 
-  /// Fault-layer hooks: metering and delivery are split so a derived bus
-  /// can meter a payload at send time yet deliver it later (delay faults),
-  /// or deliver without re-metering. Each takes the lock itself.
-  void MeterTransfer(size_t payload_bytes) EXCLUDES(mu_);
-  void EnqueueDense(const Channel& channel, la::DenseMatrix payload)
-      EXCLUDES(mu_);
-  void EnqueueWords(const Channel& channel, std::vector<uint64_t> payload)
-      EXCLUDES(mu_);
-
- private:
   void AccountLocked(size_t payload_bytes) REQUIRES(mu_);
 
   mutable common::Mutex mu_;

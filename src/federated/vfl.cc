@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <utility>
 
 #include "common/parallel_for.h"
 #include "common/rng.h"
@@ -207,17 +208,6 @@ Result<NaryVflResult> TrainVerticalFlrNary(const std::vector<VflParty>& parties,
   bus->Reset();
   Rng rng(kProtocolSeed);
 
-  // Reliable-delivery context. VFL has no quorum to fall back on — every
-  // party owns feature columns the model cannot do without — so a transfer
-  // that exhausts its retry budget ends the run with `kUnavailable`. The
-  // blamed silo is the non-coordinator endpoint of the dead channel: when a
-  // message to/from the label party (or the Paillier coordinator "C") dies,
-  // the data party on the other end is the one presumed lost.
-  WireTelemetry wire;
-  auto blame = [&](const std::string& from, const std::string& to) {
-    return (to == names[0] || to == "C") ? from : to;
-  };
-
   // Coordinator C owns the Paillier keys in the secure mode; the data
   // parties use the public key only. (GenerateKeys is deterministic in the
   // seed.)
@@ -245,8 +235,6 @@ Result<NaryVflResult> TrainVerticalFlrNary(const std::vector<VflParty>& parties,
   std::vector<la::DenseMatrix> d_at(n_parties);
   la::DenseMatrix residual(n_rows, 1);
   for (size_t it = 0; it < options.iterations; ++it) {
-    bus->BeginRound(it);
-    wire.round_ms = 0;
     if (options.privacy == VflPrivacy::kPlaintext) {
       // Local forward passes, one silo per slot — fixed-order merge keeps
       // the round bitwise-reproducible at any thread count.
@@ -258,14 +246,10 @@ Result<NaryVflResult> TrainVerticalFlrNary(const std::vector<VflParty>& parties,
           });
 
       // Parties -> label party: u_k; the label party forms the residual d
-      // and the loss, then broadcasts d. Each hop is a reliable transfer —
-      // on a healthy wire exactly one send + one receive per channel, so
-      // the traffic is byte-identical to the unhardened protocol.
+      // and the loss, then broadcasts d.
       for (size_t k = 1; k < n_parties; ++k) {
-        AMALUR_ASSIGN_OR_RETURN(
-            u_at_root[k],
-            TransferDense(bus, options.policy, names[k], names[0],
-                          blame(names[k], names[0]), u[k], &wire));
+        bus->Send(names[k], names[0], u[k]);
+        AMALUR_ASSIGN_OR_RETURN(u_at_root[k], bus->Receive(names[k], names[0]));
       }
       // d = ((u_0 + u_1) + ...) + u_{N−1} − y, built in place; the loss
       // sums d_i² in ascending i in the same pass as the subtraction (the
@@ -282,10 +266,8 @@ Result<NaryVflResult> TrainVerticalFlrNary(const std::vector<VflParty>& parties,
       result.loss_history.push_back(squared_error /
                                     static_cast<double>(n_rows));
       for (size_t k = 1; k < n_parties; ++k) {
-        AMALUR_ASSIGN_OR_RETURN(
-            d_at[k], TransferDense(bus, options.policy, names[0], names[k],
-                                   blame(names[0], names[k]), residual,
-                                   &wire));
+        bus->Send(names[0], names[k], residual);
+        AMALUR_ASSIGN_OR_RETURN(d_at[k], bus->Receive(names[0], names[k]));
       }
 
       // Local gradient steps, again one silo per slot.
@@ -325,15 +307,12 @@ Result<NaryVflResult> TrainVerticalFlrNary(const std::vector<VflParty>& parties,
     }
     std::vector<PaillierCiphertext> enc_sum =
         paillier.EncryptMatrix(u0_minus_y, &rng);
-    // Ring hops are reliable transfers of the *packed* ciphertexts: a
-    // retransmission resends the same words, never re-encrypts, so wire
-    // faults cannot shift the protocol's RNG schedule.
+    // Each ring hop ships the packed ciphertexts.
     for (size_t k = 1; k < n_parties; ++k) {
-      AMALUR_ASSIGN_OR_RETURN(
-          std::vector<uint64_t> words,
-          TransferCiphertextWords(bus, options.policy, names[k - 1], names[k],
-                                  blame(names[k - 1], names[k]),
-                                  PackCiphertexts(enc_sum), &wire));
+      bus->SendCiphertextWords(names[k - 1], names[k],
+                               PackCiphertexts(enc_sum));
+      AMALUR_ASSIGN_OR_RETURN(std::vector<uint64_t> words,
+                              bus->ReceiveBytes(names[k - 1], names[k]));
       enc_sum = UnpackCiphertexts(words);
       for (size_t i = 0; i < n_rows; ++i) {
         enc_sum[i] = paillier.CipherAdd(
@@ -347,11 +326,9 @@ Result<NaryVflResult> TrainVerticalFlrNary(const std::vector<VflParty>& parties,
     {
       const std::vector<uint64_t> packed_d = PackCiphertexts(enc_sum);
       for (size_t k = 0; k < last; ++k) {
-        AMALUR_ASSIGN_OR_RETURN(
-            std::vector<uint64_t> words,
-            TransferCiphertextWords(bus, options.policy, names[last], names[k],
-                                    blame(names[last], names[k]), packed_d,
-                                    &wire));
+        bus->SendCiphertextWords(names[last], names[k], packed_d);
+        AMALUR_ASSIGN_OR_RETURN(std::vector<uint64_t> words,
+                                bus->ReceiveBytes(names[last], names[k]));
         enc_d_at[k] = UnpackCiphertexts(words);
       }
     }
@@ -390,21 +367,17 @@ Result<NaryVflResult> TrainVerticalFlrNary(const std::vector<VflParty>& parties,
         enc_grad[j] =
             paillier.CipherAdd(enc_grad[j], paillier.EncryptRaw(message, &rng));
       }
-      AMALUR_ASSIGN_OR_RETURN(
-          std::vector<uint64_t> at_c,
-          TransferCiphertextWords(bus, options.policy, party, "C",
-                                  blame(party, "C"), PackCiphertexts(enc_grad),
-                                  &wire));
+      bus->SendCiphertextWords(party, "C", PackCiphertexts(enc_grad));
+      AMALUR_ASSIGN_OR_RETURN(std::vector<uint64_t> at_c,
+                              bus->ReceiveBytes(party, "C"));
       std::vector<PaillierCiphertext> ciphers = UnpackCiphertexts(at_c);
       la::DenseMatrix decrypted(x.cols(), 1);
       for (size_t j = 0; j < x.cols(); ++j) {
         decrypted.At(j, 0) =
             DecodeScaled(paillier.DecryptRaw(ciphers[j]), n_pub, scale_squared);
       }
-      AMALUR_ASSIGN_OR_RETURN(
-          la::DenseMatrix back,
-          TransferDense(bus, options.policy, "C", party, blame("C", party),
-                        decrypted, &wire));
+      bus->Send("C", party, std::move(decrypted));
+      AMALUR_ASSIGN_OR_RETURN(la::DenseMatrix back, bus->Receive("C", party));
       back.SubtractInPlace(mask);  // party removes its own mask
       return back;
     };
@@ -425,8 +398,6 @@ Result<NaryVflResult> TrainVerticalFlrNary(const std::vector<VflParty>& parties,
 
   result.bytes_transferred = bus->TotalBytes();
   result.messages = bus->TotalMessages();
-  result.retries = wire.retries;
-  result.bytes_wasted = bus->WastedBytes();
   return result;
 }
 

@@ -1,11 +1,11 @@
 #pragma once
 
+#include <cstdint>
 #include <string>
 #include <vector>
 
 #include "common/status.h"
 #include "federated/message_bus.h"
-#include "federated/reliable_transfer.h"
 #include "la/dense_matrix.h"
 #include "metadata/di_metadata.h"
 
@@ -40,16 +40,19 @@ enum class VflPrivacy : int8_t {
   kPaillier = 1,
 };
 
+/// Empty, and nothing reads it. It stays only because the facade
+/// benchmark's replay still copies `core::TrainRequest::federated_policy`
+/// into `VflOptions::policy`; the struct and both fields go with the next
+/// change to that benchmark.
+struct FederatedPolicy {};
+
 /// Hyper-parameters of the federated trainer.
 struct VflOptions {
   size_t iterations = 100;
   double learning_rate = 0.1;
   double l2 = 0.0;
   VflPrivacy privacy = VflPrivacy::kPlaintext;
-  /// Reliability policy: retry/timeout budgets per transfer. Vertical FLR
-  /// cannot shed a feature-owning party, so `on_silo_loss = kDegrade` does
-  /// not change VFL behavior — an unreachable data party (or coordinator)
-  /// always ends the run with `kUnavailable` naming the lost silo.
+  /// Inert: nothing reads it. It goes with `FederatedPolicy`.
   FederatedPolicy policy;
 };
 
@@ -74,11 +77,6 @@ struct NaryVflResult {
   size_t rounds = 0;
   size_t bytes_transferred = 0;
   size_t messages = 0;
-  /// Retransmissions performed by the reliable-delivery layer (0 unless
-  /// the bus loses or delays messages).
-  size_t retries = 0;
-  /// Bytes burnt on transmissions that never arrived (`MessageBus::WastedBytes`).
-  size_t bytes_wasted = 0;
 };
 
 /// Trains n-ary vertical FLR. `parties[0]` is the label party (it also
@@ -87,6 +85,11 @@ struct NaryVflResult {
 /// shared pool (`ParallelForChunks`, fixed-order merge) in the plaintext
 /// mode; the Paillier mode is serial because the protocol threads one RNG
 /// through the encryption schedule.
+///
+/// The call starts with `bus->Reset()`, which drops whatever the caller
+/// queued on the bus and zeroes its counters, so `bytes_transferred` and
+/// `messages` count this run alone. A receive that finds no message ends
+/// the run with its status.
 ///
 /// The plaintext round works in buffers the call allocates once: each
 /// party's partial prediction u_k = X_k θ_k and gradient, and the label

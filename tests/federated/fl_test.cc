@@ -506,6 +506,87 @@ TEST(HflTest, InputValidation) {
       TrainHorizontalFlr(parties, {}, &bus).status().IsInvalidArgument());
 }
 
+TEST(FederatedWireTest, HealthyRunsSendExactlyTheProtocolsMessages) {
+  // Pins the healthy wire of both protocols, message for message and byte
+  // for byte: every message carries one column of 8-byte values (d for
+  // FedAvg, n for VFL) plus the bus's 32-byte envelope.
+  const size_t rounds = 5;
+  // FedAvg over d features. Per round the server sends each of the N
+  // parties the global model and gets its weighted model back: 2N
+  // messages. Secure aggregation replaces the N uploads with N(N − 1)
+  // shares between parties and N share sums to the server: N(N + 1).
+  const size_t d = 3;
+  for (size_t n_parties : {2, 3, 4}) {
+    const auto parties = MakeHflParties(n_parties, 20, d, 30 + n_parties);
+    for (bool secure : {false, true}) {
+      HflOptions options;
+      options.rounds = rounds;
+      options.secure_aggregation = secure;
+      MessageBus bus;
+      auto result = TrainHorizontalFlr(parties, options, &bus);
+      ASSERT_TRUE(result.ok()) << result.status();
+      const size_t messages =
+          (secure ? n_parties * (n_parties + 1) : 2 * n_parties) * rounds;
+      EXPECT_EQ(result->messages, messages)
+          << n_parties << " parties, secure " << secure;
+      EXPECT_EQ(result->bytes_transferred, messages * (8 * d + 32))
+          << n_parties << " parties, secure " << secure;
+    }
+  }
+  // Plaintext VFL over n rows. Per round the N − 1 data parties send their
+  // partial predictions to the label party, which broadcasts the residual
+  // back to each: 2(N − 1) messages.
+  const size_t rows = 40;
+  for (size_t n_parties : {2, 3, 4}) {
+    Rng rng(40 + n_parties);
+    std::vector<VflParty> parties;
+    for (size_t k = 0; k < n_parties; ++k) {
+      parties.push_back(
+          {"", la::DenseMatrix::RandomGaussian(rows, 2, &rng), {}});
+    }
+    const la::DenseMatrix labels =
+        la::DenseMatrix::RandomGaussian(rows, 1, &rng);
+    VflOptions options;
+    options.iterations = rounds;
+    MessageBus bus;
+    auto result = TrainVerticalFlrNary(parties, labels, options, &bus);
+    ASSERT_TRUE(result.ok()) << result.status();
+    const size_t messages = 2 * (n_parties - 1) * rounds;
+    EXPECT_EQ(result->messages, messages) << n_parties << " parties";
+    EXPECT_EQ(result->bytes_transferred, messages * (8 * rows + 32))
+        << n_parties << " parties";
+  }
+}
+
+/// A bus that loses every message.
+class LosingBus : public MessageBus {
+ public:
+  void Send(const std::string&, const std::string&,
+            la::DenseMatrix) override {}
+  void SendBytes(const std::string&, const std::string&,
+                 std::vector<uint64_t>) override {}
+  void SendCiphertextWords(const std::string&, const std::string&,
+                           std::vector<uint64_t>) override {}
+};
+
+TEST(FederatedWireTest, ALostMessageEndsTheRunWithTheReceiveStatus) {
+  LosingBus bus;
+  for (bool secure : {false, true}) {
+    HflOptions options;
+    options.secure_aggregation = secure;
+    auto result =
+        TrainHorizontalFlr(MakeHflParties(2, 10, 3, 14), options, &bus);
+    EXPECT_TRUE(result.status().IsNotFound()) << result.status();
+  }
+  VflFixture f = MakeVflFixture(10, 2, 2, 15);
+  for (VflPrivacy privacy : {VflPrivacy::kPlaintext, VflPrivacy::kPaillier}) {
+    VflOptions options;
+    options.privacy = privacy;
+    auto result = TrainTwoParty(f.xa, f.labels, f.xb, options, &bus);
+    EXPECT_TRUE(result.status().IsNotFound()) << result.status();
+  }
+}
+
 }  // namespace
 }  // namespace federated
 }  // namespace amalur

@@ -380,11 +380,15 @@ TEST(NaryVflTest, AlignmentRejectsPartialCoverage) {
 TEST(NaryVflTest, InputValidation) {
   MessageBus bus;
   la::DenseMatrix y(4, 1);
-  // Fewer than two parties.
-  EXPECT_TRUE(TrainVerticalFlrNary({VflParty{"", la::DenseMatrix(4, 2), {}}},
-                                   y, {}, &bus)
-                  .status()
-                  .IsInvalidArgument());
+  // Fewer than two parties: one party holds every feature, so the error
+  // says to train locally.
+  const Status single =
+      TrainVerticalFlrNary({VflParty{"", la::DenseMatrix(4, 2), {}}}, y, {},
+                           &bus)
+          .status();
+  EXPECT_TRUE(single.IsInvalidArgument()) << single;
+  EXPECT_NE(single.message().find("train locally"), std::string::npos)
+      << single;
   // Misaligned rows on a non-root party.
   std::vector<VflParty> parties(3);
   parties[0].x = la::DenseMatrix(4, 2);

@@ -16,7 +16,7 @@ the reason is mandatory — a bare NOLINT is itself a finding):
                        sleep_for/sleep_until/usleep/sleep. Randomness goes
                        through seeded common::Rng, waiting through simulated
                        time — both are load-bearing for bitwise-reproducible
-                       runs (and for chaos tests that replay fault streams).
+                       runs.
                        Benchmarks are no exception: a sleeping or
                        nondeterministic benchmark cannot feed the cost-model
                        calibration.
