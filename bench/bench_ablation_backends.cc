@@ -12,7 +12,7 @@
 //     contrasts the factorized path against dense materialization as the
 //     join fan-out grows — the speedup is exactly the deduplication win.
 //
-// Both are the executor's own training runs (`bench::TrainSeconds`).
+// Both time the facade's own training runs (`bench::MeasureTraining`).
 // AMALUR_BENCH_SMOKE=1 shrinks the tables and the iterations; every row
 // stays.
 
@@ -30,6 +30,7 @@ int main() {
   const size_t iterations = smoke ? 3 : 20;
   const size_t rows = smoke ? 500 : 20000;
   const size_t dimension_rows = smoke ? 100 : 4000;
+  core::Amalur system;
 
   std::printf("=== Ablation 1: backend vs target NULL padding ===\n");
   std::printf("(full outer join, %zu+%zu rows, 20 features/side; the match\n",
@@ -50,8 +51,10 @@ int main() {
     rel::SiloPair pair = rel::GenerateSiloPair(spec);
     auto metadata = factorized::DerivePairMetadata(pair);
     AMALUR_CHECK(metadata.ok()) << metadata.status();
+    const core::IntegrationHandle integration =
+        bench::HandleOf(*std::move(metadata));
 
-    la::DenseMatrix target = metadata->MaterializeTargetMatrix();
+    la::DenseMatrix target = integration.metadata.MaterializeTargetMatrix();
     size_t zeros = 0;
     for (size_t i = 0; i < target.size(); ++i) {
       zeros += target.data()[i] == 0.0 ? 1 : 0;
@@ -59,12 +62,10 @@ int main() {
     const double null_fraction =
         static_cast<double>(zeros) / static_cast<double>(target.size());
 
-    const double dense = bench::TrainSeconds(
-        *metadata, core::ExecutionStrategy::kMaterialize, iterations);
-    const double factorized = bench::TrainSeconds(
-        *metadata, core::ExecutionStrategy::kFactorize, iterations);
+    const bench::StrategyTiming timing = bench::MeasureTraining(
+        &system, integration, bench::GdRequest(iterations), 1);
     std::printf("%8.0f%% %10.2f %12.3f %12.3f\n", 100 * match, null_fraction,
-                dense, factorized);
+                timing.materialized_seconds, timing.factorized_seconds);
   }
 
   std::printf("\n=== Ablation 2: fan-out deduplication win ===\n");
@@ -84,7 +85,8 @@ int main() {
     auto metadata = factorized::DerivePairMetadata(pair);
     AMALUR_CHECK(metadata.ok()) << metadata.status();
     const bench::StrategyTiming timing =
-        bench::MeasureTraining(*metadata, iterations, smoke ? 1 : 3);
+        bench::MeasureTraining(&system, bench::HandleOf(*std::move(metadata)),
+                               bench::GdRequest(iterations), smoke ? 1 : 3);
     std::printf("%8zu %12.3f %12.3f %8.2fx\n", fanout,
                 timing.materialized_seconds, timing.factorized_seconds,
                 timing.Speedup());

@@ -44,6 +44,7 @@ int main() {
   const double tuple_ratios[] = {1, 2, 3, 5, 8, 12};
   const double feature_ratios[] = {1, 2, 5, 10, 20};
 
+  core::Amalur system;
   cost::MorpheusHeuristic morpheus;
   cost::AmalurCostModelOptions options;
   options.training_iterations = static_cast<double>(kIterations);
@@ -76,11 +77,13 @@ int main() {
       rel::SiloPair pair = rel::GenerateSiloPair(spec);
       auto metadata = factorized::DerivePairMetadata(pair);
       AMALUR_CHECK(metadata.ok()) << metadata.status();
+      const core::IntegrationHandle integration =
+          bench::HandleOf(*std::move(metadata));
       const cost::CostFeatures features =
-          cost::CostFeatures::FromMetadata(*metadata);
+          cost::CostFeatures::FromMetadata(integration.metadata);
 
-      const bench::StrategyTiming timing =
-          bench::MeasureTraining(*metadata, kIterations, kRepeats);
+      const bench::StrategyTiming timing = bench::MeasureTraining(
+          &system, integration, bench::GdRequest(kIterations), kRepeats);
       char cell_name[48];
       std::snprintf(cell_name, sizeof(cell_name), "fig5_tr%.0f_fr%.0f", tr,
                     fr);
@@ -91,7 +94,8 @@ int main() {
       // would be rank-deficient.
       bench::LogObservation(
           features, kAltIterations,
-          bench::MeasureTraining(*metadata, kAltIterations, 1),
+          bench::MeasureTraining(&system, integration,
+                                 bench::GdRequest(kAltIterations), 1),
           std::string(cell_name) + "_short_horizon");
       const cost::Strategy measured = timing.Winner();
       cells.push_back({features, measured});

@@ -1,5 +1,6 @@
-// Parallel-runtime scaling experiment: for the Table I scenarios, trains
-// factorized and materialized through the full Amalur facade at 1, 2, 4 and
+// Parallel-runtime scaling experiment: for the four pairwise Table I
+// scenarios (testing/table1_scenarios.h), trains factorized and
+// materialized through the full Amalur facade at 1, 2, 4 and
 // hardware-default threads (the `TrainRequest.num_threads` knob) and reports
 // per-strategy speedup over the single-thread baseline. Alongside the
 // human-readable table it emits machine-readable `BENCH_parallel.json`
@@ -13,106 +14,17 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "bench/bench_util.h"
 #include "common/thread_pool.h"
-#include "core/amalur.h"
-#include "testing/generator.h"
+#include "testing/table1_scenarios.h"
 
 namespace {
 
 using namespace amalur;
-
-struct ScenarioRow {
-  const char* name;     // table label
-  const char* slug;     // json identifier
-  rel::SiloPairSpec spec;
-};
-
-/// The Table I relationships, at the bench_table1_scenarios sizes (row
-/// counts divided by `row_scale`). The left join (fan-out 10) is the
-/// largest / the paper's headline factorized win.
-std::vector<ScenarioRow> MakeScenarios(size_t row_scale) {
-  std::vector<ScenarioRow> rows;
-  {
-    rel::SiloPairSpec spec;
-    spec.kind = rel::JoinKind::kFullOuterJoin;
-    spec.base_rows = 20000 / row_scale;
-    spec.other_rows = 8000 / row_scale;
-    spec.base_features = 4;
-    spec.other_features = 40;
-    spec.shared_features = 2;
-    spec.match_fraction = 0.5;
-    spec.row_overlap = 0.5;
-    spec.seed = 11;
-    rows.push_back({"1 full outer join", "full_outer_join", spec});
-  }
-  {
-    rel::SiloPairSpec spec;
-    spec.kind = rel::JoinKind::kInnerJoin;
-    spec.base_rows = 20000 / row_scale;
-    spec.other_rows = 20000 / row_scale;
-    spec.base_features = 4;
-    spec.other_features = 40;
-    spec.match_fraction = 1.0;
-    spec.row_overlap = 1.0;
-    spec.seed = 12;
-    rows.push_back({"2 inner join     ", "inner_join", spec});
-  }
-  {
-    rel::SiloPairSpec spec;
-    spec.kind = rel::JoinKind::kLeftJoin;
-    spec.base_rows = 40000 / row_scale;
-    spec.other_rows = 4000 / row_scale;  // fan-out 10
-    spec.base_features = 2;
-    spec.other_features = 60;
-    spec.seed = 13;
-    rows.push_back({"3 left join      ", "left_join", spec});
-  }
-  {
-    rel::SiloPairSpec spec;
-    spec.kind = rel::JoinKind::kUnion;
-    spec.base_rows = 20000 / row_scale;
-    spec.other_rows = 20000 / row_scale;
-    spec.base_features = 0;
-    spec.other_features = 0;
-    spec.shared_features = 30;
-    spec.match_fraction = 0.0;
-    spec.row_overlap = 0.0;
-    spec.other_has_label = true;
-    spec.seed = 14;
-    rows.push_back({"4 union          ", "union", spec});
-  }
-  return rows;
-}
-
-/// Median training seconds under a forced strategy and thread count, all
-/// through `Amalur::Train` (so the measurement includes exactly what the
-/// system runs, kernel dispatch and all).
-double MedianTrainSeconds(core::Amalur* system,
-                          const core::IntegrationHandle& integration,
-                          core::TrainRequest request,
-                          core::ExecutionStrategy strategy, size_t num_threads,
-                          size_t repeats) {
-  request.force_strategy = strategy;
-  request.num_threads = num_threads;
-  std::vector<double> seconds;
-  for (size_t r = 0; r < repeats; ++r) {
-    auto model = system->Train(integration, request);
-    AMALUR_CHECK(model.ok()) << model.status();
-    // threads_used is the request capped by the pool's actual capacity.
-    AMALUR_CHECK_EQ(
-        model->outcome().threads_used,
-        std::min(num_threads, common::ThreadPool::Global()->parallelism()))
-        << "executor ignored the thread knob";
-    seconds.push_back(model->outcome().seconds);
-  }
-  std::sort(seconds.begin(), seconds.end());
-  return seconds[seconds.size() / 2];
-}
 
 struct Measurement {
   std::string scenario;
@@ -148,39 +60,22 @@ int main() {
               "fact (s)", "mat (s)", "fact spd", "mat spd");
 
   std::vector<Measurement> measurements;
-  for (const ScenarioRow& row : MakeScenarios(smoke ? 40 : 1)) {
-    rel::SiloPair pair = rel::GenerateSiloPair(row.spec);
-
-    core::AmalurOptions system_options;
-    system_options.matcher.threshold = 0.75;
-    core::Amalur system(system_options);
-    AMALUR_CHECK_OK(
-        system.catalog()->RegisterSource({"S1", pair.base, "silo-1", false}));
-    AMALUR_CHECK_OK(
-        system.catalog()->RegisterSource({"S2", pair.other, "silo-2", false}));
-
-    core::IntegrationSpec spec;
-    spec.sources = {"S1", "S2"};
-    spec.relationships = {row.spec.kind};
-    auto integration = system.Integrate(spec);
-    AMALUR_CHECK(integration.ok()) << integration.status();
-
-    core::TrainRequest request;
-    request.label_column = "y";
-    request.gd.iterations = kIterations;
-    request.gd.learning_rate = 0.05;
-
+  for (rel::Table1Scenario& generated :
+       rel::MakeTable1Scenarios(bench::Table1RowScale())) {
+    if (generated.edges.size() != 1) continue;  // the pairwise relationships
+    const bench::IntegratedScenario scenario =
+        bench::IntegrateScenario(std::move(generated));
     double fact_base = 0.0, mat_base = 0.0;
     for (size_t threads : thread_counts) {
+      core::TrainRequest request = bench::GdRequest(kIterations);
+      request.num_threads = threads;
+      const bench::StrategyTiming timing = bench::MeasureTraining(
+          scenario.system.get(), scenario.integration, request, kRepeats);
       Measurement m;
-      m.scenario = row.slug;
+      m.scenario = scenario.slug;
       m.threads = threads;
-      m.factorized_seconds = MedianTrainSeconds(
-          &system, *integration, request, core::ExecutionStrategy::kFactorize,
-          threads, kRepeats);
-      m.materialized_seconds = MedianTrainSeconds(
-          &system, *integration, request,
-          core::ExecutionStrategy::kMaterialize, threads, kRepeats);
+      m.factorized_seconds = timing.factorized_seconds;
+      m.materialized_seconds = timing.materialized_seconds;
       if (threads == 1) {
         fact_base = m.factorized_seconds;
         mat_base = m.materialized_seconds;
@@ -191,9 +86,10 @@ int main() {
           mat_base / std::max(m.materialized_seconds, 1e-12);
       measurements.push_back(m);
 
-      std::printf("%-18s %8zu %10.4f %10.4f %8.2fx %8.2fx\n", row.name,
-                  threads, m.factorized_seconds, m.materialized_seconds,
-                  m.factorized_speedup, m.materialized_speedup);
+      std::printf("%-18s %8zu %10.4f %10.4f %8.2fx %8.2fx\n",
+                  scenario.label.c_str(), threads, m.factorized_seconds,
+                  m.materialized_seconds, m.factorized_speedup,
+                  m.materialized_speedup);
     }
   }
 

@@ -1,10 +1,10 @@
-// Serving-tier throughput experiment: for each Table I integration scenario
-// a trained model is deployed into a `serving::ModelRegistry` and hammered
-// with batched scoring requests from a growing set of client threads, once
-// through the factorized partial-score cache (`PredictBatch`) and once
-// through a dense baseline kept here in the bench: a dot product over the
-// rows of the materialized target. The
-// harness reports sustained QPS / rows-per-second and request-latency
+// Serving-tier throughput experiment: for each of the seven Table I
+// scenarios (testing/table1_scenarios.h) a trained model is deployed into a
+// `serving::ModelRegistry` and hammered with batched scoring requests from
+// a growing set of client threads, once through the factorized
+// partial-score cache (`PredictBatch`) and once through a dense baseline
+// kept here in the bench: a dot product over the rows of the materialized
+// target. The harness reports sustained QPS / rows-per-second and request-latency
 // percentiles (p50/p99) per (scenario, mode, client count) and emits
 // machine-readable `BENCH_serving.json` so the serving trajectory can be
 // tracked across commits alongside the training benches.
@@ -15,190 +15,21 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <memory>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "bench/bench_util.h"
 #include "common/parallel_for.h"
 #include "common/stopwatch.h"
-#include "core/amalur.h"
 #include "serving/deployed_model.h"
 #include "serving/model_registry.h"
-#include "testing/generator.h"
+#include "testing/table1_scenarios.h"
 
 namespace {
 
 using namespace amalur;
-
-/// Smoke mode divides every scenario's row counts by this factor (and
-/// shrinks batch/request counts) so CI runs the full table in seconds.
-size_t RowScale() { return bench::SmokeMode() ? 40 : 1; }
-
-struct PreparedScenario {
-  std::string name;  // table label
-  std::string slug;  // json identifier
-  std::unique_ptr<core::Amalur> system;
-  core::IntegrationHandle integration;
-};
-
-core::Amalur* NewSystem(std::vector<PreparedScenario>* out, const char* name,
-                        const char* slug) {
-  // Generic short column names (x0, z0, u0...) need strong evidence to
-  // match; a stricter threshold keeps the key match and rejects noise.
-  core::AmalurOptions options;
-  options.matcher.threshold = 0.75;
-  out->push_back({name, slug, std::make_unique<core::Amalur>(options), {}});
-  return out->back().system.get();
-}
-
-void FinishScenario(std::vector<PreparedScenario>* out,
-                    const core::IntegrationSpec& spec) {
-  auto integration = out->back().system->Integrate(spec);
-  AMALUR_CHECK(integration.ok()) << integration.status();
-  out->back().integration = *std::move(integration);
-}
-
-/// The same seven Table I scenarios as bench_table1_scenarios.cc (same
-/// seeds and shapes), so the serving numbers line up with the training ones.
-std::vector<PreparedScenario> MakeScenarios() {
-  std::vector<PreparedScenario> out;
-  const auto scaled = [](size_t rows) {
-    return std::max<size_t>(2, rows / RowScale());
-  };
-
-  const auto pair_scenario = [&out, &scaled](const char* name,
-                                             const char* slug,
-                                             rel::SiloPairSpec spec) {
-    spec.base_rows = scaled(spec.base_rows);
-    spec.other_rows = scaled(spec.other_rows);
-    core::Amalur* system = NewSystem(&out, name, slug);
-    rel::SiloPair pair = rel::GenerateSiloPair(spec);
-    AMALUR_CHECK_OK(
-        system->catalog()->RegisterSource({"S1", pair.base, "silo-1", false}));
-    AMALUR_CHECK_OK(
-        system->catalog()->RegisterSource({"S2", pair.other, "silo-2", false}));
-    core::IntegrationSpec integration_spec;
-    integration_spec.sources = {"S1", "S2"};
-    integration_spec.relationships = {spec.kind};
-    FinishScenario(&out, integration_spec);
-  };
-
-  {
-    rel::SiloPairSpec spec;
-    spec.kind = rel::JoinKind::kFullOuterJoin;
-    spec.base_rows = 20000;
-    spec.other_rows = 8000;
-    spec.base_features = 4;
-    spec.other_features = 40;
-    spec.shared_features = 2;
-    spec.match_fraction = 0.5;
-    spec.row_overlap = 0.5;
-    spec.seed = 11;
-    pair_scenario("1 full outer join", "full_outer_join", spec);
-  }
-  {
-    rel::SiloPairSpec spec;
-    spec.kind = rel::JoinKind::kInnerJoin;
-    spec.base_rows = 20000;
-    spec.other_rows = 20000;
-    spec.base_features = 4;
-    spec.other_features = 40;
-    spec.match_fraction = 1.0;
-    spec.row_overlap = 1.0;
-    spec.seed = 12;
-    pair_scenario("2 inner join     ", "inner_join", spec);
-  }
-  {
-    rel::SiloPairSpec spec;
-    spec.kind = rel::JoinKind::kLeftJoin;
-    spec.base_rows = 40000;
-    spec.other_rows = 4000;  // fan-out 10
-    spec.base_features = 2;
-    spec.other_features = 60;
-    spec.seed = 13;
-    pair_scenario("3 left join      ", "left_join", spec);
-  }
-  {
-    rel::SiloPairSpec spec;
-    spec.kind = rel::JoinKind::kUnion;
-    spec.base_rows = 20000;
-    spec.other_rows = 20000;
-    spec.base_features = 0;
-    spec.other_features = 0;
-    spec.shared_features = 30;
-    spec.match_fraction = 0.0;
-    spec.row_overlap = 0.0;
-    spec.other_has_label = true;
-    spec.seed = 14;
-    pair_scenario("4 union          ", "union", spec);
-  }
-  {
-    rel::SnowflakeSpec spec;
-    spec.fact_rows = scaled(40000);
-    spec.fact_features = 2;
-    spec.level_rows = {scaled(2000), scaled(50)};
-    spec.level_features = {30, 20};
-    spec.seed = 15;
-    rel::Snowflake snowflake = rel::GenerateSnowflake(spec);
-    core::Amalur* system = NewSystem(&out, "5 snowflake      ", "snowflake");
-    for (const rel::Table& table : snowflake.tables) {
-      AMALUR_CHECK_OK(
-          system->catalog()->RegisterSource({table.name(), table, "", false}));
-    }
-    core::IntegrationSpec integration_spec;
-    integration_spec.edges = {{"fact", "dim0", rel::JoinKind::kLeftJoin},
-                              {"dim0", "dim1", rel::JoinKind::kLeftJoin}};
-    FinishScenario(&out, integration_spec);
-  }
-  {
-    rel::UnionOfStarsSpec spec;
-    spec.shards = 2;
-    spec.fact_rows = scaled(20000);
-    spec.fact_features = 2;
-    spec.dim_rows = scaled(1000);
-    spec.dim_features = 30;
-    spec.seed = 16;
-    rel::UnionOfStars scenario = rel::GenerateUnionOfStars(spec);
-    core::Amalur* system =
-        NewSystem(&out, "6 union of stars ", "union_of_stars");
-    for (const rel::Table& table : scenario.tables) {
-      AMALUR_CHECK_OK(
-          system->catalog()->RegisterSource({table.name(), table, "", false}));
-    }
-    core::IntegrationSpec integration_spec;
-    integration_spec.edges = {{"fact0", "dim0", rel::JoinKind::kLeftJoin},
-                              {"fact0", "fact1", rel::JoinKind::kUnion},
-                              {"fact1", "dim1", rel::JoinKind::kLeftJoin}};
-    FinishScenario(&out, integration_spec);
-  }
-  {
-    rel::ConformedSnowflakeSpec spec;
-    spec.fact_rows = scaled(40000);
-    spec.fact_features = 2;
-    spec.branches = 2;
-    spec.branch_rows = scaled(1000);
-    spec.branch_features = 20;
-    spec.shared_rows = scaled(50);
-    spec.shared_features = 20;
-    spec.seed = 17;
-    rel::ConformedSnowflake scenario = rel::GenerateConformedSnowflake(spec);
-    core::Amalur* system =
-        NewSystem(&out, "7 conformed snflk", "conformed_snowflake");
-    for (const rel::Table& table : scenario.tables) {
-      AMALUR_CHECK_OK(
-          system->catalog()->RegisterSource({table.name(), table, "", false}));
-    }
-    core::IntegrationSpec integration_spec;
-    integration_spec.edges = {{"fact", "branch0", rel::JoinKind::kLeftJoin},
-                              {"fact", "branch1", rel::JoinKind::kLeftJoin},
-                              {"branch0", "shared", rel::JoinKind::kLeftJoin},
-                              {"branch1", "shared", rel::JoinKind::kLeftJoin}};
-    FinishScenario(&out, integration_spec);
-  }
-  return out;
-}
 
 /// The dense baseline: the materialized target (rT x cT) and the model's
 /// weights padded to target columns with a 0 at the label, so a full-width
@@ -208,7 +39,7 @@ struct DenseBaseline {
   la::DenseMatrix weights;
 };
 
-DenseBaseline MakeDenseBaseline(const PreparedScenario& scenario,
+DenseBaseline MakeDenseBaseline(const bench::IntegratedScenario& scenario,
                                 const core::ModelHandle& model) {
   DenseBaseline dense;
   dense.target = scenario.integration.metadata.MaterializeTargetMatrix();
@@ -265,7 +96,7 @@ double PercentileMs(std::vector<double>* latencies, double fraction) {
 /// measurement. Row choice is deterministic per (client, request) so every
 /// run scores identical batches.
 Measurement RunLoad(const serving::ModelRegistry& registry,
-                    const PreparedScenario& scenario,
+                    const bench::IntegratedScenario& scenario,
                     const DenseBaseline* dense, size_t clients,
                     size_t requests_per_client, size_t batch_rows) {
   std::vector<std::vector<double>> latencies(clients);
@@ -343,11 +174,11 @@ int main() {
               "clients", "qps", "rows/s", "p50 (ms)", "p99 (ms)");
 
   std::vector<Measurement> measurements;
-  for (PreparedScenario& scenario : MakeScenarios()) {
-    core::TrainRequest request;
-    request.label_column = "y";
-    request.gd.iterations = smoke ? 5 : 20;
-    request.gd.learning_rate = 0.05;
+  for (rel::Table1Scenario& generated :
+       rel::MakeTable1Scenarios(bench::Table1RowScale())) {
+    const bench::IntegratedScenario scenario =
+        bench::IntegrateScenario(std::move(generated));
+    core::TrainRequest request = bench::GdRequest(smoke ? 5 : 20);
     request.force_strategy = core::ExecutionStrategy::kFactorize;
     auto model = scenario.system->Train(scenario.integration, request);
     AMALUR_CHECK(model.ok()) << model.status();
@@ -363,7 +194,7 @@ int main() {
             RunLoad(registry, scenario, dense ? &baseline : nullptr, clients,
                     kRequestsPerClient, kBatchRows);
         std::printf("%-18s %11s %8zu %10.0f %10.0f %9.4f %9.4f\n",
-                    scenario.name.c_str(), m.mode.c_str(), m.client_threads,
+                    scenario.label.c_str(), m.mode.c_str(), m.client_threads,
                     m.qps, m.rows_per_sec, m.p50_ms, m.p99_ms);
         measurements.push_back(std::move(m));
       }

@@ -41,6 +41,7 @@ QuadrantResult RunQuadrant(bool source_redundancy, bool target_redundancy,
                           10000 / row_scale, 20000 / row_scale,
                           50000 / row_scale};
   const size_t horizons[] = {smoke ? size_t{2} : 5, smoke ? size_t{10} : 60};
+  core::Amalur system;
   cost::MorpheusHeuristic morpheus;
 
   QuadrantResult result;
@@ -74,14 +75,17 @@ QuadrantResult RunQuadrant(bool source_redundancy, bool target_redundancy,
       rel::SiloPair pair = rel::GenerateSiloPair(spec);
       auto metadata = factorized::DerivePairMetadata(pair);
       AMALUR_CHECK(metadata.ok()) << metadata.status();
+      const core::IntegrationHandle integration =
+          bench::HandleOf(*std::move(metadata));
       const cost::CostFeatures features =
-          cost::CostFeatures::FromMetadata(*metadata);
+          cost::CostFeatures::FromMetadata(integration.metadata);
       cost::AmalurCostModelOptions options;
       options.training_iterations = static_cast<double>(iterations);
       cost::AmalurCostModel amalur_model(options);
 
       const bench::StrategyTiming timing =
-          bench::MeasureTraining(*metadata, iterations, smoke ? 1 : 3);
+          bench::MeasureTraining(&system, integration,
+                                 bench::GdRequest(iterations), smoke ? 1 : 3);
       char cell_name[64];
       std::snprintf(cell_name, sizeof(cell_name),
                     "table3_rs1_%zu_it%zu_src%d_tgt%d", rs1, iterations,

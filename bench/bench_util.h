@@ -5,24 +5,26 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/logging.h"
 #include "common/status.h"
-#include "core/executor.h"
-#include "core/optimizer.h"
+#include "common/thread_pool.h"
+#include "core/amalur.h"
 #include "cost/cost_features.h"
 #include "cost/observation_log.h"
 #include "metadata/di_metadata.h"
+#include "testing/table1_scenarios.h"
 
 /// \file bench_util.h
 /// Shared measurement plumbing for the per-table/figure bench binaries.
-/// Ground truth for every decision experiment is the training run the
-/// system itself executes: `core::Executor` with the strategy pinned, timed
-/// by the stopwatch behind `TrainOutcome::seconds` (factorized = plan build
-/// + training over silo matrices; materialized = target materialization +
-/// dense training).
+/// Ground truth for every decision experiment is a training run through the
+/// facade: `Amalur::Train` with `force_strategy` pinned, timed by the
+/// stopwatch behind `TrainOutcome::seconds` (factorized = training over the
+/// silo matrices; materialized = target materialization + dense training).
 
 namespace amalur {
 namespace bench {
@@ -79,36 +81,88 @@ struct StrategyTiming {
   }
 };
 
-/// Seconds of one gradient-descent linear regression over `metadata` (label
-/// at target column 0) with `strategy` pinned: the executor run and
-/// stopwatch `Amalur::Train` uses, reported as `TrainOutcome::seconds`.
-inline double TrainSeconds(const metadata::DiMetadata& metadata,
-                           core::ExecutionStrategy strategy,
-                           size_t iterations) {
-  core::Plan plan;
-  plan.strategy = strategy;
+/// Gradient-descent linear regression on the label `y` (every bench
+/// scenario's label), `iterations` steps at learning rate 0.05.
+inline core::TrainRequest GdRequest(size_t iterations) {
   core::TrainRequest request;
-  request.label_column = metadata.target_schema().field(0).name;
+  request.label_column = "y";
   request.gd.iterations = iterations;
   request.gd.learning_rate = 0.05;
-  auto outcome = core::Executor().Run(metadata, plan, request);
-  AMALUR_CHECK(outcome.ok()) << outcome.status();
-  return outcome->seconds;
+  return request;
 }
 
-/// Medians over `repeats` runs (interleaved to decorrelate cache effects).
-inline StrategyTiming MeasureTraining(const metadata::DiMetadata& metadata,
-                                      size_t iterations, size_t repeats = 3) {
+/// Times `request` through `system->Train` under each forced strategy,
+/// `repeats` runs each (interleaved to decorrelate cache effects), and
+/// returns the medians of `TrainOutcome::seconds`. A request that sets
+/// `num_threads` must run with that many threads, capped by the pool.
+inline StrategyTiming MeasureTraining(
+    core::Amalur* system, const core::IntegrationHandle& integration,
+    core::TrainRequest request, size_t repeats) {
   std::vector<double> fact, mat;
   for (size_t r = 0; r < repeats; ++r) {
-    fact.push_back(TrainSeconds(metadata, core::ExecutionStrategy::kFactorize,
-                                iterations));
-    mat.push_back(TrainSeconds(metadata, core::ExecutionStrategy::kMaterialize,
-                               iterations));
+    for (core::ExecutionStrategy strategy :
+         {core::ExecutionStrategy::kFactorize,
+          core::ExecutionStrategy::kMaterialize}) {
+      request.force_strategy = strategy;
+      auto model = system->Train(integration, request);
+      AMALUR_CHECK(model.ok()) << model.status();
+      if (request.num_threads != 0) {
+        AMALUR_CHECK_EQ(model->outcome().threads_used,
+                        std::min(request.num_threads,
+                                 common::ThreadPool::Global()->parallelism()))
+            << "the executor ignored the thread knob";
+      }
+      (strategy == core::ExecutionStrategy::kFactorize ? fact : mat)
+          .push_back(model->outcome().seconds);
+    }
   }
   std::sort(fact.begin(), fact.end());
   std::sort(mat.begin(), mat.end());
   return {fact[fact.size() / 2], mat[mat.size() / 2]};
+}
+
+/// An integration handle around metadata that `scenario_builder` derived,
+/// so a bench can train it through the facade.
+inline core::IntegrationHandle HandleOf(metadata::DiMetadata metadata) {
+  core::IntegrationHandle handle;
+  handle.shape = metadata.shape();
+  handle.metadata = std::move(metadata);
+  return handle;
+}
+
+/// Row scale of the Table I scenarios: full scale, or 1/40 in smoke mode.
+inline size_t Table1RowScale() { return SmokeMode() ? 40 : 1; }
+
+/// A Table I scenario integrated through the facade: its own `Amalur` with
+/// the scenario's tables registered, and the handle `Integrate` returned.
+struct IntegratedScenario {
+  std::string slug;
+  std::string label;
+  std::unique_ptr<core::Amalur> system;
+  core::IntegrationHandle integration;
+};
+
+/// Registers the scenario's tables on a new `Amalur` and integrates its
+/// edges through `Amalur::Integrate`.
+inline IntegratedScenario IntegrateScenario(rel::Table1Scenario scenario) {
+  // Generic short column names (x0, z0, u0...) need strong evidence to
+  // match; a stricter threshold keeps the key match and rejects noise.
+  core::AmalurOptions options;
+  options.matcher.threshold = 0.75;
+  IntegratedScenario out{std::move(scenario.slug), std::move(scenario.label),
+                         std::make_unique<core::Amalur>(options), {}};
+  core::IntegrationSpec spec;
+  for (rel::Table& table : scenario.tables) {
+    AMALUR_CHECK_OK(out.system->catalog()->RegisterSource(
+        {table.name(), std::move(table), "", false}));
+  }
+  for (const rel::ScenarioEdge& edge : scenario.edges) {
+    spec.edges.push_back({edge.left, edge.right, edge.kind});
+  }
+  auto integration = out.system->Integrate(spec);
+  AMALUR_CHECK(integration.ok()) << integration.status();
+  out.integration = *std::move(integration);
+  return out;
 }
 
 /// Feeds one both-strategies measurement into the calibration loop: appends

@@ -5,7 +5,7 @@
 
 /// \file parallel_for.h
 /// The lightweight face of the parallel execution runtime: thread-count
-/// resolution and the `ParallelFor` primitives every kernel fans out with.
+/// resolution and the `ParallelFor` primitive every kernel fans out with.
 /// Headers that only need to *dispatch* parallel loops (e.g. the matrix
 /// templates) include this; the pool itself — and its <thread>/<mutex>
 /// baggage — lives in thread_pool.h.
@@ -19,11 +19,11 @@
 /// to the caller running the whole range serially, recovering the exact
 /// pre-runtime semantics.
 ///
-/// Determinism contract: chunk boundaries are a pure function of
-/// (range, grain, thread count), chunks are merged by callers in fixed chunk
-/// order, and kernels that partition *output* rows write disjoint memory —
-/// results are bitwise-stable across runs at a given thread count (and for
-/// disjoint-write kernels, bitwise-equal to the serial result at any count).
+/// Determinism contract: each chunk writes memory no other chunk touches,
+/// and no caller merges per-chunk partial results. Every output element is
+/// then computed by one chunk, in the order the serial loop computes it, so
+/// every result is bitwise-equal to the serial result at any thread count.
+/// A reduction whose summation order the split would change runs serially.
 
 namespace amalur {
 namespace common {
@@ -58,23 +58,11 @@ class ScopedNumThreads {
   bool engaged_;
 };
 
-/// Number of chunks `ParallelFor`/`ParallelForChunks` will split
-/// [0, range) into at the current thread count — callers allocating
-/// per-chunk accumulators size them with this. Always >= 1 for a non-empty
-/// range; chunk `c` covers [begin + c*size, min(end, begin + (c+1)*size))
-/// with size = max(grain, ceil(range / NumThreads())).
-size_t ParallelChunkCount(size_t range, size_t grain);
-
-/// Runs `fn(chunk_index, chunk_begin, chunk_end)` over a static partition of
-/// [begin, end) into `ParallelChunkCount(end - begin, grain)` chunks. Runs
-/// entirely on the caller when the effective thread count is 1, the range
-/// fits in one grain, or the call is nested inside another parallel region
-/// (then fn(0, begin, end) is the single chunk). Empty ranges are a no-op.
-void ParallelForChunks(size_t begin, size_t end, size_t grain,
-                       const std::function<void(size_t, size_t, size_t)>& fn);
-
-/// `ParallelForChunks` without the chunk index: `fn(chunk_begin, chunk_end)`.
-/// The workhorse for kernels whose chunks write disjoint output ranges.
+/// Runs `fn(chunk_begin, chunk_end)` over a static partition of [begin, end)
+/// into contiguous chunks of max(grain, ceil(range / NumThreads())) elements
+/// (the last may be shorter). Runs entirely on the caller, as fn(begin, end),
+/// when the effective thread count is 1, the range fits in one grain, or the
+/// call is nested inside another parallel region. Empty ranges are a no-op.
 void ParallelFor(size_t begin, size_t end, size_t grain,
                  const std::function<void(size_t, size_t)>& fn);
 

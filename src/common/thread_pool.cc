@@ -204,51 +204,23 @@ void ThreadPool::RunChunks(size_t num_chunks,
   if (error) std::rethrow_exception(error);
 }
 
-namespace {
-
-struct ChunkGeometry {
-  size_t chunk_size = 0;
-  size_t num_chunks = 0;
-};
-
-/// Single source of truth for the partition of [0, range): both the count
-/// callers pre-size accumulators with and the spans ParallelForChunks hands
-/// out derive from one (range, grain, threads) snapshot, so they can never
-/// disagree within a thread.
-ChunkGeometry ComputeChunks(size_t range, size_t grain, size_t threads) {
-  if (range == 0) return {0, 0};
-  if (grain == 0) grain = 1;
-  if (threads <= 1 || range <= grain) return {range, 1};
-  const size_t chunk_size = std::max(grain, (range + threads - 1) / threads);
-  return {chunk_size, (range + chunk_size - 1) / chunk_size};
-}
-
-}  // namespace
-
-size_t ParallelChunkCount(size_t range, size_t grain) {
-  return ComputeChunks(range, grain, NumThreads()).num_chunks;
-}
-
-void ParallelForChunks(size_t begin, size_t end, size_t grain,
-                       const std::function<void(size_t, size_t, size_t)>& fn) {
-  if (end <= begin) return;
-  const ChunkGeometry geometry = ComputeChunks(end - begin, grain, NumThreads());
-  if (geometry.num_chunks <= 1 || t_in_parallel_region) {
-    fn(0, begin, end);
-    return;
-  }
-  ThreadPool::Global()->RunChunks(geometry.num_chunks, [&](size_t chunk) {
-    const size_t chunk_begin = begin + chunk * geometry.chunk_size;
-    const size_t chunk_end = std::min(end, chunk_begin + geometry.chunk_size);
-    fn(chunk, chunk_begin, chunk_end);
-  });
-}
-
 void ParallelFor(size_t begin, size_t end, size_t grain,
                  const std::function<void(size_t, size_t)>& fn) {
-  ParallelForChunks(begin, end, grain,
-                    [&fn](size_t /*chunk*/, size_t chunk_begin,
-                          size_t chunk_end) { fn(chunk_begin, chunk_end); });
+  if (end <= begin) return;
+  const size_t range = end - begin;
+  const size_t threads = NumThreads();
+  if (grain == 0) grain = 1;
+  if (threads <= 1 || range <= grain || t_in_parallel_region) {
+    fn(begin, end);
+    return;
+  }
+  // At least two chunks: range > grain and threads >= 2.
+  const size_t chunk_size = std::max(grain, (range + threads - 1) / threads);
+  const size_t num_chunks = (range + chunk_size - 1) / chunk_size;
+  ThreadPool::Global()->RunChunks(num_chunks, [&](size_t chunk) {
+    const size_t chunk_begin = begin + chunk * chunk_size;
+    fn(chunk_begin, std::min(end, chunk_begin + chunk_size));
+  });
 }
 
 }  // namespace common

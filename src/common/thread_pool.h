@@ -11,7 +11,7 @@
 
 /// \file thread_pool.h
 /// The worker pool behind `ParallelFor` (see parallel_for.h for the
-/// dispatch primitives and the determinism contract). Every hot kernel
+/// dispatch primitive and the determinism contract). Every hot kernel
 /// (dense GEMM, the factorized rewrites, gradient descent through them)
 /// fans its work out over one lazily-initialized global pool.
 
@@ -33,8 +33,7 @@ class ThreadPool {
 
   /// Upper bound on concurrently executing chunks: the workers plus the
   /// submitting thread. A `NumThreads()` request above this still *chunks*
-  /// for the requested count (determinism follows the request) but executes
-  /// at this parallelism.
+  /// for the requested count but executes at this parallelism.
   size_t parallelism() const { return workers_.size() + 1; }
 
   /// Executes `task(c)` for every c in [0, num_chunks) across the workers

@@ -1,7 +1,8 @@
 #include "cost/cost_features.h"
 
-#include <sstream>
 #include <vector>
+
+#include "relational/join.h"
 
 namespace amalur {
 namespace cost {
@@ -18,11 +19,6 @@ const char* StrategyToString(Strategy strategy) {
 
 CostFeatures CostFeatures::FromMetadata(const metadata::DiMetadata& metadata) {
   CostFeatures features;
-  features.kind = metadata.kind();
-  features.shape = metadata.shape();
-  features.num_shards = metadata.num_shards();
-  features.join_depth = metadata.join_depth();
-  features.shared_dimensions = metadata.num_shared_dimensions();
   features.target_rows = metadata.target_rows();
   features.target_cols = metadata.target_cols();
   const metadata::RowSlotIndex& index = metadata.slot_index();
@@ -85,23 +81,6 @@ size_t CostFeatures::TotalSourceCells() const {
   size_t total = 0;
   for (const SourceFeatures& s : sources) total += s.rows * s.cols;
   return total;
-}
-
-std::string CostFeatures::ToString() const {
-  std::ostringstream out;
-  out << "CostFeatures[" << rel::JoinKindToString(kind) << ", "
-      << metadata::IntegrationShapeToString(shape) << ", shards=" << num_shards
-      << ", depth=" << join_depth << ", shared_dims=" << shared_dimensions
-      << ", T " << target_rows << "x" << target_cols
-      << ", full_tgds=" << (all_tgds_full ? "yes" : "no");
-  for (size_t k = 0; k < sources.size(); ++k) {
-    const SourceFeatures& s = sources[k];
-    out << "; S" << k + 1 << " " << s.rows << "x" << s.cols << " contrib="
-        << s.contributed_rows << " redundant=" << s.redundant_cells
-        << " null=" << s.null_ratio << " dup=" << s.duplicate_ratio;
-  }
-  out << "]";
-  return out.str();
 }
 
 }  // namespace cost

@@ -1,11 +1,9 @@
 #pragma once
 
 #include <cstdint>
-#include <string>
 #include <vector>
 
 #include "metadata/di_metadata.h"
-#include "relational/join.h"
 
 /// \file cost_features.h
 /// The cost-model feature vector extracted from DI metadata (§IV.B: "among
@@ -47,18 +45,6 @@ struct SourceFeatures {
 
 /// The full feature vector for one integration scenario.
 struct CostFeatures {
-  rel::JoinKind kind = rel::JoinKind::kInnerJoin;
-  /// Graph shape of the scenario (pairwise / star / snowflake /
-  /// union-of-stars) — the structural input behind the per-shape estimates.
-  metadata::IntegrationShape shape = metadata::IntegrationShape::kPairwise;
-  /// Horizontally stacked fact shards (1 unless union-of-stars).
-  size_t num_shards = 1;
-  /// Longest fact-to-leaf key-join chain (>= 2 for snowflakes).
-  size_t join_depth = 1;
-  /// Conformed (shared) dimensions: sources referenced by several join
-  /// parents. Non-zero for conformed snowflakes and for union-of-stars
-  /// graphs whose shards share a dimension silo.
-  size_t shared_dimensions = 0;
   size_t target_rows = 0;
   size_t target_cols = 0;
   std::vector<SourceFeatures> sources;
@@ -66,9 +52,9 @@ struct CostFeatures {
   /// false when unknown.
   bool all_tgds_full = false;
 
-  /// Extracts features from derived metadata. `all_tgds_full` is taken from
-  /// the scenario kind when no mapping is supplied (inner join and union of
-  /// fully mapped sources are the full-tgd relationships).
+  /// Extracts features from derived metadata. `all_tgds_full` follows from
+  /// the metadata's join kind: an inner join, or a union whose every source
+  /// maps every target column, is the full-tgd relationship.
   static CostFeatures FromMetadata(const metadata::DiMetadata& metadata);
 
   /// Morpheus's tuple ratio for source k: rT / rS_k.
@@ -81,8 +67,6 @@ struct CostFeatures {
   size_t TotalSourceCells() const;
   /// Target cells rT·cT (the materialized working set).
   size_t TargetCells() const { return target_rows * target_cols; }
-
-  std::string ToString() const;
 };
 
 }  // namespace cost

@@ -72,7 +72,7 @@ struct ObservationLogContents {
 
 /// Append-only JSONL observation log. `Append` is serialized under an
 /// internal `common::Mutex`, so concurrent writers — e.g.
-/// `ParallelForChunks` workers measuring grid cells — interleave whole
+/// `ParallelFor` workers measuring grid cells — interleave whole
 /// lines, never bytes. Each append opens, writes and closes the file, so a
 /// crash between observations loses at most the line being written (which
 /// readers then skip).

@@ -94,10 +94,10 @@ Result<HflResult> TrainHorizontalFlr(const std::vector<HflPartition>& parties,
     // Each party: local GD epochs from the broadcast model, then submit the
     // row-weighted model n_p·w_p (so the server average is weighted). Bus
     // transfers are serial; the per-party epochs — independent by
-    // construction — fan out over the shared pool, one party per slot
-    // (fixed-order merge), so rounds are bitwise-reproducible at any thread
-    // count.
-    common::ParallelForChunks(0, m, 1, [&](size_t, size_t begin, size_t end) {
+    // construction — fan out over the shared pool, one party per slot, each
+    // writing only its own model, so rounds are bitwise-reproducible at any
+    // thread count.
+    common::ParallelFor(0, m, 1, [&](size_t begin, size_t end) {
       for (size_t p = begin; p < end; ++p) {
         la::DenseMatrix& local = local_models[p];
         const la::DenseMatrix& x = parties[p].features;

@@ -15,9 +15,9 @@
 /// secret sharing — the server only ever sees the sum of the updates, never
 /// an individual party's model. Union-of-stars integrations are naturally
 /// horizontally partitioned — one FedAvg participant per fact shard
-/// (`AlignForHfl`) — and per-party local work fans out over the shared pool
-/// with a fixed-order merge, so rounds are bitwise-reproducible at any
-/// thread count.
+/// (`AlignForHfl`) — and per-party local work fans out over the shared pool,
+/// each party writing only its own model, which the server then sums in
+/// party order, so rounds are bitwise-reproducible at any thread count.
 
 namespace amalur {
 namespace federated {

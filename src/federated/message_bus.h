@@ -19,7 +19,7 @@
 /// simulated.
 ///
 /// **Threading contract.** The protocols drive the bus exclusively from the
-/// round-loop thread — the `ParallelForChunks` regions inside `vfl.cc` /
+/// round-loop thread — the `ParallelFor` regions inside `vfl.cc` /
 /// `hfl.cc` only do silo-local math and never reach the bus. The bus is
 /// nevertheless *internally synchronized* (one mutex guards queues and
 /// accounting, including `TotalBytes()`/`TotalMessages()`), so a monitor or

@@ -236,14 +236,13 @@ Result<NaryVflResult> TrainVerticalFlrNary(const std::vector<VflParty>& parties,
   la::DenseMatrix residual(n_rows, 1);
   for (size_t it = 0; it < options.iterations; ++it) {
     if (options.privacy == VflPrivacy::kPlaintext) {
-      // Local forward passes, one silo per slot — fixed-order merge keeps
-      // the round bitwise-reproducible at any thread count.
-      common::ParallelForChunks(
-          0, n_parties, 1, [&](size_t, size_t begin, size_t end) {
-            for (size_t k = begin; k < end; ++k) {
-              parties[k].x.MultiplyInto(result.thetas[k], &u[k]);
-            }
-          });
+      // Local forward passes, one silo per slot — each writes only its own
+      // u_k, so the round is bitwise-reproducible at any thread count.
+      common::ParallelFor(0, n_parties, 1, [&](size_t begin, size_t end) {
+        for (size_t k = begin; k < end; ++k) {
+          parties[k].x.MultiplyInto(result.thetas[k], &u[k]);
+        }
+      });
 
       // Parties -> label party: u_k; the label party forms the residual d
       // and the loss, then broadcasts d.
@@ -271,14 +270,13 @@ Result<NaryVflResult> TrainVerticalFlrNary(const std::vector<VflParty>& parties,
       }
 
       // Local gradient steps, again one silo per slot.
-      common::ParallelForChunks(
-          0, n_parties, 1, [&](size_t, size_t begin, size_t end) {
-            for (size_t k = begin; k < end; ++k) {
-              parties[k].x.TransposeMultiplyInto(k == 0 ? residual : d_at[k],
-                                                 &gradients[k]);
-              gradients[k].ScaleInPlace(inv_n);
-            }
-          });
+      common::ParallelFor(0, n_parties, 1, [&](size_t begin, size_t end) {
+        for (size_t k = begin; k < end; ++k) {
+          parties[k].x.TransposeMultiplyInto(k == 0 ? residual : d_at[k],
+                                             &gradients[k]);
+          gradients[k].ScaleInPlace(inv_n);
+        }
+      });
       for (size_t k = 0; k < n_parties; ++k) {
         if (options.l2 > 0.0) {
           gradients[k].AddScaled(result.thetas[k], options.l2);

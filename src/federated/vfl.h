@@ -82,8 +82,7 @@ struct NaryVflResult {
 /// Trains n-ary vertical FLR. `parties[0]` is the label party (it also
 /// coordinates rounds); `labels` (n × 1) live with it. Every party's block
 /// must be row-aligned. Party-local forward/gradient work fans out over the
-/// shared pool (`ParallelForChunks`, fixed-order merge) in the plaintext
-/// mode; the Paillier mode is serial because the protocol threads one RNG
+/// shared pool (`ParallelFor`, one party per slot) in the plaintext mode; the Paillier mode is serial because the protocol threads one RNG
 /// through the encryption schedule.
 ///
 /// The call starts with `bus->Reset()`, which drops whatever the caller

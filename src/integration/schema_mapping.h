@@ -14,9 +14,11 @@
 /// and a set of s-t tgds Σ. A `SchemaMapping` is constructed declaratively
 /// from column correspondences and a dataset relationship (Table I), and the
 /// tgds are generated with the paper's variable-naming convention (mapped
-/// attributes share variable names). The inverse direction — classifying a
-/// tgd set back into a dataset relationship — feeds the cost model's logic
-/// rules (Example IV.1).
+/// attributes share variable names). The inverse direction, `ClassifyTgds`,
+/// maps a tgd set back to a dataset relationship. The cost model's full-tgd
+/// prescreen (Example IV.1) does not call it: it reads
+/// `CostFeatures::all_tgds_full`, which `FromMetadata` sets from the join
+/// kind.
 
 namespace amalur {
 namespace integration {

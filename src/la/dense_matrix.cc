@@ -13,8 +13,8 @@ namespace la {
 namespace {
 // Minimum output rows per ParallelFor chunk of `Multiply`.
 constexpr size_t kMultiplyGrain = 64;
-// Minimum elements per ParallelFor chunk for element-wise reductions; below
-// this the scheduling overhead beats the arithmetic.
+// Minimum elements per ParallelFor chunk of `RowSums`; below this the
+// scheduling overhead beats the arithmetic.
 constexpr size_t kReduceGrain = 1 << 14;
 
 // The two product kernels. `kCols` fixes the right-hand side's width at
@@ -269,53 +269,21 @@ DenseMatrix DenseMatrix::RowSums() const {
 }
 
 DenseMatrix DenseMatrix::ColSums() const {
+  // One serial pass, rows ascending: a row split would regroup each
+  // column's additions (see the determinism contract in parallel_for.h).
   DenseMatrix out(1, cols_);
-  // Per-chunk partial row vectors merged in chunk order: each column still
-  // accumulates its rows in ascending-chunk order, run-stable at a given
-  // thread count.
-  const size_t grain = std::max<size_t>(1, kReduceGrain / std::max<size_t>(cols_, 1));
-  const size_t num_chunks = common::ParallelChunkCount(rows_, grain);
-  if (num_chunks <= 1) {
-    for (size_t i = 0; i < rows_; ++i) {
-      const double* row = RowPtr(i);
-      for (size_t j = 0; j < cols_; ++j) out.data_[j] += row[j];
-    }
-    return out;
-  }
-  std::vector<DenseMatrix> partials(num_chunks);
-  common::ParallelForChunks(
-      0, rows_, grain, [&](size_t chunk, size_t row_begin, size_t row_end) {
-        DenseMatrix partial(1, cols_);
-        for (size_t i = row_begin; i < row_end; ++i) {
-          const double* row = RowPtr(i);
-          for (size_t j = 0; j < cols_; ++j) partial.data_[j] += row[j];
-        }
-        partials[chunk] = std::move(partial);
-      });
-  for (const DenseMatrix& partial : partials) {
-    if (!partial.empty()) out.AddInPlace(partial);
+  for (size_t i = 0; i < rows_; ++i) {
+    const double* row = RowPtr(i);
+    for (size_t j = 0; j < cols_; ++j) out.data_[j] += row[j];
   }
   return out;
 }
 
 double DenseMatrix::Sum() const {
-  const size_t num_chunks = common::ParallelChunkCount(data_.size(), kReduceGrain);
-  if (num_chunks <= 1) {
-    double acc = 0.0;
-    for (double v : data_) acc += v;
-    return acc;
-  }
-  std::vector<double> partials(num_chunks, 0.0);
-  common::ParallelForChunks(
-      0, data_.size(), kReduceGrain,
-      [&](size_t chunk, size_t begin, size_t end) {
-        double acc = 0.0;
-        for (size_t i = begin; i < end; ++i) acc += data_[i];
-        partials[chunk] = acc;
-      });
-  double total = 0.0;
-  for (double partial : partials) total += partial;  // fixed chunk order
-  return total;
+  // Serial in storage order, for the same reason as `ColSums`.
+  double acc = 0.0;
+  for (double v : data_) acc += v;
+  return acc;
 }
 
 double DenseMatrix::MaxAbsDiff(const DenseMatrix& other) const {

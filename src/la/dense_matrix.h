@@ -115,8 +115,10 @@ class DenseMatrix {
 
   /// Per-row sums as an rows()x1 column vector.
   DenseMatrix RowSums() const;
-  /// Per-column sums as a 1xcols() row vector.
+  /// Per-column sums as a 1xcols() row vector, one serial pass with rows
+  /// ascending.
   DenseMatrix ColSums() const;
+  /// Sum of every element, serially in storage order.
   double Sum() const;
   /// max_ij |this - other|; shapes must agree.
   double MaxAbsDiff(const DenseMatrix& other) const;

@@ -48,19 +48,6 @@ la::DenseMatrix CompressedIndicator::ExpandRows(const la::DenseMatrix& y) const 
   return out;
 }
 
-la::DenseMatrix CompressedIndicator::ReduceRows(const la::DenseMatrix& x) const {
-  AMALUR_CHECK_EQ(x.rows(), target_rows()) << "X row count must be rT";
-  la::DenseMatrix out(source_rows_, x.cols());
-  for (size_t i = 0; i < target_rows(); ++i) {
-    const int64_t j = target_to_source_[i];
-    if (j < 0) continue;
-    const double* src = x.RowPtr(i);
-    double* dst = out.RowPtr(static_cast<size_t>(j));
-    for (size_t c = 0; c < x.cols(); ++c) dst[c] += src[c];
-  }
-  return out;
-}
-
 std::string CompressedIndicator::ToString() const {
   std::ostringstream out;
   out << "CI[";

@@ -16,7 +16,7 @@
 namespace amalur {
 namespace metadata {
 
-/// Compressed indicator matrix `CI_k` with expand/reduce kernels.
+/// Compressed indicator matrix `CI_k` with its expand kernel.
 class CompressedIndicator {
  public:
   /// `target_to_source[i]` = D_k row mapped to target row i, or -1.
@@ -46,11 +46,6 @@ class CompressedIndicator {
   /// `I_k · Y` for Y (rS × c): routes source-row values to target rows,
   /// zero rows where the source contributes nothing. O(rT · c).
   la::DenseMatrix ExpandRows(const la::DenseMatrix& y) const;
-
-  /// `I_kᵀ · X` for X (rT × c): accumulates target-row values back onto
-  /// source rows (scatter-add; fan-out rows accumulate). The backward
-  /// operation of factorized gradient computations.
-  la::DenseMatrix ReduceRows(const la::DenseMatrix& x) const;
 
   std::string ToString() const;
 

@@ -55,20 +55,6 @@ la::DenseMatrix CompressedMapping::ExpandColumns(const la::DenseMatrix& dk) cons
   return out;
 }
 
-la::DenseMatrix CompressedMapping::GatherTargetRows(
-    const la::DenseMatrix& x) const {
-  AMALUR_CHECK_EQ(x.rows(), target_cols()) << "X row count must be cT";
-  la::DenseMatrix out(source_cols_, x.cols());
-  for (size_t i = 0; i < target_cols(); ++i) {
-    const int64_t j = target_to_source_[i];
-    if (j < 0) continue;
-    for (size_t c = 0; c < x.cols(); ++c) {
-      out.At(static_cast<size_t>(j), c) = x.At(i, c);
-    }
-  }
-  return out;
-}
-
 std::string CompressedMapping::ToString() const {
   std::ostringstream out;
   out << "CM[";

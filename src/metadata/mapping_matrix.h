@@ -19,7 +19,7 @@
 namespace amalur {
 namespace metadata {
 
-/// Compressed mapping matrix `CM_k` with gather/scatter kernels.
+/// Compressed mapping matrix `CM_k` with its column-placement kernel.
 class CompressedMapping {
  public:
   /// `target_to_source[i]` = D_k column mapped to target column i, or -1.
@@ -49,10 +49,6 @@ class CompressedMapping {
   /// `D_k · M_kᵀ` (r × cT): places D_k's columns at their target positions,
   /// zero elsewhere. O(r · cS) — never materializes M_k.
   la::DenseMatrix ExpandColumns(const la::DenseMatrix& dk) const;
-
-  /// `M_kᵀ · X` for X (cT × n): selects the X rows of mapped target columns
-  /// into D_k column order (cS × n). The gather at the heart of rewrite (2).
-  la::DenseMatrix GatherTargetRows(const la::DenseMatrix& x) const;
 
   std::string ToString() const;
 

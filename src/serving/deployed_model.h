@@ -24,8 +24,8 @@
 /// ever touches live catalog or registry storage.
 ///
 /// Determinism: `PredictBatch` partitions the batch across the shared
-/// thread pool with the house fixed-order-merge pattern (each chunk writes
-/// disjoint output rows), and every row's score is an independent
+/// thread pool (each chunk writes disjoint output rows; see the contract in
+/// parallel_for.h), and every row's score is an independent
 /// lookup-and-add — results are bitwise-identical to a serial pass at any
 /// thread count, and unaffected by concurrent redeploys (a redeploy swaps
 /// the registry's pointer; in-flight batches keep their snapshot).

@@ -2,10 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
-#include <numeric>
 #include <stdexcept>
+#include <utility>
 #include <vector>
+
+#include "common/thread_annotations.h"
 
 namespace amalur {
 namespace common {
@@ -52,46 +55,8 @@ TEST_F(ThreadPoolTest, EmptyRangeNeverInvokes) {
   EXPECT_EQ(calls.load(), 0);
 }
 
-TEST_F(ThreadPoolTest, ZeroLengthRangeYieldsZeroChunksAndSafeReductions) {
-  // Boundary contract: `ParallelChunkCount(0, g)` is 0, NOT 1 — a caller
-  // that pre-sizes per-chunk accumulators and then indexes `partials[0]`
-  // unconditionally would read a phantom chunk. The house reduction pattern
-  // (pre-size by the count, fill inside ParallelForChunks, merge in chunk
-  // order) must degrade to "no buffers, no calls, identity result" on the
-  // zero-length ranges real pipelines produce: 0-row silo blocks, empty
-  // residual vectors, fully-restricted inner-join targets.
-  for (size_t threads : {1, 4}) {
-    SetNumThreads(threads);
-    for (size_t grain : {1, 8, 1000}) {
-      EXPECT_EQ(ParallelChunkCount(0, grain), 0u) << "grain " << grain;
-    }
-
-    // The reduction pattern over an empty value set: zero accumulators are
-    // allocated, the loop body never runs, the merged total is the
-    // identity.
-    const std::vector<double> values;  // a 0-row block's flattened cells
-    const size_t chunks = ParallelChunkCount(values.size(), 64);
-    std::vector<double> partials(chunks, 0.0);
-    EXPECT_TRUE(partials.empty());
-    std::atomic<int> calls{0};
-    ParallelForChunks(0, values.size(), 64,
-                      [&](size_t chunk, size_t begin, size_t end) {
-                        ++calls;
-                        ASSERT_LT(chunk, partials.size());
-                        for (size_t i = begin; i < end; ++i) {
-                          partials[chunk] += values[i];
-                        }
-                      });
-    EXPECT_EQ(calls.load(), 0);
-    double total = 0.0;
-    for (double partial : partials) total += partial;
-    EXPECT_EQ(total, 0.0);
-  }
-}
-
 TEST_F(ThreadPoolTest, GrainLargerThanRangeRunsOneChunk) {
   SetNumThreads(4);
-  EXPECT_EQ(ParallelChunkCount(10, 100), 1u);
   int calls = 0;
   size_t seen_begin = 0, seen_end = 0;
   ParallelFor(2, 12, 100, [&](size_t begin, size_t end) {
@@ -106,7 +71,6 @@ TEST_F(ThreadPoolTest, GrainLargerThanRangeRunsOneChunk) {
 
 TEST_F(ThreadPoolTest, SingleThreadRunsWholeRangeSerially) {
   SetNumThreads(1);
-  EXPECT_EQ(ParallelChunkCount(1000, 1), 1u);
   int calls = 0;
   ParallelFor(0, 1000, 1, [&](size_t begin, size_t end) {
     ++calls;
@@ -134,31 +98,24 @@ TEST_F(ThreadPoolTest, ChunksPartitionTheRangeExactly) {
   }
 }
 
-TEST_F(ThreadPoolTest, ChunkCountBoundedByThreadsAndSizedByGrain) {
+TEST_F(ThreadPoolTest, ChunksAreContiguousAndSizedByThreadsOrGrain) {
   SetNumThreads(4);
-  EXPECT_LE(ParallelChunkCount(1000, 1), 4u);
-  // grain dominates: 100 elements at grain 60 -> 2 chunks of >= 60/40.
-  EXPECT_EQ(ParallelChunkCount(100, 60), 2u);
-  EXPECT_EQ(ParallelChunkCount(0, 8), 0u);
-}
-
-TEST_F(ThreadPoolTest, ChunkIndicesAreDenseAndOrderedByBegin) {
-  SetNumThreads(4);
-  const size_t num_chunks = ParallelChunkCount(1 << 12, 16);
-  ASSERT_GT(num_chunks, 1u);
-  std::vector<std::pair<size_t, size_t>> spans(num_chunks, {0, 0});
-  ParallelForChunks(0, 1 << 12, 16,
-                    [&](size_t chunk, size_t begin, size_t end) {
-                      ASSERT_LT(chunk, num_chunks);
-                      spans[chunk] = {begin, end};
-                    });
-  size_t expected_begin = 0;
-  for (const auto& [begin, end] : spans) {
-    EXPECT_EQ(begin, expected_begin);
-    EXPECT_LT(begin, end);
-    expected_begin = end;
-  }
-  EXPECT_EQ(expected_begin, size_t{1} << 12);
+  const auto spans = [](size_t range, size_t grain) {
+    Mutex mu;
+    std::vector<std::pair<size_t, size_t>> out;
+    ParallelFor(0, range, grain, [&](size_t begin, size_t end) {
+      MutexLock lock(mu);
+      out.push_back({begin, end});
+    });
+    std::sort(out.begin(), out.end());
+    return out;
+  };
+  // ceil(range / threads) dominates: four chunks of 1,024.
+  using Spans = std::vector<std::pair<size_t, size_t>>;
+  EXPECT_EQ(spans(1 << 12, 16),
+            (Spans{{0, 1024}, {1024, 2048}, {2048, 3072}, {3072, 4096}}));
+  // The grain dominates: 100 elements at grain 60 are chunks of 60 and 40.
+  EXPECT_EQ(spans(100, 60), (Spans{{0, 60}, {60, 100}}));
 }
 
 TEST_F(ThreadPoolTest, ExceptionPropagatesToCaller) {
@@ -214,33 +171,6 @@ TEST_F(ThreadPoolTest, DedicatedPoolPropagatesFirstError) {
   std::atomic<int> ok{0};
   pool.RunChunks(8, [&](size_t) { ++ok; });
   EXPECT_EQ(ok.load(), 8);
-}
-
-TEST_F(ThreadPoolTest, DeterministicReductionAtFixedThreadCount) {
-  // The chunk-partial + fixed-merge-order pattern used by the kernels:
-  // identical results across repeated runs at the same thread count.
-  SetNumThreads(4);
-  std::vector<double> values(10000);
-  for (size_t i = 0; i < values.size(); ++i) {
-    values[i] = 1.0 / static_cast<double>(i + 1);
-  }
-  auto reduce = [&] {
-    const size_t chunks = ParallelChunkCount(values.size(), 64);
-    std::vector<double> partials(chunks, 0.0);
-    ParallelForChunks(0, values.size(), 64,
-                      [&](size_t chunk, size_t begin, size_t end) {
-                        double acc = 0.0;
-                        for (size_t i = begin; i < end; ++i) acc += values[i];
-                        partials[chunk] = acc;
-                      });
-    double total = 0.0;
-    for (double p : partials) total += p;
-    return total;
-  };
-  const double first = reduce();
-  for (int run = 0; run < 5; ++run) {
-    EXPECT_EQ(reduce(), first);  // bitwise: merge order is fixed
-  }
 }
 
 }  // namespace

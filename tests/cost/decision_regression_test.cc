@@ -1,9 +1,10 @@
-// Pins the calibrated optimizer's decision map over the 7 standard Table-1
-// scenarios (bench/bench_table1_scenarios.cc, full scale) against the
-// measured winners of full-scale bench runs on the reference machine:
-// materialize for the inner join and the union, factorize for the five
-// redundancy-amplifying shapes. The analytic defaults historically lost the
-// union (ROADMAP: predicted factorize at a measured 0.79x–0.94x); the
+// Pins the calibrated optimizer's decision map over the seven Table I
+// scenarios (testing/table1_scenarios.h, full scale), integrated through
+// `Amalur::Integrate` exactly as bench_table1_scenarios integrates them,
+// against the measured winners of full-scale bench runs on the reference
+// machine: materialize for the inner join and the union, factorize for the
+// five redundancy-amplifying shapes. On these integrations the analytic
+// defaults predict factorize for the union (measured 0.79x–0.94x); the
 // pinned calibration must get all seven right, and any cost-model change
 // that flips a decision fails here instead of silently degrading plans.
 
@@ -12,12 +13,11 @@
 #include <string>
 #include <vector>
 
+#include "core/amalur.h"
 #include "core/optimizer.h"
 #include "cost/calibrator.h"
-#include "cost/cost_features.h"
 #include "metadata/di_metadata.h"
-#include "testing/generator.h"
-#include "testing/scenario_builder.h"
+#include "testing/table1_scenarios.h"
 
 namespace amalur {
 namespace cost {
@@ -44,130 +44,56 @@ Calibration PinnedCalibration() {
 }
 
 struct ScenarioCase {
-  std::string name;
+  std::string slug;
   metadata::DiMetadata metadata;
-  Strategy measured;  // winner of full-scale bench runs
+  core::ExecutionStrategy measured;  // winner of full-scale bench runs
 };
 
-metadata::DiMetadata Derive(const rel::SiloPairSpec& spec) {
-  rel::SiloPair pair = rel::GenerateSiloPair(spec);
-  auto metadata = factorized::DerivePairMetadata(pair);
-  AMALUR_CHECK(metadata.ok()) << metadata.status();
-  return *std::move(metadata);
+/// The seven scenarios at full scale, integrated once per test binary as
+/// the benches integrate them: registered under their table names and
+/// integrated through `Amalur::Integrate` at matcher threshold 0.75.
+const std::vector<ScenarioCase>& Cases() {
+  static const std::vector<ScenarioCase> cases = [] {
+    std::vector<ScenarioCase> out;
+    for (const rel::Table1Scenario& scenario : rel::MakeTable1Scenarios()) {
+      core::AmalurOptions options;
+      options.matcher.threshold = 0.75;
+      core::Amalur system(options);
+      for (const rel::Table& table : scenario.tables) {
+        AMALUR_CHECK_OK(
+            system.catalog()->RegisterSource({table.name(), table, "", false}));
+      }
+      core::IntegrationSpec spec;
+      for (const rel::ScenarioEdge& edge : scenario.edges) {
+        spec.edges.push_back({edge.left, edge.right, edge.kind});
+      }
+      auto integration = system.Integrate(spec);
+      AMALUR_CHECK(integration.ok()) << integration.status();
+      // The 1:1 inner join and the union measured materialize; the five
+      // redundancy-amplifying shapes measured factorize.
+      const bool materializes =
+          scenario.slug == "inner_join" || scenario.slug == "union";
+      out.push_back({scenario.slug, integration->metadata,
+                     materializes ? core::ExecutionStrategy::kMaterialize
+                                  : core::ExecutionStrategy::kFactorize});
+    }
+    return out;
+  }();
+  return cases;
 }
 
-/// Scenario 1: full outer join — partial row/column overlap.
-ScenarioCase FullOuterJoinCase() {
-  rel::SiloPairSpec spec;
-  spec.kind = rel::JoinKind::kFullOuterJoin;
-  spec.base_rows = 20000;
-  spec.other_rows = 8000;
-  spec.base_features = 4;
-  spec.other_features = 40;
-  spec.shared_features = 2;
-  spec.match_fraction = 0.5;
-  spec.row_overlap = 0.5;
-  spec.seed = 11;
-  return {"full_outer_join", Derive(spec), Strategy::kFactorize};
-}
-
-/// Scenario 2: inner join, shared sample space (1:1, no fan-out).
-ScenarioCase InnerJoinCase() {
-  rel::SiloPairSpec spec;
-  spec.kind = rel::JoinKind::kInnerJoin;
-  spec.base_rows = 20000;
-  spec.other_rows = 20000;
-  spec.base_features = 4;
-  spec.other_features = 40;
-  spec.match_fraction = 1.0;
-  spec.row_overlap = 1.0;
-  spec.seed = 12;
-  return {"inner_join", Derive(spec), Strategy::kMaterialize};
-}
-
-/// Scenario 3: left join with fan-out 10 (star schema).
-ScenarioCase LeftJoinCase() {
-  rel::SiloPairSpec spec;
-  spec.kind = rel::JoinKind::kLeftJoin;
-  spec.base_rows = 40000;
-  spec.other_rows = 4000;
-  spec.base_features = 2;
-  spec.other_features = 60;
-  spec.seed = 13;
-  return {"left_join", Derive(spec), Strategy::kFactorize};
-}
-
-/// Scenario 4: union — shared feature space, disjoint rows.
-ScenarioCase UnionCase() {
-  rel::SiloPairSpec spec;
-  spec.kind = rel::JoinKind::kUnion;
-  spec.base_rows = 20000;
-  spec.other_rows = 20000;
-  spec.base_features = 0;
-  spec.other_features = 0;
-  spec.shared_features = 30;
-  spec.match_fraction = 0.0;
-  spec.row_overlap = 0.0;
-  spec.other_has_label = true;
-  spec.seed = 14;
-  return {"union", Derive(spec), Strategy::kMaterialize};
-}
-
-/// Scenario 5: snowflake — fact -> dim -> sub-dim chain.
-ScenarioCase SnowflakeCase() {
-  rel::SnowflakeSpec spec;
-  spec.fact_rows = 40000;
-  spec.fact_features = 2;
-  spec.level_rows = {2000, 50};
-  spec.level_features = {30, 20};
-  spec.seed = 15;
-  rel::Snowflake snowflake = rel::GenerateSnowflake(spec);
-  auto metadata = factorized::DeriveSnowflakeMetadata(snowflake);
-  AMALUR_CHECK(metadata.ok()) << metadata.status();
-  return {"snowflake", *std::move(metadata), Strategy::kFactorize};
-}
-
-/// Scenario 6: union-of-stars — two fact shards, each with a dimension.
-ScenarioCase UnionOfStarsCase() {
-  rel::UnionOfStarsSpec spec;
-  spec.shards = 2;
-  spec.fact_rows = 20000;
-  spec.fact_features = 2;
-  spec.dim_rows = 1000;
-  spec.dim_features = 30;
-  spec.seed = 16;
-  rel::UnionOfStars scenario = rel::GenerateUnionOfStars(spec);
-  auto metadata = factorized::DeriveUnionOfStarsMetadata(scenario);
-  AMALUR_CHECK(metadata.ok()) << metadata.status();
-  return {"union_of_stars", *std::move(metadata), Strategy::kFactorize};
-}
-
-/// Scenario 7: conformed snowflake — shared dimension through two branches.
-ScenarioCase ConformedSnowflakeCase() {
-  rel::ConformedSnowflakeSpec spec;
-  spec.fact_rows = 40000;
-  spec.fact_features = 2;
-  spec.branches = 2;
-  spec.branch_rows = 1000;
-  spec.branch_features = 20;
-  spec.shared_rows = 50;
-  spec.shared_features = 20;
-  spec.seed = 17;
-  rel::ConformedSnowflake scenario = rel::GenerateConformedSnowflake(spec);
-  auto metadata = factorized::DeriveConformedSnowflakeMetadata(scenario);
-  AMALUR_CHECK(metadata.ok()) << metadata.status();
-  return {"conformed_snowflake", *std::move(metadata), Strategy::kFactorize};
-}
-
-core::ExecutionStrategy Expected(Strategy measured) {
-  return measured == Strategy::kFactorize ? core::ExecutionStrategy::kFactorize
-                                          : core::ExecutionStrategy::kMaterialize;
+const ScenarioCase& Case(const std::string& slug) {
+  for (const ScenarioCase& c : Cases()) {
+    if (c.slug == slug) return c;
+  }
+  AMALUR_CHECK(false) << "no scenario " << slug;
+  return Cases().front();
 }
 
 // Headline case 1: the 1:1 inner join measured materialize (0.77x–0.87x
 // across full-scale runs) and must stay materialize.
 TEST(DecisionRegressionTest, InnerJoinMaterializes) {
-  const ScenarioCase c = InnerJoinCase();
+  const ScenarioCase& c = Case("inner_join");
   const core::Plan plan =
       core::Optimizer(PinnedCalibration().options).Choose(c.metadata, false);
   EXPECT_EQ(plan.strategy, core::ExecutionStrategy::kMaterialize)
@@ -175,10 +101,10 @@ TEST(DecisionRegressionTest, InnerJoinMaterializes) {
 }
 
 // Headline case 2: the union measured materialize (0.79x–0.94x) and the
-// analytic defaults historically predicted factorize; the calibration must
-// recover it.
+// analytic defaults predict factorize on it; the calibration must recover
+// it.
 TEST(DecisionRegressionTest, UnionMaterializes) {
-  const ScenarioCase c = UnionCase();
+  const ScenarioCase& c = Case("union");
   const core::Plan plan =
       core::Optimizer(PinnedCalibration().options).Choose(c.metadata, false);
   EXPECT_EQ(plan.strategy, core::ExecutionStrategy::kMaterialize)
@@ -187,22 +113,19 @@ TEST(DecisionRegressionTest, UnionMaterializes) {
 
 // The full invariant: zero mispredictions over all 7 standard scenarios.
 TEST(DecisionRegressionTest, ZeroMispredictionsOnTableOneScenarios) {
-  const std::vector<ScenarioCase> cases = {
-      FullOuterJoinCase(), InnerJoinCase(),    LeftJoinCase(),
-      UnionCase(),         SnowflakeCase(),    UnionOfStarsCase(),
-      ConformedSnowflakeCase()};
+  ASSERT_EQ(Cases().size(), 7u);
   const core::Optimizer optimizer{PinnedCalibration().options};
-  for (const ScenarioCase& c : cases) {
+  for (const ScenarioCase& c : Cases()) {
     const core::Plan plan = optimizer.Choose(c.metadata, false);
-    EXPECT_EQ(plan.strategy, Expected(c.measured))
-        << c.name << ": " << plan.explanation;
+    EXPECT_EQ(plan.strategy, c.measured)
+        << c.slug << ": " << plan.explanation;
   }
 }
 
 // The plan must disclose that calibrated constants made the decision.
 TEST(DecisionRegressionTest, ExplanationReportsCalibratedConstants) {
   const core::Plan plan = core::Optimizer(PinnedCalibration().options)
-                              .Choose(LeftJoinCase().metadata, false);
+                              .Choose(Case("left_join").metadata, false);
   EXPECT_NE(plan.explanation.find("calibrated"), std::string::npos)
       << plan.explanation;
   EXPECT_NE(plan.explanation.find("pinned Table-1 fit"), std::string::npos)
@@ -213,7 +136,7 @@ TEST(DecisionRegressionTest, ExplanationReportsCalibratedConstants) {
 // defaults — the provenance string always states which constants decided.
 TEST(DecisionRegressionTest, ExplanationReportsDefaultConstants) {
   const core::Plan plan =
-      core::Optimizer().Choose(LeftJoinCase().metadata, false);
+      core::Optimizer().Choose(Case("left_join").metadata, false);
   EXPECT_NE(plan.explanation.find("analytic defaults"), std::string::npos)
       << plan.explanation;
 }

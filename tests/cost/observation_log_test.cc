@@ -143,17 +143,16 @@ TEST(ObservationLogTest, ConcurrentAppendsInterleaveWholeLines) {
   std::remove(path.c_str());
   ObservationLog log(path);
   constexpr size_t kRecords = 64;
-  // Appends race from ParallelForChunks workers; the log's internal mutex
-  // must serialize them so every line parses back (bytes never interleave).
+  // Appends race from ParallelFor workers; the log's internal mutex must
+  // serialize them so every line parses back (bytes never interleave).
   common::ScopedNumThreads threads(4);
-  common::ParallelForChunks(0, kRecords, 1,
-                            [&](size_t, size_t begin, size_t end) {
-                              for (size_t i = begin; i < end; ++i) {
-                                Observation o = SampleObservation();
-                                o.scenario = "record_" + std::to_string(i);
-                                ASSERT_TRUE(log.Append(o).ok());
-                              }
-                            });
+  common::ParallelFor(0, kRecords, 1, [&](size_t begin, size_t end) {
+    for (size_t i = begin; i < end; ++i) {
+      Observation o = SampleObservation();
+      o.scenario = "record_" + std::to_string(i);
+      ASSERT_TRUE(log.Append(o).ok());
+    }
+  });
 
   auto contents = ObservationLog::Read(path);
   ASSERT_TRUE(contents.ok()) << contents.status();

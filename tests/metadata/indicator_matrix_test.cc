@@ -44,22 +44,6 @@ TEST(CompressedIndicatorTest, ExpandRowsEqualsExplicitProduct) {
   EXPECT_TRUE(ci.ExpandRows(y).ApproxEquals(ci.ToDense().Multiply(y), 1e-12));
 }
 
-TEST(CompressedIndicatorTest, ReduceRowsEqualsExplicitTransposeProduct) {
-  Rng rng(2);
-  la::DenseMatrix x = la::DenseMatrix::RandomGaussian(6, 2, &rng);
-  CompressedIndicator ci = MakeCi1();
-  EXPECT_TRUE(
-      ci.ReduceRows(x).ApproxEquals(ci.ToDense().TransposeMultiply(x), 1e-12));
-}
-
-TEST(CompressedIndicatorTest, FanOutAccumulatesInReduce) {
-  // Two target rows point at the same source row (join fan-out).
-  CompressedIndicator ci({0, 0, 1}, 2);
-  la::DenseMatrix x({{1, 2}, {10, 20}, {100, 200}});
-  la::DenseMatrix reduced = ci.ReduceRows(x);
-  EXPECT_TRUE(reduced.ApproxEquals(la::DenseMatrix({{11, 22}, {100, 200}})));
-}
-
 TEST(CompressedIndicatorTest, FanOutDuplicatesInExpand) {
   CompressedIndicator ci({0, 0, 1}, 2);
   la::DenseMatrix y({{5, 6}, {7, 8}});
@@ -72,19 +56,6 @@ TEST(CompressedIndicatorTest, IdentityRoundTrip) {
   la::DenseMatrix y = la::DenseMatrix::RandomGaussian(5, 3, &rng);
   CompressedIndicator id = CompressedIndicator::Identity(5);
   EXPECT_TRUE(id.ExpandRows(y).ApproxEquals(y, 0.0));
-  EXPECT_TRUE(id.ReduceRows(y).ApproxEquals(y, 0.0));
-}
-
-TEST(CompressedIndicatorTest, ExpandReduceAdjoint) {
-  // <I y, x> == <y, I^T x> — the adjoint identity behind factorized
-  // gradients.
-  Rng rng(4);
-  CompressedIndicator ci = MakeCi1();
-  la::DenseMatrix y = la::DenseMatrix::RandomGaussian(4, 3, &rng);
-  la::DenseMatrix x = la::DenseMatrix::RandomGaussian(6, 3, &rng);
-  const double lhs = ci.ExpandRows(y).Hadamard(x).Sum();
-  const double rhs = y.Hadamard(ci.ReduceRows(x)).Sum();
-  EXPECT_NEAR(lhs, rhs, 1e-10);
 }
 
 TEST(CompressedIndicatorValidation, RejectsOutOfRange) {

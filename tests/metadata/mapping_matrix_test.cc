@@ -48,31 +48,11 @@ TEST(CompressedMappingTest, ExpandColumnsEqualsExplicitProduct) {
   EXPECT_TRUE(cm.ExpandColumns(dk).ApproxEquals(expected, 1e-12));
 }
 
-TEST(CompressedMappingTest, GatherTargetRowsEqualsExplicitProduct) {
-  Rng rng(2);
-  la::DenseMatrix x = la::DenseMatrix::RandomGaussian(4, 6, &rng);
-  CompressedMapping cm = MakeCm1();
-  la::DenseMatrix expected = cm.ToDense().TransposeMultiply(x);  // M^T X
-  EXPECT_TRUE(cm.GatherTargetRows(x).ApproxEquals(expected, 1e-12));
-}
-
 TEST(CompressedMappingTest, IdentityRoundTrip) {
   Rng rng(3);
   la::DenseMatrix d = la::DenseMatrix::RandomGaussian(4, 5, &rng);
   CompressedMapping id = CompressedMapping::Identity(5);
   EXPECT_TRUE(id.ExpandColumns(d).ApproxEquals(d, 0.0));
-  la::DenseMatrix x = la::DenseMatrix::RandomGaussian(5, 2, &rng);
-  EXPECT_TRUE(id.GatherTargetRows(x).ApproxEquals(x, 0.0));
-}
-
-TEST(CompressedMappingTest, ExpandThenGatherIsIdentityOnMappedColumns) {
-  // M^T (D M^T)^T-free identity: gathering after expanding restores D.
-  Rng rng(4);
-  la::DenseMatrix d = la::DenseMatrix::RandomGaussian(3, 3, &rng);
-  CompressedMapping cm = MakeCm2();
-  la::DenseMatrix expanded = cm.ExpandColumns(d);          // 3x4
-  la::DenseMatrix back = cm.GatherTargetRows(expanded.Transpose());
-  EXPECT_TRUE(back.ApproxEquals(d.Transpose(), 1e-12));
 }
 
 TEST(CompressedMappingTest, ToStringRendering) {

@@ -2,7 +2,7 @@
 
 The house locking vocabulary is small and uniform — `common::Mutex` /
 `common::SharedMutex` members, RAII `MutexLock` / `SharedLock` acquisition
-sites, `ParallelFor`/`ParallelForChunks`/`RunChunks` for pool dispatch — so
+sites, `ParallelFor`/`RunChunks` for pool dispatch — so
 the acquired-while-held relation is statically recoverable without a real
 C++ frontend:
 
@@ -45,7 +45,7 @@ EXEMPT_FILES = (
     "src/common/thread_annotations.h",
 )
 
-DISPATCH_NAMES = ("ParallelFor", "ParallelForChunks", "RunChunks")
+DISPATCH_NAMES = ("ParallelFor", "RunChunks")
 POOL = "<worker-pool>"
 
 CONTROL_KEYWORDS = {
